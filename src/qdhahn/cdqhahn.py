@@ -27,18 +27,29 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import qseries
 from . import recurrence
 from .errors import (
     BranchAmbiguous,
-    NonRealResult,
     PoleOnSupport,
     UnknownFamily,
     ZeroDivisor,
 )
-from .qseries import DEFAULT_POLICY, phi32, qpoch, qpoch_multi
+from .qseries import (
+    DEFAULT_POLICY,
+    first_point,
+    phi32,
+    qpoch,
+    qpoch_multi,
+    real_density,
+    sqrt,
+    support_points,
+)
 from .recurrence import Scaled, SolutionSequence
 
 SOLUTIONS = ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
@@ -121,26 +132,51 @@ class SpectralPoint:
     side: str = OFF_CUT
 
 
+def _quotient(a, b: complex):
+    """a / b for an array a and a complex scalar b, rounded element by
+    element as Python's complex division rounds (numpy multiplies by the
+    reciprocal instead).  Near x = +-1 a last-bit change in x moves
+    sqrt(1 - x^2), and with it the weight, a thousand times more, so
+    grid and scalar spectral points must agree to the last bit."""
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        real, imag = (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
+    else:
+        ratio = b.real / b.imag
+        denom = b.real * ratio + b.imag
+        real, imag = (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
 def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> SpectralPoint:
     """Spectral data at z (or x = alpha z).
 
     Off the cut lam_minus is the root of smaller modulus; on the cut the
     side flag selects the boundary value the off-cut branch tends to:
     approaching from above sends the small root to (x - i sqrt(1-x^2)) /
-    (2 alpha), from below to its conjugate.
+    (2 alpha), from below to its conjugate.  An array of z (or x) gives
+    the data at every point, as arrays.
     """
     alpha = params.alpha
     if (z is None) == (x is None):
         raise ValueError("provide exactly one of z or x")
-    if z is None:
-        z = complex(x) / alpha
-    z = complex(z)
+    grid = isinstance(x if z is None else z, np.ndarray)
+    if grid:
+        z = _quotient(np.asarray(x, dtype=complex), alpha) if z is None else np.asarray(z, dtype=complex)
+    else:
+        z = complex(x) / alpha if z is None else complex(z)
     x = alpha * z
     prod = params.q / (params.A * params.B * params.C * params.D)
     if side == OFF_CUT:
         small, large = recurrence.characteristic_roots(z, prod)
+        scale = abs(large)
         # the sqrt near a double root resolves only to ~sqrt(eps)
-        if abs(abs(small) - abs(large)) <= 4e-8 * max(abs(large), 1e-300):
+        ambiguous = abs(abs(small) - scale) <= 4e-8 * (
+            np.maximum(scale, 1e-300) if grid else max(scale, 1e-300))
+        if ambiguous.any() if grid else ambiguous:
             raise BranchAmbiguous(
                 "|lambda_-| = |lambda_+|: the point lies on the cut; pick a side"
             )
@@ -148,18 +184,21 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
         return SpectralPoint(z, alpha, x, u, small, large, side)
     if side not in (ABOVE, BELOW):
         raise ValueError(f"side must be one of {OFF_CUT!r}, {ABOVE!r}, {BELOW!r}")
-    if abs(x.imag) > 1e-10 or not -1.0 < x.real < 1.0:
+    inside = (abs(x.imag) <= 1e-10) & (-1.0 < x.real) & (x.real < 1.0)
+    if not (inside.all() if grid else inside):
         raise ValueError("boundary sides require real x strictly inside (-1, 1)")
     xr = x.real
-    root = math.sqrt(1.0 - xr * xr)
-    lam_a = (xr - 1j * root) / (2 * alpha)
-    lam_b = (xr + 1j * root) / (2 * alpha)
+    root = sqrt(1.0 - xr * xr)
+    divide = _quotient if grid else operator.truediv
+    lam_a = divide(xr - 1j * root, 2 * alpha)
+    lam_b = divide(xr + 1j * root, 2 * alpha)
     if side == ABOVE:
         small, large = lam_a, lam_b
     else:
         small, large = lam_b, lam_a
     u = 2 * alpha * large
-    return SpectralPoint(z, alpha, complex(xr), u, small, large, side)
+    return SpectralPoint(z, alpha, xr.astype(complex) if grid else complex(xr), u, small,
+                         large, side)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +457,8 @@ def _require_real_params(params: CDQHParams):
 def weight_factors(params: CDQHParams, x: float, policy=DEFAULT_POLICY):
     """The two boundary series whose product forms the weight bracket.
 
-    For real parameters they are complex conjugates of each other.
+    For real parameters they are complex conjugates of each other.  An
+    array of x gives both at every point.
     """
     q = params.q
     A, B, C, D = params.A, params.B, params.C, params.D
@@ -441,11 +481,10 @@ def weight_factors(params: CDQHParams, x: float, policy=DEFAULT_POLICY):
 
 def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous spectral component at
-    x in (-1, 1) (unnormalized)."""
+    x in (-1, 1) (unnormalized).  A one-dimensional array of x gives the
+    density at every point, in one pass of each series kernel."""
     _require_real_params(params)
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("the weight lives on -1 < x < 1")
+    x = support_points(x)
     q = params.q
     A, B, C, D = params.A, params.B, params.C, params.D
     point = spectral_point(params, x=x, side=ABOVE)
@@ -465,21 +504,22 @@ def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
     )
     fm, fp = weight_factors(params, x, policy)
     bracket = fm * fp
-    if bracket == 0 or denominator == 0:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {x}")
-    value = numerator / (2 * math.pi * math.sqrt(1 - x * x) * denominator * bracket)
-    if abs(value.imag) > 1e-10 * max(abs(value), 1e-300):
-        raise NonRealResult(f"weight at x = {x} has imaginary residue {value.imag}")
-    return value.real
+    at = first_point((bracket == 0) | (denominator == 0), x)
+    if at is not None:
+        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
+    value = numerator / (2 * math.pi * sqrt(1 - x * x) * denominator * bracket)
+    return real_density(x, value, "weight at x = {x} has imaginary residue {imag}")
 
 
 def weight_reduced(params: CDQHParams, x: float) -> float:
-    """C = q closed form of the weight: pure infinite products."""
+    """C = q closed form of the weight: pure infinite products (at every
+    point of a one-dimensional array of x)."""
     _require_reduced(params)
     _require_real_params(params)
     q = params.q
     A, B, D = params.A, params.B, params.D
-    point = spectral_point(params, x=float(x), side=ABOVE)
+    x = support_points(x)
+    point = spectral_point(params, x=x, side=ABOVE)
     u = point.u
     r1 = cmath.sqrt(B * D / A)
     r2 = cmath.sqrt(A * B / D)
@@ -488,12 +528,11 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
     denominator = qpoch_multi(
         [r1 / u, r1 * u, r2 / u, r2 * u, r3 / u, r3 * u], q
     )
-    if denominator == 0:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {x}")
-    value = numerator / (2 * math.pi * math.sqrt(1 - float(x) ** 2) * denominator)
-    if abs(value.imag) > 1e-10 * max(abs(value), 1e-300):
-        raise NonRealResult("reduced weight has imaginary residue")
-    return value.real
+    at = first_point(denominator == 0, x)
+    if at is not None:
+        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
+    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator)
+    return real_density(x, value, "reduced weight has imaginary residue")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import cdqhahn, limits, recurrence, verify
 from .errors import QdhError
@@ -180,10 +181,12 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
                 return cdqhahn.spectral_point(fam, z=pt, side=cdqhahn.ABOVE)
             raise
 
+    weight = cdqhahn.weight if family == "cdqh" else limits.limit_weight
+
     def evaluate(pt):
+        if what == "weight":
+            return complex(weight(fam, float(pt.real), policy))
         if family == "cdqh":
-            if what == "weight":
-                return complex(cdqhahn.weight(fam, float(pt.real), policy))
             point = spectral(pt)
             if what == "poly":
                 return cdqhahn.explicit_poly(fam, point, n_index, policy)
@@ -197,8 +200,6 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
             if what == "cf-trunc":
                 return 1.0 / recurrence.cf_truncated(fam, pt, depth)
         else:
-            if what == "weight":
-                return complex(limits.limit_weight(fam, float(pt.real), policy))
             if what == "poly":
                 return limits.limit_poly(fam, pt, n_index, policy)
             if what == "poly-alt":
@@ -214,9 +215,13 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
                 return 1.0 / recurrence.cf_truncated(fam, pt, depth)
         raise click.UsageError(f"unsupported combination family={family} what={what}")
 
+    if what == "weight" and grid is not None:
+        # one grid call: the series kernels sum every point at once
+        values = [complex(v) for v in weight(fam, np.array(points), policy)]
+    else:
+        values = [evaluate(pt) for pt in points]
     rows = []
-    for pt in points:
-        value = evaluate(pt)
+    for pt, value in zip(points, values):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt
         rows.append([coord if isinstance(coord, float) else str(coord),
                      value.real, value.imag])

@@ -33,7 +33,6 @@ from .errors import (
     FormalOnly,
     PoleHit,
     PoleOnSupport,
-    NonRealResult,
     ResonantDelta,
     ScanTooCoarse,
     UnknownFamily,
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .qseries import (
     DEFAULT_POLICY,
+    first_point,
     phi01,
     phi11,
     phi20_terminating,
@@ -50,6 +50,9 @@ from .qseries import (
     phi30_terminating,
     qpoch,
     qpoch_multi,
+    real_density,
+    sqrt,
+    support_points,
     termination_order,
 )
 from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
@@ -1291,17 +1294,19 @@ def fourth_limit_series(family: FourthLimit, n: int):
 
 
 def _unit_circle_point(x: float):
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("weights live on -1 < x < 1")
-    s = math.sqrt(1.0 - x * x)
-    return complex(x, s)
+    """x + i sqrt(1 - x^2) (at every point of an array x)."""
+    x = support_points(x)
+    s = sqrt(1.0 - x * x)
+    return x + 1j * s
 
 
 def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous component at x in (-1, 1),
-    where the spectral variable is z = gamma x (unnormalized)."""
+    where the spectral variable is z = gamma x (unnormalized).  A
+    one-dimensional array of x gives the density at every point, in one
+    pass of each series kernel."""
     q = family.q
+    x = support_points(x)
     u = _unit_circle_point(x)
     fid = family.family_id
     if fid == "al-salam-chihara":
@@ -1332,14 +1337,11 @@ def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
         bracket *= phi21(A / q, A * lam_p, 0.0, lam_p / a, q, policy)
     else:
         raise UnsupportedFamily(f"{fid} carries no absolutely continuous weight here")
-    if bracket == 0 or denominator == 0:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {x}")
-    value = numerator / (
-        2 * math.pi * math.sqrt(1 - float(x) ** 2) * denominator * bracket
-    )
-    if abs(value.imag) > 1e-10 * max(abs(value), 1e-300):
-        raise NonRealResult(f"weight at x = {x} has imaginary residue")
-    return value.real
+    at = first_point((bracket == 0) | (denominator == 0), x)
+    if at is not None:
+        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
+    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator * bracket)
+    return real_density(x, value, "weight at x = {x} has imaginary residue")
 
 
 def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
@@ -1360,20 +1362,21 @@ def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
 
 
 def cont_big_q_hermite_weight_reduced(family: ContBigQHermite, x: float) -> float:
-    """A = q specialization of the weight: pure infinite products."""
+    """A = q specialization of the weight: pure infinite products (at
+    every point of a one-dimensional array of x)."""
     q, a = family.q, family.a
     if abs(family.A - q) > 1e-12:
         raise ValueError("the reduced weight requires A = q")
+    x = support_points(x)
     u = _unit_circle_point(x)
     root = cmath.sqrt(complex(a))
     numerator = qpoch(q, q) * qpoch_multi([u * u, 1 / (u * u)], q)
     denominator = qpoch_multi([u / root, 1 / (u * root)], q)
-    if denominator == 0:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {x}")
-    value = numerator / (2 * math.pi * math.sqrt(1 - float(x) ** 2) * denominator)
-    if abs(value.imag) > 1e-10 * abs(value):
-        raise NonRealResult("reduced weight has imaginary residue")
-    return value.real
+    at = first_point(denominator == 0, x)
+    if at is not None:
+        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
+    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator)
+    return real_density(x, value, "reduced weight has imaginary residue")
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,17 @@ def characteristic_roots(z, product):
     """Roots of lambda^2 - z lambda + product, ordered (small, large).
 
     These are the large-n growth rates of a recurrence whose
-    coefficients tend to a_n -> 0, b_n^2 -> product.
+    coefficients tend to a_n -> 0, b_n^2 -> product.  An array of z
+    (complex) gives both roots at every point.
     """
-    z = complex(z)
-    disc = cmath.sqrt(z * z - 4.0 * product)
+    grid = isinstance(z, np.ndarray)
+    z = np.asarray(z, dtype=complex) if grid else complex(z)
+    disc = (np.sqrt if grid else cmath.sqrt)(z * z - 4.0 * product)
     r1 = 0.5 * (z + disc)
     r2 = 0.5 * (z - disc)
+    if grid:
+        first = abs(r1) >= abs(r2)
+        return np.where(first, r2, r1), np.where(first, r1, r2)
     if abs(r1) >= abs(r2):
         return r2, r1
     return r1, r2

@@ -10,6 +10,7 @@ rejection rules are part of the documented test domain.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -61,6 +62,7 @@ class CheckReport:
         return self.max_rel_error <= self.threshold
 
     def record(self, error: float, inputs: dict, lhs, rhs):
+        error = float(error)
         self.points_tested += 1
         self.max_rel_error = max(self.max_rel_error, error)
         if error > self.threshold:
@@ -423,22 +425,33 @@ def _poly_values_on_grid(family, z_grid, n_max):
     return values
 
 
+@functools.lru_cache(maxsize=8)
+def gauss_nodes(count: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), built once per count
+    (the eigensolve is O(count^3)) and shared as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gram_matrix(weight_fn, family, scale, n_max, nodes: int, method: str):
     """Gram matrix of P_0..P_{n_max} under the density ``weight_fn`` on
     (-1, 1), with the recurrence argument z = x / scale.
 
-    method "gauss" uses Gauss-Legendre nodes in x; "cosine" uses the
-    trapezoid rule in the angle variable, which absorbs the edge factor.
+    ``weight_fn`` maps the array of quadrature nodes to the array of
+    densities there, in one call.  Method "gauss" uses Gauss-Legendre
+    nodes in x; "cosine" uses the trapezoid rule in the angle variable,
+    which absorbs the edge factor.
     """
     if method == "gauss":
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        density = np.array([weight_fn(float(xi)) for xi in x])
-        quad_w = w * density
+        x, w = gauss_nodes(nodes)
+        quad_w = w * np.asarray(weight_fn(x), dtype=float)
     elif method == "cosine":
         theta = (np.arange(nodes) + 0.5) * math.pi / nodes
         x = np.cos(theta)
         # dx = -sin(theta) dtheta cancels one edge factor of the density
-        density = np.array([weight_fn(float(xi)) for xi in x])
+        density = np.asarray(weight_fn(x), dtype=float)
         quad_w = density * np.sin(theta) * (math.pi / nodes)
     else:
         raise ValueError("method must be 'gauss' or 'cosine'")
@@ -503,20 +516,14 @@ def transform_pole_free(params, x_max: float = 30.0, samples: int = 1200) -> boo
     outside the cut; used to justify mass-free orthogonality draws."""
     q = params.q
     A, B, C, D = params.A, params.B, params.C, params.D
-
-    def denominator(x):
-        point = cdqhahn.spectral_point(params, x=x)
-        lam = point.lam_minus
-        return qseries.phi32(
-            B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q
-        ).real
-
     for side in (1.0, -1.0):
         grid = np.geomspace(1.0 + 1e-4, x_max, samples) * side
-        vals = [denominator(float(x)) for x in grid]
-        for v0, v1 in zip(vals, vals[1:]):
-            if v0 * v1 < 0:
-                return False
+        lam = cdqhahn.spectral_point(params, x=grid).lam_minus
+        vals = qseries.phi32(
+            B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q
+        ).real
+        if (vals[:-1] * vals[1:] < 0).any():
+            return False
     return True
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from qdhahn.cli import main
@@ -45,6 +46,26 @@ class TestEval:
         assert len(rows) == 200  # header + 199 points
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(v > 0 for v in values)
+
+    @pytest.mark.parametrize("family_args", [
+        ("cdqh", "--A", ".4", "--B", ".4", "--C", ".7", "--D", ".4"),
+        ("al-salam-chihara", "--A", ".35", "--B", ".45", "--delta", ".7"),
+        ("cont-q-hermite", "--A", ".35", "--delta", ".7"),
+        ("cont-big-q-hermite", "--A", ".5", "--a", "1.6"),
+    ])
+    def test_weight_grid_rows_match_single_points(self, family_args):
+        common = ("eval", "--family", *family_args, "--q", ".5", "--what", "weight")
+        result = invoke(*common, "--grid", "-0.98:0.98:9")
+        assert result.exit_code == 0
+        rows = [l.split(",") for l in result.output.splitlines()[2:]]
+        assert len(rows) == 9
+        for x, re_text, im_text in rows:
+            single = invoke(*common, "--x", x)
+            assert single.exit_code == 0
+            sx, s_re, s_im = single.output.splitlines()[2].split(",")
+            assert float(sx) == float(x)
+            assert abs(float(re_text) - float(s_re)) <= 1e-12 * abs(float(s_re))
+            assert float(im_text) == float(s_im) == 0.0
 
     def test_missing_parameter_exit_2(self):
         proc = run_script(
@@ -143,6 +164,16 @@ class TestVerify:
         assert isinstance(payload, list)
         assert payload[0]["check_id"] == "limit-edges"
         assert payload[0]["pass"] is True
+
+    def test_orthogonality_json(self):
+        result = invoke("verify", "--check", "orthogonality", "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert [r["check_id"] for r in payload] == [
+            "orthogonality/reduced", "orthogonality/associated",
+        ]
+        assert all(r["pass"] is True for r in payload)
+        assert all(isinstance(r["max_rel_error"], float) for r in payload)
 
     def test_seed_recorded(self):
         result = invoke("verify", "--check", "limits", "--seed", "123")
