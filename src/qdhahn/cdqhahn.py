@@ -51,6 +51,7 @@ from .qseries import (
     support_points,
 )
 from .recurrence import Scaled, SolutionSequence
+from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 SOLUTIONS = ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
 
@@ -164,10 +165,11 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
     if (z is None) == (x is None):
         raise ValueError("provide exactly one of z or x")
     grid = isinstance(x if z is None else z, np.ndarray)
-    if grid:
-        z = _quotient(np.asarray(x, dtype=complex), alpha) if z is None else np.asarray(z, dtype=complex)
+    given = None if x is None else (np.asarray(x, dtype=complex) if grid else complex(x))
+    if z is None:
+        z = _quotient(given, alpha) if grid else given / alpha
     else:
-        z = complex(x) / alpha if z is None else complex(z)
+        z = np.asarray(z, dtype=complex) if grid else complex(z)
     x = alpha * z
     prod = params.q / (params.A * params.B * params.C * params.D)
     if side == OFF_CUT:
@@ -184,6 +186,10 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
         return SpectralPoint(z, alpha, x, u, small, large, side)
     if side not in (ABOVE, BELOW):
         raise ValueError(f"side must be one of {OFF_CUT!r}, {ABOVE!r}, {BELOW!r}")
+    if given is not None:
+        # keep the given x: the round trip through z can move it by an
+        # ulp, which sqrt(1 - x^2) magnifies near +-1
+        x = given
     inside = (abs(x.imag) <= 1e-10) & (-1.0 < x.real) & (x.real < 1.0)
     if not (inside.all() if grid else inside):
         raise ValueError("boundary sides require real x strictly inside (-1, 1)")
@@ -204,20 +210,6 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
 # ---------------------------------------------------------------------------
 # Closed-form solutions.
 # ---------------------------------------------------------------------------
-
-
-def _power(base: complex, n: int) -> Scaled:
-    """base**n as a Scaled value (phase in the mantissa, magnitude in the log)."""
-    base = complex(base)
-    if base == 0:
-        return Scaled(0.0 + 0.0j if n > 0 else 1.0 + 0.0j, 0.0)
-    mag = abs(base)
-    phase = base / mag
-    return Scaled(phase**n, n * math.log(mag))
-
-
-def _qpower(q: float, exponent: float) -> Scaled:
-    return Scaled(1.0 + 0.0j, exponent * math.log(q))
 
 
 def _x1(params: CDQHParams, point: SpectralPoint, lam: complex, n: int, policy) -> Scaled:

@@ -155,6 +155,8 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
     """Evaluate a polynomial, solution, continued fraction, or weight at
     a point or over a grid; one CSV row per point (n_or_x, re, im)."""
     fam = _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small)
+    if what in ("poly", "poly-alt") and n_index < 0:
+        raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
 
     if grid is not None:
@@ -338,20 +340,17 @@ def cmd_table(family, n_lo, n_hi, grid, q, a_par, b_par, c_par, d_par, delta,
     """Matrix of monic polynomial values P_n(z) over an n range and a z
     grid, one grid point per row."""
     fam = _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small)
-    if n_hi < n_lo:
-        rows = []
-        header = ["z"]
-    else:
+    if n_lo < 0:
+        raise click.UsageError("--n-lo must be >= 0: degrees are not negative")
+    rows = []
+    header = ["z"]
+    if n_hi >= n_lo:
         points = _parse_grid(grid)
-        header = ["z"] + [f"n{n}" for n in range(n_lo, n_hi + 1)]
-        rows = []
-        for z in points:
-            seq = recurrence.forward_eval(fam, z, 0.0, 1.0, max(n_hi, 0))
-            row = [z]
-            for n in range(n_lo, n_hi + 1):
-                value = seq.value(n)
-                row.append(value.real if abs(value.imag) < 1e-300 else value)
-            rows.append(row)
+        header += [f"n{n}" for n in range(n_lo, n_hi + 1)]
+        # one recurrence pass over the whole grid; row n + 1 holds P_n
+        seq = recurrence.forward_eval(fam, np.array(points, dtype=complex), 0.0, 1.0, n_hi)
+        for z, values in zip(points, seq.values()[n_lo + 1:].T):
+            rows.append([z] + [v.real if abs(v.imag) < 1e-300 else v for v in values.tolist()])
     _emit_rows(rows, header, fmt, _family_comment(fam))
 
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .qseries import (
     DEFAULT_POLICY,
+    _assert_finite,
     first_point,
     phi01,
     phi11,
@@ -56,18 +57,7 @@ from .qseries import (
     termination_order,
 )
 from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
-
-
-def _power(base, n: int) -> Scaled:
-    base = complex(base)
-    if base == 0:
-        return Scaled(0.0 + 0.0j if n > 0 else 1.0 + 0.0j, 0.0)
-    mag = abs(base)
-    return Scaled((base / mag) ** n, n * math.log(mag))
-
-
-def _qpower(q: float, exponent: float) -> Scaled:
-    return Scaled(1.0 + 0.0j, exponent * math.log(q))
+from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 
 def _sign(n: int) -> complex:
@@ -792,8 +782,10 @@ def limit_solution_sequence(family, z, which, start, stop, policy=DEFAULT_POLICY
 # ---------------------------------------------------------------------------
 
 
-def _double_sum(n, outer_ratio, inner_ratio):
-    """sum_l outer_l sum_{j<=l} inner_j with multiplicative term ratios."""
+def _double_sum(pref, n, outer_ratio, inner_ratio):
+    """pref * sum_l outer_l sum_{j<=l} inner_j with multiplicative term
+    ratios; Overflow when the terms leave the double range (past it the
+    product is nan, e.g. an underflowed q**(n*n) times an infinite sum)."""
     total = 0.0 + 0.0j
     outer_t = 1.0 + 0.0j
     for ell in range(n + 1):
@@ -806,7 +798,7 @@ def _double_sum(n, outer_ratio, inner_ratio):
                 inner_t *= inner_ratio(j)
             inner_total += inner_t
         total += outer_t * inner_total
-    return total
+    return _assert_finite(pref * total, "explicit polynomial double sum")
 
 
 def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
@@ -847,7 +839,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den * (C * q / (A * B)) * (-(q ** (-(j - 1))))
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "wall":
         A, B = family.A, family.B
@@ -877,7 +869,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den * (q / (A * B)) ** 2 / z * q ** (-2 * (j - 1))
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "limit-wall":
         A = family.A
@@ -895,7 +887,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den * q ** (j - 1) * (-1 / (A * z))
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "fourth-limit":
         pref = (
@@ -911,7 +903,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return q ** (2 * (j - 1)) / den / (q * z)
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "al-salam-chihara":
         A, B, d = family.A, family.B, family.delta
@@ -939,7 +931,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den * (-1) * u**2 * q**j
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "al-salam-carlitz1":
         A, d = family.A, family.delta
@@ -970,7 +962,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den / (A * d * z * z)
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "limit-asc1":
         # the q-exponent is n^2 (the displayed n(n+1)/2 fails the
@@ -988,7 +980,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return q ** (j - 1) / den * (-1 / (z * d))
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "cont-q-hermite":
         A = family.A
@@ -1008,7 +1000,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den * (-1) * u**2 * q**j
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "limit-q-hermite":
         d = family.delta
@@ -1028,7 +1020,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return q ** (2 * j - 1) / den / (z * z * d)
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "cont-big-q-hermite":
         A = family.A
@@ -1050,7 +1042,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return num / den
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     if fid == "q-bessel-order":
         a = family.a
@@ -1065,7 +1057,7 @@ def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
             _nz(den)
             return q ** (2 * j - 1) * (a / (z * z)) / den
 
-        return pref * _double_sum(n, outer, inner)
+        return _double_sum(pref, n, outer, inner)
 
     raise UnknownFamily(f"no explicit polynomial for {fid!r}")
 
@@ -1096,7 +1088,7 @@ def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
         _nz(den)
         return q ** (3 * (j - 1)) / den / (z * z) * (-1 / d)
 
-    return pref * _double_sum(n, outer, inner)
+    return _double_sum(pref, n, outer, inner)
 
 
 def _nz(value):

@@ -72,6 +72,19 @@ class Scaled:
         return Scaled(self.mantissa / m, self.log_scale + math.log(m))
 
 
+def scaled_power(base, n: int) -> Scaled:
+    """base**n as a Scaled value (phase in the mantissa, magnitude in the log)."""
+    base = complex(base)
+    if base == 0:
+        return Scaled(0.0 + 0.0j if n > 0 else 1.0 + 0.0j, 0.0)
+    mag = abs(base)
+    return Scaled((base / mag) ** n, n * math.log(mag))
+
+
+def scaled_qpower(q: float, exponent: float) -> Scaled:
+    return Scaled(1.0 + 0.0j, exponent * math.log(q))
+
+
 @dataclass(frozen=True)
 class SolutionSequence:
     """An indexed run of solution values over a contiguous window."""
@@ -135,7 +148,22 @@ class SolutionSequence:
         return self.scaled(n).value
 
     def values(self):
-        return [self.value(n) for n in range(self.start_index, self.stop_index + 1)]
+        """Every value of the window; for a grid run, a 2-D array whose
+        cells round exactly as ``value`` does (mantissa * math.exp)."""
+        if not isinstance(self.mantissas, np.ndarray):
+            return [self.value(n) for n in range(self.start_index, self.stop_index + 1)]
+        m, scales = self.mantissas, self.log_scales
+        live = m != 0
+        if (live & (scales > _LOG_HUGE)).any():
+            raise Overflow("scaled value exceeds the double range")
+        factor = np.ones(scales.shape)
+        scaled = live & (scales != 0)
+        factor[scaled] = [math.exp(s) for s in scales[scaled].tolist()]
+        out = np.zeros(m.shape, dtype=complex)
+        # CPython's product with the float factor taken as complex(f, 0)
+        out.real[live] = (m.real * factor - m.imag * 0.0)[live]
+        out.imag[live] = (m.real * 0.0 + m.imag * factor)[live]
+        return out
 
 
 def coeffs(family, n: int):
@@ -143,23 +171,41 @@ def coeffs(family, n: int):
     return family.a_coeff(n), family.b_sq_coeff(n)
 
 
+def coeff_table(family, n: int, table=None):
+    """Lists (a_0..a_{n-1}, b_0^2..b_{n-1}^2) of the family's own scalar
+    coefficients; a given table is extended in place.  (Evaluating the
+    coefficient formulas over an array of n would change their last bits:
+    numpy's power is not Python's.)"""
+    a, b_sq = table if table is not None else ([], [])
+    for k in range(len(a), n):
+        a_k, b_k = coeffs(family, k)
+        a.append(a_k)
+        b_sq.append(b_k)
+    return a, b_sq
+
+
 def forward_eval(family, z, x_prev, x_0, n_max: int, provenance="forward") -> SolutionSequence:
     """Iterate X_{n+1} = (z - a_n) X_n - b_n^2 X_{n-1} from the seeds.
 
     Seeds are (X_{-1}, X_0); with (0, 1) the result is the sequence of
     monic polynomials in z.  The running pair is renormalized every
-    ``RENORM_EVERY`` steps with the scale tracked separately.
+    ``RENORM_EVERY`` steps with the scale tracked separately.  An array
+    of z advances every point at once: the sequence then holds 2-D
+    arrays (one row per index, one column per point), and each column
+    equals the scalar run at its point bit for bit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    a, b_sq = coeff_table(family, n_max)
+    if isinstance(z, np.ndarray):
+        return _forward_grid(a, b_sq, z, complex(x_prev), complex(x_0), provenance)
     z = complex(z)
     mantissas = [complex(x_prev), complex(x_0)]
     scales = [0.0, 0.0]
     prev, cur = mantissas[0], mantissas[1]
     log_scale = 0.0
     for n in range(0, n_max):
-        a_n, b_sq = coeffs(family, n)
-        nxt = (z - a_n) * cur - b_sq * prev
+        nxt = (z - a[n]) * cur - b_sq[n] * prev
         if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
             raise Overflow(f"forward recurrence overflowed at index {n + 1}")
         prev, cur = cur, nxt
@@ -172,6 +218,42 @@ def forward_eval(family, z, x_prev, x_0, n_max: int, provenance="forward") -> So
         mantissas.append(cur)
         scales.append(log_scale)
     return SolutionSequence(-1, tuple(mantissas), tuple(scales), provenance)
+
+
+@np.errstate(all="ignore")  # an overflow raises Overflow below instead
+def _forward_grid(a, b_sq, z, x_prev, x_0, provenance):
+    """The forward loop over a 1-D array of z.  Real and imaginary parts
+    are carried apart and combined the way CPython multiplies and divides
+    complex numbers (numpy's complex product fuses multiply-adds), and
+    each point's log scale is taken with ``math.log``.  A point that
+    overflows raises the scalar run's Overflow, the earliest first."""
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real, z.imag
+    mantissas = np.empty((len(a) + 2, z.size), dtype=complex)
+    scales = np.zeros(mantissas.shape)
+    mantissas[0], mantissas[1] = x_prev, x_0
+    pr, pi = mantissas.real[0].copy(), mantissas.imag[0].copy()
+    cr, ci = mantissas.real[1].copy(), mantissas.imag[1].copy()
+    log_scale = np.zeros(z.size)
+    for n in range(len(a)):
+        a_n, b_n = complex(a[n]), complex(b_sq[n])
+        wr, wi = zr - a_n.real, zi - a_n.imag
+        nr = (wr * cr - wi * ci) - (b_n.real * pr - b_n.imag * pi)
+        ni = (wr * ci + wi * cr) - (b_n.real * pi + b_n.imag * pr)
+        if not (np.isfinite(nr).all() and np.isfinite(ni).all()):
+            raise Overflow(f"forward recurrence overflowed at index {n + 1}")
+        pr, pi, cr, ci = cr, ci, nr, ni
+        if (n + 1) % RENORM_EVERY == 0:
+            top = np.maximum(np.hypot(pr, pi), np.hypot(cr, ci))
+            live = top > 0
+            t = np.where(live, top, 1.0)
+            # complex / float in CPython: ((re + im*0) / t, (im - re*0) / t)
+            pr, pi = np.where(live, (pr + pi * 0.0) / t, pr), np.where(live, (pi - pr * 0.0) / t, pi)
+            cr, ci = np.where(live, (cr + ci * 0.0) / t, cr), np.where(live, (ci - cr * 0.0) / t, ci)
+            log_scale = log_scale + [math.log(v) if v > 0 else 0.0 for v in top.tolist()]
+        mantissas.real[n + 2], mantissas.imag[n + 2] = cr, ci
+        scales[n + 2] = log_scale
+    return SolutionSequence(-1, mantissas, scales, provenance)
 
 
 def residual(family, z, seq: SolutionSequence, n: int) -> complex:
@@ -237,34 +319,37 @@ def minimality_ratio(candidate: SolutionSequence, dominant: SolutionSequence):
     return ratios
 
 
-def cf_truncated(family, z, depth: int) -> complex:
+def cf_truncated(family, z, depth: int, table=None) -> complex:
     """Evaluate the J-fraction z - a_0 - b_1^2/(z - a_1 - ...) bottom-up
-    from tail value 0 at the given depth."""
+    from tail value 0 at the given depth.  ``table`` (from
+    ``coeff_table``) is extended to the depth and read instead of
+    re-deriving the coefficients."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     z = complex(z)
+    a, b_sq = coeff_table(family, depth, table)
     tail = 0.0 + 0.0j
     for k in range(depth - 1, 0, -1):
-        a_k, b_sq = coeffs(family, k)
-        den = z - a_k - tail
+        den = z - a[k] - tail
         if den == 0:
             raise ZeroDenominator(f"convergent hit a pole at level {k}")
-        tail = b_sq / den
-    a_0, _ = coeffs(family, 0)
-    return z - a_0 - tail
+        tail = b_sq[k] / den
+    return z - a[0] - tail
 
 
 def cf_adaptive(family, z, rel_tol: float = 1e-12, start_depth: int = 32, max_depth: int = 1 << 16):
     """Double the truncation depth until successive values agree.
 
     Returns (value, depth).  A pole hit at some depth is retried at a
-    slightly perturbed depth.
+    slightly perturbed depth.  Every depth reads one coefficient table,
+    extended as the depth grows.
     """
+    table = ([], [])
 
     def attempt(d):
         for shift in (0, 1, 3, 7):
             try:
-                return cf_truncated(family, z, d + shift)
+                return cf_truncated(family, z, d + shift, table)
             except ZeroDenominator:
                 continue
         raise ZeroDenominator(f"persistent pole near depth {d}")
@@ -309,15 +394,15 @@ def poly_coeffs(family, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    a, b_sq = coeff_table(family, n_max)
     prev = np.array([0.0], dtype=complex)  # P_{-1}
     cur = np.array([1.0], dtype=complex)  # P_0
     out = [cur]
     for n in range(0, n_max):
-        a_n, b_sq = coeffs(family, n)
         nxt = np.zeros(n + 2, dtype=complex)
         nxt[1:] += cur  # z * P_n
-        nxt[: n + 1] -= a_n * cur
-        nxt[: len(prev)] -= b_sq * prev
+        nxt[: n + 1] -= a[n] * cur
+        nxt[: len(prev)] -= b_sq[n] * prev
         prev, cur = cur, nxt
         out.append(nxt)
     return out

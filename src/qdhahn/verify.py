@@ -410,21 +410,6 @@ def check_c_eq_q_reduction(sample_count: int = 20, seed: int = DEFAULT_SEED,
 # ---------------------------------------------------------------------------
 
 
-def _poly_values_on_grid(family, z_grid, n_max):
-    """P_0..P_{n_max} on a vector of spectral arguments (rows: degree)."""
-    z = np.asarray(z_grid, dtype=complex)
-    values = np.zeros((n_max + 1, z.size), dtype=complex)
-    prev = np.zeros_like(z)
-    cur = np.ones_like(z)
-    values[0] = cur
-    for n in range(n_max):
-        a_n, b_sq = recurrence.coeffs(family, n)
-        nxt = (z - a_n) * cur - b_sq * prev
-        prev, cur = cur, nxt
-        values[n + 1] = cur
-    return values
-
-
 @functools.lru_cache(maxsize=8)
 def gauss_nodes(count: int):
     """Gauss-Legendre nodes and weights on (-1, 1), built once per count
@@ -455,7 +440,7 @@ def gram_matrix(weight_fn, family, scale, n_max, nodes: int, method: str):
         quad_w = density * np.sin(theta) * (math.pi / nodes)
     else:
         raise ValueError("method must be 'gauss' or 'cosine'")
-    values = _poly_values_on_grid(family, x / scale, n_max)
+    values = recurrence.forward_eval(family, x / scale, 0.0, 1.0, n_max).values()[1:]
     return (values * quad_w) @ values.T.conj()
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from qdhahn import cdqhahn, limits, recurrence
 from qdhahn.cli import main
 
 
@@ -105,6 +106,25 @@ class TestEval:
         )
         assert proc.returncode == 2
         assert "q" in proc.stderr
+
+    @pytest.mark.parametrize("what", ["poly", "poly-alt"])
+    def test_negative_degree_exit_2(self, what):
+        proc = run_script(
+            "eval", "--family", "cdqh", "--what", what, "--n", "-3", "--z", "2.5",
+            "--q", ".5", "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45",
+        )
+        assert proc.returncode == 2
+        assert "--n must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_polynomial_past_double_range_exit_3(self):
+        proc = run_script(
+            "eval", "--family", "fourth-limit", "--what", "poly", "--n", "30",
+            "--z", "2.5", "--q", ".5",
+        )
+        assert proc.returncode == 3
+        assert "Overflow" in proc.stderr
+        assert "nan" not in proc.stdout
 
     def test_seventeen_significant_digits(self):
         result = invoke(
@@ -225,6 +245,35 @@ class TestTable:
         )
         lines = result.output.strip().splitlines()
         assert lines[-1] == "z"
+
+    @pytest.mark.parametrize("fam, args", [
+        (cdqhahn.CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45),
+         ("cdqh", "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45")),
+        (limits.FourthLimit(0.5), ("fourth-limit",)),
+        (limits.QBesselOrder(0.5, -1.0), ("q-bessel-order", "--a", "-1.0")),
+    ])
+    def test_rows_equal_per_point_reference(self, fam, args):
+        # one grid recurrence must print what one scalar run per point
+        # prints, byte for byte, across the renormalization at n = 50
+        result = invoke("table", "--family", *args, "--q", ".5", "--n-lo", "2",
+                        "--n-hi", "60", "--grid", "-3:3:25")
+        assert result.exit_code == 0
+        expected = []
+        for i in range(25):
+            z = -3.0 + i * 0.25
+            seq = recurrence.forward_eval(fam, z, 0.0, 1.0, 60)
+            values = [seq.value(n) for n in range(2, 61)]
+            assert all(v.imag == 0 for v in values)
+            expected.append(",".join(f"{v:.17g}" for v in [z] + [v.real for v in values]))
+        assert result.output.splitlines()[2:] == expected
+
+    def test_negative_degree_exit_2(self):
+        proc = run_script(
+            "table", "--family", "fourth-limit", "--n-lo", "-3", "--n-hi", "2",
+            "--grid", "1:2:3", "--q", ".5",
+        )
+        assert proc.returncode == 2
+        assert "--n-lo must be >= 0" in proc.stderr
 
     def test_single_point_grid(self):
         result = invoke(

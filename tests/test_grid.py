@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qdhahn import cdqhahn, limits, qseries, verify
+from qdhahn import cdqhahn, limits, qseries, recurrence, verify
 from qdhahn.errors import NoConvergentRepresentation, NonRealResult, ZeroDivisor
 
 GRID_REL_TOL = 1e-12
@@ -104,6 +104,26 @@ class TestWeightGrids:
 
         verify.gram_matrix(density, params, params.alpha.real, 3, 200, "cosine")
         assert calls == [(200,)]
+
+    @pytest.mark.parametrize("case", sorted(ORTHO_CASES))
+    def test_spectral_point_keeps_the_given_x(self, case):
+        # a round trip through z can move an edge node by an ulp
+        params = cdqhahn.CDQHParams(*ORTHO_CASES[case])
+        x = np.concatenate([edges(verify.gauss_nodes(4000)[0]), edges(cosine_nodes(4000))])
+        for side in (cdqhahn.ABOVE, cdqhahn.BELOW):
+            assert all(cdqhahn.spectral_point(params, x=x0, side=side).x == x0
+                       for x0 in x.tolist())
+            assert np.array_equal(cdqhahn.spectral_point(params, x=x, side=side).x, x)
+
+    def test_gram_matrix_is_the_forward_recurrence(self):
+        params = cdqhahn.CDQHParams(*ORTHO_CASES["reduced"])
+        scale = params.alpha.real
+        x = cosine_nodes(50)
+        gram = verify.gram_matrix(lambda v: np.ones_like(v), params, scale, 4, 50, "cosine")
+        values = np.array([[recurrence.forward_eval(params, x0 / scale, 0.0, 1.0, 4).value(n)
+                            for x0 in x.tolist()] for n in range(5)])
+        quad_w = np.sin((np.arange(50) + 0.5) * math.pi / 50) * (math.pi / 50)
+        assert np.array_equal(gram, (values * quad_w) @ values.T.conj())
 
     def test_gauss_nodes_are_shared_and_read_only(self):
         x, w = verify.gauss_nodes(40)

@@ -8,6 +8,7 @@ from qdhahn import limits, recurrence, verify
 from qdhahn.errors import (
     DivergentSeries,
     FormalOnly,
+    Overflow,
     PoleHit,
     ResonantDelta,
     ScanTooCoarse,
@@ -161,6 +162,21 @@ class TestPolynomials:
                 family_id,
                 n,
             )
+
+    def test_fourth_limit_past_the_double_range_raises(self):
+        # past n ~ 25 at q = .5 the double sum overflows while q**(n*n)
+        # underflows; the product was nan, now a named error
+        fam = FourthLimit(0.5)
+        seq = recurrence.forward_eval(fam, 2.5, 0.0, 1.0, 40)
+        for n in range(0, 41):
+            try:
+                value = limit_poly(fam, 2.5, n)
+            except Overflow:
+                assert n >= 26
+                continue
+            assert abs(value - seq.value(n)) <= 1e-12 * abs(seq.value(n)), n
+        with pytest.raises(Overflow):
+            limit_poly(fam, 2.5, 30)
 
     def test_confluent_pair_simple_and_limit_forms_agree(self):
         fam, z = GENERIC["limit-asc1"]

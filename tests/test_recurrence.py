@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qdhahn import cdqhahn, limits, recurrence
-from qdhahn.errors import IndexOutOfWindow, ZeroDivisor
+from qdhahn.errors import IndexOutOfWindow, Overflow, ZeroDenominator, ZeroDivisor
 from qdhahn.recurrence import (
     Scaled,
     SolutionSequence,
@@ -11,6 +12,7 @@ from qdhahn.recurrence import (
     cf_adaptive,
     cf_truncated,
     characteristic_roots,
+    coeff_table,
     coeffs,
     forward_eval,
     minimality_ratio,
@@ -23,6 +25,69 @@ from qdhahn.recurrence import (
 @pytest.fixture
 def cdqh():
     return cdqhahn.CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
+
+
+# one member of every family (cdqh and the eleven limits), plus a cdqh
+# member with complex parameters so complex coefficients are exercised
+_PARAMS = {"A": 0.35, "B": 0.45, "C": 0.3, "delta": 0.7, "a": 1.6}
+FAMILIES = [cdqhahn.CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45),
+            cdqhahn.CDQHParams(0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.35, 0.45)] + [
+    cls(0.5, **{name: _PARAMS[name] for name in cls.param_names})
+    for cls in limits.FAMILIES.values()]
+FAMILY_IDS = [f"{f.family_id}-{i}" for i, f in enumerate(FAMILIES)]
+
+Z_GRIDS = {
+    "real": np.linspace(-3.0, 3.0, 41),
+    "complex": np.linspace(-2.5, 2.5, 17) + 1j * np.linspace(-0.4, 1.2, 17),
+}
+
+
+def bits(values):
+    """The exact bytes of a run of complex (or real) values: equality
+    that also tells -0.0 from 0.0."""
+    return np.array(values).tobytes()
+
+
+def outcome(fn, *args):
+    """A call's value (as bits) or its named error, for exact comparison."""
+    try:
+        value, depth = fn(*args)
+    except ZeroDenominator as exc:
+        return "error", str(exc)
+    return bits([value]), depth
+
+
+def reference_cf_adaptive(family, z, rel_tol=1e-12, start_depth=32, max_depth=1 << 16):
+    """cf_adaptive as one fresh cf_truncated call per depth."""
+
+    def attempt(d):
+        for shift in (0, 1, 3, 7):
+            try:
+                return cf_truncated(family, z, d + shift)
+            except ZeroDenominator:
+                continue
+        raise ZeroDenominator(f"persistent pole near depth {d}")
+
+    depth = start_depth
+    prev = attempt(depth)
+    while depth <= max_depth:
+        depth *= 2
+        cur = attempt(depth)
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur, depth
+        prev = cur
+    raise ZeroDenominator(f"continued fraction did not settle by depth {max_depth}")
+
+
+class PoleAtLevel31:
+    """a_31 = 3 puts a pole at the deepest level of the depth-32
+    fraction at z = 3, so cf_adaptive must retry at depth 33."""
+
+    def a_coeff(self, n):
+        return 3.0 if n == 31 else 0.0
+
+    def b_sq_coeff(self, n):
+        return 0.25
 
 
 class TestCoefficients:
@@ -64,6 +129,69 @@ class TestCoefficients:
         rates = cdqhahn.birth_death_rates(params, 0)
         assert rates.mu_n == 0
         assert rates.lambda_n == pytest.approx((1 - q) ** 2 / q**2)
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_entries_are_the_scalar_coefficients(self, family):
+        a, b_sq = coeff_table(family, 40)
+        assert bits(a) == bits([family.a_coeff(k) for k in range(40)])
+        assert bits(b_sq) == bits([family.b_sq_coeff(k) for k in range(40)])
+
+    def test_extends_in_place(self, cdqh):
+        table = coeff_table(cdqh, 5)
+        first = list(table[0])
+        a, b_sq = coeff_table(cdqh, 9, table)
+        assert a is table[0] and b_sq is table[1]
+        assert len(a) == len(b_sq) == 9
+        assert a[:5] == first
+        assert len(coeff_table(cdqh, 3, table)[0]) == 9
+
+
+class TestGridForwardEval:
+    """An array of z runs one recurrence over the grid; every column must
+    equal the scalar run at its point bit for bit, mantissas and log
+    scales, across two renormalizations (n_max = 120)."""
+
+    @pytest.mark.parametrize("grid", list(Z_GRIDS), ids=list(Z_GRIDS))
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_columns_equal_scalar_runs(self, family, grid):
+        z = Z_GRIDS[grid]
+        seq = forward_eval(family, z, 0.0, 1.0, 120)
+        assert seq.window() == (-1, 120)
+        assert seq.mantissas.shape == seq.log_scales.shape == (122, z.size)
+        assert np.any(seq.log_scales[-1] != 0)  # the renormalizations ran
+        for j, zj in enumerate(z.tolist()):
+            scalar = forward_eval(family, zj, 0.0, 1.0, 120)
+            assert bits(seq.mantissas[:, j]) == bits(scalar.mantissas)
+            assert bits(seq.log_scales[:, j]) == bits(scalar.log_scales)
+            assert bits(seq.values()[:, j]) == bits(scalar.values())
+
+    def test_values_past_the_double_range_raise(self):
+        fam = limits.QBesselOrder(0.5, -1.0)
+        with pytest.raises(Overflow) as scalar:
+            forward_eval(fam, 40.0, 0.0, 1.0, 600).values()
+        with pytest.raises(Overflow) as grid:
+            forward_eval(fam, np.array([2.0, 40.0]), 0.0, 1.0, 600).values()
+        assert str(grid.value) == str(scalar.value)
+
+    def test_seeds_and_zero_runs(self, cdqh):
+        z = Z_GRIDS["complex"]
+        for seeds in ((1.0, 0.3 - 0.2j), (0.0, 0.0)):
+            seq = forward_eval(cdqh, z, *seeds, 110)
+            for j, zj in enumerate(z.tolist()):
+                scalar = forward_eval(cdqh, zj, *seeds, 110)
+                assert bits(seq.mantissas[:, j]) == bits(scalar.mantissas)
+                assert bits(seq.log_scales[:, j]) == bits(scalar.log_scales)
+                assert bits(seq.values()[:, j]) == bits(scalar.values())
+
+    def test_overflowing_point_raises_the_scalar_error(self):
+        fam = limits.QBesselOrder(0.5, -1.0)
+        with pytest.raises(Overflow) as scalar:
+            forward_eval(fam, 1e160, 0.0, 1.0, 10)
+        with pytest.raises(Overflow) as grid:
+            forward_eval(fam, np.array([2.0, 3.0, 1e160, -2.5]), 0.0, 1.0, 10)
+        assert str(grid.value) == str(scalar.value)
 
 
 class TestForwardEval:
@@ -171,6 +299,26 @@ class TestContinuedFraction:
         deep = cf_truncated(cdqh, z, 800)
         assert abs(adaptive - deep) < 1e-11 * abs(deep)
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_adaptive_equals_per_depth_reference(self, family):
+        for z in (40.0, 12.0 + 3.0j, -3.5 + 0.5j, 2.2 + 0.7j):
+            for rel_tol in (1e-12, 1e-15):
+                assert outcome(cf_adaptive, family, z, rel_tol) == \
+                    outcome(reference_cf_adaptive, family, z, rel_tol)
+
+    def test_adaptive_pole_retry_equals_reference(self):
+        fam = PoleAtLevel31()
+        with pytest.raises(ZeroDenominator):
+            cf_truncated(fam, 3.0, 32)
+        assert outcome(cf_adaptive, fam, 3.0) == outcome(reference_cf_adaptive, fam, 3.0)
+
+    def test_table_argument_matches_fresh_table(self, cdqh):
+        table = coeff_table(cdqh, 10)
+        for depth in (3, 10, 40):
+            assert bits([cf_truncated(cdqh, 2.3, depth, table)]) == \
+                bits([cf_truncated(cdqh, 2.3, depth)])
+        assert len(table[0]) == 40
+
     def test_matches_transform_of_minimal_solution(self, cdqh):
         point = cdqhahn.spectral_point(cdqh, x=2.0)
         closed = cdqhahn.cf_stieltjes(cdqh, point, "pincherle")
@@ -212,6 +360,21 @@ class TestPolynomialStructure:
         for row_index, row in enumerate(poly_coeffs(cdqh, 8)):
             assert row[-1] == 1.0
             assert len(row) == row_index + 1
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_rows_equal_per_step_reference(self, family):
+        prev, cur = np.array([0.0], dtype=complex), np.array([1.0], dtype=complex)
+        expected = [cur]
+        for n in range(12):
+            a_n, b_sq = coeffs(family, n)
+            nxt = np.zeros(n + 2, dtype=complex)
+            nxt[1:] += cur
+            nxt[: n + 1] -= a_n * cur
+            nxt[: len(prev)] -= b_sq * prev
+            prev, cur = cur, nxt
+            expected.append(nxt)
+        rows = poly_coeffs(family, 12)
+        assert [bits(r) for r in rows] == [bits(r) for r in expected]
 
     def test_coefficients_evaluate_to_forward_values(self, cdqh):
         rows = poly_coeffs(cdqh, 6)
