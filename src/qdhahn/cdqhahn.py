@@ -532,9 +532,9 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int,
-                  policy=DEFAULT_POLICY) -> complex:
-    """Double-sum closed form of the monic polynomial P_n(z)."""
+def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
+    """Double-sum closed form of the monic polynomial P_n(z); Overflow or
+    ZeroDivisor once its terms leave the double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
     q = params.q
@@ -543,94 +543,81 @@ def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int,
     if u == 0:
         raise ZeroDivisor("u must be nonzero")
     ta = 2 * point.alpha
-    pref = (u / ta) ** n * qpoch_multi([A, D, ta * q / (A * D * u)], q, n) / qpoch(
-        q, q, n
-    )
-    outer_num = [1 / q**n, ta * u / B, ta * u / C]
-    outer_den = [A * D * u / ta / q**n, A, D]
-    inner_num = [A / q, D / q, A * D * u / ta]
-    inner_den = [q, ta * u / B, ta * u / C]
-    total = 0.0 + 0.0j
-    outer_t = 1.0 + 0.0j
-    for ell in range(n + 1):
-        if ell > 0:
-            num = 1.0 + 0.0j
-            for p in outer_num:
-                num *= 1 - p * q ** (ell - 1)
-            den = 1.0 + 0.0j
-            for p in outer_den:
-                den *= 1 - p * q ** (ell - 1)
-            if den == 0:
-                raise ZeroDivisor("explicit polynomial denominator vanished")
-            outer_t *= num / den * (A * D / (ta * u))
-        inner_total = 0.0 + 0.0j
-        inner_t = 1.0 + 0.0j
-        for j in range(ell + 1):
-            if j > 0:
-                num = 1.0 + 0.0j
-                for p in inner_num:
-                    num *= 1 - p * q ** (j - 1)
-                den = 1.0 + 0.0j
-                for p in inner_den:
-                    den *= 1 - p * q ** (j - 1)
-                if den == 0:
-                    raise ZeroDivisor("explicit polynomial denominator vanished")
-                inner_t *= num / den * (ta * u * q / (A * D))
-            inner_total += inner_t
-        total += outer_t * inner_total
-    return pref * total
+
+    def ratio(k, nums, dens, step):
+        """step * prod(1 - p q^(k-1), p in nums) / (the same over dens)."""
+        num = 1.0 + 0.0j
+        for p in nums:
+            num *= 1 - p * q ** (k - 1)
+        den = 1.0 + 0.0j
+        for p in dens:
+            den *= 1 - p * q ** (k - 1)
+        if den == 0:
+            raise ZeroDivisor("explicit polynomial denominator vanished")
+        return num / den * step
+
+    def terms():
+        pref = (u / ta) ** n * qpoch_multi([A, D, ta * q / (A * D * u)], q, n) / qpoch(q, q, n)
+        outer = [1 / q**n, ta * u / B, ta * u / C], [A * D * u / ta / q**n, A, D], A * D / (ta * u)
+        inner = [A / q, D / q, A * D * u / ta], [q, ta * u / B, ta * u / C], ta * u * q / (A * D)
+        return pref, lambda ell: ratio(ell, *outer), lambda j: ratio(j, *inner)
+
+    return qseries.double_sum(n, terms)
 
 
-def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int,
-                     policy=DEFAULT_POLICY) -> complex:
+def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     """Alternative double sum for P_n(z); manifestly symmetric under
-    u <-> 1/u."""
+    u <-> 1/u.  Overflow or ZeroDivisor once its terms leave the double
+    range."""
     if n < 0:
         raise ValueError("n must be >= 0")
     q = params.q
     A, B, C, D = params.A, params.B, params.C, params.D
     u = point.u
     root = cmath.sqrt(B * C * q / (A * D))
-    pref = qpoch_multi([B, C], q, n) / (B * C) ** n
-    total = 0.0 + 0.0j
-    outer_t = 1.0 + 0.0j
-    for k in range(n + 1):
-        if k > 0:
-            num = (
-                (1 - q ** (-n) * q ** (k - 1))
-                * (1 - root * u * q ** (k - 1))
-                * (1 - root / u * q ** (k - 1))
-            )
-            den = (1 - q**k) * (1 - B * q ** (k - 1)) * (1 - C * q ** (k - 1))
-            if den == 0:
-                raise ZeroDivisor("explicit polynomial denominator vanished")
-            outer_t *= num / den * q
-        inner_total = 0.0 + 0.0j
-        inner_t = 1.0 + 0.0j
-        for j in range(n - k + 1):
-            if j > 0:
+
+    def evaluate():
+        pref = qpoch_multi([B, C], q, n) / (B * C) ** n
+        total = 0.0 + 0.0j
+        outer_t = 1.0 + 0.0j
+        for k in range(n + 1):
+            if k > 0:
                 num = (
-                    (1 - A / q * q ** (j - 1))
-                    * (1 - D / q * q ** (j - 1))
-                    * (1 - q ** (k + 1) * q ** (j - 1))
-                    * (1 - q ** (k - n) * q ** (j - 1))
+                    (1 - q ** (-n) * q ** (k - 1))
+                    * (1 - root * u * q ** (k - 1))
+                    * (1 - root / u * q ** (k - 1))
                 )
-                den = (
-                    (1 - q**j)
-                    * (1 - C * q**k * q ** (j - 1))
-                    * (1 - B * q**k * q ** (j - 1))
-                    * (1 - q ** (-n) * q ** (j - 1))
-                )
+                den = (1 - q**k) * (1 - B * q ** (k - 1)) * (1 - C * q ** (k - 1))
                 if den == 0:
                     raise ZeroDivisor("explicit polynomial denominator vanished")
-                inner_t *= num / den * (B * C * q / (A * D))
-            inner_total += inner_t
-        total += outer_t * inner_total
-    return pref * total
+                outer_t *= num / den * q
+            inner_total = 0.0 + 0.0j
+            inner_t = 1.0 + 0.0j
+            for j in range(n - k + 1):
+                if j > 0:
+                    num = (
+                        (1 - A / q * q ** (j - 1))
+                        * (1 - D / q * q ** (j - 1))
+                        * (1 - q ** (k + 1) * q ** (j - 1))
+                        * (1 - q ** (k - n) * q ** (j - 1))
+                    )
+                    den = (
+                        (1 - q**j)
+                        * (1 - C * q**k * q ** (j - 1))
+                        * (1 - B * q**k * q ** (j - 1))
+                        * (1 - q ** (-n) * q ** (j - 1))
+                    )
+                    if den == 0:
+                        raise ZeroDivisor("explicit polynomial denominator vanished")
+                    inner_t *= num / den * (B * C * q / (A * D))
+                inner_total += inner_t
+            total += outer_t * inner_total
+        return pref * total
+
+    return qseries.double_range(evaluate, "two-index polynomial double sum")
 
 
-def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int,
-                  policy=DEFAULT_POLICY):
+def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int):
     """Taylor coefficients of the generating function built from the
     first-order auxiliary recursion.
 
@@ -670,8 +657,7 @@ def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int,
     ]
 
 
-def genfun_coeffs_reduced(params: CDQHParams, point: SpectralPoint, n_max: int,
-                          policy=DEFAULT_POLICY):
+def genfun_coeffs_reduced(params: CDQHParams, point: SpectralPoint, n_max: int):
     """Product form of the generating-function coefficients for D = q.
 
     Returns the Taylor coefficients of the product of a q-binomial

@@ -26,6 +26,8 @@ from .qseries import TruncationPolicy
 
 CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
+# every family the CLI builds, by id: the flagship family, then the limits
+_FAMILIES = {"cdqh": cdqhahn.CDQHParams} | dict(sorted(limits.FAMILIES.items()))
 
 
 def _fmt(value) -> str:
@@ -43,7 +45,8 @@ def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _parse_number(parts[0], "--grid"), _parse_number(parts[1], "--grid")
+    count = _parse_number(parts[2], "--grid", int)
     if count < 1:
         raise click.UsageError("grid count must be >= 1")
     if count == 1:
@@ -52,10 +55,20 @@ def _parse_grid(text: str):
     return [lo + i * step for i in range(count)]
 
 
+def _parse_number(text: str, source: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise click.UsageError(f"{source}: cannot parse {text!r} as {kind.__name__}")
+
+
 def _policy(tol):
     env = os.environ.get("QDH_TOL")
-    rel_tol = tol if tol is not None else (float(env) if env else 1e-12)
-    return TruncationPolicy(rel_tol=rel_tol)
+    rel_tol = tol if tol is not None else (_parse_number(env, "QDH_TOL") if env else 1e-12)
+    try:
+        return TruncationPolicy(rel_tol=rel_tol)
+    except ValueError as exc:
+        raise click.UsageError(f"series tolerance (--tol or QDH_TOL): {exc}")
 
 
 def _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small):
@@ -71,19 +84,14 @@ def _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small):
         "delta": delta,
         "a": a_small,
     }
-    if family == "cdqh":
-        cls, names = cdqhahn.CDQHParams, cdqhahn.CDQHParams.param_names
-    elif family in limits.FAMILIES:
-        cls = limits.FAMILIES[family]
-        names = cls.param_names
-    else:
-        known = ["cdqh"] + sorted(limits.FAMILIES)
-        raise click.UsageError(f"unknown family {family!r}; known: {', '.join(known)}")
-    missing = [n for n in names if given.get(n) is None]
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise click.UsageError(f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
+    missing = [n for n in cls.param_names if given.get(n) is None]
     if missing:
         raise click.UsageError(f"missing: {', '.join(missing)}")
     try:
-        return cls(q, **{n: given[n] for n in names})
+        return cls(q, **{n: given[n] for n in cls.param_names})
     except (ValueError, TypeError) as exc:
         raise click.UsageError(str(exc))
 
@@ -113,7 +121,7 @@ def _emit_rows(rows, header, fmt, params_comment=None):
 
 
 def _family_comment(family_obj):
-    parts = [f"family={getattr(family_obj, 'family_id', 'cdqh')}", f"q={_fmt(family_obj.q)}"]
+    parts = [f"family={family_obj.family_id}", f"q={_fmt(family_obj.q)}"]
     for name in family_obj.param_names:
         value = complex(getattr(family_obj, name))
         text = _fmt(value.real) if value.imag == 0 else f"{_fmt(value.real)}+{_fmt(value.imag)}i"
@@ -159,69 +167,67 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
         raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
 
+    flagship = family == "cdqh"
+    if flagship:
+        # the flagship family evaluates at a spectral point, which on its
+        # cut needs a side, and names its solutions
+        def at(z):
+            try:
+                return cdqhahn.spectral_point(fam, z=z, side=side or cdqhahn.OFF_CUT)
+            except QdhError:
+                if side is None and what in ("poly", "poly-alt"):
+                    # polynomials are single valued across the cut
+                    return cdqhahn.spectral_point(fam, z=z, side=cdqhahn.ABOVE)
+                raise
+
+        label, forms = which or "minimal", cdqhahn.CF_FORMS
+        poly, poly_alt = cdqhahn.explicit_poly, cdqhahn.explicit_poly_ir
+        solution, cf, weight = cdqhahn.solution, cdqhahn.cf_stieltjes, cdqhahn.weight
+    else:
+        if what == "poly-alt" and not isinstance(fam, limits.LimitASC1):
+            raise click.UsageError("poly-alt is only defined for limit-asc1")
+        at = complex
+        label = 1 if which is None or what != "solution" else _parse_number(which, "--which", int)
+        forms = limits.cf_forms(fam)
+        poly, poly_alt = limits.limit_poly, limits.limit_asc1_poly_alt
+        solution, cf, weight = limits.limit_solution, limits.limit_cf, limits.limit_weight
+    if what == "cf" and cf_form not in (None, *forms):
+        raise click.UsageError(
+            f"unknown --cf-form {cf_form!r} for {family}; accepted: {', '.join(forms)}")
+
     if grid is not None:
         points = _parse_grid(grid)
     elif what == "weight" and x_text is not None:
-        points = [float(x_text)]
+        points = [_parse_number(x_text, "--x")]
     elif z_text is not None:
         points = [_parse_complex(z_text)]
-    elif x_text is not None and family == "cdqh":
+    elif x_text is not None and flagship:
         points = [cdqhahn.spectral_point(fam, x=_parse_complex(x_text)).z]
     else:
         raise click.UsageError("missing: z (or x / --grid)")
 
-    def spectral(pt):
-        if side is not None:
-            sd = {"off-cut": cdqhahn.OFF_CUT, "above": cdqhahn.ABOVE,
-                  "below": cdqhahn.BELOW}[side]
-            return cdqhahn.spectral_point(fam, z=pt, side=sd)
-        try:
-            return cdqhahn.spectral_point(fam, z=pt)
-        except QdhError:
-            if what in ("poly", "poly-alt"):
-                # polynomials are single valued across the cut
-                return cdqhahn.spectral_point(fam, z=pt, side=cdqhahn.ABOVE)
-            raise
-
-    weight = cdqhahn.weight if family == "cdqh" else limits.limit_weight
-
-    def evaluate(pt):
+    def evaluate(z):
         if what == "weight":
-            return complex(weight(fam, float(pt.real), policy))
-        if family == "cdqh":
-            point = spectral(pt)
-            if what == "poly":
-                return cdqhahn.explicit_poly(fam, point, n_index, policy)
-            if what == "poly-alt":
-                return cdqhahn.explicit_poly_ir(fam, point, n_index, policy)
-            if what == "solution":
-                label = which or "minimal"
-                return cdqhahn.solution(fam, point, label, n_index, policy)
-            if what == "cf":
-                return cdqhahn.cf_stieltjes(fam, point, cf_form or "ratio", policy)
-            if what == "cf-trunc":
-                return 1.0 / recurrence.cf_truncated(fam, pt, depth)
-        else:
-            if what == "poly":
-                return limits.limit_poly(fam, pt, n_index, policy)
-            if what == "poly-alt":
-                if fam.family_id != "limit-asc1":
-                    raise click.UsageError("poly-alt is only defined for limit-asc1")
-                return limits.limit_asc1_poly_alt(fam, pt, n_index)
-            if what == "solution":
-                index = int(which) if which is not None else 1
-                return limits.limit_solution(fam, pt, index, n_index, policy)
-            if what == "cf":
-                return limits.limit_cf(fam, pt, cf_form or "default", policy)
-            if what == "cf-trunc":
-                return 1.0 / recurrence.cf_truncated(fam, pt, depth)
-        raise click.UsageError(f"unsupported combination family={family} what={what}")
+            return complex(weight(fam, float(z.real), policy))
+        point = at(z)
+        if what == "cf-trunc":
+            return 1.0 / recurrence.cf_truncated(fam, z, depth)
+        if what == "poly":
+            return poly(fam, point, n_index)
+        if what == "poly-alt":
+            return poly_alt(fam, point, n_index)
+        if what == "solution":
+            return solution(fam, point, label, n_index, policy)
+        return cf(fam, point, cf_form or forms[0], policy)
 
-    if what == "weight" and grid is not None:
-        # one grid call: the series kernels sum every point at once
-        values = [complex(v) for v in weight(fam, np.array(points), policy)]
-    else:
-        values = [evaluate(pt) for pt in points]
+    try:
+        if what == "weight" and grid is not None:
+            # one grid call: the series kernels sum every point at once
+            values = [complex(v) for v in weight(fam, np.array(points), policy)]
+        else:
+            values = [evaluate(pt) for pt in points]
+    except ValueError as exc:  # the library's checks of its input, e.g. x off (-1, 1)
+        raise click.UsageError(str(exc))
     rows = []
     for pt, value in zip(points, values):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt
@@ -281,17 +287,8 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
         family_id, part = f_name.split(":", 1)
         if part not in ("num", "den"):
             raise click.UsageError("cf part must be num or den")
-        kwargs = {}
-        if delta is not None:
-            kwargs["delta"] = delta
-        if a_small is not None:
-            kwargs["a"] = a_small
-        try:
-            fam = limits.family_from_id(family_id, q, A=q, **kwargs) \
-                if "A" in limits.FAMILIES[family_id].param_names else \
-                limits.family_from_id(family_id, q, **kwargs)
-        except (KeyError, TypeError) as exc:
-            raise click.UsageError(str(exc))
+        # a family with an A parameter takes A = q, the explicit-pole regime
+        fam = _build_family(family_id, q, q, None, None, None, delta, a_small)
         index = 0 if part == "num" else 1
 
         def handle(x):

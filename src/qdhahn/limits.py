@@ -1,10 +1,15 @@
 """The eleven limit families of the four-parameter recurrence.
 
 Each family is a frozen dataclass exposing the recurrence coefficients
-``a_coeff(n)`` / ``b_sq_coeff(n)``; closed-form solutions are indexed by
-small integers (1 is always the subdominant/minimal one).  Divergent
-series that only exist formally raise FormalOnly unless a parameter
-makes them terminate.
+``a_coeff(n)`` / ``b_sq_coeff(n)`` and declaring its closed forms once,
+as members that the module-level functions look up: ``_solutions``
+(index -> evaluator; 1 is always the subdominant/minimal one),
+``_poly_terms`` (the explicit polynomial's double sum), ``_cf_forms``
+(name -> series pair of 1/CF and its value, the default first),
+``_scan_series`` (the pair zero scans use) and, for the three families
+with a spectral cut, ``_growth_product`` and ``_weight_parts``.
+Divergent series that only exist formally raise FormalOnly unless a
+parameter makes them terminate.
 
 Families and their parameters:
 
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .qseries import (
     DEFAULT_POLICY,
-    _assert_finite,
+    double_sum,
     first_point,
     phi01,
     phi11,
@@ -64,8 +69,22 @@ def _sign(n: int) -> complex:
     return -1.0 + 0.0j if n % 2 else 1.0 + 0.0j
 
 
+def _gamma(family) -> complex:
+    """Scale of the spectral cut z = gamma x, -1 < x < 1, of a cut family."""
+    return 2 * cmath.sqrt(family._growth_product())
+
+
+def _terminates(p, q) -> bool:
+    return termination_order(p, q) is not None
+
+
+def _nz(value):
+    if value == 0:
+        raise ZeroDivisor("polynomial term denominator vanished")
+
+
 # ---------------------------------------------------------------------------
-# Family parameter records.
+# Family records: recurrence coefficients and closed forms.
 # ---------------------------------------------------------------------------
 
 
@@ -98,6 +117,83 @@ class BigQLaguerre:
             * (1 - self.C * q ** (n - 1))
         )
 
+    def _solution_1(self, z, n, policy):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        pref = qpoch_multi([A, B, C], q, n) / qpoch(q / (A * z), q, n)
+        series = phi21(B * q**n, C * q**n, q ** (n + 1) / (A * z), q / (B * C * z), q, policy)
+        return (
+            Scaled(_sign(n))
+            * _qpower(q, n * (n + 1) / 2.0)
+            * _power(A * B * C * z, -n)
+            * (pref * series)
+        )
+
+    def _lead_series(self, z, n, policy, lead, o1, o2):
+        q = self.q
+        pref = qpoch(lead, q, n)
+        series = phi22_balanced(
+            lead * q**n,
+            q / (o1 * o2 * z),
+            lead * q / o1,
+            lead * q / o2,
+            lead * z * q ** (1 - n),
+            q,
+            policy,
+        )
+        return (
+            Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
+        )
+
+    def _solution_5(self, z, n, policy):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        pref = qpoch(1 / (C * z), q, n)
+        series = phi21(
+            q ** (1 - n) / A, q ** (1 - n) / B, C * z * q ** (1 - n), C * q**n, q, policy
+        )
+        return _power(z, n) * (pref * series)
+
+    _solutions = {
+        1: _solution_1,
+        2: lambda f, z, n, p: f._lead_series(z, n, p, f.A, f.B, f.C),
+        3: lambda f, z, n, p: f._lead_series(z, n, p, f.B, f.C, f.A),
+        4: lambda f, z, n, p: f._lead_series(z, n, p, f.C, f.A, f.B),
+        5: _solution_5,
+    }
+
+    def _poly_terms(self, z, n):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        pref = z**n * qpoch_multi([A, B, q / (A * B * z)], q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - A * B * C * z / q * q ** (ell - 1))
+            den = (
+                (1 - A * B * z * q ** (-n) * q ** (ell - 1))
+                * (1 - A * q ** (ell - 1))
+                * (1 - B * q ** (ell - 1))
+            )
+            _nz(den)
+            return num / den * (-(q ** (ell - 1))) * (A * B / C)
+
+        def inner(j):
+            num = (
+                (1 - A / q * q ** (j - 1))
+                * (1 - B / q * q ** (j - 1))
+                * (1 - A * B * z * q ** (j - 1))
+            )
+            den = (1 - A * B * C * z / q * q ** (j - 1)) * (1 - q**j)
+            _nz(den)
+            return num / den * (C * q / (A * B)) * (-(q ** (-(j - 1))))
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        num = phi21(B, C, q / (A * z), q / (B * C * z), q, policy)
+        den = phi21(B / q, C / q, 1 / (A * z), q / (B * C * z), q, policy)
+        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+
+    _cf_forms = {"default": _cf}
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -124,6 +220,72 @@ class Wall:
             * (1 - self.B * q ** (n - 1))
         )
 
+    def _solution_1(self, z, n, policy):
+        q, A, B = self.q, self.A, self.B
+        pref = qpoch_multi([A, B], q, n) / qpoch(q / (A * z), q, n)
+        series = phi11(B * q**n, q ** (n + 1) / (A * z), q ** (n + 1) / (B * z), q, policy)
+        return _power(q / (A * B * z), n) * _qpower(q, n * (n - 1)) * (pref * series)
+
+    def _lead_series(self, z, n, policy, lead, other):
+        q = self.q
+        pref = qpoch(lead, q, n)
+        series = phi11(lead * q**n, lead * q / other, lead * z * q ** (1 - n), q, policy)
+        return (
+            Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
+        )
+
+    def _solution_4(self, z, n, policy):
+        q, A, B = self.q, self.A, self.B
+        if not (_terminates(q ** (1 - n) / A, q) or _terminates(q ** (1 - n) / B, q)):
+            raise FormalOnly(
+                "this solution is a formal divergent series unless A or B is a power of q"
+            )
+        series = phi20_terminating(
+            q ** (1 - n) / A, q ** (1 - n) / B, q ** (2 * n - 1) / z, q, policy
+        )
+        return _power(z, n) * series
+
+    _solutions = {
+        1: _solution_1,
+        2: lambda f, z, n, p: f._lead_series(z, n, p, f.A, f.B),
+        3: lambda f, z, n, p: f._lead_series(z, n, p, f.B, f.A),
+        4: _solution_4,
+    }
+
+    def _poly_terms(self, z, n):
+        q, A, B = self.q, self.A, self.B
+        pref = z**n * qpoch_multi([q / (A * B * z), A, B], q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = 1 - q ** (-n) * q ** (ell - 1)
+            den = (
+                (1 - q ** (-n) * A * B * z * q ** (ell - 1))
+                * (1 - A * q ** (ell - 1))
+                * (1 - B * q ** (ell - 1))
+            )
+            _nz(den)
+            return num / den * q ** (2 * (ell - 1)) * (A * A * B * B * z / q)
+
+        def inner(j):
+            num = (
+                (1 - A / q * q ** (j - 1))
+                * (1 - B / q * q ** (j - 1))
+                * (1 - A * B * z * q ** (j - 1))
+            )
+            den = 1 - q**j
+            _nz(den)
+            return num / den * (q / (A * B)) ** 2 / z * q ** (-2 * (j - 1))
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, B = self.q, self.A, self.B
+        num = phi11(B, q / (A * z), q / (B * z), q, policy)
+        den = phi11(B / q, 1 / (A * z), 1 / (B * z), q, policy)
+        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+
+    _cf_forms = {"default": _cf}
+
 
 @dataclass(frozen=True)
 class LimitWall:
@@ -144,6 +306,68 @@ class LimitWall:
         q = self.q
         return -(q ** (3 * n - 2)) / self.A * (1 - self.A * q ** (n - 1))
 
+    def _solution_1(self, z, n, policy):
+        q, A = self.q, self.A
+        pref = qpoch(A, q, n) / qpoch(q / (A * z), q, n)
+        series = phi01(q ** (n + 1) / (A * z), q ** (2 * n + 1) / z, q, policy)
+        return (
+            Scaled(_sign(n))
+            * _power(q / (A * z), n)
+            * _qpower(q, 1.5 * n * (n - 1))
+            * (pref * series)
+        )
+
+    def _solution_2(self, z, n, policy):
+        q, A = self.q, self.A
+        pref = qpoch(A, q, n)
+        series = phi11(A * q**n, 0.0, A * z * q ** (1 - n), q, policy)
+        return (
+            Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(A, -n) * (pref * series)
+        )
+
+    def _solution_3(self, z, n, policy):
+        q, A = self.q, self.A
+        if not _terminates(q ** (1 - n) / A, q):
+            raise FormalOnly("formal series unless A is a power of q")
+        series = phi20_terminating(
+            q ** (1 - n) / A, 0.0, q ** (2 * n - 1) / z, q, policy
+        )
+        return _power(z, n) * series
+
+    _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
+
+    def _poly_terms(self, z, n):
+        q, A = self.q, self.A
+        pref = q ** (n * n) / A**n * qpoch(A, q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = 1 - q ** (-n) * q ** (ell - 1)
+            den = 1 - A * q ** (ell - 1)
+            _nz(den)
+            return num / den * (-(q ** (-(ell - 1)))) * (A * z)
+
+        def inner(j):
+            num = 1 - A / q * q ** (j - 1)
+            den = 1 - q**j
+            _nz(den)
+            return num / den * q ** (j - 1) * (-1 / (A * z))
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A = self.q, self.A
+        num = phi01(q / (A * z), q / z, q, policy)
+        den = phi01(1 / (A * z), 1 / (q * z), q, policy)
+        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+
+    def _cf_confluent(self, z, policy):
+        q, A = self.q, self.A
+        num = phi11(A, 0.0, q / (A * z), q, policy)
+        den = phi11(A / q, 0.0, 1 / (A * z), q, policy)
+        return num, den, lambda: num / (z * den)
+
+    _cf_forms = {"default": _cf, "series-ratio": _cf, "confluent": _cf_confluent}
+
 
 @dataclass(frozen=True)
 class FourthLimit:
@@ -161,6 +385,44 @@ class FourthLimit:
 
     def b_sq_coeff(self, n):
         return self.q ** (4 * n - 3)
+
+    def _solution_1(self, z, n, policy):
+        q = self.q
+        series = phi01(0.0, q ** (2 * n + 1) / z, q, policy)
+        return _qpower(q, 2.0 * n * (n - 1)) * _power(q / z, n) * series
+
+    def _solution_2(self, z, n, policy):
+        raise FormalOnly("purely formal series; it never terminates")
+
+    _solutions = {1: _solution_1, 2: _solution_2}
+
+    def _poly_terms(self, z, n):
+        q = self.q
+        pref = _sign(n) * q ** (n * n) * q ** (n * (n - 1) // 2) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = 1 - q ** (-n) * q ** (ell - 1)
+            return num * q ** (-2 * (ell - 1)) * z
+
+        def inner(j):
+            den = 1 - q**j
+            _nz(den)
+            return q ** (2 * (j - 1)) / den / (q * z)
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q = self.q
+        num = phi01(0.0, q / z, q, policy)
+        den = phi01(0.0, 1 / (q * z), q, policy)
+        return num, den, lambda: num / (z * den)
+
+    def _cf_power_sums(self, z, policy):
+        num = _theta_like(self.q, z, 0)
+        den = _theta_like(self.q, z, -2)
+        return num, den, lambda: num / (z * den)
+
+    _cf_forms = {"default": _cf, "series-ratio": _cf, "power-sums": _cf_power_sums}
 
 
 @dataclass(frozen=True)
@@ -188,9 +450,120 @@ class AlSalamChihara:
             * (1 - self.B * q ** (n - 1))
         )
 
-    @property
-    def gamma(self):
-        return 2 * cmath.sqrt(self.q / (self.A * self.B * self.delta))
+    def _growth_product(self):
+        return self.q / (self.A * self.B * self.delta)
+
+    gamma = property(_gamma)
+
+    def _solution_1(self, z, n, policy, branch="minus"):
+        q, A, B = self.q, self.A, self.B
+        small, large, _ = spectral_pair(self, z)
+        lam = small if branch == "minus" else large
+        pref = qpoch_multi([A, B], q, n) / qpoch(A * B * lam, q, n)
+        series = phi21(B * lam, B * q**n, A * B * lam * q**n, A * self.delta * lam, q, policy)
+        return _power(lam, n) * (pref * series)
+
+    def _solution_2(self, z, n, policy):
+        q, B = self.q, self.B
+        small, large, _ = spectral_pair(self, z)
+        pref = qpoch(B, q, n)
+        series = phi21(B * large, B * small, q / self.delta, q ** (1 - n) / B, q, policy)
+        return _power(B, -n) * (pref * series)
+
+    def _solution_3(self, z, n, policy):
+        q, B, d = self.q, self.B, self.delta
+        small, large, _ = spectral_pair(self, z)
+        pref = qpoch(B, q, n)
+        series = phi21(B * d * large, B * d * small, q * d, q ** (1 - n) / B, q, policy)
+        return _power(d * B, -n) * (pref * series)
+
+    def _solution_4_direct(self, z, n, policy):
+        q, A, B, d = self.q, self.A, self.B, self.delta
+        small, large, _ = spectral_pair(self, z)
+        pref = qpoch_multi([A * B * d * large / q, A * B * d * small / q], q, n)
+        series = phi22_balanced(
+            q ** (1 - n) / A,
+            q ** (1 - n) / B,
+            large * q ** (1 - n),
+            small * q ** (1 - n),
+            q / d,
+            q,
+            policy,
+        )
+        return (
+            Scaled(_sign(n))
+            * _power(q / (A * B * d), n)
+            * _qpower(q, -n * (n - 1) / 2.0)
+            * (pref * series)
+        )
+
+    def _solution_4(self, z, n, policy):
+        # the defining confluent double-denominator series is an exact
+        # n-independent multiple of solution 2; its direct sum collapses by
+        # cancellation as n grows, so evaluate through that multiple with
+        # the constant pinned at n = 0 where the direct sum is clean
+        if n <= 2:
+            return self._solution_4_direct(z, n, policy)
+        const = self._solution_4_direct(z, 0, policy).value / self._solution_2(z, 0, policy).value
+        return self._solution_2(z, n, policy) * const
+
+    _solutions = {
+        1: _solution_1,
+        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        2: _solution_2,
+        3: _solution_3,
+        4: _solution_4,
+    }
+
+    def _poly_terms(self, z, n):
+        q, A, B, d = self.q, self.A, self.B, self.delta
+        gamma = self.gamma
+        _, _, u = spectral_pair(self, z)
+        pref = (gamma * u / 2) ** n * qpoch_multi([A, B], q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = (
+                (1 - q ** (-n) * q ** (ell - 1))
+                * (1 - 2 * u / (gamma * d) * q ** (ell - 1))
+                * (1 - 2 * u / gamma * q ** (ell - 1))
+            )
+            den = (1 - A * q ** (ell - 1)) * (1 - B * q ** (ell - 1))
+            _nz(den)
+            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
+
+        def inner(j):
+            num = (1 - A / q * q ** (j - 1)) * (1 - B / q * q ** (j - 1))
+            den = (
+                (1 - q**j)
+                * (1 - 2 * u / (gamma * d) * q ** (j - 1))
+                * (1 - 2 * u / gamma * q ** (j - 1))
+            )
+            _nz(den)
+            return num / den * (-1) * u**2 * q**j
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, B, d = self.q, self.A, self.B, self.delta
+        small, _, _ = spectral_pair(self, z)
+        num = phi21(B * small, B, A * B * small, A * d * small, q, policy)
+        den = phi21(B * small, B / q, A * B * small / q, A * d * small, q, policy)
+        return num, den, lambda: A * B * d * small / (q * (1 - A * B * small / q)) * num / den
+
+    _cf_forms = {"default": _cf}
+
+    def _weight_parts(self, x, u, policy):
+        q, A, B, d = self.q, self.A, self.B, self.delta
+        gamma = self.gamma
+        lam_p = gamma / 2 * u
+        lam_m = gamma / 2 / u
+        numerator = qpoch_multi([A, B, u * u, 1 / (u * u)], q)
+        denominator = qpoch_multi(
+            [A * d * lam_p, A * d * lam_m, A * B * lam_p / q, A * B * lam_m / q], q
+        )
+        bracket = phi21(B * lam_m, B / q, A * B * lam_m / q, A * d * lam_m, q, policy)
+        bracket *= phi21(B * lam_p, B / q, A * B * lam_p / q, A * d * lam_p, q, policy)
+        return numerator, denominator, bracket
 
 
 @dataclass(frozen=True)
@@ -212,6 +585,66 @@ class AlSalamCarlitz1:
         q = self.q
         return -(q**n) / (self.A * self.delta) * (1 - self.A * q ** (n - 1))
 
+    def _solution_1(self, z, n, policy):
+        q, A, d = self.q, self.A, self.delta
+        pref = qpoch(A, q, n) / qpoch(q / (d * z), q, n)
+        series = phi11(q / (A * z * d), q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
+        return (
+            Scaled(_sign(n))
+            * _power(q / (A * d * z), n)
+            * _qpower(q, n * (n - 1) / 2.0)
+            * (pref * series)
+        )
+
+    def _solution_2(self, z, n, policy):
+        q, A, d = self.q, self.A, self.delta
+        series = phi11(q / (A * z * d), q / d, z * q ** (1 - n), q, policy)
+        return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
+
+    def _solution_3(self, z, n, policy):
+        q, A, d = self.q, self.A, self.delta
+        series = phi11(q / (A * z), q * d, d * z * q ** (1 - n), q, policy)
+        return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
+
+    def _solution_4(self, z, n, policy):
+        q, A, d = self.q, self.A, self.delta
+        pref = qpoch(1 / z, q, n)
+        series = phi11(q ** (1 - n) / A, z * q ** (1 - n), q / d, q, policy)
+        return _power(z, n) * (pref * series)
+
+    _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3, 4: _solution_4}
+
+    def _poly_terms(self, z, n):
+        q, A, d = self.q, self.A, self.delta
+        pref = (-q / (A * d * z)) ** n * qpoch(A, q, n) / qpoch(q, q, n) * q ** (n * (n - 1) // 2)
+
+        def outer(ell):
+            num = (
+                (1 - q ** (-n) * q ** (ell - 1))
+                * (1 - 1 / (z * d) * q ** (ell - 1))
+                * (1 - 1 / z * q ** (ell - 1))
+            )
+            den = 1 - A * q ** (ell - 1)
+            _nz(den)
+            return num / den * q ** (-2 * (ell - 1)) * (A * d * z * z / q) * q**n
+
+        def inner(j):
+            num = (1 - A / q * q ** (j - 1)) * q ** (2 * j - 1)
+            den = (1 - q**j) * (1 - 1 / (z * d) * q ** (j - 1)) * (1 - 1 / z * q ** (j - 1))
+            _nz(den)
+            return num / den / (A * d * z * z)
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, d = self.q, self.A, self.delta
+        num = phi11(q / (A * z * d), q / (z * d), q / z, q, policy)
+        den = phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy)
+        return num, den, lambda: num / (z * (1 - 1 / (d * z)) * den)
+
+    _cf_forms = {"default": _cf}
+    _scan_series = _cf
+
 
 @dataclass(frozen=True)
 class LimitASC1:
@@ -229,6 +662,57 @@ class LimitASC1:
 
     def b_sq_coeff(self, n):
         return self.q ** (2 * n - 1) / self.delta
+
+    def _solution_1(self, z, n, policy):
+        q, d = self.q, self.delta
+        pref = 1.0 / qpoch(q / (d * z), q, n)
+        series = phi11(0.0, q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
+        return _qpower(q, n * n) * _power(d * z, -n) * (pref * series)
+
+    def _solution_2(self, z, n, policy):
+        q, d = self.q, self.delta
+        series = phi11(0.0, q / d, z * q ** (1 - n), q, policy)
+        return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
+
+    def _solution_3(self, z, n, policy):
+        q, d = self.q, self.delta
+        series = phi11(0.0, q * d, d * z * q ** (1 - n), q, policy)
+        return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
+
+    def _solution_4(self, z, n, policy):
+        q, d = self.q, self.delta
+        pref = qpoch(1 / z, q, n)
+        series = phi11(0.0, z * q ** (1 - n), q / d, q, policy)
+        return _power(z, n) * (pref * series)
+
+    _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3, 4: _solution_4}
+
+    def _poly_terms(self, z, n):
+        # the q-exponent is n^2 (the displayed n(n+1)/2 fails the
+        # recurrence by exactly q^(-n(n-1)/2); the parent-limit form and
+        # the forward recurrence agree on this one)
+        q, d = self.q, self.delta
+        pref = d**-n * q ** (n * n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
+            return num * (-d * z) * q ** (-(ell - 1))
+
+        def inner(j):
+            den = (1 - 1 / z * q ** (j - 1)) * (1 - q**j)
+            _nz(den)
+            return q ** (j - 1) / den * (-1 / (z * d))
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, d = self.q, self.delta
+        num = phi11(0.0, q / (z * d), q / z, q, policy)
+        den = phi11(0.0, 1 / (z * d), 1 / z, q, policy)
+        return num, den, lambda: num / (z * (1 - 1 / (d * z)) * den)
+
+    _cf_forms = {"default": _cf}
+    _scan_series = _cf
 
 
 @dataclass(frozen=True)
@@ -250,9 +734,68 @@ class ContQHermite:
         q = self.q
         return q / (self.A * self.delta) * (1 - self.A * q ** (n - 1))
 
-    @property
-    def gamma(self):
-        return 2 * cmath.sqrt(self.q / (self.A * self.delta))
+    def _growth_product(self):
+        return self.q / (self.A * self.delta)
+
+    gamma = property(_gamma)
+
+    def _solution_1(self, z, n, policy, branch="minus"):
+        q, A, d = self.q, self.A, self.delta
+        small, large, _ = spectral_pair(self, z)
+        mu = small if branch == "minus" else large
+        pref = qpoch(A, q, n)
+        series = phi11(A * q**n, 0.0, A * d * mu * mu, q, policy)
+        return _power(mu, n) * (pref * series)
+
+    def _solution_2(self, z, n, policy):
+        q, A, d = self.q, self.A, self.delta
+        small, _, _ = spectral_pair(self, z)
+        if not _terminates(q ** (1 - n) / A, q):
+            raise FormalOnly("formal series unless A is a power of q")
+        series = phi20_terminating(
+            q ** (1 - n) / A, 0.0, q**n / (d * small * small), q, policy
+        )
+        return _power(small, n) * series
+
+    _solutions = {
+        1: _solution_1,
+        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        2: _solution_2,
+    }
+
+    def _poly_terms(self, z, n):
+        q, A = self.q, self.A
+        gamma = self.gamma
+        _, _, u = spectral_pair(self, z)
+        pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = 1 - q ** (-n) * q ** (ell - 1)
+            den = 1 - A * q ** (ell - 1)
+            _nz(den)
+            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
+
+        def inner(j):
+            num = 1 - A / q * q ** (j - 1)
+            den = 1 - q**j
+            _nz(den)
+            return num / den * (-1) * u**2 * q**j
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, d = self.q, self.A, self.delta
+        small, _, _ = spectral_pair(self, z)
+        num = phi11(A, 0.0, A * d * small * small, q, policy)
+        den = phi11(A / q, 0.0, A * d * small * small, q, policy)
+        return num, den, lambda: (A * d * small / q) * num / den
+
+    _cf_forms = {"default": _cf}
+
+    def _weight_parts(self, x, u, policy):
+        numerator = qpoch_multi([self.A, u * u, 1 / (u * u)], self.q)
+        fm, fp = cont_q_hermite_weight_denominators(self, x, policy)
+        return numerator, 1.0 + 0.0j, fm * fp
 
 
 @dataclass(frozen=True)
@@ -271,6 +814,39 @@ class LimitQHermite:
 
     def b_sq_coeff(self, n):
         return -(self.q**n) / self.delta
+
+    def _solution_1(self, z, n, policy):
+        q, d = self.q, self.delta
+        series = phi01(0.0, q ** (n + 2) / (d * z * z), q, policy)
+        return (
+            Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(q / (d * z), n) * series
+        )
+
+    _solutions = {1: _solution_1}
+
+    def _poly_terms(self, z, n):
+        q, d = self.q, self.delta
+        pref = (-z) ** -n * q ** (n * (n - 1) // 2) * (q / d) ** n / qpoch(q, q, n)
+
+        def outer(ell):
+            num = 1 - q ** (-n) * q ** (ell - 1)
+            return num * z * z * q**n * (d / q) * q ** (-2 * (ell - 1))
+
+        def inner(j):
+            den = 1 - q**j
+            _nz(den)
+            return q ** (2 * j - 1) / den / (z * z * d)
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, d = self.q, self.delta
+        num = phi01(0.0, q * q / (d * z * z), q, policy)
+        den = phi01(0.0, q / (d * z * z), q, policy)
+        return num, den, lambda: num / (z * den)
+
+    _cf_forms = {"default": _cf}
+    _scan_series = _cf
 
 
 @dataclass(frozen=True)
@@ -292,9 +868,86 @@ class ContBigQHermite:
         q = self.q
         return self.a * q / self.A * (1 - self.A * q ** (n - 1))
 
-    @property
-    def gamma(self):
-        return 2 * cmath.sqrt(self.a * self.q / self.A)
+    def _growth_product(self):
+        return self.a * self.q / self.A
+
+    gamma = property(_gamma)
+
+    def _solution_1(self, z, n, policy, branch="minus"):
+        q, A, a = self.q, self.A, self.a
+        small, large, _ = spectral_pair(self, z)
+        lam = small if branch == "minus" else large
+        pref = qpoch(A, q, n)
+        series = phi21(A * lam, A * q**n, 0.0, lam / a, q, policy)
+        return _power(lam, n) * (pref * series)
+
+    def _solution_2(self, z, n, policy):
+        q, A, a = self.q, self.A, self.a
+        small, large, _ = spectral_pair(self, z)
+        pref = qpoch(A * small / (a * q), q, n)
+        series = phi21(q ** (1 - n) / A, 0.0, large * q ** (1 - n), A * small, q, policy)
+        return _power(large, n) * (pref * series)
+
+    def _solution_3(self, z, n, policy):
+        q, A, a = self.q, self.A, self.a
+        small, large, _ = spectral_pair(self, z)
+        if not _terminates(q ** (1 - n) / A, q):
+            raise FormalOnly("formal series unless A is a power of q")
+        series = phi20_terminating(
+            q ** (1 - n) / A,
+            large / a,
+            A * A * small * small * q ** (n - 2) / a,
+            q,
+            policy,
+        )
+        return _power(large, n) * series
+
+    _solutions = {
+        1: _solution_1,
+        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        2: _solution_2,
+        3: _solution_3,
+    }
+
+    def _poly_terms(self, z, n):
+        q, A = self.q, self.A
+        gamma = self.gamma
+        _, _, u = spectral_pair(self, z)
+        pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 2 * u / gamma * q ** (ell - 1))
+            den = 1 - A * q ** (ell - 1)
+            _nz(den)
+            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
+
+        def inner(j):
+            num = (1 - A / q * q ** (j - 1)) * (-1) * u**2 * q**j
+            den = (1 - q**j) * (1 - 2 * u / gamma * q ** (j - 1))
+            _nz(den)
+            return num / den
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, A, a = self.q, self.A, self.a
+        small, _, _ = spectral_pair(self, z)
+        num = phi21(A, A * small, 0.0, small / a, q, policy)
+        den = phi21(A / q, A * small, 0.0, small / a, q, policy)
+        return num, den, lambda: (A * small / (a * q)) * num / den
+
+    _cf_forms = {"default": _cf}
+
+    def _weight_parts(self, x, u, policy):
+        q, A, a = self.q, self.A, self.a
+        gamma = self.gamma
+        lam_p = gamma / 2 * u
+        lam_m = gamma / 2 / u
+        numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
+        denominator = qpoch_multi([gamma * u / (2 * a), gamma / (2 * a * u)], q)
+        bracket = phi21(A / q, A * lam_m, 0.0, lam_m / a, q, policy)
+        bracket *= phi21(A / q, A * lam_p, 0.0, lam_p / a, q, policy)
+        return numerator, denominator, bracket
 
 
 @dataclass(frozen=True)
@@ -313,6 +966,50 @@ class QBesselOrder:
 
     def b_sq_coeff(self, n):
         return -self.a * self.q**n
+
+    def _solution_1(self, z, n, policy):
+        q, a = self.q, self.a
+        series = phi11(a * q / z, 0.0, q ** (n + 1) / z, q, policy)
+        return _power(-a * q / z, n) * _qpower(q, n * (n - 1) / 2.0) * series
+
+    def _solution_2(self, z, n, policy):
+        q, a = self.q, self.a
+        pref = qpoch(1 / z, q, n)
+        series = phi21(0.0, 0.0, z * q ** (1 - n), a * q / z, q, policy)
+        return _power(z, n) * (pref * series)
+
+    def _solution_3(self, z, n, policy):
+        q, a = self.q, self.a
+        if not _terminates(z / a, q):
+            raise FormalOnly("formal series at generic z")
+        series = phi20_terminating(0.0, z / a, a * q**n / (z * z), q, policy)
+        return _power(z, n) * series
+
+    _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
+
+    def _poly_terms(self, z, n):
+        q, a = self.q, self.a
+        pref = (-a / z) ** n * q ** (n * (n + 1) // 2) / qpoch(q, q, n)
+
+        def outer(ell):
+            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
+            return num * q ** (-(2 * ell - 1)) * q**n * (z * z / a)
+
+        def inner(j):
+            den = (1 - q**j) * (1 - 1 / z * q ** (j - 1))
+            _nz(den)
+            return q ** (2 * j - 1) * (a / (z * z)) / den
+
+        return pref, outer, inner
+
+    def _cf(self, z, policy):
+        q, a = self.q, self.a
+        num = phi01(q / z, a * q * q / (z * z), q, policy)
+        den = phi01(1 / z, a * q / (z * z), q, policy)
+        return num, den, lambda: num / ((z - 1) * den)
+
+    _cf_forms = {"default": _cf}
+    _scan_series = _cf
 
 
 def _init_family(obj):
@@ -359,402 +1056,38 @@ def family_from_id(family_id: str, q, **params):
     return cls(q, **{name: params[name] for name in cls.param_names})
 
 
+def _closed_form(family, member: str, missing: str):
+    """The family's closed form ``member``; without one, UnsupportedFamily for
+    a limit family and UnknownFamily otherwise, ``missing`` naming the family."""
+    form = getattr(family, member, None)
+    if form is None:
+        error = UnsupportedFamily if family.family_id in FAMILIES else UnknownFamily
+        raise error(missing.format(family.family_id))
+    return form
+
+
 def spectral_pair(family, z):
     """(small root, large root) of the family's asymptotic growth
     equation at z, along with u = large/(gamma/2) where defined."""
-    if isinstance(family, AlSalamChihara):
-        prod = family.q / (family.A * family.B * family.delta)
-    elif isinstance(family, ContQHermite):
-        prod = family.q / (family.A * family.delta)
-    elif isinstance(family, ContBigQHermite):
-        prod = family.a * family.q / family.A
-    else:
-        raise UnsupportedFamily(f"{family.family_id} has no spectral pair")
+    prod = _closed_form(family, "_growth_product", "{} has no spectral pair")()
     small, large = characteristic_roots(z, prod)
     half_gamma = cmath.sqrt(prod)
     return small, large, large / half_gamma
 
 
 # ---------------------------------------------------------------------------
-# Closed-form solutions.  The table maps family id to a tuple of
-# per-index evaluators returning Scaled values; index 1 is minimal.
+# Closed-form solutions, indexed by small integers; index 1 is minimal.
 # ---------------------------------------------------------------------------
-
-
-def _terminates(p, q) -> bool:
-    return termination_order(p, q) is not None
-
-
-def _bql_1(f: BigQLaguerre, z, n, policy):
-    q, A, B, C = f.q, f.A, f.B, f.C
-    pref = qpoch_multi([A, B, C], q, n) / qpoch(q / (A * z), q, n)
-    series = phi21(B * q**n, C * q**n, q ** (n + 1) / (A * z), q / (B * C * z), q, policy)
-    return (
-        Scaled(_sign(n))
-        * _qpower(q, n * (n + 1) / 2.0)
-        * _power(A * B * C * z, -n)
-        * (pref * series)
-    )
-
-
-def _bql_2(f, z, n, policy, lead=None, o1=None, o2=None):
-    q = f.q
-    lead = f.A if lead is None else lead
-    o1 = f.B if o1 is None else o1
-    o2 = f.C if o2 is None else o2
-    pref = qpoch(lead, q, n)
-    series = phi22_balanced(
-        lead * q**n,
-        q / (o1 * o2 * z),
-        lead * q / o1,
-        lead * q / o2,
-        lead * z * q ** (1 - n),
-        q,
-        policy,
-    )
-    return (
-        Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
-    )
-
-
-def _bql_3(f, z, n, policy):
-    return _bql_2(f, z, n, policy, lead=f.B, o1=f.C, o2=f.A)
-
-
-def _bql_4(f, z, n, policy):
-    return _bql_2(f, z, n, policy, lead=f.C, o1=f.A, o2=f.B)
-
-
-def _bql_5(f: BigQLaguerre, z, n, policy):
-    q, A, B, C = f.q, f.A, f.B, f.C
-    pref = qpoch(1 / (C * z), q, n)
-    series = phi21(
-        q ** (1 - n) / A, q ** (1 - n) / B, C * z * q ** (1 - n), C * q**n, q, policy
-    )
-    return _power(z, n) * (pref * series)
-
-
-def _wall_1(f: Wall, z, n, policy):
-    q, A, B = f.q, f.A, f.B
-    pref = qpoch_multi([A, B], q, n) / qpoch(q / (A * z), q, n)
-    series = phi11(B * q**n, q ** (n + 1) / (A * z), q ** (n + 1) / (B * z), q, policy)
-    return _power(q / (A * B * z), n) * _qpower(q, n * (n - 1)) * (pref * series)
-
-
-def _wall_2(f, z, n, policy, lead=None, other=None):
-    q = f.q
-    lead = f.A if lead is None else lead
-    other = f.B if other is None else other
-    pref = qpoch(lead, q, n)
-    series = phi11(lead * q**n, lead * q / other, lead * z * q ** (1 - n), q, policy)
-    return (
-        Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
-    )
-
-
-def _wall_3(f, z, n, policy):
-    return _wall_2(f, z, n, policy, lead=f.B, other=f.A)
-
-
-def _wall_4(f: Wall, z, n, policy):
-    q, A, B = f.q, f.A, f.B
-    if not (_terminates(q ** (1 - n) / A, q) or _terminates(q ** (1 - n) / B, q)):
-        raise FormalOnly(
-            "this solution is a formal divergent series unless A or B is a power of q"
-        )
-    series = phi20_terminating(
-        q ** (1 - n) / A, q ** (1 - n) / B, q ** (2 * n - 1) / z, q, policy
-    )
-    return _power(z, n) * series
-
-
-def _lw_1(f: LimitWall, z, n, policy):
-    q, A = f.q, f.A
-    pref = qpoch(A, q, n) / qpoch(q / (A * z), q, n)
-    series = phi01(q ** (n + 1) / (A * z), q ** (2 * n + 1) / z, q, policy)
-    return (
-        Scaled(_sign(n))
-        * _power(q / (A * z), n)
-        * _qpower(q, 1.5 * n * (n - 1))
-        * (pref * series)
-    )
-
-
-def _lw_2(f: LimitWall, z, n, policy):
-    q, A = f.q, f.A
-    pref = qpoch(A, q, n)
-    series = phi11(A * q**n, 0.0, A * z * q ** (1 - n), q, policy)
-    return (
-        Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(A, -n) * (pref * series)
-    )
-
-
-def _lw_3(f: LimitWall, z, n, policy):
-    q, A = f.q, f.A
-    if not _terminates(q ** (1 - n) / A, q):
-        raise FormalOnly("formal series unless A is a power of q")
-    series = phi20_terminating(
-        q ** (1 - n) / A, 0.0, q ** (2 * n - 1) / z, q, policy
-    )
-    return _power(z, n) * series
-
-
-def _fourth_1(f: FourthLimit, z, n, policy):
-    q = f.q
-    series = phi01(0.0, q ** (2 * n + 1) / z, q, policy)
-    return _qpower(q, 2.0 * n * (n - 1)) * _power(q / z, n) * series
-
-
-def _fourth_2(f, z, n, policy):
-    raise FormalOnly("purely formal series; it never terminates")
-
-
-def _asc_1(f: AlSalamChihara, z, n, policy, branch):
-    q, A, B = f.q, f.A, f.B
-    small, large, _ = spectral_pair(f, z)
-    lam = small if branch == "minus" else large
-    pref = qpoch_multi([A, B], q, n) / qpoch(A * B * lam, q, n)
-    series = phi21(B * lam, B * q**n, A * B * lam * q**n, A * f.delta * lam, q, policy)
-    return _power(lam, n) * (pref * series)
-
-
-def _asc_2(f: AlSalamChihara, z, n, policy):
-    q, B = f.q, f.B
-    small, large, _ = spectral_pair(f, z)
-    pref = qpoch(B, q, n)
-    series = phi21(B * large, B * small, q / f.delta, q ** (1 - n) / B, q, policy)
-    return _power(B, -n) * (pref * series)
-
-
-def _asc_3(f: AlSalamChihara, z, n, policy):
-    q, B, d = f.q, f.B, f.delta
-    small, large, _ = spectral_pair(f, z)
-    pref = qpoch(B, q, n)
-    series = phi21(B * d * large, B * d * small, q * d, q ** (1 - n) / B, q, policy)
-    return _power(d * B, -n) * (pref * series)
-
-
-def _asc_4_direct(f: AlSalamChihara, z, n, policy):
-    q, A, B, d = f.q, f.A, f.B, f.delta
-    small, large, _ = spectral_pair(f, z)
-    pref = qpoch_multi([A * B * d * large / q, A * B * d * small / q], q, n)
-    series = phi22_balanced(
-        q ** (1 - n) / A,
-        q ** (1 - n) / B,
-        large * q ** (1 - n),
-        small * q ** (1 - n),
-        q / d,
-        q,
-        policy,
-    )
-    return (
-        Scaled(_sign(n))
-        * _power(q / (A * B * d), n)
-        * _qpower(q, -n * (n - 1) / 2.0)
-        * (pref * series)
-    )
-
-
-def _asc_4(f: AlSalamChihara, z, n, policy):
-    # the defining confluent double-denominator series is an exact
-    # n-independent multiple of solution 2; its direct sum collapses by
-    # cancellation as n grows, so evaluate through that multiple with
-    # the constant pinned at n = 0 where the direct sum is clean
-    if n <= 2:
-        return _asc_4_direct(f, z, n, policy)
-    const = _asc_4_direct(f, z, 0, policy).value / _asc_2(f, z, 0, policy).value
-    return _asc_2(f, z, n, policy) * const
-
-
-def _asc1_1(f: AlSalamCarlitz1, z, n, policy):
-    q, A, d = f.q, f.A, f.delta
-    pref = qpoch(A, q, n) / qpoch(q / (d * z), q, n)
-    series = phi11(q / (A * z * d), q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
-    return (
-        Scaled(_sign(n))
-        * _power(q / (A * d * z), n)
-        * _qpower(q, n * (n - 1) / 2.0)
-        * (pref * series)
-    )
-
-
-def _asc1_2(f: AlSalamCarlitz1, z, n, policy):
-    q, A, d = f.q, f.A, f.delta
-    series = phi11(q / (A * z * d), q / d, z * q ** (1 - n), q, policy)
-    return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
-
-
-def _asc1_3(f: AlSalamCarlitz1, z, n, policy):
-    q, A, d = f.q, f.A, f.delta
-    series = phi11(q / (A * z), q * d, d * z * q ** (1 - n), q, policy)
-    return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
-
-
-def _asc1_4(f: AlSalamCarlitz1, z, n, policy):
-    q, A, d = f.q, f.A, f.delta
-    pref = qpoch(1 / z, q, n)
-    series = phi11(q ** (1 - n) / A, z * q ** (1 - n), q / d, q, policy)
-    return _power(z, n) * (pref * series)
-
-
-def _lasc1_1(f: LimitASC1, z, n, policy):
-    q, d = f.q, f.delta
-    pref = 1.0 / qpoch(q / (d * z), q, n)
-    series = phi11(0.0, q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
-    return _qpower(q, n * n) * _power(d * z, -n) * (pref * series)
-
-
-def _lasc1_2(f: LimitASC1, z, n, policy):
-    q, d = f.q, f.delta
-    series = phi11(0.0, q / d, z * q ** (1 - n), q, policy)
-    return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
-
-
-def _lasc1_3(f: LimitASC1, z, n, policy):
-    q, d = f.q, f.delta
-    series = phi11(0.0, q * d, d * z * q ** (1 - n), q, policy)
-    return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
-
-
-def _lasc1_4(f: LimitASC1, z, n, policy):
-    q, d = f.q, f.delta
-    pref = qpoch(1 / z, q, n)
-    series = phi11(0.0, z * q ** (1 - n), q / d, q, policy)
-    return _power(z, n) * (pref * series)
-
-
-def _cqh_1(f: ContQHermite, z, n, policy, branch):
-    q, A, d = f.q, f.A, f.delta
-    small, large, _ = spectral_pair(f, z)
-    mu = small if branch == "minus" else large
-    pref = qpoch(A, q, n)
-    series = phi11(A * q**n, 0.0, A * d * mu * mu, q, policy)
-    return _power(mu, n) * (pref * series)
-
-
-def _cqh_2(f: ContQHermite, z, n, policy):
-    q, A, d = f.q, f.A, f.delta
-    small, _, _ = spectral_pair(f, z)
-    if not _terminates(q ** (1 - n) / A, q):
-        raise FormalOnly("formal series unless A is a power of q")
-    series = phi20_terminating(
-        q ** (1 - n) / A, 0.0, q**n / (d * small * small), q, policy
-    )
-    return _power(small, n) * series
-
-
-def _lqh_1(f: LimitQHermite, z, n, policy):
-    q, d = f.q, f.delta
-    series = phi01(0.0, q ** (n + 2) / (d * z * z), q, policy)
-    return (
-        Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(q / (d * z), n) * series
-    )
-
-
-def _cbqh_1(f: ContBigQHermite, z, n, policy, branch):
-    q, A, a = f.q, f.A, f.a
-    small, large, _ = spectral_pair(f, z)
-    lam = small if branch == "minus" else large
-    pref = qpoch(A, q, n)
-    series = phi21(A * lam, A * q**n, 0.0, lam / a, q, policy)
-    return _power(lam, n) * (pref * series)
-
-
-def _cbqh_2(f: ContBigQHermite, z, n, policy):
-    q, A, a = f.q, f.A, f.a
-    small, large, _ = spectral_pair(f, z)
-    pref = qpoch(A * small / (a * q), q, n)
-    series = phi21(q ** (1 - n) / A, 0.0, large * q ** (1 - n), A * small, q, policy)
-    return _power(large, n) * (pref * series)
-
-
-def _cbqh_3(f: ContBigQHermite, z, n, policy):
-    q, A, a = f.q, f.A, f.a
-    small, large, _ = spectral_pair(f, z)
-    if not _terminates(q ** (1 - n) / A, q):
-        raise FormalOnly("formal series unless A is a power of q")
-    series = phi20_terminating(
-        q ** (1 - n) / A,
-        large / a,
-        A * A * small * small * q ** (n - 2) / a,
-        q,
-        policy,
-    )
-    return _power(large, n) * series
-
-
-def _qbo_1(f: QBesselOrder, z, n, policy):
-    q, a = f.q, f.a
-    series = phi11(a * q / z, 0.0, q ** (n + 1) / z, q, policy)
-    return _power(-a * q / z, n) * _qpower(q, n * (n - 1) / 2.0) * series
-
-
-def _qbo_2(f: QBesselOrder, z, n, policy):
-    q, a = f.q, f.a
-    pref = qpoch(1 / z, q, n)
-    series = phi21(0.0, 0.0, z * q ** (1 - n), a * q / z, q, policy)
-    return _power(z, n) * (pref * series)
-
-
-def _qbo_3(f: QBesselOrder, z, n, policy):
-    q, a = f.q, f.a
-    if not _terminates(z / a, q):
-        raise FormalOnly("formal series at generic z")
-    series = phi20_terminating(0.0, z / a, a * q**n / (z * z), q, policy)
-    return _power(z, n) * series
-
-
-_SOLUTIONS = {
-    "big-q-laguerre": {1: _bql_1, 2: _bql_2, 3: _bql_3, 4: _bql_4, 5: _bql_5},
-    "wall": {1: _wall_1, 2: _wall_2, 3: _wall_3, 4: _wall_4},
-    "limit-wall": {1: _lw_1, 2: _lw_2, 3: _lw_3},
-    "fourth-limit": {1: _fourth_1, 2: _fourth_2},
-    "al-salam-chihara": {
-        1: lambda f, z, n, p: _asc_1(f, z, n, p, "minus"),
-        -1: lambda f, z, n, p: _asc_1(f, z, n, p, "plus"),
-        2: _asc_2,
-        3: _asc_3,
-        4: _asc_4,
-    },
-    "al-salam-carlitz1": {1: _asc1_1, 2: _asc1_2, 3: _asc1_3, 4: _asc1_4},
-    "limit-asc1": {1: _lasc1_1, 2: _lasc1_2, 3: _lasc1_3, 4: _lasc1_4},
-    "cont-q-hermite": {
-        1: lambda f, z, n, p: _cqh_1(f, z, n, p, "minus"),
-        -1: lambda f, z, n, p: _cqh_1(f, z, n, p, "plus"),
-        2: _cqh_2,
-    },
-    "limit-q-hermite": {1: _lqh_1},
-    "cont-big-q-hermite": {
-        1: lambda f, z, n, p: _cbqh_1(f, z, n, p, "minus"),
-        -1: lambda f, z, n, p: _cbqh_1(f, z, n, p, "plus"),
-        2: _cbqh_2,
-        3: _cbqh_3,
-    },
-    "q-bessel-order": {1: _qbo_1, 2: _qbo_2, 3: _qbo_3},
-}
-
-# Indices of solutions that are divergent formal series for generic
-# parameters (they evaluate only when a parameter makes them terminate).
-FORMAL_INDICES = {
-    "wall": (4,),
-    "limit-wall": (3,),
-    "fourth-limit": (2,),
-    "cont-q-hermite": (2,),
-    "cont-big-q-hermite": (3,),
-    "q-bessel-order": (3,),
-}
 
 
 def solution_indices(family) -> tuple:
     """All solution indices of the family (index -1 is the dominant
     branch where the minimal one has a two-sided companion)."""
-    return tuple(sorted(_SOLUTIONS[family.family_id]))
+    return tuple(sorted(_closed_form(family, "_solutions", "no solutions table for {!r}")))
 
 
 def limit_solution_scaled(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> Scaled:
-    table = _SOLUTIONS.get(family.family_id)
-    if table is None:
-        raise UnknownFamily(f"no solutions table for {family.family_id!r}")
+    table = _closed_form(family, "_solutions", "no solutions table for {!r}")
     if which not in table:
         raise UnknownFamily(
             f"{family.family_id} has solutions {sorted(table)}, not {which}"
@@ -782,284 +1115,14 @@ def limit_solution_sequence(family, z, which, start, stop, policy=DEFAULT_POLICY
 # ---------------------------------------------------------------------------
 
 
-def _double_sum(pref, n, outer_ratio, inner_ratio):
-    """pref * sum_l outer_l sum_{j<=l} inner_j with multiplicative term
-    ratios; Overflow when the terms leave the double range (past it the
-    product is nan, e.g. an underflowed q**(n*n) times an infinite sum)."""
-    total = 0.0 + 0.0j
-    outer_t = 1.0 + 0.0j
-    for ell in range(n + 1):
-        if ell > 0:
-            outer_t *= outer_ratio(ell)
-        inner_total = 0.0 + 0.0j
-        inner_t = 1.0 + 0.0j
-        for j in range(ell + 1):
-            if j > 0:
-                inner_t *= inner_ratio(j)
-            inner_total += inner_t
-        total += outer_t * inner_total
-    return _assert_finite(pref * total, "explicit polynomial double sum")
-
-
 def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
-    """Closed-form value of the monic polynomial P_n(z) of the family."""
+    """Closed-form value of the monic polynomial P_n(z) of the family;
+    Overflow or ZeroDivisor once its double sum leaves the double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    terms = _closed_form(family, "_poly_terms", "no explicit polynomial for {!r}")
     z = complex(z)
-    q = family.q
-    fid = family.family_id
-
-    if fid == "big-q-laguerre":
-        A, B, C = family.A, family.B, family.C
-        pref = (
-            z**n
-            * qpoch_multi([A, B, q / (A * B * z)], q, n)
-            / qpoch(q, q, n)
-        )
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (
-                1 - A * B * C * z / q * q ** (ell - 1)
-            )
-            den = (
-                (1 - A * B * z * q ** (-n) * q ** (ell - 1))
-                * (1 - A * q ** (ell - 1))
-                * (1 - B * q ** (ell - 1))
-            )
-            _nz(den)
-            return num / den * (-(q ** (ell - 1))) * (A * B / C)
-
-        def inner(j):
-            num = (
-                (1 - A / q * q ** (j - 1))
-                * (1 - B / q * q ** (j - 1))
-                * (1 - A * B * z * q ** (j - 1))
-            )
-            den = (1 - A * B * C * z / q * q ** (j - 1)) * (1 - q**j)
-            _nz(den)
-            return num / den * (C * q / (A * B)) * (-(q ** (-(j - 1))))
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "wall":
-        A, B = family.A, family.B
-        pref = (
-            z**n
-            * qpoch_multi([q / (A * B * z), A, B], q, n)
-            / qpoch(q, q, n)
-        )
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = (
-                (1 - q ** (-n) * A * B * z * q ** (ell - 1))
-                * (1 - A * q ** (ell - 1))
-                * (1 - B * q ** (ell - 1))
-            )
-            _nz(den)
-            return num / den * q ** (2 * (ell - 1)) * (A * A * B * B * z / q)
-
-        def inner(j):
-            num = (
-                (1 - A / q * q ** (j - 1))
-                * (1 - B / q * q ** (j - 1))
-                * (1 - A * B * z * q ** (j - 1))
-            )
-            den = 1 - q**j
-            _nz(den)
-            return num / den * (q / (A * B)) ** 2 / z * q ** (-2 * (j - 1))
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "limit-wall":
-        A = family.A
-        pref = q ** (n * n) / A**n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-(q ** (-(ell - 1)))) * (A * z)
-
-        def inner(j):
-            num = 1 - A / q * q ** (j - 1)
-            den = 1 - q**j
-            _nz(den)
-            return num / den * q ** (j - 1) * (-1 / (A * z))
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "fourth-limit":
-        pref = (
-            _sign(n) * q ** (n * n) * q ** (n * (n - 1) // 2) / qpoch(q, q, n)
-        )
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            return num * q ** (-2 * (ell - 1)) * z
-
-        def inner(j):
-            den = 1 - q**j
-            _nz(den)
-            return q ** (2 * (j - 1)) / den / (q * z)
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "al-salam-chihara":
-        A, B, d = family.A, family.B, family.delta
-        gamma = family.gamma
-        _, _, u = spectral_pair(family, z)
-        pref = (gamma * u / 2) ** n * qpoch_multi([A, B], q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (
-                (1 - q ** (-n) * q ** (ell - 1))
-                * (1 - 2 * u / (gamma * d) * q ** (ell - 1))
-                * (1 - 2 * u / gamma * q ** (ell - 1))
-            )
-            den = (1 - A * q ** (ell - 1)) * (1 - B * q ** (ell - 1))
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * (1 - B / q * q ** (j - 1))
-            den = (
-                (1 - q**j)
-                * (1 - 2 * u / (gamma * d) * q ** (j - 1))
-                * (1 - 2 * u / gamma * q ** (j - 1))
-            )
-            _nz(den)
-            return num / den * (-1) * u**2 * q**j
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "al-salam-carlitz1":
-        A, d = family.A, family.delta
-        pref = (
-            (-q / (A * d * z)) ** n
-            * qpoch(A, q, n)
-            / qpoch(q, q, n)
-            * q ** (n * (n - 1) // 2)
-        )
-
-        def outer(ell):
-            num = (
-                (1 - q ** (-n) * q ** (ell - 1))
-                * (1 - 1 / (z * d) * q ** (ell - 1))
-                * (1 - 1 / z * q ** (ell - 1))
-            )
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * q ** (-2 * (ell - 1)) * (A * d * z * z / q) * q**n
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * q ** (2 * j - 1)
-            den = (
-                (1 - q**j)
-                * (1 - 1 / (z * d) * q ** (j - 1))
-                * (1 - 1 / z * q ** (j - 1))
-            )
-            _nz(den)
-            return num / den / (A * d * z * z)
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "limit-asc1":
-        # the q-exponent is n^2 (the displayed n(n+1)/2 fails the
-        # recurrence by exactly q^(-n(n-1)/2); the parent-limit form and
-        # the forward recurrence agree on this one)
-        d = family.delta
-        pref = d**-n * q ** (n * n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
-            return num * (-d * z) * q ** (-(ell - 1))
-
-        def inner(j):
-            den = (1 - 1 / z * q ** (j - 1)) * (1 - q**j)
-            _nz(den)
-            return q ** (j - 1) / den * (-1 / (z * d))
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "cont-q-hermite":
-        A = family.A
-        gamma = family.gamma
-        _, _, u = spectral_pair(family, z)
-        pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = 1 - A / q * q ** (j - 1)
-            den = 1 - q**j
-            _nz(den)
-            return num / den * (-1) * u**2 * q**j
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "limit-q-hermite":
-        d = family.delta
-        pref = (
-            (-z) ** -n
-            * q ** (n * (n - 1) // 2)
-            * (q / d) ** n
-            / qpoch(q, q, n)
-        )
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            return num * z * z * q**n * (d / q) * q ** (-2 * (ell - 1))
-
-        def inner(j):
-            den = 1 - q**j
-            _nz(den)
-            return q ** (2 * j - 1) / den / (z * z * d)
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "cont-big-q-hermite":
-        A = family.A
-        gamma = family.gamma
-        _, _, u = spectral_pair(family, z)
-        pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (
-                1 - 2 * u / gamma * q ** (ell - 1)
-            )
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * (-1) * u**2 * q**j
-            den = (1 - q**j) * (1 - 2 * u / gamma * q ** (j - 1))
-            _nz(den)
-            return num / den
-
-        return _double_sum(pref, n, outer, inner)
-
-    if fid == "q-bessel-order":
-        a = family.a
-        pref = (-a / z) ** n * q ** (n * (n + 1) // 2) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
-            return num * q ** (-(2 * ell - 1)) * q**n * (z * z / a)
-
-        def inner(j):
-            den = (1 - q**j) * (1 - 1 / z * q ** (j - 1))
-            _nz(den)
-            return q ** (2 * j - 1) * (a / (z * z)) / den
-
-        return _double_sum(pref, n, outer, inner)
-
-    raise UnknownFamily(f"no explicit polynomial for {fid!r}")
+    return double_sum(n, lambda: terms(z, n))
 
 
 def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
@@ -1069,7 +1132,6 @@ def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
         raise ValueError("n must be >= 0")
     q, d = family.q, family.delta
     z = complex(z)
-    pref = (z * d) ** -n * q ** (n * n) / qpoch(q, q, n)
 
     def outer(ell):
         num = (
@@ -1080,162 +1142,41 @@ def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
         return num * (-d) * q ** (-3 * (ell - 1)) * z * z * q ** (n - 1)
 
     def inner(j):
-        den = (
-            (1 - q**j)
-            * (1 - 1 / (z * d) * q ** (j - 1))
-            * (1 - 1 / z * q ** (j - 1))
-        )
+        den = (1 - q**j) * (1 - 1 / (z * d) * q ** (j - 1)) * (1 - 1 / z * q ** (j - 1))
         _nz(den)
         return q ** (3 * (j - 1)) / den / (z * z) * (-1 / d)
 
-    return _double_sum(pref, n, outer, inner)
-
-
-def _nz(value):
-    if value == 0:
-        raise ZeroDivisor("polynomial term denominator vanished")
+    return double_sum(n, lambda: ((z * d) ** -n * q ** (n * n) / qpoch(q, q, n), outer, inner))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form continued fractions (values of 1/CF).
+# Closed-form continued fractions (values of 1/CF).  A form gives the
+# numerator and denominator series at z and the value built from them.
 # ---------------------------------------------------------------------------
+
+
+def cf_forms(family) -> tuple:
+    """Names of the family's closed forms of 1/CF, the default first."""
+    return tuple(_closed_form(family, "_cf_forms", "no closed continued fraction for {!r}"))
 
 
 def limit_cf(family, z, form: str = "default", policy=DEFAULT_POLICY) -> complex:
     """Closed-form value of 1/CF(z) for the family's J-fraction."""
-    z = complex(z)
-    q = family.q
-    fid = family.family_id
-
-    if fid == "big-q-laguerre":
-        A, B, C = family.A, family.B, family.C
-        num = phi21(B, C, q / (A * z), q / (B * C * z), q, policy)
-        den = phi21(B / q, C / q, 1 / (A * z), q / (B * C * z), q, policy)
-        _cf_den(den)
-        return num / (z * (1 - 1 / (A * z)) * den)
-
-    if fid == "wall":
-        A, B = family.A, family.B
-        num = phi11(B, q / (A * z), q / (B * z), q, policy)
-        den = phi11(B / q, 1 / (A * z), 1 / (B * z), q, policy)
-        _cf_den(den)
-        return num / (z * (1 - 1 / (A * z)) * den)
-
-    if fid == "limit-wall":
-        A = family.A
-        if form in ("default", "series-ratio"):
-            num = phi01(q / (A * z), q / z, q, policy)
-            den = phi01(1 / (A * z), 1 / (q * z), q, policy)
-            _cf_den(den)
-            return num / (z * (1 - 1 / (A * z)) * den)
-        if form == "confluent":
-            num = phi11(A, 0.0, q / (A * z), q, policy)
-            den = phi11(A / q, 0.0, 1 / (A * z), q, policy)
-            _cf_den(den)
-            return num / (z * den)
-        raise ValueError(f"unknown form {form!r}")
-
-    if fid == "fourth-limit":
-        if form in ("default", "series-ratio"):
-            num = phi01(0.0, q / z, q, policy)
-            den = phi01(0.0, 1 / (q * z), q, policy)
-            _cf_den(den)
-            return num / (z * den)
-        if form == "power-sums":
-            num = _theta_like(q, z, 0)
-            den = _theta_like(q, z, -2)
-            _cf_den(den)
-            return num / (z * den)
-        raise ValueError(f"unknown form {form!r}")
-
-    if fid == "al-salam-chihara":
-        A, B, d = family.A, family.B, family.delta
-        small, _, _ = spectral_pair(family, z)
-        num = phi21(B * small, B, A * B * small, A * d * small, q, policy)
-        den = phi21(B * small, B / q, A * B * small / q, A * d * small, q, policy)
-        _cf_den(den)
-        pref = A * B * d * small / (q * (1 - A * B * small / q))
-        return pref * num / den
-
-    if fid == "al-salam-carlitz1":
-        A, d = family.A, family.delta
-        num = phi11(q / (A * z * d), q / (z * d), q / z, q, policy)
-        den = phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy)
-        _cf_den(den)
-        return num / (z * (1 - 1 / (d * z)) * den)
-
-    if fid == "limit-asc1":
-        d = family.delta
-        num = phi11(0.0, q / (z * d), q / z, q, policy)
-        den = phi11(0.0, 1 / (z * d), 1 / z, q, policy)
-        _cf_den(den)
-        return num / (z * (1 - 1 / (d * z)) * den)
-
-    if fid == "cont-q-hermite":
-        A, d = family.A, family.delta
-        small, _, _ = spectral_pair(family, z)
-        num = phi11(A, 0.0, A * d * small * small, q, policy)
-        den = phi11(A / q, 0.0, A * d * small * small, q, policy)
-        _cf_den(den)
-        return (A * d * small / q) * num / den
-
-    if fid == "limit-q-hermite":
-        d = family.delta
-        num = phi01(0.0, q * q / (d * z * z), q, policy)
-        den = phi01(0.0, q / (d * z * z), q, policy)
-        _cf_den(den)
-        return num / (z * den)
-
-    if fid == "cont-big-q-hermite":
-        A, a = family.A, family.a
-        small, _, _ = spectral_pair(family, z)
-        num = phi21(A, A * small, 0.0, small / a, q, policy)
-        den = phi21(A / q, A * small, 0.0, small / a, q, policy)
-        _cf_den(den)
-        return (A * small / (a * q)) * num / den
-
-    if fid == "q-bessel-order":
-        a = family.a
-        num = phi01(q / z, a * q * q / (z * z), q, policy)
-        den = phi01(1 / z, a * q / (z * z), q, policy)
-        _cf_den(den)
-        return num / ((z - 1) * den)
-
-    raise UnknownFamily(f"no closed continued fraction for {fid!r}")
+    forms = _closed_form(family, "_cf_forms", "no closed continued fraction for {!r}")
+    if form not in forms:
+        raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
+    num, den, value = forms[form](family, complex(z), policy)
+    _cf_den(den)
+    return value()
 
 
 def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
     """(numerator series value, denominator series value) of the
     closed-form 1/CF, for zero/interlacing scans of the positive
     definite regimes."""
-    z = complex(z)
-    q = family.q
-    fid = family.family_id
-    if fid == "al-salam-carlitz1":
-        A, d = family.A, family.delta
-        return (
-            phi11(q / (A * z * d), q / (z * d), q / z, q, policy),
-            phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy),
-        )
-    if fid == "limit-asc1":
-        d = family.delta
-        return (
-            phi11(0.0, q / (z * d), q / z, q, policy),
-            phi11(0.0, 1 / (z * d), 1 / z, q, policy),
-        )
-    if fid == "q-bessel-order":
-        a = family.a
-        return (
-            phi01(q / z, a * q * q / (z * z), q, policy),
-            phi01(1 / z, a * q / (z * z), q, policy),
-        )
-    if fid == "limit-q-hermite":
-        d = family.delta
-        return (
-            phi01(0.0, q * q / (d * z * z), q, policy),
-            phi01(0.0, q / (d * z * z), q, policy),
-        )
-    raise UnsupportedFamily(f"no scan-ready series pair for {fid!r}")
+    series = _closed_form(family, "_scan_series", "no scan-ready series pair for {!r}")
+    num, den, _ = series(complex(z), policy)
+    return num, den
 
 
 def _theta_like(q, z, shift):
@@ -1297,38 +1238,11 @@ def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     where the spectral variable is z = gamma x (unnormalized).  A
     one-dimensional array of x gives the density at every point, in one
     pass of each series kernel."""
-    q = family.q
     x = support_points(x)
     u = _unit_circle_point(x)
-    fid = family.family_id
-    if fid == "al-salam-chihara":
-        A, B, d = family.A, family.B, family.delta
-        gamma = family.gamma
-        lam_p = gamma / 2 * u
-        lam_m = gamma / 2 / u
-        numerator = qpoch_multi([A, B, u * u, 1 / (u * u)], q)
-        denominator = qpoch_multi(
-            [A * d * lam_p, A * d * lam_m, A * B * lam_p / q, A * B * lam_m / q], q
-        )
-        bracket = phi21(B * lam_m, B / q, A * B * lam_m / q, A * d * lam_m, q, policy)
-        bracket *= phi21(B * lam_p, B / q, A * B * lam_p / q, A * d * lam_p, q, policy)
-    elif fid == "cont-q-hermite":
-        A = family.A
-        numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
-        denominator = 1.0 + 0.0j
-        fm, fp = cont_q_hermite_weight_denominators(family, x, policy)
-        bracket = fm * fp
-    elif fid == "cont-big-q-hermite":
-        A, a = family.A, family.a
-        gamma = family.gamma
-        lam_p = gamma / 2 * u
-        lam_m = gamma / 2 / u
-        numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
-        denominator = qpoch_multi([gamma * u / (2 * a), gamma / (2 * a * u)], q)
-        bracket = phi21(A / q, A * lam_m, 0.0, lam_m / a, q, policy)
-        bracket *= phi21(A / q, A * lam_p, 0.0, lam_p / a, q, policy)
-    else:
-        raise UnsupportedFamily(f"{fid} carries no absolutely continuous weight here")
+    parts = _closed_form(family, "_weight_parts",
+                         "{} carries no absolutely continuous weight here")
+    numerator, denominator, bracket = parts(x, u, policy)
     at = first_point((bracket == 0) | (denominator == 0), x)
     if at is not None:
         raise PoleOnSupport(f"weight denominator vanishes at x = {at}")

@@ -68,6 +68,40 @@ def _assert_finite(value: complex, context: str) -> complex:
     return value
 
 
+def double_range(evaluate, context: str) -> complex:
+    """evaluate(), with Python's bare float overflow and division by zero
+    raised as Overflow and ZeroDivisor, and a non-finite value (e.g. an
+    underflowed q**(n*n) times an infinite sum) as Overflow."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        raise Overflow(f"{context} left the double-precision range") from None
+    except ZeroDivisionError:
+        raise ZeroDivisor(f"{context} divided by a vanished or underflowed term") from None
+    return _assert_finite(value, context)
+
+
+def double_sum(n: int, terms) -> complex:
+    """pref * sum_{l<=n} outer_l sum_{j<=l} inner_j, where ``terms()``
+    builds (pref, outer_ratio, inner_ratio) and outer_l, inner_j are the
+    running products of the ratios from 1; raises as ``double_range``."""
+
+    def evaluate():
+        pref, outer_ratio, inner_ratio = terms()
+        total = inner_total = 0.0 + 0.0j
+        outer_t = inner_t = 1.0 + 0.0j
+        # the inner sums are prefix sums of one series: each adds a term
+        for ell in range(n + 1):
+            if ell > 0:
+                outer_t *= outer_ratio(ell)
+                inner_t *= inner_ratio(ell)
+            inner_total += inner_t
+            total += outer_t * inner_total
+        return pref * total
+
+    return double_range(evaluate, "explicit polynomial double sum")
+
+
 def first_point(mask, points):
     """The first of ``points`` where ``mask`` holds, or None; a scalar
     mask goes with a single point."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qdhahn import cdqhahn, qseries, recurrence
+from qdhahn import cdqhahn, qseries, recurrence, verify
 from qdhahn.cdqhahn import (
     CDQHParams,
     SOLUTIONS,
@@ -25,7 +25,7 @@ from qdhahn.cdqhahn import (
     weight_factors,
     weight_reduced,
 )
-from qdhahn.errors import BranchAmbiguous
+from qdhahn.errors import BranchAmbiguous, QdhError, ZeroDivisor
 
 
 @pytest.fixture
@@ -204,6 +204,10 @@ class TestStieltjesTransform:
         with pytest.raises(ValueError):
             cf_stieltjes(params, point, "reduced")
 
+    def test_unknown_form_rejected(self, params, point):
+        with pytest.raises(ValueError, match="unknown form"):
+            cf_stieltjes(params, point, "bogus")
+
     def test_ten_off_cut_points(self, params):
         rng = random.Random(12)
         for _ in range(10):
@@ -287,6 +291,67 @@ class TestExplicitPolynomials:
             c = explicit_poly_ir(params, point, n)
             d = explicit_poly_ir(params, flipped, n)
             assert abs(c - d) < 5e-13 * abs(c)
+
+
+def inline_double_sum(params, point, n):
+    """The double sum of P_n(z) as explicit_poly once wrote it inline."""
+    q = params.q
+    A, B, C, D = params.A, params.B, params.C, params.D
+    u = point.u
+    ta = 2 * point.alpha
+    pref = (
+        (u / ta) ** n
+        * qseries.qpoch_multi([A, D, ta * q / (A * D * u)], q, n)
+        / qseries.qpoch(q, q, n)
+    )
+    outer_num = [1 / q**n, ta * u / B, ta * u / C]
+    outer_den = [A * D * u / ta / q**n, A, D]
+    inner_num = [A / q, D / q, A * D * u / ta]
+    inner_den = [q, ta * u / B, ta * u / C]
+    total = 0.0 + 0.0j
+    outer_t = 1.0 + 0.0j
+    for ell in range(n + 1):
+        if ell > 0:
+            num = 1.0 + 0.0j
+            for p in outer_num:
+                num *= 1 - p * q ** (ell - 1)
+            den = 1.0 + 0.0j
+            for p in outer_den:
+                den *= 1 - p * q ** (ell - 1)
+            if den == 0:
+                raise ZeroDivisor("explicit polynomial denominator vanished")
+            outer_t *= num / den * (A * D / (ta * u))
+        inner_total = 0.0 + 0.0j
+        inner_t = 1.0 + 0.0j
+        for j in range(ell + 1):
+            if j > 0:
+                num = 1.0 + 0.0j
+                for p in inner_num:
+                    num *= 1 - p * q ** (j - 1)
+                den = 1.0 + 0.0j
+                for p in inner_den:
+                    den *= 1 - p * q ** (j - 1)
+                if den == 0:
+                    raise ZeroDivisor("explicit polynomial denominator vanished")
+                inner_t *= num / den * (ta * u * q / (A * D))
+            inner_total += inner_t
+        total += outer_t * inner_total
+    return pref * total
+
+
+class TestSharedDoubleSum:
+    def test_bit_identical_to_the_inline_double_sum(self):
+        rng = random.Random(20)
+        for _ in range(12):
+            params, point = verify.draw_cdqh_polyform(rng)
+            for n in range(0, 13):
+                assert explicit_poly(params, point, n) == inline_double_sum(params, point, n)
+
+    @pytest.mark.parametrize("fn, n", [(explicit_poly, 1200), (explicit_poly_ir, 1200),
+                                       (explicit_poly_ir, 200)])
+    def test_past_the_double_range_raises_a_named_error(self, params, fn, n):
+        with pytest.raises(QdhError):
+            fn(params, spectral_point(params, x=2.0), n)
 
 
 class TestGeneratingFunction:

@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from qdhahn import cdqhahn, limits, recurrence
+from qdhahn import cdqhahn, cli, limits, recurrence
 from qdhahn.cli import main
 
 
@@ -282,3 +282,79 @@ class TestTable:
         )
         rows = [l for l in result.output.strip().splitlines() if not l.startswith("#")]
         assert len(rows) == 2
+
+
+CDQH_ARGS = ("--q", ".5", "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45")
+LIMIT_ARGS = {
+    "big-q-laguerre": ("--A", ".3", "--B", ".4", "--C", ".35"),
+    "wall": ("--A", ".3", "--B", ".4"),
+    "limit-wall": ("--A", ".3"),
+    "fourth-limit": (),
+    "al-salam-chihara": ("--A", ".3", "--B", ".4", "--delta", ".7"),
+    "al-salam-carlitz1": ("--A", ".3", "--delta", ".7"),
+    "limit-asc1": ("--delta", ".7"),
+    "cont-q-hermite": ("--A", ".3", "--delta", ".7"),
+    "limit-q-hermite": ("--delta", ".7"),
+    "cont-big-q-hermite": ("--A", ".3", "--a", "1.6"),
+    "q-bessel-order": ("--a", "-1"),
+}
+WALL = ("eval", "--family", "wall", "--q", ".5", "--A", ".3", "--B", ".4")
+
+# (argv, environment, exit code): double sums past the double range exit
+# 3; malformed input exits 2
+CONTRACT_CASES = [
+    (("eval", "--family", "cdqh", "--what", "poly-alt", "--n", "200", "--x", "2", *CDQH_ARGS),
+     {}, 3),
+    (("eval", "--family", "cdqh", "--what", "poly", "--n", "1200", "--x", "2", *CDQH_ARGS),
+     {}, 3),
+    *[(("eval", "--family", fid, "--what", "poly", "--n", "1200", "--z", "2.5", "--q", ".5",
+        *args), {}, 3) for fid, args in LIMIT_ARGS.items()],
+    ((*WALL, "--what", "poly", "--n", "3", "--grid", "a:b:3"), {}, 2),
+    ((*WALL, "--what", "solution", "--which", "x", "--z", "2"), {}, 2),
+    ((*WALL, "--what", "cf", "--z", "2", "--tol", "0"), {}, 2),
+    ((*WALL, "--what", "cf", "--z", "2", "--tol", "-1"), {}, 2),
+    ((*WALL, "--what", "cf", "--z", "2"), {"QDH_TOL": "abc"}, 2),
+    (("eval", "--family", "cdqh", "--what", "cf", "--x", "2", "--cf-form", "bogus", *CDQH_ARGS),
+     {}, 2),
+    *[(("eval", "--family", fid, "--what", "cf", "--z", "2.5", "--q", ".5", "--cf-form", "bogus",
+        *args), {}, 2) for fid, args in LIMIT_ARGS.items()],
+    (("eval", "--family", "cont-q-hermite", "--what", "weight", "--x", "1.7", "--q", ".5",
+      *LIMIT_ARGS["cont-q-hermite"]), {}, 2),
+    (("eval", "--family", "cdqh", "--what", "cf", "--z", "50", "--side", "above", *CDQH_ARGS), {}, 2),
+    (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", "0", "--scan-lo", ".1",
+      "--scan-hi", "1"), {}, 2),
+]
+
+
+
+
+def _case_id(case):
+    argv, env, _ = case
+    named = [f"{k}={v}" for k, v in env.items()]
+    for option in ("--family", "--f", "--what", "--n", "--x", "--grid", "--which", "--side",
+                   "--tol", "--cf-form", "--delta"):
+        if option in argv:
+            named.append(f"{option.lstrip('-')}={argv[argv.index(option) + 1]}")
+    return "-".join([argv[0], *named])
+
+
+@pytest.mark.parametrize("argv, env, code", CONTRACT_CASES, ids=map(_case_id, CONTRACT_CASES))
+def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qdh", *argv])
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    err = capsys.readouterr().err
+    assert exited.value.code == code
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_accepted_cf_forms_evaluate():
+    for form in ("default", "series-ratio", "confluent"):
+        result = invoke(
+            "eval", "--family", "limit-wall", "--what", "cf", "--z", "2.5", "--q", ".5",
+            "--A", ".3", "--cf-form", form,
+        )
+        assert result.exit_code == 0

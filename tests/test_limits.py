@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -5,14 +6,17 @@ import numpy as np
 import pytest
 
 from qdhahn import limits, recurrence, verify
+from qdhahn.cdqhahn import CDQHParams
 from qdhahn.errors import (
     DivergentSeries,
     FormalOnly,
     Overflow,
     PoleHit,
+    QdhError,
     ResonantDelta,
     ScanTooCoarse,
     UnknownFamily,
+    UnsupportedFamily,
 )
 from qdhahn.limits import (
     FAMILIES,
@@ -29,6 +33,7 @@ from qdhahn.limits import (
     Wall,
     asc1_identity_checks,
     asc1_partial_fractions,
+    cf_forms,
     family_from_id,
     find_zeros,
     fourth_limit_series,
@@ -77,6 +82,78 @@ class TestRegistry:
     def test_missing_parameter_message(self):
         with pytest.raises(TypeError, match="missing: B"):
             family_from_id("wall", 0.5, A=0.3)
+
+
+# How each scan family's closed-form 1/CF combines its series pair.
+SCAN_COMBINATIONS = {
+    "al-salam-carlitz1": lambda f, z, num, den: num / (z * (1 - 1 / (f.delta * z)) * den),
+    "limit-asc1": lambda f, z, num, den: num / (z * (1 - 1 / (f.delta * z)) * den),
+    "limit-q-hermite": lambda f, z, num, den: num / (z * den),
+    "q-bessel-order": lambda f, z, num, den: num / ((z - 1) * den),
+}
+
+# The product of the growth rates of the three cut families, from their
+# b_n^2 limits.
+GROWTH_PRODUCTS = {
+    "al-salam-chihara": lambda f: f.q / (f.A * f.B * f.delta),
+    "cont-q-hermite": lambda f: f.q / (f.A * f.delta),
+    "cont-big-q-hermite": lambda f: f.a * f.q / f.A,
+}
+
+
+class TestClosedFormRegistry:
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_scan_pair_is_the_pair_the_fraction_divides(self, family_id):
+        fam, z = GENERIC[family_id]
+        if family_id not in SCAN_COMBINATIONS:
+            with pytest.raises(UnsupportedFamily):
+                limit_cf_parts(fam, z)
+            return
+        for point in (z, -z, 0.37, 1.3 + 0.2j):
+            num, den = limit_cf_parts(fam, point)
+            combined = SCAN_COMBINATIONS[family_id](fam, complex(point), num, den)
+            assert limit_cf(fam, point) == combined
+
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_gamma_is_twice_the_root_of_the_spectral_pair_product(self, family_id):
+        fam, z = GENERIC[family_id]
+        if family_id not in GROWTH_PRODUCTS:
+            assert not hasattr(fam, "gamma")
+            with pytest.raises(UnsupportedFamily):
+                limits.spectral_pair(fam, z)
+            return
+        product = GROWTH_PRODUCTS[family_id](fam)
+        assert fam.gamma == 2 * cmath.sqrt(product)
+        small, large, u = limits.spectral_pair(fam, z)
+        assert u == large / cmath.sqrt(product)
+        assert abs(small * large - product) <= 1e-14 * abs(product)
+
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_unknown_form_rejected(self, family_id):
+        fam, z = GENERIC[family_id]
+        forms = cf_forms(fam)
+        assert forms[0] == "default"
+        extra = {"limit-wall": ("series-ratio", "confluent"),
+                 "fourth-limit": ("series-ratio", "power-sums")}
+        assert forms[1:] == extra.get(family_id, ())
+        with pytest.raises(ValueError, match="unknown form"):
+            limit_cf(fam, z, "bogus")
+
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_polynomial_past_the_double_range_raises_a_named_error(self, family_id):
+        fam, z = GENERIC[family_id]
+        with pytest.raises(QdhError):
+            limit_poly(fam, z, 1200)
+        if family_id == "limit-asc1":
+            with pytest.raises(QdhError):
+                limit_asc1_poly_alt(fam, z, 1200)
+
+    def test_flagship_family_has_no_limit_closed_forms(self):
+        params = CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
+        for call in (lambda: limit_poly(params, 2.5, 3), lambda: limit_cf(params, 2.5),
+                     lambda: limit_solution(params, 2.5, 1, 3)):
+            with pytest.raises(UnknownFamily):
+                call()
 
 
 class TestSolutions:
