@@ -26,7 +26,6 @@ Solution labels (all satisfy the recurrence; pairwise independent):
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 
@@ -34,26 +33,18 @@ import numpy as np
 
 from . import qseries
 from . import recurrence
-from .errors import (
-    BranchAmbiguous,
-    PoleOnSupport,
-    UnknownFamily,
-    ZeroDivisor,
-)
+from .errors import BranchAmbiguous, UnknownFamily, ZeroDivisor
 from .qseries import (
     DEFAULT_POLICY,
-    first_point,
     phi32,
     qpoch,
     qpoch_multi,
-    real_density,
     sqrt,
     support_points,
+    weight_density,
 )
 from .recurrence import Scaled, SolutionSequence
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
-
-SOLUTIONS = ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
 
 OFF_CUT = "off-cut"
 ABOVE = "above"
@@ -62,6 +53,12 @@ BELOW = "below"
 
 @dataclass(frozen=True)
 class CDQHParams:
+    """The flagship family.  It declares the members every family
+    declares (see ``limits``), "minimal" and "ratio" first.  Its closed
+    forms take a SpectralPoint, so it adds the point construction
+    (``point_at`` with a side on the cut, ``z_at`` from x = alpha z),
+    and a "poly-alt" entry point, the two-index double sum."""
+
     q: float
     A: complex
     B: complex
@@ -100,6 +97,217 @@ class CDQHParams:
         vals = {name: getattr(self, name) for name in self.param_names}
         picked = [vals[ch] for ch in order]
         return CDQHParams(self.q, *picked)
+
+    def point_at(self, z, side=None, single_valued=False) -> "SpectralPoint":
+        """The spectral point at z.  Without a side it must lie off the
+        cut, except for a form that is single valued across the cut (a
+        polynomial), which there takes the side above."""
+        try:
+            return spectral_point(self, z=z, side=side or OFF_CUT)
+        except BranchAmbiguous:
+            if side is None and single_valued:
+                return spectral_point(self, z=z, side=ABOVE)
+            raise
+
+    def z_at(self, x) -> complex:
+        """The z of the rescaled point x = alpha z, off the cut."""
+        return spectral_point(self, x=x).z
+
+    def entry_points(self):
+        return {"poly": explicit_poly, "poly-alt": explicit_poly_ir, "solution": solution,
+                "cf": cf_stieltjes, "weight": weight}
+
+    def _growth_series(self, lam, n, policy) -> Scaled:
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        qn = q**n
+        pref = qpoch_multi([A, B, C, D], q, n) / qpoch_multi(
+            [B * C * D * lam, A * B * C * lam], q, n
+        )
+        series = phi32(
+            B * C * lam,
+            B * qn,
+            C * qn,
+            B * C * D * lam * qn,
+            A * B * C * lam * qn,
+            q,
+            policy,
+        )
+        return _power(lam, n) * (pref * series)
+
+    def _pair_series(self, point, n, policy, lead, mate, other1, other2) -> Scaled:
+        """Common shape of the lead-* solutions: prefactor (lead, mate)_n /
+        (lead*mate)^n times a balanced series led by lead*q^n."""
+        q = self.q
+        qn = q**n
+        pref = qpoch_multi([lead, mate], q, n)
+        series = phi32(
+            lead * qn,
+            lead * mate * point.lam_plus,
+            lead * mate * point.lam_minus,
+            lead * q / other1,
+            lead * q / other2,
+            q,
+            policy,
+        )
+        return _power(lead * mate, -n) * (pref * series)
+
+    def _inverted(self, point, n, policy) -> Scaled:
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        lam_p, lam_m = point.lam_plus, point.lam_minus
+        pref = qpoch_multi([A * B * D * lam_p / q, A * B * D * lam_m / q], q, n)
+        series = phi32(
+            q ** (1 - n) / B,
+            q ** (1 - n) / A,
+            q ** (1 - n) / D,
+            C * lam_p * q ** (1 - n),
+            C * lam_m * q ** (1 - n),
+            q,
+            policy,
+        )
+        sign = Scaled((-1.0 + 0.0j) ** n, 0.0)
+        return (
+            sign
+            * _power(q / (A * B * D), n)
+            * _qpower(q, -n * (n - 1) / 2.0)
+            * (pref * series)
+        )
+
+    _solutions = {
+        "minimal": lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
+        "dominant": lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
+        "lead-a": lambda f, pt, n, p: f._pair_series(pt, n, p, f.A, f.B, f.C, f.D),
+        "lead-b": lambda f, pt, n, p: f._pair_series(pt, n, p, f.B, f.A, f.C, f.D),
+        "lead-c": lambda f, pt, n, p: f._pair_series(pt, n, p, f.C, f.B, f.A, f.D),
+        "lead-d": lambda f, pt, n, p: f._pair_series(pt, n, p, f.D, f.B, f.C, f.A),
+        "inverted": _inverted,
+    }
+
+    def _ratio_denominator(self, lam, policy=DEFAULT_POLICY):
+        """phi32(BC lam, B/q, C/q, BCD lam/q, ABC lam/q) (at every point of
+        an array of lam): the ratio form's denominator at lam = lambda_-,
+        whose sign changes off the cut are poles of the transform, and at
+        the two boundary roots the factors of the weight's bracket."""
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        return phi32(B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q,
+                     policy)
+
+    def _cf_ratio(self, point, policy):
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        lam = point.lam_minus
+        pref = (A * B * C * D * lam / q) / (
+            (1 - B * C * D * lam / q) * (1 - A * B * C * lam / q)
+        )
+        num = phi32(B * C * lam, B, C, B * C * D * lam, A * B * C * lam, q, policy)
+        return _transform_ratio(pref, num, self._ratio_denominator(lam, policy))
+
+    def _cf_ratio_alt(self, point, policy):
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        lam, lam_p = point.lam_minus, point.lam_plus
+        pref = 1.0 / (lam_p * (1 - 1 / (A * lam_p)) * (1 - 1 / (D * lam_p)))
+        num = phi32(B * C * lam, B, C, q / (A * lam_p), q / (D * lam_p), q, policy)
+        den = phi32(
+            B * C * lam, B / q, C / q, 1 / (A * lam_p), 1 / (D * lam_p), q, policy
+        )
+        return _transform_ratio(pref, num, den)
+
+    def _cf_pincherle(self, point, policy):
+        x0 = solution_scaled(self, point, "minimal", 0, policy)
+        xm1 = solution_scaled(self, point, "minimal", -1, policy)
+        return x0.ratio(xm1) / self.b_sq_coeff(0)
+
+    def _cf_reduced(self, point, policy):
+        _require_reduced(self)
+        q = self.q
+        A, B, D = self.A, self.B, self.D
+        lam = point.lam_minus
+        pref = (A * B * D * lam) / ((1 - B * D * lam) * (1 - A * B * lam))
+        num = phi32(B * q * lam, B, q, D * B * q * lam, A * B * q * lam, q, policy)
+        return pref * num
+
+    def _cf_reduced_product(self, point, policy):
+        _require_reduced(self)
+        q = self.q
+        A, B, D = self.A, self.B, self.D
+        lam = point.lam_minus
+        pref = (
+            A
+            * B
+            * D
+            * lam
+            * qpoch_multi([q, A * B * D * lam, A * B * D * q * lam * lam], q)
+            / qpoch_multi([B * D * lam, A * B * lam, A * D * lam], q)
+        )
+        series = phi32(
+            B * D * lam,
+            A * B * lam,
+            A * D * lam,
+            A * B * D * lam,
+            A * B * D * q * lam * lam,
+            q,
+            policy,
+        )
+        return pref * series
+
+    _cf_forms = {
+        "ratio": _cf_ratio,
+        "ratio-alt": _cf_ratio_alt,
+        "pincherle": _cf_pincherle,
+        "reduced": _cf_reduced,
+        "reduced-product": _cf_reduced_product,
+    }
+
+    def _poly_terms(self, point, n):
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        u = point.u
+        ta = 2 * point.alpha
+
+        def ratio(k, nums, dens, step):
+            """step * prod(1 - p q^(k-1), p in nums) / (the same over dens)."""
+            num = 1.0 + 0.0j
+            for p in nums:
+                num *= 1 - p * q ** (k - 1)
+            den = 1.0 + 0.0j
+            for p in dens:
+                den *= 1 - p * q ** (k - 1)
+            if den == 0:
+                raise ZeroDivisor("explicit polynomial denominator vanished")
+            return num / den * step
+
+        pref = (u / ta) ** n * qpoch_multi([A, D, ta * q / (A * D * u)], q, n) / qpoch(q, q, n)
+        outer = [1 / q**n, ta * u / B, ta * u / C], [A * D * u / ta / q**n, A, D], A * D / (ta * u)
+        inner = [A / q, D / q, A * D * u / ta], [q, ta * u / B, ta * u / C], ta * u * q / (A * D)
+        return pref, lambda ell: ratio(ell, *outer), lambda j: ratio(j, *inner)
+
+    def _weight_parts(self, point, policy):
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        u = point.u
+        two_alpha = 2 * point.alpha
+        numerator = qpoch_multi([A, B, C, D], q) * qpoch_multi([u * u, 1 / (u * u)], q)
+        denominator = qpoch_multi(
+            [
+                two_alpha / (A * u),
+                two_alpha * u / A,
+                two_alpha / (D * u),
+                two_alpha * u / D,
+                two_alpha * q / (B * C * u),
+                two_alpha * q * u / (B * C),
+            ],
+            q,
+        )
+        bracket = (self._ratio_denominator(point.lam_minus, policy)
+                   * self._ratio_denominator(point.lam_plus, policy))
+        return numerator, denominator, bracket
+
+
+SOLUTIONS = tuple(CDQHParams._solutions)
+CF_FORMS = tuple(CDQHParams._cf_forms)
 
 
 @dataclass(frozen=True)
@@ -212,67 +420,6 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
 # ---------------------------------------------------------------------------
 
 
-def _x1(params: CDQHParams, point: SpectralPoint, lam: complex, n: int, policy) -> Scaled:
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    qn = q**n
-    pref = qpoch_multi([A, B, C, D], q, n) / qpoch_multi(
-        [B * C * D * lam, A * B * C * lam], q, n
-    )
-    series = phi32(
-        B * C * lam,
-        B * qn,
-        C * qn,
-        B * C * D * lam * qn,
-        A * B * C * lam * qn,
-        q,
-        policy,
-    )
-    return _power(lam, n) * (pref * series)
-
-
-def _pair_series(params, lead, mate, other1, other2, point, n, policy) -> Scaled:
-    """Common shape of the lead-* solutions: prefactor (lead, mate)_n /
-    (lead*mate)^n times a balanced series led by lead*q^n."""
-    q = params.q
-    qn = q**n
-    pref = qpoch_multi([lead, mate], q, n)
-    series = phi32(
-        lead * qn,
-        lead * mate * point.lam_plus,
-        lead * mate * point.lam_minus,
-        lead * q / other1,
-        lead * q / other2,
-        q,
-        policy,
-    )
-    return _power(lead * mate, -n) * (pref * series)
-
-
-def _x6(params: CDQHParams, point: SpectralPoint, n: int, policy) -> Scaled:
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    lam_p, lam_m = point.lam_plus, point.lam_minus
-    qn = q**n
-    pref = qpoch_multi([A * B * D * lam_p / q, A * B * D * lam_m / q], q, n)
-    series = phi32(
-        q ** (1 - n) / B,
-        q ** (1 - n) / A,
-        q ** (1 - n) / D,
-        C * lam_p * q ** (1 - n),
-        C * lam_m * q ** (1 - n),
-        q,
-        policy,
-    )
-    sign = Scaled((-1.0 + 0.0j) ** n, 0.0)
-    return (
-        sign
-        * _power(q / (A * B * D), n)
-        * _qpower(q, -n * (n - 1) / 2.0)
-        * (pref * series)
-    )
-
-
 def solution_scaled(
     params: CDQHParams,
     point: SpectralPoint,
@@ -280,22 +427,9 @@ def solution_scaled(
     n: int,
     policy=DEFAULT_POLICY,
 ) -> Scaled:
-    A, B, C, D = params.A, params.B, params.C, params.D
-    if which == "minimal":
-        return _x1(params, point, point.lam_minus, n, policy)
-    if which == "dominant":
-        return _x1(params, point, point.lam_plus, n, policy)
-    if which == "lead-a":
-        return _pair_series(params, A, B, C, D, point, n, policy)
-    if which == "lead-b":
-        return _pair_series(params, B, A, C, D, point, n, policy)
-    if which == "lead-c":
-        return _pair_series(params, C, B, A, D, point, n, policy)
-    if which == "lead-d":
-        return _pair_series(params, D, B, C, A, point, n, policy)
-    if which == "inverted":
-        return _x6(params, point, n, policy)
-    raise UnknownFamily(f"unknown solution label {which!r}")
+    if which not in SOLUTIONS:
+        raise UnknownFamily(f"unknown solution label {which!r}")
+    return params._solutions[which](params, point, n, policy)
 
 
 def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> complex:
@@ -356,8 +490,6 @@ def three_term_coeffs(params: CDQHParams, point: SpectralPoint):
 # continued fraction) in its several closed forms.
 # ---------------------------------------------------------------------------
 
-CF_FORMS = ("ratio", "ratio-alt", "pincherle", "reduced", "reduced-product")
-
 
 def _require_reduced(params: CDQHParams):
     if abs(params.C - params.q) > 1e-12:
@@ -374,63 +506,15 @@ def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str = "ratio",
     reductions "reduced" (single balanced series) and "reduced-product"
     (explicit infinite-product numerator over the pole-carrying products).
     """
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    lam = point.lam_minus
-    lam_p = point.lam_plus
-    if form == "ratio":
-        pref = (A * B * C * D * lam / q) / (
-            (1 - B * C * D * lam / q) * (1 - A * B * C * lam / q)
-        )
-        num = phi32(B * C * lam, B, C, B * C * D * lam, A * B * C * lam, q, policy)
-        den = phi32(
-            B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q, policy
-        )
-        if den == 0:
-            raise ZeroDivisor("transform pole: denominator series vanished")
-        return pref * num / den
-    if form == "ratio-alt":
-        pref = 1.0 / (lam_p * (1 - 1 / (A * lam_p)) * (1 - 1 / (D * lam_p)))
-        num = phi32(B * C * lam, B, C, q / (A * lam_p), q / (D * lam_p), q, policy)
-        den = phi32(
-            B * C * lam, B / q, C / q, 1 / (A * lam_p), 1 / (D * lam_p), q, policy
-        )
-        if den == 0:
-            raise ZeroDivisor("transform pole: denominator series vanished")
-        return pref * num / den
-    if form == "pincherle":
-        x0 = solution_scaled(params, point, "minimal", 0, policy)
-        xm1 = solution_scaled(params, point, "minimal", -1, policy)
-        if xm1.mantissa == 0:
-            raise ZeroDivisor("transform pole: minimal solution vanishes at -1")
-        b0_sq = params.b_sq_coeff(0)
-        return x0.ratio(xm1) / b0_sq
-    if form == "reduced":
-        _require_reduced(params)
-        pref = (A * B * D * lam) / ((1 - B * D * lam) * (1 - A * B * lam))
-        num = phi32(B * q * lam, B, q, D * B * q * lam, A * B * q * lam, q, policy)
-        return pref * num
-    if form == "reduced-product":
-        _require_reduced(params)
-        pref = (
-            A
-            * B
-            * D
-            * lam
-            * qpoch_multi([q, A * B * D * lam, A * B * D * q * lam * lam], q)
-            / qpoch_multi([B * D * lam, A * B * lam, A * D * lam], q)
-        )
-        series = phi32(
-            B * D * lam,
-            A * B * lam,
-            A * D * lam,
-            A * B * D * lam,
-            A * B * D * q * lam * lam,
-            q,
-            policy,
-        )
-        return pref * series
-    raise ValueError(f"unknown form {form!r}; expected one of {CF_FORMS}")
+    if form not in CF_FORMS:
+        raise ValueError(f"unknown form {form!r}; expected one of {CF_FORMS}")
+    return params._cf_forms[form](params, point, policy)
+
+
+def _transform_ratio(pref, num, den):
+    if den == 0:
+        raise ZeroDivisor("transform pole: denominator series vanished")
+    return pref * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +536,9 @@ def weight_factors(params: CDQHParams, x: float, policy=DEFAULT_POLICY):
     For real parameters they are complex conjugates of each other.  An
     array of x gives both at every point.
     """
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
     point = spectral_point(params, x=x, side=ABOVE)
-    out = []
-    for lam in (point.lam_minus, point.lam_plus):
-        out.append(
-            phi32(
-                B * C * lam,
-                B / q,
-                C / q,
-                B * C * D * lam / q,
-                A * B * C * lam / q,
-                q,
-                policy,
-            )
-        )
-    return tuple(out)
+    return tuple(params._ratio_denominator(lam, policy)
+                 for lam in (point.lam_minus, point.lam_plus))
 
 
 def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
@@ -477,30 +547,8 @@ def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
     density at every point, in one pass of each series kernel."""
     _require_real_params(params)
     x = support_points(x)
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
     point = spectral_point(params, x=x, side=ABOVE)
-    u = point.u
-    two_alpha = 2 * point.alpha
-    numerator = qpoch_multi([A, B, C, D], q) * qpoch_multi([u * u, 1 / (u * u)], q)
-    denominator = qpoch_multi(
-        [
-            two_alpha / (A * u),
-            two_alpha * u / A,
-            two_alpha / (D * u),
-            two_alpha * u / D,
-            two_alpha * q / (B * C * u),
-            two_alpha * q * u / (B * C),
-        ],
-        q,
-    )
-    fm, fp = weight_factors(params, x, policy)
-    bracket = fm * fp
-    at = first_point((bracket == 0) | (denominator == 0), x)
-    if at is not None:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
-    value = numerator / (2 * math.pi * sqrt(1 - x * x) * denominator * bracket)
-    return real_density(x, value, "weight at x = {x} has imaginary residue {imag}")
+    return weight_density(x, *params._weight_parts(point, policy))
 
 
 def weight_reduced(params: CDQHParams, x: float) -> float:
@@ -520,11 +568,7 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
     denominator = qpoch_multi(
         [r1 / u, r1 * u, r2 / u, r2 * u, r3 / u, r3 * u], q
     )
-    at = first_point(denominator == 0, x)
-    if at is not None:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
-    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator)
-    return real_density(x, value, "reduced weight has imaginary residue")
+    return weight_density(x, numerator, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -537,32 +581,9 @@ def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     ZeroDivisor once its terms leave the double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    u = point.u
-    if u == 0:
+    if point.u == 0:
         raise ZeroDivisor("u must be nonzero")
-    ta = 2 * point.alpha
-
-    def ratio(k, nums, dens, step):
-        """step * prod(1 - p q^(k-1), p in nums) / (the same over dens)."""
-        num = 1.0 + 0.0j
-        for p in nums:
-            num *= 1 - p * q ** (k - 1)
-        den = 1.0 + 0.0j
-        for p in dens:
-            den *= 1 - p * q ** (k - 1)
-        if den == 0:
-            raise ZeroDivisor("explicit polynomial denominator vanished")
-        return num / den * step
-
-    def terms():
-        pref = (u / ta) ** n * qpoch_multi([A, D, ta * q / (A * D * u)], q, n) / qpoch(q, q, n)
-        outer = [1 / q**n, ta * u / B, ta * u / C], [A * D * u / ta / q**n, A, D], A * D / (ta * u)
-        inner = [A / q, D / q, A * D * u / ta], [q, ta * u / B, ta * u / C], ta * u * q / (A * D)
-        return pref, lambda ell: ratio(ell, *outer), lambda j: ratio(j, *inner)
-
-    return qseries.double_sum(n, terms)
+    return qseries.double_sum(n, lambda: params._poly_terms(point, n))
 
 
 def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:

@@ -166,31 +166,14 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
     if what in ("poly", "poly-alt") and n_index < 0:
         raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
-
-    flagship = family == "cdqh"
-    if flagship:
-        # the flagship family evaluates at a spectral point, which on its
-        # cut needs a side, and names its solutions
-        def at(z):
-            try:
-                return cdqhahn.spectral_point(fam, z=z, side=side or cdqhahn.OFF_CUT)
-            except QdhError:
-                if side is None and what in ("poly", "poly-alt"):
-                    # polynomials are single valued across the cut
-                    return cdqhahn.spectral_point(fam, z=z, side=cdqhahn.ABOVE)
-                raise
-
-        label, forms = which or "minimal", cdqhahn.CF_FORMS
-        poly, poly_alt = cdqhahn.explicit_poly, cdqhahn.explicit_poly_ir
-        solution, cf, weight = cdqhahn.solution, cdqhahn.cf_stieltjes, cdqhahn.weight
-    else:
-        if what == "poly-alt" and not isinstance(fam, limits.LimitASC1):
-            raise click.UsageError("poly-alt is only defined for limit-asc1")
-        at = complex
-        label = 1 if which is None or what != "solution" else _parse_number(which, "--which", int)
-        forms = limits.cf_forms(fam)
-        poly, poly_alt = limits.limit_poly, limits.limit_asc1_poly_alt
-        solution, cf, weight = limits.limit_solution, limits.limit_cf, limits.limit_weight
+    entry = fam.entry_points()
+    if what == "poly-alt" and what not in entry:
+        raise click.UsageError(f"poly-alt is not defined for {family}")
+    # the family's solution labels (names or indices, --which is read as
+    # the default's type) and forms of 1/CF, the default first
+    label, forms = next(iter(fam._solutions)), tuple(fam._cf_forms)
+    if which and what == "solution":
+        label = _parse_number(which, "--which", type(label))
     if what == "cf" and cf_form not in (None, *forms):
         raise click.UsageError(
             f"unknown --cf-form {cf_form!r} for {family}; accepted: {', '.join(forms)}")
@@ -201,29 +184,27 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
         points = [_parse_number(x_text, "--x")]
     elif z_text is not None:
         points = [_parse_complex(z_text)]
-    elif x_text is not None and flagship:
-        points = [cdqhahn.spectral_point(fam, x=_parse_complex(x_text)).z]
+    elif x_text is not None and fam.z_at is not None:
+        points = [fam.z_at(_parse_complex(x_text))]
     else:
         raise click.UsageError("missing: z (or x / --grid)")
 
     def evaluate(z):
         if what == "weight":
-            return complex(weight(fam, float(z.real), policy))
-        point = at(z)
+            return complex(entry["weight"](fam, float(z.real), policy))
+        point = fam.point_at(z, side, single_valued=what in ("poly", "poly-alt"))
         if what == "cf-trunc":
             return 1.0 / recurrence.cf_truncated(fam, z, depth)
-        if what == "poly":
-            return poly(fam, point, n_index)
-        if what == "poly-alt":
-            return poly_alt(fam, point, n_index)
+        if what in ("poly", "poly-alt"):
+            return entry[what](fam, point, n_index)
         if what == "solution":
-            return solution(fam, point, label, n_index, policy)
-        return cf(fam, point, cf_form or forms[0], policy)
+            return entry[what](fam, point, label, n_index, policy)
+        return entry["cf"](fam, point, cf_form or forms[0], policy)
 
     try:
         if what == "weight" and grid is not None:
             # one grid call: the series kernels sum every point at once
-            values = [complex(v) for v in weight(fam, np.array(points), policy)]
+            values = [complex(v) for v in entry["weight"](fam, np.array(points), policy)]
         else:
             values = [evaluate(pt) for pt in points]
     except ValueError as exc:  # the library's checks of its input, e.g. x off (-1, 1)

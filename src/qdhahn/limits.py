@@ -11,6 +11,15 @@ with a spectral cut, ``_growth_product`` and ``_weight_parts``.
 Divergent series that only exist formally raise FormalOnly unless a
 parameter makes them terminate.
 
+All twelve families, the flagship ``cdqhahn.CDQHParams`` included,
+declare ``_solutions``, ``_cf_forms``, ``_poly_terms`` and, on a cut,
+``_weight_parts``, plus ``point_at(z, side, single_valued)`` (the
+argument the closed forms take: here z itself), ``z_at`` (z from a
+rescaled x, or None) and ``entry_points()`` (the public function of
+each closed form by its ``qdh eval --what``), so no caller tests which
+family it holds.  The flagship adds its point construction and a
+"poly-alt" (limit-asc1 has one too).
+
 Families and their parameters:
 
     big-q-laguerre      (q, A, B, C)    three-parameter reduction
@@ -33,11 +42,11 @@ import math
 from dataclasses import dataclass
 
 from . import qseries
+from .cdqhahn import CDQHParams
 from .errors import (
     DivergentSeries,
     FormalOnly,
     PoleHit,
-    PoleOnSupport,
     ResonantDelta,
     ScanTooCoarse,
     UnknownFamily,
@@ -47,7 +56,6 @@ from .errors import (
 from .qseries import (
     DEFAULT_POLICY,
     double_sum,
-    first_point,
     phi01,
     phi11,
     phi20_terminating,
@@ -56,10 +64,10 @@ from .qseries import (
     phi30_terminating,
     qpoch,
     qpoch_multi,
-    real_density,
     sqrt,
     support_points,
     termination_order,
+    weight_density,
 )
 from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
@@ -88,8 +96,35 @@ def _nz(value):
 # ---------------------------------------------------------------------------
 
 
+class _LimitFamily:
+    """Parameter checks and entry points shared by the limit families,
+    whose closed forms take z itself."""
+
+    z_at = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", qseries._check_q(self.q))
+        for name in self.param_names:
+            value = complex(getattr(self, name))
+            if value == 0:
+                raise ValueError(f"parameter {name} must be nonzero")
+            object.__setattr__(self, name, value)
+
+    def point_at(self, z, side=None, single_valued=False) -> complex:
+        return complex(z)
+
+    def entry_points(self):
+        """The public function of each closed form, by its ``qdh eval --what``."""
+        return {"poly": limit_poly, "solution": limit_solution, "cf": limit_cf,
+                "weight": limit_weight}
+
+    def _comfort_drivers(self, z):
+        """Series arguments at z that verification draws keep comfortable."""
+        return []
+
+
 @dataclass(frozen=True)
-class BigQLaguerre:
+class BigQLaguerre(_LimitFamily):
     q: float
     A: complex
     B: complex
@@ -97,9 +132,6 @@ class BigQLaguerre:
 
     family_id = "big-q-laguerre"
     param_names = ("A", "B", "C")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         q = self.q
@@ -194,18 +226,19 @@ class BigQLaguerre:
 
     _cf_forms = {"default": _cf}
 
+    def _comfort_drivers(self, z):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        return [q / (B * C * z), q / (A * C * z), q / (A * B * z)]
+
 
 @dataclass(frozen=True)
-class Wall:
+class Wall(_LimitFamily):
     q: float
     A: complex
     B: complex
 
     family_id = "wall"
     param_names = ("A", "B")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         q = self.q
@@ -286,17 +319,18 @@ class Wall:
 
     _cf_forms = {"default": _cf}
 
+    def _comfort_drivers(self, z):
+        q, A, B = self.q, self.A, self.B
+        return [q / (A * B * z), q / (A * z), q / (B * z)]
+
 
 @dataclass(frozen=True)
-class LimitWall:
+class LimitWall(_LimitFamily):
     q: float
     A: complex
 
     family_id = "limit-wall"
     param_names = ("A",)
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         q = self.q
@@ -368,16 +402,16 @@ class LimitWall:
 
     _cf_forms = {"default": _cf, "series-ratio": _cf, "confluent": _cf_confluent}
 
+    def _comfort_drivers(self, z):
+        return [self.q / (self.A * z)]
+
 
 @dataclass(frozen=True)
-class FourthLimit:
+class FourthLimit(_LimitFamily):
     q: float
 
     family_id = "fourth-limit"
     param_names = ()
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         q = self.q
@@ -426,7 +460,7 @@ class FourthLimit:
 
 
 @dataclass(frozen=True)
-class AlSalamChihara:
+class AlSalamChihara(_LimitFamily):
     q: float
     A: complex
     B: complex
@@ -434,9 +468,6 @@ class AlSalamChihara:
 
     family_id = "al-salam-chihara"
     param_names = ("A", "B", "delta")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return (1 + 1 / self.delta) * self.q**n
@@ -567,16 +598,13 @@ class AlSalamChihara:
 
 
 @dataclass(frozen=True)
-class AlSalamCarlitz1:
+class AlSalamCarlitz1(_LimitFamily):
     q: float
     A: complex
     delta: complex
 
     family_id = "al-salam-carlitz1"
     param_names = ("A", "delta")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return (1 + 1 / self.delta) * self.q**n
@@ -645,17 +673,18 @@ class AlSalamCarlitz1:
     _cf_forms = {"default": _cf}
     _scan_series = _cf
 
+    def _comfort_drivers(self, z):
+        q, A, d = self.q, self.A, self.delta
+        return [q / (A * d * z), q / (d * z), 1 / z]
+
 
 @dataclass(frozen=True)
-class LimitASC1:
+class LimitASC1(_LimitFamily):
     q: float
     delta: complex
 
     family_id = "limit-asc1"
     param_names = ("delta",)
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return (1 + 1 / self.delta) * self.q**n
@@ -714,18 +743,21 @@ class LimitASC1:
     _cf_forms = {"default": _cf}
     _scan_series = _cf
 
+    def entry_points(self):
+        return {**super().entry_points(), "poly-alt": limit_asc1_poly_alt}
+
+    def _comfort_drivers(self, z):
+        return [self.q / (self.delta * z), 1 / z]
+
 
 @dataclass(frozen=True)
-class ContQHermite:
+class ContQHermite(_LimitFamily):
     q: float
     A: complex
     delta: complex
 
     family_id = "cont-q-hermite"
     param_names = ("A", "delta")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return 0.0 + 0.0j
@@ -799,15 +831,12 @@ class ContQHermite:
 
 
 @dataclass(frozen=True)
-class LimitQHermite:
+class LimitQHermite(_LimitFamily):
     q: float
     delta: complex
 
     family_id = "limit-q-hermite"
     param_names = ("delta",)
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return 0.0 + 0.0j
@@ -850,16 +879,13 @@ class LimitQHermite:
 
 
 @dataclass(frozen=True)
-class ContBigQHermite:
+class ContBigQHermite(_LimitFamily):
     q: float
     A: complex
     a: complex
 
     family_id = "cont-big-q-hermite"
     param_names = ("A", "a")
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return self.q**n + 0.0j
@@ -951,15 +977,12 @@ class ContBigQHermite:
 
 
 @dataclass(frozen=True)
-class QBesselOrder:
+class QBesselOrder(_LimitFamily):
     q: float
     a: complex
 
     family_id = "q-bessel-order"
     param_names = ("a",)
-
-    def __post_init__(self):
-        _init_family(self)
 
     def a_coeff(self, n):
         return self.q**n + 0.0j
@@ -1011,14 +1034,8 @@ class QBesselOrder:
     _cf_forms = {"default": _cf}
     _scan_series = _cf
 
-
-def _init_family(obj):
-    object.__setattr__(obj, "q", qseries._check_q(obj.q))
-    for name in obj.param_names:
-        value = complex(getattr(obj, name))
-        if value == 0:
-            raise ValueError(f"parameter {name} must be nonzero")
-        object.__setattr__(obj, name, value)
+    def _comfort_drivers(self, z):
+        return [1 / z, self.a * self.q / z]
 
 
 FAMILIES = {
@@ -1057,13 +1074,25 @@ def family_from_id(family_id: str, q, **params):
 
 
 def _closed_form(family, member: str, missing: str):
-    """The family's closed form ``member``; without one, UnsupportedFamily for
-    a limit family and UnknownFamily otherwise, ``missing`` naming the family."""
+    """The limit family's closed form ``member``; UnknownFamily for any
+    other family and UnsupportedFamily for a limit family without it,
+    ``missing`` naming the family."""
+    if not isinstance(family, _LimitFamily):
+        raise UnknownFamily(missing.format(family.family_id))
     form = getattr(family, member, None)
     if form is None:
-        error = UnsupportedFamily if family.family_id in FAMILIES else UnknownFamily
-        raise error(missing.format(family.family_id))
+        raise UnsupportedFamily(missing.format(family.family_id))
     return form
+
+
+def _at_point(family, z, evaluate):
+    """evaluate(), a closed form of the family at z, with a bare division
+    by zero there (a series argument such as q/(A z) at z = 0) raised as
+    ZeroDivisor."""
+    try:
+        return evaluate()
+    except ZeroDivisionError:
+        raise ZeroDivisor(f"{family.family_id} closed form divides by zero at z = {z}") from None
 
 
 def spectral_pair(family, z):
@@ -1092,7 +1121,8 @@ def limit_solution_scaled(family, z, which: int, n: int, policy=DEFAULT_POLICY) 
         raise UnknownFamily(
             f"{family.family_id} has solutions {sorted(table)}, not {which}"
         )
-    return table[which](family, complex(z), n, policy)
+    z = complex(z)
+    return _at_point(family, z, lambda: table[which](family, z, n, policy))
 
 
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
@@ -1165,9 +1195,10 @@ def limit_cf(family, z, form: str = "default", policy=DEFAULT_POLICY) -> complex
     forms = _closed_form(family, "_cf_forms", "no closed continued fraction for {!r}")
     if form not in forms:
         raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
-    num, den, value = forms[form](family, complex(z), policy)
+    z = complex(z)
+    num, den, value = _at_point(family, z, lambda: forms[form](family, z, policy))
     _cf_den(den)
-    return value()
+    return _at_point(family, z, value)
 
 
 def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
@@ -1175,7 +1206,8 @@ def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
     closed-form 1/CF, for zero/interlacing scans of the positive
     definite regimes."""
     series = _closed_form(family, "_scan_series", "no scan-ready series pair for {!r}")
-    num, den, _ = series(complex(z), policy)
+    z = complex(z)
+    num, den, _ = _at_point(family, z, lambda: series(z, policy))
     return num, den
 
 
@@ -1239,15 +1271,9 @@ def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     one-dimensional array of x gives the density at every point, in one
     pass of each series kernel."""
     x = support_points(x)
-    u = _unit_circle_point(x)
     parts = _closed_form(family, "_weight_parts",
                          "{} carries no absolutely continuous weight here")
-    numerator, denominator, bracket = parts(x, u, policy)
-    at = first_point((bracket == 0) | (denominator == 0), x)
-    if at is not None:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
-    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator * bracket)
-    return real_density(x, value, "weight at x = {x} has imaginary residue")
+    return weight_density(x, *parts(x, _unit_circle_point(x), policy))
 
 
 def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
@@ -1278,11 +1304,7 @@ def cont_big_q_hermite_weight_reduced(family: ContBigQHermite, x: float) -> floa
     root = cmath.sqrt(complex(a))
     numerator = qpoch(q, q) * qpoch_multi([u * u, 1 / (u * u)], q)
     denominator = qpoch_multi([u / root, 1 / (u * root)], q)
-    at = first_point(denominator == 0, x)
-    if at is not None:
-        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
-    value = numerator / (2 * math.pi * sqrt(1 - x ** 2) * denominator)
-    return real_density(x, value, "reduced weight has imaginary residue")
+    return weight_density(x, numerator, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -1591,41 +1613,38 @@ def _poly_value(family, z, n):
     return forward_eval(family, z, 0.0, 1.0, n).value(n)
 
 
+# parent family at scale s -> child family; an edge whose parent P_n(z)
+# tends to the child's at the same z and n needs no "map", the rescaled
+# edges map the parent's values onto the child's variable
 LIMIT_EDGES = {
     "cdqh-to-big-q-laguerre": {
         "child": "big-q-laguerre",
-        "parent": lambda f, s: _cdqh(f.q, f.A, f.B, f.C, s),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
+        "parent": lambda f, s: CDQHParams(f.q, f.A, f.B, f.C, s),
     },
     "big-q-laguerre-to-wall": {
         "child": "wall",
         "parent": lambda f, s: BigQLaguerre(f.q, f.A, f.B, s),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "wall-to-limit-wall": {
         "child": "limit-wall",
         "parent": lambda f, s: Wall(f.q, f.A, s),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "limit-wall-to-fourth-limit": {
         "child": "fourth-limit",
         "parent": lambda f, s: LimitWall(f.q, s),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "cdqh-to-asc": {
         "child": "al-salam-chihara",
-        "parent": lambda f, s: _cdqh(f.q, f.A, f.B, 1.0 / s, f.delta / s),
+        "parent": lambda f, s: CDQHParams(f.q, f.A, f.B, 1.0 / s, f.delta / s),
         "map": lambda parent, z, n, s: (1.0 / s) ** n * _poly_value(parent, z * s, n),
     },
     "asc-to-asc1": {
         "child": "al-salam-carlitz1",
         "parent": lambda f, s: AlSalamChihara(f.q, f.A, s, f.delta),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "asc1-to-limit-asc1": {
         "child": "limit-asc1",
         "parent": lambda f, s: AlSalamCarlitz1(f.q, s, f.delta),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "asc-to-cont-q-hermite": {
         "child": "cont-q-hermite",
@@ -1636,25 +1655,16 @@ LIMIT_EDGES = {
     "cont-q-hermite-to-limit-q-hermite": {
         "child": "limit-q-hermite",
         "parent": lambda f, s: ContQHermite(f.q, s, f.delta),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "asc-to-cont-big-q-hermite": {
         "child": "cont-big-q-hermite",
         "parent": lambda f, s: AlSalamChihara(f.q, f.A, 1.0 / s, s / f.a),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
     "cbqh-to-q-bessel-order": {
         "child": "q-bessel-order",
         "parent": lambda f, s: ContBigQHermite(f.q, s, f.a),
-        "map": lambda parent, z, n, s: _poly_value(parent, z, n),
     },
 }
-
-
-def _cdqh(q, A, B, C, D):
-    from .cdqhahn import CDQHParams
-
-    return CDQHParams(q, A, B, C, D)
 
 
 def limit_convergence(edge_id: str, child_family, scales, n: int, z) -> list:
@@ -1676,6 +1686,6 @@ def limit_convergence(edge_id: str, child_family, scales, n: int, z) -> list:
     deviations = []
     for s in scales:
         parent = edge["parent"](child_family, s)
-        mapped = edge["map"](parent, z, n, s)
+        mapped = edge["map"](parent, z, n, s) if "map" in edge else _poly_value(parent, z, n)
         deviations.append(abs(mapped - child_value))
     return deviations

@@ -40,6 +40,7 @@ from .errors import (
     NoConvergentRepresentation,
     NonRealResult,
     Overflow,
+    PoleOnSupport,
     ZeroDivisor,
 )
 
@@ -126,18 +127,21 @@ def support_points(x):
     return x
 
 
-def real_density(x, value, message: str):
-    """The real part of a weight ``value`` at x (at every point of a
-    grid); NonRealResult, with ``message`` formatted at the first
-    offending point and residue, where the imaginary part is not
-    negligible."""
-    if isinstance(value, np.ndarray):
-        residue = abs(value.imag) > 1e-10 * np.maximum(abs(value), 1e-300)
-    else:
-        residue = abs(value.imag) > 1e-10 * max(abs(value), 1e-300)
+def weight_density(x, numerator, denominator, bracket=1.0):
+    """numerator / (2 pi sqrt(1 - x^2) denominator bracket), the density
+    of a weight on the cut at x (at every point of a grid), as a real
+    number.  PoleOnSupport where the denominator or the bracket vanishes
+    and NonRealResult where the imaginary part is not negligible, each at
+    the first offending point."""
+    at = first_point((bracket == 0) | (denominator == 0), x)
+    if at is not None:
+        raise PoleOnSupport(f"weight denominator vanishes at x = {at}")
+    value = numerator / (2 * math.pi * sqrt(1 - x * x) * denominator * bracket)
+    residue = abs(value.imag) > 1e-10 * np.maximum(abs(value), 1e-300)
     at = first_point(residue, x)
     if at is not None:
-        raise NonRealResult(message.format(x=at, imag=first_point(residue, value.imag)))
+        imag = first_point(residue, value.imag)
+        raise NonRealResult(f"weight at x = {at} has imaginary residue {imag}")
     return value.real
 
 

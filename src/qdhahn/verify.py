@@ -172,20 +172,7 @@ def draw_limit_family(rng, family_id, q_range=(0.35, 0.65)):
             z = rng.uniform(1.3, 2.3) * abs(fam.gamma)
         else:
             z = rng.uniform(2.0, 3.4)
-        drivers = []
-        if family_id == "big-q-laguerre":
-            A, B, C = fam.A, fam.B, fam.C
-            drivers += [q / (B * C * z), q / (A * C * z), q / (A * B * z)]
-        elif family_id == "wall":
-            drivers += [q / (fam.A * fam.B * z), q / (fam.A * z), q / (fam.B * z)]
-        elif family_id == "al-salam-carlitz1":
-            drivers += [q / (fam.A * fam.delta * z), q / (fam.delta * z), 1 / z]
-        elif family_id == "limit-asc1":
-            drivers += [q / (fam.delta * z), 1 / z]
-        elif family_id == "q-bessel-order":
-            drivers += [1 / z, fam.a * q / z]
-        elif family_id == "limit-wall":
-            drivers += [q / (fam.A * z)]
+        drivers = fam._comfort_drivers(z)
         if all(_comfortable(d) for d in drivers) and all(
             _away_from_lattice(d, q) for d in drivers if abs(d) > 1
         ):
@@ -461,14 +448,13 @@ def check_orthogonality(case: str = "reduced", n_max: int = 6, nodes: int = 2000
         assert max(
             math.sqrt(B * D / A), math.sqrt(A * B / D), math.sqrt(A * D / B)
         ) < 1, "mass-free condition violated"
-        weight_fn = lambda x: cdqhahn.weight(params, x)
     elif case == "associated":
         params = cdqhahn.CDQHParams(0.5, 0.4, 0.4, 0.7, 0.4)
         if not transform_pole_free(params):
             raise QdhError("associated draw has a pole on the real axis")
-        weight_fn = lambda x: cdqhahn.weight(params, x)
     else:
         raise ValueError("case must be 'reduced' or 'associated'")
+    weight_fn = lambda x: cdqhahn.weight(params, x)
     scale = params.alpha.real
     grams = {}
     drift_gate = 0.1 * threshold
@@ -499,14 +485,10 @@ def check_orthogonality(case: str = "reduced", n_max: int = 6, nodes: int = 2000
 def transform_pole_free(params, x_max: float = 30.0, samples: int = 1200) -> bool:
     """Scan the transform denominator for sign changes on the real axis
     outside the cut; used to justify mass-free orthogonality draws."""
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
     for side in (1.0, -1.0):
         grid = np.geomspace(1.0 + 1e-4, x_max, samples) * side
         lam = cdqhahn.spectral_point(params, x=grid).lam_minus
-        vals = qseries.phi32(
-            B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q
-        ).real
+        vals = params._ratio_denominator(lam).real
         if (vals[:-1] * vals[1:] < 0).any():
             return False
     return True

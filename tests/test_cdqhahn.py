@@ -441,3 +441,9 @@ class TestDualQHahnReduction:
         assert dual_qhahn_reduction(params, point, n) == pytest.approx(
             pref * series, rel=1e-11
         )
+
+
+def test_label_and_form_tables_keep_their_order_default_first():
+    # the CLI takes the first label and form as its defaults
+    assert SOLUTIONS == ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
+    assert cdqhahn.CF_FORMS == ("ratio", "ratio-alt", "pincherle", "reduced", "reduced-product")

@@ -323,6 +323,12 @@ CONTRACT_CASES = [
     (("eval", "--family", "cdqh", "--what", "cf", "--z", "50", "--side", "above", *CDQH_ARGS), {}, 2),
     (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", "0", "--scan-lo", ".1",
       "--scan-hi", "1"), {}, 2),
+    # a closed form that divides by zero at z = 0 is a named numerical error
+    *[(("eval", "--family", fid, "--what", what, "--z", "0", "--q", ".5", *args), {}, 3)
+      for fid, args in LIMIT_ARGS.items() for what in ("cf", "solution")
+      if fid not in ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")],
+    *[(("eval", "--family", "q-bessel-order", "--what", what, "--grid", "-1:1:5", "--q", ".5",
+        *LIMIT_ARGS["q-bessel-order"]), {}, 3) for what in ("cf", "solution")],
 ]
 
 
@@ -358,3 +364,22 @@ def test_accepted_cf_forms_evaluate():
             "--A", ".3", "--cf-form", form,
         )
         assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("what", ["solution", "cf", "poly"])
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_every_family_evaluates_through_one_path(family, what):
+    point = ("--x", "2", *CDQH_ARGS) if family == "cdqh" else (
+        "--z", "2.5", "--q", ".5", *LIMIT_ARGS[family])
+    result = invoke("eval", "--family", family, "--what", what, *point)
+    assert result.exit_code == 0, result.output
+    assert len(result.output.strip().splitlines()) == 3
+
+
+def test_flagship_polynomial_on_the_cut_takes_the_side_above():
+    # polynomials are single valued across the cut; solutions are not
+    on_cut = ("eval", "--family", "cdqh", "--z", "2.5", *CDQH_ARGS)
+    above = invoke(*on_cut, "--what", "poly", "--n", "3", "--side", "above")
+    assert above.exit_code == 0
+    assert invoke(*on_cut, "--what", "poly", "--n", "3").output == above.output
+    assert run_script(*on_cut, "--what", "solution").returncode == 3

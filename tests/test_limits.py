@@ -17,6 +17,7 @@ from qdhahn.errors import (
     ScanTooCoarse,
     UnknownFamily,
     UnsupportedFamily,
+    ZeroDivisor,
 )
 from qdhahn.limits import (
     FAMILIES,
@@ -153,6 +154,35 @@ class TestClosedFormRegistry:
         for call in (lambda: limit_poly(params, 2.5, 3), lambda: limit_cf(params, 2.5),
                      lambda: limit_solution(params, 2.5, 1, 3)):
             with pytest.raises(UnknownFamily):
+                call()
+
+
+CUT_FAMILIES = ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")
+
+
+class TestZeroPoint:
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_every_closed_form_at_zero_is_finite_or_a_named_error(self, family_id):
+        fam, _ = GENERIC[family_id]
+        calls = [lambda: limit_poly(fam, 0, 3), lambda: limit_cf_parts(fam, 0)]
+        calls += [lambda w=w: limit_solution(fam, 0, w, 3) for w in solution_indices(fam)]
+        calls += [lambda f=f: limit_cf(fam, 0, f) for f in cf_forms(fam)]
+        for call in calls:
+            try:
+                values = np.atleast_1d(call())
+            except QdhError:
+                continue
+            assert all(cmath.isfinite(v) for v in values), family_id
+
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_cut_families_evaluate_at_zero_and_the_others_raise_zero_divisor(self, family_id):
+        fam, _ = GENERIC[family_id]
+        if family_id in CUT_FAMILIES:
+            assert cmath.isfinite(limit_cf(fam, 0))
+            assert cmath.isfinite(limit_solution(fam, 0, 1, 3))
+            return
+        for call in (lambda: limit_cf(fam, 0), lambda: limit_solution(fam, 0, 1, 3)):
+            with pytest.raises(ZeroDivisor):
                 call()
 
 

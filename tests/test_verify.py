@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from qdhahn import verify
+from qdhahn import limits, verify
 
 
 class TestCheckReport:
@@ -95,3 +96,52 @@ class TestChecks:
 
         clean = cdqhahn.CDQHParams(0.5, 0.4, 0.4, 0.7, 0.4)
         assert verify.transform_pole_free(clean)
+
+
+def _draw_by_family_id(rng, family_id, q_range=(0.35, 0.65)):
+    """draw_limit_family as it was written before each family declared
+    its comfort drivers: the drivers chosen by family id."""
+    cls = limits.FAMILIES[family_id]
+    while True:
+        q = rng.uniform(*q_range)
+        kw = {}
+        for name in cls.param_names:
+            if name in ("A", "B", "C"):
+                kw[name] = rng.uniform(0.2, 0.85)
+            elif name == "delta":
+                kw[name] = rng.choice([1.0, -1.0]) * rng.uniform(0.35, 0.9)
+            elif name == "a":
+                kw[name] = -rng.uniform(0.3, 1.4)
+        fam = cls(q, **kw)
+        if hasattr(fam, "gamma"):
+            z = rng.uniform(1.3, 2.3) * abs(fam.gamma)
+        else:
+            z = rng.uniform(2.0, 3.4)
+        drivers = []
+        if family_id == "big-q-laguerre":
+            A, B, C = fam.A, fam.B, fam.C
+            drivers += [q / (B * C * z), q / (A * C * z), q / (A * B * z)]
+        elif family_id == "wall":
+            drivers += [q / (fam.A * fam.B * z), q / (fam.A * z), q / (fam.B * z)]
+        elif family_id == "al-salam-carlitz1":
+            drivers += [q / (fam.A * fam.delta * z), q / (fam.delta * z), 1 / z]
+        elif family_id == "limit-asc1":
+            drivers += [q / (fam.delta * z), 1 / z]
+        elif family_id == "q-bessel-order":
+            drivers += [1 / z, fam.a * q / z]
+        elif family_id == "limit-wall":
+            drivers += [q / (fam.A * z)]
+        if all(verify._comfortable(d) for d in drivers) and all(
+            verify._away_from_lattice(d, q) for d in drivers if abs(d) > 1
+        ):
+            return fam, z
+
+
+@pytest.mark.parametrize("family_id", sorted(limits.FAMILIES))
+def test_declared_comfort_drivers_draw_the_same_stream(family_id):
+    for seed in range(4):
+        for q_range in ((0.35, 0.65), (0.4, 0.6)):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                assert verify.draw_limit_family(rng, family_id, q_range) == _draw_by_family_id(
+                    reference, family_id, q_range)
