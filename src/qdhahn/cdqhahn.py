@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qseries
 from . import recurrence
-from .errors import BranchAmbiguous, UnknownFamily, ZeroDivisor
+from .errors import BranchAmbiguous, Overflow, UnknownFamily, ZeroDivisor
 from .qseries import (
     DEFAULT_POLICY,
     phi32,
@@ -110,8 +110,9 @@ class CDQHParams:
             raise
 
     def z_at(self, x) -> complex:
-        """The z of the rescaled point x = alpha z, off the cut."""
-        return spectral_point(self, x=x).z
+        """The z of the rescaled point x = alpha z, on the cut or off it:
+        z does not depend on the side, which ``point_at`` takes."""
+        return complex(x) / self.alpha
 
     def entry_points(self):
         return {"poly": explicit_poly, "poly-alt": explicit_poly_ir, "solution": solution,
@@ -429,11 +430,27 @@ def solution_scaled(
 ) -> Scaled:
     if which not in SOLUTIONS:
         raise UnknownFamily(f"unknown solution label {which!r}")
-    return params._solutions[which](params, point, n, policy)
+    point = _spectral(params, point)
+    try:
+        return params._solutions[which](params, point, n, policy)
+    except OverflowError:  # a bare float power such as q**(1 - n) at large n
+        pass
+    # raised outside the handler, so that it holds no traceback of the
+    # failed call (whose frames would keep the caller's locals alive)
+    raise Overflow(f"solution {which!r} at n = {n} left the double-precision range")
+
+
+def _spectral(params, point, single_valued=False) -> "SpectralPoint":
+    """``point`` itself, or the spectral point ``params.point_at`` builds
+    at a number z."""
+    if isinstance(point, SpectralPoint):
+        return point
+    return params.point_at(point, single_valued=single_valued)
 
 
 def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> complex:
-    """Value of the named closed-form solution at index n."""
+    """Value of the named closed-form solution at index n, at a
+    SpectralPoint or a number z off the cut."""
     return solution_scaled(params, point, which, n, policy).value
 
 
@@ -452,6 +469,7 @@ def solution_sequence(
 
 def minimal_solution(params, point, n: int, policy=DEFAULT_POLICY) -> complex:
     """The subdominant solution; requires a strict branch ordering."""
+    point = _spectral(params, point)
     if abs(point.lam_minus) >= abs(point.lam_plus) * (1 - 1e-14) and point.side == OFF_CUT:
         raise BranchAmbiguous("minimal solution needs |lambda_-| < |lambda_+|")
     return solution(params, point, "minimal", n, policy)
@@ -498,7 +516,8 @@ def _require_reduced(params: CDQHParams):
 
 def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str = "ratio",
                  policy=DEFAULT_POLICY) -> complex:
-    """1/CF(z) for the J-fraction attached to the recurrence.
+    """1/CF(z) for the J-fraction attached to the recurrence, at a
+    SpectralPoint or a number z off the cut.
 
     Forms: "ratio" (quotient of two balanced series), "ratio-alt"
     (identical value, prefactor written through lambda_+), "pincherle"
@@ -508,7 +527,7 @@ def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str = "ratio",
     """
     if form not in CF_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {CF_FORMS}")
-    return params._cf_forms[form](params, point, policy)
+    return params._cf_forms[form](params, _spectral(params, point), policy)
 
 
 def _transform_ratio(pref, num, den):
@@ -577,24 +596,27 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
 
 
 def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
-    """Double-sum closed form of the monic polynomial P_n(z); Overflow or
-    ZeroDivisor once its terms leave the double range."""
+    """Double-sum closed form of the monic polynomial P_n(z), at a
+    SpectralPoint or a number z (single valued, so a z on the cut takes
+    the side above); Overflow or ZeroDivisor once its terms leave the
+    double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    point = _spectral(params, point, single_valued=True)
     if point.u == 0:
         raise ZeroDivisor("u must be nonzero")
     return qseries.double_sum(n, lambda: params._poly_terms(point, n))
 
 
 def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
-    """Alternative double sum for P_n(z); manifestly symmetric under
-    u <-> 1/u.  Overflow or ZeroDivisor once its terms leave the double
-    range."""
+    """Alternative double sum for P_n(z), taking its point as
+    ``explicit_poly`` does; manifestly symmetric under u <-> 1/u.
+    Overflow or ZeroDivisor once its terms leave the double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
     q = params.q
     A, B, C, D = params.A, params.B, params.C, params.D
-    u = point.u
+    u = _spectral(params, point, single_valued=True).u
     root = cmath.sqrt(B * C * q / (A * D))
 
     def evaluate():

@@ -41,11 +41,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import qseries
 from .cdqhahn import CDQHParams
 from .errors import (
     DivergentSeries,
     FormalOnly,
+    Overflow,
     PoleHit,
     ResonantDelta,
     ScanTooCoarse,
@@ -1122,7 +1125,12 @@ def limit_solution_scaled(family, z, which: int, n: int, policy=DEFAULT_POLICY) 
             f"{family.family_id} has solutions {sorted(table)}, not {which}"
         )
     z = complex(z)
-    return _at_point(family, z, lambda: table[which](family, z, n, policy))
+    try:
+        return _at_point(family, z, lambda: table[which](family, z, n, policy))
+    except OverflowError:  # a bare float power such as q**(1 - n) at large n
+        pass
+    # raised outside the handler: see cdqhahn.solution_scaled
+    raise Overflow(f"{family.family_id} solution {which} at n = {n} left the double-precision range")
 
 
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
@@ -1204,8 +1212,17 @@ def limit_cf(family, z, form: str = "default", policy=DEFAULT_POLICY) -> complex
 def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
     """(numerator series value, denominator series value) of the
     closed-form 1/CF, for zero/interlacing scans of the positive
-    definite regimes."""
+    definite regimes.  A one-dimensional array of z gives both at every
+    point, in one pass of each series kernel."""
     series = _closed_form(family, "_scan_series", "no scan-ready series pair for {!r}")
+    if isinstance(z, np.ndarray):
+        z = np.asarray(z, dtype=complex)
+        # numpy divides by zero without raising: name the scalar's error
+        at = qseries.first_point(z == 0, z)
+        if at is not None:
+            raise ZeroDivisor(f"{family.family_id} closed form divides by zero at z = {at}")
+        num, den, _ = series(z, policy)
+        return num, den
     z = complex(z)
     num, den, _ = _at_point(family, z, lambda: series(z, policy))
     return num, den
@@ -1232,10 +1249,14 @@ def _cf_den(value):
 
 def fourth_limit_series(family: FourthLimit, n: int):
     """The entire function whose ratios build the parameter-free
-    J-fraction: f_n(z) = sum_k q^(k(k-1)) (q^(2n+1)/z)^k / (q; q)_k."""
+    J-fraction: f_n(z) = sum_k q^(k(k-1)) (q^(2n+1)/z)^k / (q; q)_k.
+    A one-dimensional real array of z gives the real f_n at every point,
+    equal bit for bit to the scalar handle's value there."""
     q = family.q
 
     def f(z):
+        if isinstance(z, np.ndarray):
+            return _fourth_limit_grid(q, n, z)
         z = complex(z)
         if z == 0:
             raise ZeroDivisor("series handle undefined at z = 0")
@@ -1251,6 +1272,36 @@ def fourth_limit_series(family: FourthLimit, n: int):
         return total.real if abs(total.imag) <= 1e-14 * abs(total) else total
 
     return f
+
+
+def _fourth_limit_grid(q, n, x):
+    """The fourth-limit series handle at every point of a real array x.
+
+    Each point advances one term per pass and leaves the pass by the
+    scalar stopping rule.  For real z the scalar handle's complex
+    quotient and product reduce to exactly these float operations (the
+    imaginary parts stay zero), so the values are the scalar ones.
+    """
+    if np.iscomplexobj(x):
+        raise TypeError("the grid handle takes real points")
+    x = np.asarray(x, dtype=float)
+    if (x == 0).any():
+        raise ZeroDivisor("series handle undefined at z = 0")
+    out = np.empty(x.size)
+    idx = np.arange(x.size)
+    term = np.ones(x.size)
+    total = np.ones(x.size)
+    k = 0
+    with np.errstate(all="ignore"):
+        while idx.size:
+            k += 1
+            term = term * (q ** (2 * (k - 1)) * q ** (2 * n + 1) / ((1 - q**k) * x))
+            total = total + term
+            done = (np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-280)) | (k > 500)
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1499,6 +1550,23 @@ def _grid(lo: float, hi: float, count: int, log_spaced: bool):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _scan_values(f, grid, safe_f):
+    """f at every point of the scan grid: one call of f on the grid
+    array when that returns a real array of the grid's length, else one
+    call per point.  A point the array call leaves non-finite takes the
+    scalar value (nan where the scalar call raises), so both ways give
+    the same values wherever f's array values are its scalar ones."""
+    try:
+        with np.errstate(all="ignore"):
+            values = f(np.asarray(grid))
+    except Exception:  # f takes no array (math.sin), or a point fails
+        values = None
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            and values.shape == (len(grid),)):
+        return [safe_f(x) for x in grid]
+    return [v if math.isfinite(v) else safe_f(x) for x, v in zip(grid, values.tolist())]
+
+
 def find_zeros(
     f,
     scan_lo: float,
@@ -1511,6 +1579,8 @@ def find_zeros(
     """Bracket sign changes of a real function on a scan grid and bisect
     each to high relative precision.
 
+    The grid is evaluated in one call of f on its array when f takes
+    one (see ``_scan_values``); bisection calls f on single points.
     Sign changes caused by simple poles are discarded (the function
     blows up rather than vanishes at the located point).  With
     ``expect`` set, failure to resolve that many zeros after one 4x grid
@@ -1525,7 +1595,7 @@ def find_zeros(
     grid = _grid(scan_lo, scan_hi, samples, log_spaced)
     zeros = []
     brackets = []
-    values = [safe_f(x) for x in grid]
+    values = _scan_values(f, grid, safe_f)
     for (x0, y0), (x1, y1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if len(zeros) >= max_zeros:
             break
@@ -1551,8 +1621,10 @@ def find_zeros(
                     a, fa = mid, fm
             root = 0.5 * (a + b)
             # pole rejection: at a genuine zero the function is small
-            # compared with the bracket endpoints
-            edge = min(abs(y0), abs(y1))
+            # compared with the bracket endpoints, at a pole it is large;
+            # the larger endpoint keeps the test free of the zero's
+            # steepness (the smaller one can sit next to the zero)
+            edge = max(abs(y0), abs(y1))
             root_value = safe_f(root)
             if not math.isnan(root_value) and abs(root_value) <= max(1e-6 * edge, 1e-250):
                 zeros.append(root)

@@ -875,9 +875,9 @@ def _grid_prefactor(pref, pts, q):
 
 
 def phi01(c, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """0-phi-1 with denominator c and argument w (entire in w)."""
-    value, _, _ = _phi_core(SeriesSpec((), (c,), q, w), policy)
-    return value
+    """0-phi-1 with denominator c and argument w (entire in w).  Array
+    arguments give it at every point."""
+    return phi(SeriesSpec((), (c,), q, w), policy)
 
 
 def phi11(a, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

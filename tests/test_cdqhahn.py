@@ -25,7 +25,7 @@ from qdhahn.cdqhahn import (
     weight_factors,
     weight_reduced,
 )
-from qdhahn.errors import BranchAmbiguous, QdhError, ZeroDivisor
+from qdhahn.errors import BranchAmbiguous, Overflow, QdhError, ZeroDivisor
 
 
 @pytest.fixture
@@ -447,3 +447,42 @@ def test_label_and_form_tables_keep_their_order_default_first():
     # the CLI takes the first label and form as its defaults
     assert SOLUTIONS == ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
     assert cdqhahn.CF_FORMS == ("ratio", "ratio-alt", "pincherle", "reduced", "reduced-product")
+
+
+class TestPointArguments:
+    @pytest.mark.parametrize("evaluate", [
+        lambda params, pt: solution(params, pt, "minimal", 5),
+        lambda params, pt: solution(params, pt, "inverted", 3),
+        lambda params, pt: minimal_solution(params, pt, 4),
+        lambda params, pt: cf_stieltjes(params, pt),
+        lambda params, pt: cf_stieltjes(params, pt, "pincherle"),
+        lambda params, pt: explicit_poly(params, pt, 4),
+        lambda params, pt: explicit_poly_ir(params, pt, 4),
+    ])
+    def test_a_number_is_the_spectral_point_at_z(self, params, evaluate):
+        for z in (25.0, 3.0 - 2.0j):
+            assert evaluate(params, z) == evaluate(params, params.point_at(z))
+
+    def test_a_number_on_the_cut(self, params):
+        # polynomials are single valued there and take the side above;
+        # solutions need a side
+        z = params.z_at(0.4)
+        above = params.point_at(z, cdqhahn.ABOVE)
+        assert explicit_poly(params, z, 3) == explicit_poly(params, above, 3)
+        assert explicit_poly_ir(params, z, 3) == explicit_poly_ir(params, above, 3)
+        with pytest.raises(BranchAmbiguous):
+            solution(params, z, "minimal", 3)
+        with pytest.raises(BranchAmbiguous):
+            cf_stieltjes(params, z)
+
+    def test_z_at_holds_on_the_cut_for_either_side(self, params):
+        z = params.z_at(0.4)
+        assert z == 0.4 / params.alpha
+        for side in (cdqhahn.ABOVE, cdqhahn.BELOW):
+            assert spectral_point(params, x=0.4, side=side).z == z
+        assert params.z_at(2.0) == spectral_point(params, x=2.0).z
+
+    def test_power_past_the_double_range_is_a_named_error(self, params, point):
+        # q**(1 - n) overflows at n = 4000
+        with pytest.raises(Overflow):
+            solution(params, point, "inverted", 4000)

@@ -329,6 +329,14 @@ CONTRACT_CASES = [
       if fid not in ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")],
     *[(("eval", "--family", "q-bessel-order", "--what", what, "--grid", "-1:1:5", "--q", ".5",
         *LIMIT_ARGS["q-bessel-order"]), {}, 3) for what in ("cf", "solution")],
+    # a power past the double range is a named numerical error
+    (("eval", "--family", "cdqh", "--what", "solution", "--which", "inverted", "--n", "4000",
+      "--x", "2", *CDQH_ARGS), {}, 3),
+    (("eval", "--family", "al-salam-carlitz1", "--what", "solution", "--which", "2", "--n", "4000",
+      "--z", "2.5", "--q", ".5", *LIMIT_ARGS["al-salam-carlitz1"]), {}, 3),
+    # a point on the cut with a side evaluates
+    *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "poly", "--n", "3",
+        *CDQH_ARGS), {}, 0) for side in ("above", "below")],
 ]
 
 
@@ -349,11 +357,15 @@ def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["qdh", *argv])
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    with pytest.raises(SystemExit) as exited:
+    try:
         cli.run()
+    except SystemExit as exited:
+        exit_code = exited.code
+    else:
+        exit_code = 0
     err = capsys.readouterr().err
-    assert exited.value.code == code
-    assert err.startswith("error:")
+    assert exit_code == code
+    assert err.startswith("error:") if code else err == ""
     assert "Traceback" not in err
 
 
@@ -383,3 +395,37 @@ def test_flagship_polynomial_on_the_cut_takes_the_side_above():
     assert above.exit_code == 0
     assert invoke(*on_cut, "--what", "poly", "--n", "3").output == above.output
     assert run_script(*on_cut, "--what", "solution").returncode == 3
+
+
+@pytest.mark.parametrize("what", ["poly", "poly-alt", "solution", "cf"])
+def test_the_side_on_the_cut_picks_the_boundary_value(what):
+    # the two sides give complex conjugate values for real parameters
+    on_cut = ("eval", "--family", "cdqh", "--x", "0.4", "--what", what, "--n", "3", *CDQH_ARGS)
+    rows = {}
+    for side in ("above", "below"):
+        result = invoke(*on_cut, "--side", side)
+        assert result.exit_code == 0
+        rows[side] = [float(v) for v in result.output.strip().splitlines()[-1].split(",")]
+    (x, re_a, im_a), (_, re_b, im_b) = rows["above"], rows["below"]
+    assert x == pytest.approx(0.4 / cdqhahn.CDQHParams(.5, .3, .4, .35, .45).alpha.real)
+    assert re_b == pytest.approx(re_a, rel=1e-12)
+    assert im_b == pytest.approx(-im_a, rel=1e-9, abs=1e-12 * abs(re_a))
+
+
+def _scalar_scan(f, grid, safe_f):
+    return [safe_f(x) for x in grid]
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--interlace"),
+    ("zeros", "--f", "fourth-limit", "--n", "1", "--q", "0.8", "--interlace", "--format", "json"),
+    ("zeros", "--f", "al-salam-carlitz1:den", "--q", ".5", "--delta", "-.8",
+     "--scan-lo", ".02", "--scan-hi", "1.8"),
+    ("zeros", "--f", "q-bessel-order:num", "--q", ".5", "--a", "-.8",
+     "--scan-lo", ".02", "--scan-hi", "1.8", "--format", "text"),
+])
+def test_zero_scans_print_what_the_pointwise_scan_prints(argv, monkeypatch):
+    grid = invoke(*argv)
+    assert grid.exit_code == 0
+    monkeypatch.setattr(limits, "_scan_values", _scalar_scan)
+    assert invoke(*argv).output == grid.output

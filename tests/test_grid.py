@@ -231,3 +231,64 @@ class TestSeriesGrids:
         assert type(errors[1]).__name__ == "DivergentSeries"
         scalar = qseries.phi(qseries.SeriesSpec((0.3, 0.4), (0.5,), 0.5, 0.5))
         assert abs(value[0] - scalar) <= GRID_REL_TOL * abs(scalar)
+
+
+# the scans of the acceptance zero test: the fourth-limit handle of
+# orders -1..3 on its windows, and the limit_cf_parts pairs, plus the
+# fourth family with a scan-ready pair
+SCAN_QS = (0.3, 0.5, 0.8)
+SCAN_FAMILIES = [
+    limits.AlSalamCarlitz1(0.5, 0.4, -0.8),
+    limits.LimitASC1(0.5, 0.8),
+    limits.QBesselOrder(0.5, -0.8),
+    limits.LimitQHermite(0.5, 0.8),
+]
+
+
+def scan_grid(lo, hi, samples):
+    return np.array(limits._grid(lo, hi, samples, True))
+
+
+class TestScanGrids:
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_fourth_limit_grid_is_the_scalar_handle_bit_for_bit(self, q):
+        fam = limits.FourthLimit(q)
+        for n in (-1, 0, 1, 2, 3):
+            f = limits.fourth_limit_series(fam, n)
+            x = scan_grid(*limits.fourth_limit_zero_window(q, n, 8), 4000)
+            grid = f(x)
+            assert grid.dtype == float
+            assert grid.tolist() == [f(v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("fam", SCAN_FAMILIES, ids=lambda f: f.family_id)
+    def test_cf_parts_grid_matches_scalar(self, fam):
+        x = scan_grid(0.02, 1.8, 6000)
+        grid = limits.limit_cf_parts(fam, x)
+        scalar = [limits.limit_cf_parts(fam, v) for v in x.tolist()]
+        for part in (0, 1):
+            g = grid[part].real
+            s = np.array([value[part].real for value in scalar])
+            assert np.array_equal(np.sign(g), np.sign(s))
+            # the nodes on either side of a sign change sit next to a
+            # zero, where a last-bit difference is large relative to |f|
+            change = np.flatnonzero(np.sign(s[:-1]) != np.sign(s[1:]))
+            away = np.ones(s.size, dtype=bool)
+            away[change] = away[change + 1] = False
+            assert max_rel_dev(g[away], s[away]) <= GRID_REL_TOL
+
+    def test_zero_in_the_grid_is_a_named_error(self):
+        x = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(ZeroDivisor):
+            limits.fourth_limit_series(limits.FourthLimit(0.5), 0)(x)
+        with pytest.raises(ZeroDivisor):
+            limits.limit_cf_parts(limits.LimitASC1(0.5, 0.8), x)
+
+    def test_fourth_limit_grid_takes_real_points(self):
+        with pytest.raises(TypeError):
+            limits.fourth_limit_series(limits.FourthLimit(0.5), 0)(np.array([-1.0 + 0.5j]))
+
+    def test_phi01_matches_scalar(self):
+        w = np.linspace(-3.0, 3.0, 41) * np.exp(0.4j)
+        grid = qseries.phi01(0.3, w, 0.5)
+        scalar = np.array([qseries.phi01(0.3, v, 0.5) for v in w])
+        assert max_rel_dev(grid, scalar) <= GRID_REL_TOL

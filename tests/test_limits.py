@@ -467,6 +467,12 @@ class TestQBessel:
         assert direct == pytest.approx(alt, rel=1e-12)
 
 
+def scalar_only(f):
+    """f behind a wrapper that takes no array (float() of one fails), so
+    find_zeros evaluates its scan grid point by point."""
+    return lambda x: f(float(x))
+
+
 class TestZeros:
     def test_no_sign_change_gives_empty(self):
         zl = find_zeros(lambda x: 1.0 + x * x, 0.5, 4.0, log_spaced=False)
@@ -506,6 +512,62 @@ class TestZeros:
     def test_pole_rejection(self):
         zl = find_zeros(lambda x: 1.0 / (x - 2.0), 1.0, 3.0, log_spaced=False)
         assert len(zl) == 0
+
+    def test_pole_on_a_grid_node(self):
+        # numpy divides by zero at x = 2 without raising; the scan takes
+        # the scalar value there, nan, as the pointwise scan does
+        f = lambda x: 1.0 / (x - 2.0)
+        zl = find_zeros(f, 1.0, 3.0, log_spaced=False, samples=5)
+        assert len(zl) == 0
+        assert zl == find_zeros(scalar_only(f), 1.0, 3.0, log_spaced=False, samples=5)
+
+    def test_steep_zero_is_not_taken_for_a_pole(self):
+        # the eighth zero of order -1 at this q sits at -0.014522 between
+        # grid values -2.04e5 and 11.1; |f| at the bisected root is
+        # 1.1e-5, just above 1e-6 times the smaller of the two
+        q = 0.7193273853311071
+        fam = FourthLimit(q)
+        lists = []
+        for n in (-1, 0):
+            lo, hi = fourth_limit_zero_window(q, n, 8)
+            lists.append(find_zeros(fourth_limit_series(fam, n), lo, hi, max_zeros=8, expect=8))
+        assert lists[0].zeros[-1] == pytest.approx(-0.014521766541227978, rel=1e-9)
+        assert interlaces(*lists)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_grid_scan_equals_pointwise_scan(self, q):
+        fam = FourthLimit(q)
+        for n in (-1, 2):
+            f = fourth_limit_series(fam, n)
+            lo, hi = fourth_limit_zero_window(q, n, 8)
+            assert find_zeros(f, lo, hi, max_zeros=8, expect=8) == find_zeros(
+                scalar_only(f), lo, hi, max_zeros=8, expect=8)
+
+    @pytest.mark.parametrize("fam", [
+        AlSalamCarlitz1(0.5, 0.4, -0.8),
+        LimitASC1(0.5, 0.8),
+        QBesselOrder(0.5, -0.8),
+    ], ids=lambda f: f.family_id)
+    def test_cf_parts_grid_scan_equals_pointwise_scan(self, fam):
+        for part in (0, 1):
+            f = lambda x: limit_cf_parts(fam, x)[part].real
+            zl = find_zeros(f, 0.02, 1.8, max_zeros=6, samples=1000)
+            assert len(zl) >= 3
+            assert zl == find_zeros(scalar_only(f), 0.02, 1.8, max_zeros=6, samples=1000)
+
+    def test_one_array_call_per_scan(self):
+        f = fourth_limit_series(FourthLimit(0.5), 0)
+        shapes = []
+
+        def recorded(x):
+            shapes.append(np.shape(x))
+            return f(x)
+
+        lo, hi = fourth_limit_zero_window(0.5, 0, 8)
+        zl = find_zeros(recorded, lo, hi, max_zeros=8, samples=4000)
+        assert len(zl) == 8
+        assert shapes[0] == (4000,)
+        assert all(shape == () for shape in shapes[1:])
 
     def test_scan_too_coarse_raises(self):
         with pytest.raises(ScanTooCoarse):
