@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import cdqhahn, limits, recurrence, verify
-from .errors import QdhError
+from .errors import BranchAmbiguous, QdhError
 from .qseries import TruncationPolicy
 
 CONFIG_ERROR = 2
@@ -192,9 +192,17 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
     def evaluate(z):
         if what == "weight":
             return complex(entry["weight"](fam, float(z.real), policy))
-        point = fam.point_at(z, side, single_valued=what in ("poly", "poly-alt"))
         if what == "cf-trunc":
+            # the J-fraction has its poles on the cut, so no boundary values
+            try:
+                fam.point_at(z)
+            except BranchAmbiguous:
+                raise BranchAmbiguous(
+                    "the truncated J-fraction has no value on the cut, from either side"
+                ) from None
+            fam.point_at(z, side)  # a side off the cut stays a usage error
             return 1.0 / recurrence.cf_truncated(fam, z, depth)
+        point = fam.point_at(z, side, single_valued=what in ("poly", "poly-alt"))
         if what in ("poly", "poly-alt"):
             return entry[what](fam, point, n_index)
         if what == "solution":
@@ -258,6 +266,8 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
               interlace, fmt):
     """Bracket and bisect real zeros of a family's series handle; CSV
     columns: zero, bracket_lo, bracket_hi."""
+    if max_zeros < 1:
+        raise click.UsageError("--max-zeros must be >= 1")
     if f_name == "fourth-limit":
         fam = limits.FourthLimit(q)
         handle = limits.fourth_limit_series(fam, n_index)

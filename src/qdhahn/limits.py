@@ -61,10 +61,9 @@ from .qseries import (
     double_sum,
     phi01,
     phi11,
-    phi20_terminating,
     phi21,
     phi22_balanced,
-    phi30_terminating,
+    phi_r0_terminating,
     qpoch,
     qpoch_multi,
     sqrt,
@@ -276,8 +275,8 @@ class Wall(_LimitFamily):
             raise FormalOnly(
                 "this solution is a formal divergent series unless A or B is a power of q"
             )
-        series = phi20_terminating(
-            q ** (1 - n) / A, q ** (1 - n) / B, q ** (2 * n - 1) / z, q, policy
+        series = phi_r0_terminating(
+            (q ** (1 - n) / A, q ** (1 - n) / B), q ** (2 * n - 1) / z, q, policy
         )
         return _power(z, n) * series
 
@@ -366,9 +365,7 @@ class LimitWall(_LimitFamily):
         q, A = self.q, self.A
         if not _terminates(q ** (1 - n) / A, q):
             raise FormalOnly("formal series unless A is a power of q")
-        series = phi20_terminating(
-            q ** (1 - n) / A, 0.0, q ** (2 * n - 1) / z, q, policy
-        )
+        series = phi_r0_terminating((q ** (1 - n) / A, 0.0), q ** (2 * n - 1) / z, q, policy)
         return _power(z, n) * series
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
@@ -787,8 +784,8 @@ class ContQHermite(_LimitFamily):
         small, _, _ = spectral_pair(self, z)
         if not _terminates(q ** (1 - n) / A, q):
             raise FormalOnly("formal series unless A is a power of q")
-        series = phi20_terminating(
-            q ** (1 - n) / A, 0.0, q**n / (d * small * small), q, policy
+        series = phi_r0_terminating(
+            (q ** (1 - n) / A, 0.0), q**n / (d * small * small), q, policy
         )
         return _power(small, n) * series
 
@@ -922,12 +919,8 @@ class ContBigQHermite(_LimitFamily):
         small, large, _ = spectral_pair(self, z)
         if not _terminates(q ** (1 - n) / A, q):
             raise FormalOnly("formal series unless A is a power of q")
-        series = phi20_terminating(
-            q ** (1 - n) / A,
-            large / a,
-            A * A * small * small * q ** (n - 2) / a,
-            q,
-            policy,
+        series = phi_r0_terminating(
+            (q ** (1 - n) / A, large / a), A * A * small * small * q ** (n - 2) / a, q, policy
         )
         return _power(large, n) * series
 
@@ -1008,7 +1001,7 @@ class QBesselOrder(_LimitFamily):
         q, a = self.q, self.a
         if not _terminates(z / a, q):
             raise FormalOnly("formal series at generic z")
-        series = phi20_terminating(0.0, z / a, a * q**n / (z * z), q, policy)
+        series = phi_r0_terminating((0.0, z / a), a * q**n / (z * z), q, policy)
         return _power(z, n) * series
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
@@ -1363,12 +1356,12 @@ def cont_big_q_hermite_weight_reduced(family: ContBigQHermite, x: float) -> floa
 # ---------------------------------------------------------------------------
 
 
-def asc1_partial_fractions(family: AlSalamCarlitz1, z, rel_tol: float = 1e-14) -> complex:
+def asc1_partial_fractions(family: AlSalamCarlitz1, z) -> complex:
     """Residue expansion of 1/CF for the A = q case: explicit simple
     poles at z = q^n and z = q^n/delta.
 
-    Truncated once terms drop below rel_tol relative to the
-    accumulated sum.
+    Truncated once terms drop below 1e-14 relative to the accumulated
+    sum.
     """
     q, d = family.q, family.delta
     if abs(family.A - q) > 1e-12:
@@ -1397,7 +1390,7 @@ def asc1_partial_fractions(family: AlSalamCarlitz1, z, rel_tol: float = 1e-14) -
             pole2 * poch_q * poch_qd * d_inf
         )
         total += term
-        if abs(term) < rel_tol * max(abs(total), 1e-300) and n > 3:
+        if abs(term) < 1e-14 * max(abs(total), 1e-300) and n > 3:
             break
         if n > 10000:
             raise PoleHit("residue expansion did not settle")
@@ -1417,8 +1410,8 @@ def asc1_identity_checks(family: AlSalamCarlitz1, z, n: int, policy=DEFAULT_POLI
         raise ValueError("these identities require A = q")
     z = complex(z)
     qn = q**n
-    lhs_a = (-d * z) ** -n * q ** (n * (n - 1) // 2) * phi30_terminating(
-        q**-n, 1 / (z * d), 1 / z, d * z * z * qn, q, policy
+    lhs_a = (-d * z) ** -n * q ** (n * (n - 1) // 2) * phi_r0_terminating(
+        (q**-n, 1 / (z * d), 1 / z), d * z * z * qn, q, policy
     )
     rhs_a = z**n * qpoch(1 / z, q, n) * phi11(q**-n, z * q ** (1 - n), q / d, q, policy)
     lhs_b = (-1 / d) ** n * q ** (n * (n - 1) // 2) * phi21(

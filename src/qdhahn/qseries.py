@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,10 @@ INFINITY = math.inf
 
 # Numerator parameter p terminates a series iff |p - q^-m| < this times q^-m.
 TERMINATION_REL_TOL = 1e-13
+
+# An infinite q-Pochhammer product stops once its factors deviate from 1
+# by less than this times (1 - q).
+QPOCH_REL_TOL = 1e-15
 
 
 def _check_q(q) -> float:
@@ -222,14 +227,14 @@ class SeriesSpec:
         )
 
 
-def qpoch(a, q, n=INFINITY, rel_tol: float = 1e-15) -> complex:
+def qpoch(a, q, n=INFINITY) -> complex:
     """(a; q)_n for integer n (of either sign) or n = math.inf.
 
     The infinite product is truncated once the factor deviation
-    |a q^(j-1)| drops below rel_tol*(1-q); a first-order multiplicative
-    tail estimate exp(-a q^J / (1-q)) is then applied, so the result is
-    accurate well beyond the bare truncation point.  An array ``a``
-    gives the infinite product at every point.
+    |a q^(j-1)| drops below QPOCH_REL_TOL*(1-q); a first-order
+    multiplicative tail estimate exp(-a q^J / (1-q)) is then applied, so
+    the result is accurate well beyond the bare truncation point.  An
+    array ``a`` gives the infinite product at every point.
     """
     q = _check_q(q)
     try:
@@ -237,11 +242,11 @@ def qpoch(a, q, n=INFINITY, rel_tol: float = 1e-15) -> complex:
     except TypeError:  # an array of points
         if n != INFINITY:
             raise ValueError("grids of q-Pochhammer symbols need n = inf") from None
-        return _assert_finite(_qpoch_inf_grid(a, q, rel_tol), "infinite q-Pochhammer product")
+        return _assert_finite(_qpoch_inf_grid(a, q), "infinite q-Pochhammer product")
     if n == INFINITY:
         product = 1.0 + 0.0j
         factor = a  # a * q^(j-1), starting at j = 1
-        threshold = rel_tol * (1.0 - q)
+        threshold = QPOCH_REL_TOL * (1.0 - q)
         while abs(factor) >= threshold:
             product *= 1.0 - factor
             factor *= q
@@ -265,13 +270,13 @@ def qpoch(a, q, n=INFINITY, rel_tol: float = 1e-15) -> complex:
     return _assert_finite(1.0 / product, "negative-order q-Pochhammer")
 
 
-def _qpoch_inf_grid(a, q, rel_tol):
+def _qpoch_inf_grid(a, q):
     """(a; q)_inf at every point of the array ``a``, by the scalar rule:
     each point multiplies in its own factors until they fall below the
     threshold, then takes the same tail estimate."""
     factor = np.array(a, dtype=complex)
     product = np.ones(factor.shape, dtype=complex)
-    threshold = rel_tol * (1.0 - q)
+    threshold = QPOCH_REL_TOL * (1.0 - q)
     live = np.abs(factor) >= threshold
     while live.any():
         product = np.where(live, product * (1.0 - factor), product)
@@ -280,12 +285,12 @@ def _qpoch_inf_grid(a, q, rel_tol):
     return product * np.exp(-factor / (1.0 - q))
 
 
-def qpoch_multi(params, q, n=INFINITY, rel_tol: float = 1e-15) -> complex:
+def qpoch_multi(params, q, n=INFINITY) -> complex:
     """Product of (a_k; q)_n over a parameter list (empty list gives 1);
     array parameters give the product at every point."""
     product = 1.0 + 0.0j
     for a in params:
-        product *= qpoch(a, q, n, rel_tol)
+        product *= qpoch(a, q, n)
     return _assert_finite(product, "q-Pochhammer product list")
 
 
@@ -599,22 +604,25 @@ def _balanced_spec(a, b, c, d, e, q) -> SeriesSpec:
 # ---------------------------------------------------------------------------
 
 
-def _phi32_candidates(nums, d, e, w):
-    """The representations of the balanced 3-phi-2, in trial order before
-    ranking: (usable, series argument, kind, pivot, other numerators,
-    d, e).  "direct" is the series itself; every nonzero numerator
-    parameter pivots both continuations."""
-    grid = isinstance(w, np.ndarray)
-    candidates = [(abs(w) < 1.0 - 1e-12, w, "direct", None, None, d, e)]
+def _phi32_candidates(spec: SeriesSpec):
+    """The representations of the balanced 3-phi-2 ``spec``, in trial
+    order before ranking: (usable, series argument, kind, build), where
+    build() returns the (prefactor or None, SeriesSpec) representation.
+    "direct" is the series itself; every nonzero numerator parameter
+    pivots both continuations."""
+    nums, (d, e), w, q = spec.numerator, spec.denominator, spec.argument, spec.q
+    candidates = [(abs(w) < 1.0 - 1e-12, w, "direct", lambda: (None, spec))]
     for i, p in enumerate(nums):
         nonzero = p != 0
-        if not (nonzero.any() if grid else nonzero):
+        if not (nonzero.any() if spec.grid else nonzero):
             continue
         rest = [nums[j] for j in range(3) if j != i]
         for dd, ee in ((d, e), (e, d)):
             arg = ee / p
-            candidates.append(((abs(arg) < 1.0 - 1e-12) & nonzero, arg, "pivot-up", p, rest, dd, ee))
-        candidates.append(((abs(p) < 1.0 - 1e-12) & nonzero, p, "pivot-arg", p, rest, d, e))
+            candidates.append(((abs(arg) < 1.0 - 1e-12) & nonzero, arg, "pivot-up",
+                               partial(_phi32_rep, "pivot-up", p, rest, dd, ee, w, arg, q)))
+        candidates.append(((abs(p) < 1.0 - 1e-12) & nonzero, p, "pivot-arg",
+                           partial(_phi32_rep, "pivot-arg", p, rest, d, e, w, p, q)))
     return candidates
 
 
@@ -648,88 +656,42 @@ def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
     and argument de/(abc), continued analytically when that argument
     leaves the unit disk.
 
-    Both standard continuations are tried with every assignment of the
-    numerator parameters to the distinguished slot.  Candidates are
-    visited by increasing transformed-argument modulus and ranked by
-    estimated error; a candidate whose series collapses by cancellation
-    is passed over in favor of a better-conditioned one, since the
-    candidates agree analytically but not in double precision.
-    Array parameters give the series at every point.
+    A terminating series is summed directly.  Otherwise both standard
+    continuations are tried with every assignment of the numerator
+    parameters to the distinguished slot, ranked by ``_best_of`` with
+    the transformed-argument moduli as keys; a candidate whose series
+    collapses by cancellation is passed over in favor of a
+    better-conditioned one, since the candidates agree analytically but
+    not in double precision.  Array parameters give the series at every
+    point.
     """
     spec = _balanced_spec(a, b, c, d, e, q)
-    if spec.grid:
-        with np.errstate(all="ignore"):
-            return _phi32_grid(spec, policy)
-    w = spec.argument
-    if series_termination(spec, policy.max_terms) is not None:
-        return phi(spec, policy)
-
-    candidates = [cand for cand in _phi32_candidates(spec.numerator, *spec.denominator, w)
-                  if cand[0]]
-    candidates.sort(key=lambda cand: abs(cand[1]))
-    best = None
-    last_error = None
-    for _, arg, kind, p, rest, dd, ee in candidates:
-        try:
-            if kind == "direct":
-                series, weighted, tail = _phi_core(spec, policy)
-                prefactor = 1.0 + 0.0j
-            else:
-                pref, continued = _phi32_rep(kind, p, rest, dd, ee, w, arg, q)
-                prefactor = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
-                series, weighted, tail = _phi_core(continued, policy)
-            value = _assert_finite(prefactor * series, "continued balanced series")
-            err = _series_error(series, weighted, tail) / max(abs(series), 1e-300)
-            if err <= _TARGET_REL_ERROR:
-                return value
-            if best is None or err < best[0]:
-                best = (err, value)
-        except (ZeroDivisor, Overflow, DivergentSeries, MaxTermsExceeded) as exc:
-            last_error = exc
-    if best is not None:
-        return best[1]
-    raise NoConvergentRepresentation(
-        "no convergent representation of the balanced series at argument "
-        f"{w!r}" + _failure_note(last_error)
-    )
-
-
-def _phi32_grid(spec: SeriesSpec, policy: TruncationPolicy):
-    """``phi32`` at every point of a grid spec: terminating points are
-    summed directly, the others rank the same candidates point by point."""
-    q = spec.q
-    values = np.empty(spec.argument.size, dtype=complex)
     stop = series_termination(spec, policy.max_terms)
-    ends = np.flatnonzero(stop >= 0)
-    if ends.size:
-        values[ends] = phi(spec.take(ends), policy)
-    rest_pts = np.flatnonzero(stop < 0)
-    if not rest_pts.size:
-        return values
-    sub = spec.take(rest_pts)
-    w = sub.argument
-
-    def build(kind, p, rest, dd, ee, arg):
-        if kind == "direct":
-            return lambda: (None, sub)
-        return lambda: _phi32_rep(kind, p, rest, dd, ee, w, arg, q)
-
-    cands = _phi32_candidates(sub.numerator, *sub.denominator, w)
-    found, missing, last_error = _rank_grid(
-        [(cand[0], build(*cand[2:], cand[1])) for cand in cands], w.size, q, policy,
-        keys=[np.abs(cand[1]) for cand in cands], series_relative=True,
+    if not spec.grid:
+        if stop is not None:
+            return phi(spec, policy)
+        candidates, size = _phi32_candidates(spec), None
+    else:
+        values = np.empty(stop.size, dtype=complex)
+        ends, ranked = np.flatnonzero(stop >= 0), np.flatnonzero(stop < 0)
+        if ends.size:
+            values[ends] = phi(spec.take(ends), policy)
+        if not ranked.size:
+            return values
+        spec, size = spec.take(ranked), ranked.size
+        with np.errstate(all="ignore"):
+            candidates = _phi32_candidates(spec)
+    w = spec.argument
+    found = _best_of(
+        [(usable, build) for usable, _, _, build in candidates], spec.q, policy, size,
+        keys=[abs(arg) for _, arg, _, _ in candidates],
+        failure=lambda at: "no convergent representation of the balanced series at argument "
+        f"{complex(w if at is None else w[at])!r}",
     )
-    if missing.size:
-        raise NoConvergentRepresentation(
-            "no convergent representation of the balanced series at argument "
-            f"{complex(w[missing[0]])!r}" + _failure_note(last_error[missing[0]])
-        )
-    values[rest_pts] = found
+    if size is None:
+        return found
+    values[ranked] = found
     return values
-
-
-def _failure_note(error) -> str:
-    return f" (last failure: {error})" if error else ""
 
 
 # ---------------------------------------------------------------------------
@@ -744,20 +706,30 @@ def _failure_note(error) -> str:
 _TARGET_REL_ERROR = 5e-13
 
 
-def _best_of(candidates, q, policy, size=None):
+def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
     """Try candidates (usable, build) in order, where build() returns a
     (prefactor or None, SeriesSpec) representation; return the first
     value whose relative error estimate meets the target, else the
     overall best.  ``size`` is the number of grid points (None for a
-    scalar), and each grid point ranks its own usable candidates."""
+    scalar), and each grid point ranks its own usable candidates.
+
+    Given ``keys``, one per candidate, phi32's rule applies: candidates
+    are visited by increasing key (stable), the error is relative to
+    the series alone, and a value that leaves the double range fails
+    its candidate.  Where no candidate serves, NoConvergentRepresentation
+    says ``failure(i)`` for the point i (None for a scalar), or that no
+    usable representation was found.
+    """
     if size is not None:
         with np.errstate(all="ignore"):
-            found, missing, last_error = _rank_grid(candidates, size, q, policy)
+            found, missing, last_error = _rank_grid(candidates, size, q, policy, keys)
         if missing.size:
-            raise NoConvergentRepresentation(
-                "no usable representation found" + _failure_note(last_error[missing[0]])
-            )
+            raise _no_representation(failure, missing[0], last_error[missing[0]])
         return found
+    if keys is not None:
+        order = sorted((i for i, (usable, _) in enumerate(candidates) if usable),
+                       key=keys.__getitem__)
+        candidates = [candidates[i] for i in order]
     best = None
     last_error = None
     for usable, build in candidates:
@@ -767,37 +739,48 @@ def _best_of(candidates, q, policy, size=None):
             pref, spec = build()
             if pref is not None:
                 pref = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
-            value, weighted, tail = _phi_core(spec, policy)
-            err = _series_error(value, weighted, tail)
-            if pref is not None:
-                value, err = pref * value, err * abs(pref)
+            series, weighted, tail = _phi_core(spec, policy)
+            err = _series_error(series, weighted, tail)
+            value = series if pref is None else pref * series
+            if keys is not None:
+                value = _assert_finite(value, "continued balanced series")
+                rel = err / max(abs(series), 1e-300)
+            elif pref is not None:
+                err *= abs(pref)
         except (ZeroDivisor, Overflow, DivergentSeries, MaxTermsExceeded) as exc:
             last_error = exc
             continue
-        value = _assert_finite(value, "series evaluation")
-        rel = err / max(abs(value), 1e-300)
+        if keys is None:
+            value = _assert_finite(value, "series evaluation")
+            rel = err / max(abs(value), 1e-300)
         if rel <= _TARGET_REL_ERROR:
             return value
         if best is None or rel < best[0]:
             best = (rel, value)
     if best is not None:
         return best[1]
-    raise NoConvergentRepresentation(
-        "no usable representation found" + _failure_note(last_error)
-    )
+    raise _no_representation(failure, None, last_error)
 
 
-def _rank_grid(candidates, size, q, policy, keys=None, series_relative=False):
-    """The ranking loops of ``phi32`` and ``_best_of`` over a grid.
+def _no_representation(failure, at, last_error):
+    """The NoConvergentRepresentation of point ``at`` (None for a scalar),
+    named by ``failure`` when given, with the point's last failure."""
+    text = failure(at) if failure else "no usable representation found"
+    note = f" (last failure: {last_error})" if last_error else ""
+    return NoConvergentRepresentation(text + note)
+
+
+def _rank_grid(candidates, size, q, policy, keys=None):
+    """``_best_of``'s ranking loop over a grid.
 
     Every point visits its usable candidates (usable, build) in its own
     order: by increasing ``keys`` (stable) when given, else in list
     order.  It keeps the first value whose relative error estimate meets
     _TARGET_REL_ERROR, else its smallest estimate; a candidate is summed
-    only at the points that reach it.  The error is relative to the
-    series alone when ``series_relative`` (phi32's rule), else to the
-    value.  Returns (values, indices of points with no usable result,
-    last failure per point).
+    only at the points that reach it.  Given ``keys``, the error is
+    relative to the series alone and a non-finite value fails the point
+    (phi32's rule).  Returns (values, indices of points with no usable
+    result, last failure per point).
     """
     count = len(candidates)
     usable = np.array([np.broadcast_to(u, (size,)) for u, _ in candidates])
@@ -816,7 +799,7 @@ def _rank_grid(candidates, size, q, policy, keys=None, series_relative=False):
         for slot in sorted(set(order[rank][waiting].tolist())):
             pts = np.flatnonzero(waiting & (order[rank] == slot))
             rep = candidates[slot][1]()
-            value, rel, errors = _grid_candidate(rep, pts, q, policy, series_relative)
+            value, rel, errors = _grid_candidate(rep, pts, q, policy, keys is not None)
             ok = np.equal(errors, None)
             last_error[pts[~ok]] = errors[~ok]
             win = ok & (rel <= _TARGET_REL_ERROR)
@@ -840,16 +823,14 @@ def _grid_candidate(rep, pts, q, policy, series_relative):
     series, weighted, tail, series_errors = _phi_core(spec.take(pts), policy)
     errors = np.where(np.equal(errors, None), series_errors, errors)
     err = _series_error(series, weighted, tail)
+    value = series if pref is None else factor * series
     if series_relative:
-        value = series if pref is None else factor * series
         errors[np.equal(errors, None) & ~np.isfinite(value)] = Overflow(
             "continued balanced series left the double-precision range"
         )
         return value, err / np.maximum(np.abs(series), 1e-300), errors
     if pref is not None:
-        value, err = factor * series, err * np.abs(factor)
-    else:
-        value = series
+        err = err * np.abs(factor)
     if (np.equal(errors, None) & ~np.isfinite(value)).any():
         raise Overflow("series evaluation left the double-precision range")
     return value, err / np.maximum(np.abs(value), 1e-300), errors
@@ -864,7 +845,7 @@ def _grid_prefactor(pref, pts, q):
         product = np.ones(pts.size, dtype=complex)
         for a in params:
             a = a[pts] if isinstance(a, np.ndarray) else np.full(pts.size, a, dtype=complex)
-            factor = _qpoch_inf_grid(a, q, 1e-15)
+            factor = _qpoch_inf_grid(a, q)
             overflow |= ~np.isfinite(factor)
             product *= factor
         overflow |= ~np.isfinite(product)
@@ -948,19 +929,12 @@ def phi22_balanced(a1, a2, b1, b2, w, q, policy: TruncationPolicy = DEFAULT_POLI
     return _best_of(candidates, q, policy)
 
 
-def phi20_terminating(a1, a2, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """2-phi-0, which only exists as a terminating sum."""
-    spec = SeriesSpec((a1, a2), (), q, w)
+def phi_r0_terminating(numerator, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """r-phi-0 with the given numerator parameters, which only exists as
+    a terminating sum."""
+    spec = SeriesSpec(tuple(numerator), (), q, w)
     if series_termination(spec, policy.max_terms) is None:
-        raise DivergentSeries("2-phi-0 diverges unless a parameter is q^-m")
-    return phi(spec, policy)
-
-
-def phi30_terminating(a1, a2, a3, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """3-phi-0, which only exists as a terminating sum."""
-    spec = SeriesSpec((a1, a2, a3), (), q, w)
-    if series_termination(spec, policy.max_terms) is None:
-        raise DivergentSeries("3-phi-0 diverges unless a parameter is q^-m")
+        raise DivergentSeries(f"{spec.r}-phi-0 diverges unless a parameter is q^-m")
     return phi(spec, policy)
 
 

@@ -24,6 +24,9 @@ from .errors import (
 
 RENORM_EVERY = 50
 _LOG_HUGE = 700.0  # ~ log(1e304)
+# cf_adaptive's first truncation depth, and the depth it gives up past
+CF_START_DEPTH = 32
+CF_MAX_DEPTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -256,44 +259,40 @@ def _forward_grid(a, b_sq, z, x_prev, x_0, provenance):
     return SolutionSequence(-1, mantissas, scales, provenance)
 
 
+def _aligned(*terms: Scaled):
+    """The mantissas of ``terms`` brought to their largest log scale, and
+    that scale."""
+    shift = max(t.log_scale for t in terms)
+    return [t.mantissa * math.exp(t.log_scale - shift) for t in terms], shift
+
+
+def _recurrence_terms(family, z, seq: SolutionSequence, n: int):
+    """The recurrence terms X_{n+1}, (z - a_n) X_n and b_n^2 X_{n-1},
+    ``_aligned`` to one log scale."""
+    a_n, b_sq = coeffs(family, n)
+    return _aligned(seq.scaled(n + 1), seq.scaled(n) * (complex(z) - a_n),
+                    seq.scaled(n - 1) * b_sq)
+
+
 def residual(family, z, seq: SolutionSequence, n: int) -> complex:
     """X_{n+1} - (z - a_n) X_n + b_n^2 X_{n-1}; zero for exact solutions."""
-    a_n, b_sq = coeffs(family, n)
-    t1 = seq.scaled(n + 1)
-    t2 = seq.scaled(n) * (complex(z) - a_n)
-    t3 = seq.scaled(n - 1) * b_sq
-    shift = max(t.log_scale for t in (t1, t2, t3))
-    total = (
-        t1.mantissa * math.exp(t1.log_scale - shift)
-        - t2.mantissa * math.exp(t2.log_scale - shift)
-        + t3.mantissa * math.exp(t3.log_scale - shift)
-    )
-    return Scaled(total, shift).value
+    (t1, t2, t3), shift = _recurrence_terms(family, z, seq, n)
+    return Scaled(t1 - t2 + t3, shift).value
 
 
 def relative_residual(family, z, seq: SolutionSequence, n: int) -> float:
     """|residual| normalized by the largest of the three recurrence terms."""
-    a_n, b_sq = coeffs(family, n)
-    t1 = seq.scaled(n + 1)
-    t2 = seq.scaled(n) * (complex(z) - a_n)
-    t3 = seq.scaled(n - 1) * b_sq
-    shift = max(t.log_scale for t in (t1, t2, t3))
-    parts = [t.mantissa * math.exp(t.log_scale - shift) for t in (t1, t2, t3)]
-    scale = max(abs(p) for p in parts)
+    (t1, t2, t3), _ = _recurrence_terms(family, z, seq, n)
+    scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0:
         return 0.0
-    return abs(parts[0] - parts[1] + parts[2]) / scale
+    return abs(t1 - t2 + t3) / scale
 
 
 def casoratian(x: SolutionSequence, y: SolutionSequence, n: int) -> complex:
     """Discrete Wronskian X_n Y_{n+1} - X_{n+1} Y_n."""
-    a = x.scaled(n) * y.scaled(n + 1)
-    b = x.scaled(n + 1) * y.scaled(n)
-    shift = max(a.log_scale, b.log_scale)
-    diff = a.mantissa * math.exp(a.log_scale - shift) - b.mantissa * math.exp(
-        b.log_scale - shift
-    )
-    return Scaled(diff, shift).value
+    (a, b), shift = _aligned(x.scaled(n) * y.scaled(n + 1), x.scaled(n + 1) * y.scaled(n))
+    return Scaled(a - b, shift).value
 
 
 def minimality_ratio(candidate: SolutionSequence, dominant: SolutionSequence):
@@ -337,8 +336,9 @@ def cf_truncated(family, z, depth: int, table=None) -> complex:
     return z - a[0] - tail
 
 
-def cf_adaptive(family, z, rel_tol: float = 1e-12, start_depth: int = 32, max_depth: int = 1 << 16):
-    """Double the truncation depth until successive values agree.
+def cf_adaptive(family, z, rel_tol: float = 1e-12):
+    """Double the truncation depth from CF_START_DEPTH until successive
+    values agree, up to CF_MAX_DEPTH.
 
     Returns (value, depth).  A pole hit at some depth is retried at a
     slightly perturbed depth.  Every depth reads one coefficient table,
@@ -354,15 +354,15 @@ def cf_adaptive(family, z, rel_tol: float = 1e-12, start_depth: int = 32, max_de
                 continue
         raise ZeroDenominator(f"persistent pole near depth {d}")
 
-    depth = start_depth
+    depth = CF_START_DEPTH
     prev = attempt(depth)
-    while depth <= max_depth:
+    while depth <= CF_MAX_DEPTH:
         depth *= 2
         cur = attempt(depth)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur, depth
         prev = cur
-    raise ZeroDenominator(f"continued fraction did not settle by depth {max_depth}")
+    raise ZeroDenominator(f"continued fraction did not settle by depth {CF_MAX_DEPTH}")
 
 
 def characteristic_roots(z, product):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import cdqhahn, limits, qseries, recurrence
 from .errors import QdhError, QuadratureNotConverged
+from .qseries import phi32
 
 DEFAULT_SEED = 20240801
 
@@ -205,28 +206,24 @@ def _balanced_draw(rng, q):
 CONTIGUOUS_RELATIONS = ("a-up", "up-mixed", "a-bilateral", "a-updown", "all-updown")
 
 
-def _phi(a, b, c, d, e, q):
-    return qseries.phi32(a, b, c, d, e, q)
-
-
 def _contiguous_residual(relation_id, a, b, c, d, e, q):
     """Residual of the named three-term shift relation, normalized by
     its largest term."""
     if relation_id == "a-up":
         terms = [
-            _phi(a, b, c, d, e, q),
-            -_phi(a * q, b, c, d, e, q),
+            phi32(a, b, c, d, e, q),
+            -phi32(a * q, b, c, d, e, q),
             (1 - b)
             * (1 - c)
             / ((1 - d) * (1 - e))
             * (d * e / (a * b * c * q))
-            * _phi(a * q, b * q, c * q, d * q, e * q, q),
+            * phi32(a * q, b * q, c * q, d * q, e * q, q),
         ]
     elif relation_id == "up-mixed":
         terms = [
-            (1 - d) * (1 - e) * _phi(a, b, c, d, e, q),
-            (d - a) * (1 - e / a) * _phi(a, b * q, c * q, d * q, e * q, q),
-            -(1 - a) * (1 - d * e / (a * b * c * q)) * _phi(a * q, b * q, c * q, d * q, e * q, q),
+            (1 - d) * (1 - e) * phi32(a, b, c, d, e, q),
+            (d - a) * (1 - e / a) * phi32(a, b * q, c * q, d * q, e * q, q),
+            -(1 - a) * (1 - d * e / (a * b * c * q)) * phi32(a * q, b * q, c * q, d * q, e * q, q),
         ]
     elif relation_id == "a-bilateral":
         terms = [
@@ -236,21 +233,21 @@ def _contiguous_residual(relation_id, a, b, c, d, e, q):
             * (1 - e / a)
             / ((1 - d) * (1 - e))
             * (d * e / (b * c * q))
-            * _phi(a, b * q, c * q, d * q, e * q, q),
+            * phi32(a, b * q, c * q, d * q, e * q, q),
             -(
                 (1 - a) * (1 - d * e / (a * b * c * q))
                 + a * (1 - d / (a * q)) * (1 - e / (a * q))
                 + (d * e / (a * b * c * q)) * (1 - b) * (1 - c)
             )
-            * _phi(a, b, c, d, e, q),
-            (1 - d / q) * (1 - e / q) * _phi(a, b / q, c / q, d / q, e / q, q),
+            * phi32(a, b, c, d, e, q),
+            (1 - d / q) * (1 - e / q) * phi32(a, b / q, c / q, d / q, e / q, q),
         ]
     elif relation_id == "a-updown":
         terms = [
             (d * e * (a - b - c) + a * b * c * (d + e + q - a - a * q))
-            * _phi(a, b, c, d, e, q),
-            (1 - a) * (d * e - a * b * c * q) * _phi(a * q, b, c, d, e, q),
-            b * c * (d - a) * (e - a) * _phi(a / q, b, c, d, e, q),
+            * phi32(a, b, c, d, e, q),
+            (1 - a) * (d * e - a * b * c * q) * phi32(a * q, b, c, d, e, q),
+            b * c * (d - a) * (e - a) * phi32(a / q, b, c, d, e, q),
         ]
     elif relation_id == "all-updown":
         terms = [
@@ -260,10 +257,10 @@ def _contiguous_residual(relation_id, a, b, c, d, e, q):
             / ((1 - d) * (1 - e))
             * (d * e / (a * b * c * q))
             * (d * e - a * b * c * q)
-            * _phi(a * q, b * q, c * q, d * q, e * q, q),
+            * phi32(a * q, b * q, c * q, d * q, e * q, q),
             (a * b * c * (d + e - q) + d * e * (1 + q - a - b - c))
-            * _phi(a, b, c, d, e, q),
-            a * b * c * q * (1 - d / q) * (1 - e / q) * _phi(a / q, b / q, c / q, d / q, e / q, q),
+            * phi32(a, b, c, d, e, q),
+            a * b * c * q * (1 - d / q) * (1 - e / q) * phi32(a / q, b / q, c / q, d / q, e / q, q),
         ]
     else:
         raise KeyError(f"unknown contiguous relation {relation_id!r}")
@@ -482,11 +479,12 @@ def check_orthogonality(case: str = "reduced", n_max: int = 6, nodes: int = 2000
     return report
 
 
-def transform_pole_free(params, x_max: float = 30.0, samples: int = 1200) -> bool:
+def transform_pole_free(params, x_max: float = 30.0) -> bool:
     """Scan the transform denominator for sign changes on the real axis
-    outside the cut; used to justify mass-free orthogonality draws."""
+    outside the cut, at 1200 points a side; used to justify mass-free
+    orthogonality draws."""
     for side in (1.0, -1.0):
-        grid = np.geomspace(1.0 + 1e-4, x_max, samples) * side
+        grid = np.geomspace(1.0 + 1e-4, x_max, 1200) * side
         lam = cdqhahn.spectral_point(params, x=grid).lam_minus
         vals = params._ratio_denominator(lam).real
         if (vals[:-1] * vals[1:] < 0).any():

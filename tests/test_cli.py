@@ -337,6 +337,12 @@ CONTRACT_CASES = [
     # a point on the cut with a side evaluates
     *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "poly", "--n", "3",
         *CDQH_ARGS), {}, 0) for side in ("above", "below")],
+    # except the truncated J-fraction, whose poles lie on the cut
+    *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "cf-trunc",
+        *CDQH_ARGS), {}, 3) for side in ("above", "below")],
+    # a zero scan finds at least one zero, or there is nothing to interlace
+    *[(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--max-zeros", count,
+        "--interlace"), {}, 2) for count in ("0", "-3")],
 ]
 
 
@@ -346,7 +352,7 @@ def _case_id(case):
     argv, env, _ = case
     named = [f"{k}={v}" for k, v in env.items()]
     for option in ("--family", "--f", "--what", "--n", "--x", "--grid", "--which", "--side",
-                   "--tol", "--cf-form", "--delta"):
+                   "--tol", "--cf-form", "--delta", "--max-zeros"):
         if option in argv:
             named.append(f"{option.lstrip('-')}={argv[argv.index(option) + 1]}")
     return "-".join([argv[0], *named])

@@ -158,11 +158,13 @@ class TestGridErrors:
             qseries.phi21(np.array([0.3, 1.5]), 1.2, 0.5, np.array([0.5, 1.5]), 0.5)
 
     def test_balanced_series_without_convergent_form(self):
-        # |de/(abc)| = 9/8 and every pivot argument is at least 1.5
-        with pytest.raises(NoConvergentRepresentation):
+        # |de/(abc)| = 9/8 and every pivot argument is at least 1.5; the
+        # grid names its first such point as the scalar call does
+        with pytest.raises(NoConvergentRepresentation) as scalar:
             qseries.phi32(2.0, 2.0, 2.0, 3.0, 3.0, 0.45)
-        with pytest.raises(NoConvergentRepresentation):
-            qseries.phi32(np.array([0.4, 2.0]), 2.0, 2.0, 3.0, 3.0, 0.45)
+        with pytest.raises(NoConvergentRepresentation) as grid:
+            qseries.phi32(np.array([0.4, 2.0, 2.2]), 2.0, 2.0, 3.0, 3.0, 0.45)
+        assert str(grid.value) == str(scalar.value)
 
     def test_zero_numerator_parameter(self):
         with pytest.raises(ZeroDivisor):
@@ -191,10 +193,8 @@ class TestSeriesGrids:
         a, b, c, d, e = a[keep][:300], b[keep][:300], c[keep][:300], d[keep][:300], e[keep][:300]
         leading = set()
         for i in range(a.size):
-            nums = tuple(complex(v) for v in (a[i], b[i], c[i]))
-            w = complex(d[i] * e[i] / (a[i] * b[i] * c[i]))
-            cands = [cand for cand in qseries._phi32_candidates(nums, d[i] + 0j, e[i] + 0j, w)
-                     if cand[0]]
+            spec = qseries._balanced_spec(a[i], b[i], c[i], d[i], e[i], q)
+            cands = [cand for cand in qseries._phi32_candidates(spec) if cand[0]]
             leading.add(min(cands, key=lambda cand: abs(cand[1]))[2])
         assert leading == {"pivot-up", "pivot-arg"}
         grid = qseries.phi32(a, b, c, d, e, q)
@@ -202,12 +202,24 @@ class TestSeriesGrids:
         assert max_rel_dev(grid, scalar) <= GRID_REL_TOL
 
     def test_phi32_grid_with_terminating_points(self):
-        # b = q^-2 terminates the series at the first point only
-        q = 0.5
-        b = np.array([q ** -2, 0.3])
-        grid = qseries.phi32(0.4, b, 0.6, 0.7, 0.8, q)
-        for i in range(2):
-            scalar = qseries.phi32(0.4, b[i], 0.6, 0.7, 0.8, q)
+        # b = q^-m terminates the series at every third point; the others
+        # sum directly or continue, inside and outside the unit disk
+        rng = np.random.default_rng(5)
+        q, size = 0.5, 60
+        a, b, c = (rng.uniform(0.15, 0.9, size) for _ in range(3))
+        d, e = (rng.uniform(0.2, 0.95, size) * np.exp(1j * rng.uniform(-1, 1, size))
+                for _ in range(2))
+        b[::3] = q ** -(np.arange(size // 3) % 4 + 1.0)
+        for i, bi in enumerate((q ** -2, 0.3)):
+            a[i], b[i], c[i], d[i], e[i] = 0.4, bi, 0.6, 0.7, 0.8
+        spec = qseries._balanced_spec(a, b, c, d, e, q)
+        stop = qseries.series_termination(spec)
+        assert (stop >= 0).sum() == size // 3
+        w = np.abs(spec.argument[stop < 0])
+        assert (w < 1).any() and (w > 1).sum() > 10
+        grid = qseries.phi32(a, b, c, d, e, q)
+        for i in range(size):
+            scalar = qseries.phi32(a[i], b[i], c[i], d[i], e[i], q)
             assert abs(grid[i] - scalar) <= GRID_REL_TOL * abs(scalar)
 
     @pytest.mark.parametrize("c", [0.0, 0.35])

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdhahn import qseries
-from qdhahn.errors import DivergentSeries, MaxTermsExceeded, ZeroDivisor
+from qdhahn.errors import (
+    DivergentSeries,
+    MaxTermsExceeded,
+    NoConvergentRepresentation,
+    Overflow,
+    QdhError,
+    ZeroDivisor,
+)
 from qdhahn.qseries import SeriesSpec, TruncationPolicy, phi, phi32, qpoch, qpoch_multi
 
 from conftest import brute_phi, brute_qpoch, brute_qpoch_inf
@@ -224,6 +232,91 @@ class TestPhi32:
         ) * brute_phi((d / a, e / a, w), (de / (a * b), de / (a * c)), q, a)
         assert abs(up - arg) < 1e-11 * abs(up)
         assert abs(phi32(a, b, c, d, e, q) - up) < 1e-11 * abs(up)
+
+
+def ranked_phi32(a, b, c, d, e, q, policy=qseries.DEFAULT_POLICY):
+    """The reference for phi32's ranking: a copy of the scalar loop it ran
+    before ranking through ``_best_of``.  Usable candidates go by
+    increasing argument modulus, the error is relative to the series, an
+    overflowed value fails its candidate, and the first candidate within
+    5e-13 wins."""
+    spec = qseries._balanced_spec(a, b, c, d, e, q)
+    w = spec.argument
+    if qseries.series_termination(spec, policy.max_terms) is not None:
+        return phi(spec, policy)
+    candidates = [cand for cand in qseries._phi32_candidates(spec) if cand[0]]
+    candidates.sort(key=lambda cand: abs(cand[1]))
+    best = None
+    last_error = None
+    for _, _, _, build in candidates:
+        try:
+            pref, series_spec = build()
+            prefactor = 1.0 + 0.0j
+            if pref is not None:
+                prefactor = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
+            series, weighted, tail = qseries._phi_core(series_spec, policy)
+            value = qseries._assert_finite(prefactor * series, "continued balanced series")
+            err = qseries._series_error(series, weighted, tail) / max(abs(series), 1e-300)
+            if err <= 5e-13:
+                return value
+            if best is None or err < best[0]:
+                best = (err, value)
+        except (ZeroDivisor, Overflow, DivergentSeries, MaxTermsExceeded) as exc:
+            last_error = exc
+    if best is not None:
+        return best[1]
+    note = f" (last failure: {last_error})" if last_error else ""
+    raise NoConvergentRepresentation(
+        f"no convergent representation of the balanced series at argument {w!r}{note}")
+
+
+def outcome(fn, *args):
+    """The value as its exact bits (signed zeros included), or the error
+    class and message."""
+    try:
+        value = fn(*args)
+    except QdhError as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+def balanced_draws(rng, count, lo, outside):
+    """``count`` balanced-series parameter sets (a, b, c, d, e, q), every
+    third real, with a, b, c of modulus in lo[0] and d, e in lo[1], whose
+    argument de/(abc) lies outside the unit disk or, if not ``outside``,
+    inside it."""
+    draws = []
+    while len(draws) < count:
+        phase = 0.0 if len(draws) % 3 == 0 else 1.0
+        a, b, c, d, e = (rng.uniform(*lo[i > 2]) * cmath.exp(1j * rng.uniform(-phase, phase))
+                         for i in range(5))
+        if (abs(d * e / (a * b * c)) > 1) == outside:
+            draws.append((a, b, c, d, e, rng.uniform(0.2, 0.8)))
+    return draws
+
+
+class TestPhi32Ranking:
+    def test_matches_the_former_ranking_loop_outside_the_unit_disk(self):
+        draws = balanced_draws(random.Random(11), 400, ((0.1, 1.6), (0.1, 1.8)), True)
+        assert [outcome(phi32, *args) for args in draws] == [
+            outcome(ranked_phi32, *args) for args in draws]
+
+    def test_matches_the_former_ranking_loop_inside_the_unit_disk(self):
+        # the former loop multiplied the direct sum by 1 + 0j; a sum that
+        # starts at 1 + 0j has no -0.0 part, so the product is the sum
+        draws = balanced_draws(random.Random(13), 200, ((0.3, 1.6), (0.1, 1.2)), False)
+        assert [outcome(phi32, *args) for args in draws] == [
+            outcome(ranked_phi32, *args) for args in draws]
+
+    def test_matches_the_former_ranking_loop_without_a_convergent_form(self):
+        draws = balanced_draws(random.Random(12), 200, ((1.2, 2.6), (2.0, 4.5)), True)
+        outcomes = [outcome(phi32, *args) for args in draws]
+        assert outcomes == [outcome(ranked_phi32, *args) for args in draws]
+        failed = [out for out in outcomes if out[0] == "NoConvergentRepresentation"]
+        assert len(failed) > 20
+        assert all(message.startswith(
+            "no convergent representation of the balanced series at argument (")
+            for _, message in failed)
 
 
 class TestTransformRegistry:
