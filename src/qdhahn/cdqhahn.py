@@ -41,6 +41,7 @@ from .qseries import (
     qpoch_multi,
     sqrt,
     support_points,
+    term_ratio,
     weight_density,
 )
 from .recurrence import Scaled, SolutionSequence
@@ -267,23 +268,12 @@ class CDQHParams:
         A, B, C, D = self.A, self.B, self.C, self.D
         u = point.u
         ta = 2 * point.alpha
-
-        def ratio(k, nums, dens, step):
-            """step * prod(1 - p q^(k-1), p in nums) / (the same over dens)."""
-            num = 1.0 + 0.0j
-            for p in nums:
-                num *= 1 - p * q ** (k - 1)
-            den = 1.0 + 0.0j
-            for p in dens:
-                den *= 1 - p * q ** (k - 1)
-            if den == 0:
-                raise ZeroDivisor("explicit polynomial denominator vanished")
-            return num / den * step
-
         pref = (u / ta) ** n * qpoch_multi([A, D, ta * q / (A * D * u)], q, n) / qpoch(q, q, n)
-        outer = [1 / q**n, ta * u / B, ta * u / C], [A * D * u / ta / q**n, A, D], A * D / (ta * u)
-        inner = [A / q, D / q, A * D * u / ta], [q, ta * u / B, ta * u / C], ta * u * q / (A * D)
-        return pref, lambda ell: ratio(ell, *outer), lambda j: ratio(j, *inner)
+        outer = ([1 / q**n, ta * u / B, ta * u / C], [A * D * u / ta / q**n, A, D],
+                 A * D / (ta * u), 0)
+        inner = ([A / q, D / q, A * D * u / ta], [q, ta * u / B, ta * u / C],
+                 ta * u * q / (A * D), 0)
+        return pref, outer, inner
 
     def _weight_parts(self, point, policy):
         q = self.q
@@ -605,7 +595,7 @@ def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     point = _spectral(params, point, single_valued=True)
     if point.u == 0:
         raise ZeroDivisor("u must be nonzero")
-    return qseries.double_sum(n, lambda: params._poly_terms(point, n))
+    return qseries.double_sum(n, params.q, lambda: params._poly_terms(point, n))
 
 
 def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
@@ -621,38 +611,17 @@ def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> comple
 
     def evaluate():
         pref = qpoch_multi([B, C], q, n) / (B * C) ** n
+        outer = [q ** (-n), root * u, root / u], [q, B, C], q, 0
         total = 0.0 + 0.0j
         outer_t = 1.0 + 0.0j
         for k in range(n + 1):
             if k > 0:
-                num = (
-                    (1 - q ** (-n) * q ** (k - 1))
-                    * (1 - root * u * q ** (k - 1))
-                    * (1 - root / u * q ** (k - 1))
-                )
-                den = (1 - q**k) * (1 - B * q ** (k - 1)) * (1 - C * q ** (k - 1))
-                if den == 0:
-                    raise ZeroDivisor("explicit polynomial denominator vanished")
-                outer_t *= num / den * q
-            inner_total = 0.0 + 0.0j
-            inner_t = 1.0 + 0.0j
-            for j in range(n - k + 1):
-                if j > 0:
-                    num = (
-                        (1 - A / q * q ** (j - 1))
-                        * (1 - D / q * q ** (j - 1))
-                        * (1 - q ** (k + 1) * q ** (j - 1))
-                        * (1 - q ** (k - n) * q ** (j - 1))
-                    )
-                    den = (
-                        (1 - q**j)
-                        * (1 - C * q**k * q ** (j - 1))
-                        * (1 - B * q**k * q ** (j - 1))
-                        * (1 - q ** (-n) * q ** (j - 1))
-                    )
-                    if den == 0:
-                        raise ZeroDivisor("explicit polynomial denominator vanished")
-                    inner_t *= num / den * (B * C * q / (A * D))
+                outer_t *= term_ratio(q, k, outer)
+            inner = ([A / q, D / q, q ** (k + 1), q ** (k - n)],
+                     [q, C * q**k, B * q**k, q ** (-n)], B * C * q / (A * D), 0)
+            inner_total = inner_t = 1.0 + 0.0j
+            for j in range(1, n - k + 1):
+                inner_t *= term_ratio(q, j, inner)
                 inner_total += inner_t
             total += outer_t * inner_total
         return pref * total

@@ -129,6 +129,17 @@ def _family_comment(family_obj):
     return " ".join(parts)
 
 
+_FAMILY_OPTIONS = (("--q", "q"), ("--A", "a_par"), ("--B", "b_par"), ("--C", "c_par"),
+                   ("--D", "d_par"), ("--delta", "delta"), ("--a", "a_small"))
+
+
+def _family_options(command):
+    """The family parameters, declared once for every command that builds a family."""
+    for flag, name in reversed(_FAMILY_OPTIONS):
+        command = click.option(flag, name, type=float, default=None)(command)
+    return command
+
+
 @click.group()
 def main():
     """Associated continuous dual q-Hahn polynomials and their limit
@@ -146,13 +157,7 @@ def main():
 @click.option("--x", "x_text", default=None, help="rescaled argument on the cut side")
 @click.option("--grid", default=None, help="lo:hi:count grid over z (or x for weight)")
 @click.option("--depth", type=int, default=400, help="truncation depth for cf-trunc")
-@click.option("--q", type=float, default=None)
-@click.option("--A", "a_par", type=float, default=None)
-@click.option("--B", "b_par", type=float, default=None)
-@click.option("--C", "c_par", type=float, default=None)
-@click.option("--D", "d_par", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--a", "a_small", type=float, default=None)
+@_family_options
 @click.option("--cf-form", default=None, help="closed form variant for --what cf")
 @click.option("--side", type=click.Choice(["off-cut", "above", "below"]),
               default=None, help="boundary side when the point lies on the cut")
@@ -269,11 +274,9 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
     if max_zeros < 1:
         raise click.UsageError("--max-zeros must be >= 1")
     if f_name == "fourth-limit":
-        fam = limits.FourthLimit(q)
+        fam = _build_family(f_name, q, None, None, None, None, None, None)
         handle = limits.fourth_limit_series(fam, n_index)
         lo, hi = limits.fourth_limit_zero_window(q, n_index, max_zeros)
-        next_handle = limits.fourth_limit_series(fam, n_index + 1)
-        next_window = limits.fourth_limit_zero_window(q, n_index + 1, max_zeros)
     elif ":" in f_name:
         family_id, part = f_name.split(":", 1)
         if part not in ("num", "den"):
@@ -285,25 +288,26 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
         def handle(x):
             return limits.limit_cf_parts(fam, x)[index].real
 
-        next_handle = None
-        next_window = None
         if scan_lo is None or scan_hi is None:
             raise click.UsageError("missing: scan-lo/scan-hi for cf parts")
-        lo, hi = scan_lo, scan_hi
     else:
         raise click.UsageError(f"unknown series handle {f_name!r}")
     if scan_lo is not None:
         lo = scan_lo
     if scan_hi is not None:
         hi = scan_hi
-    zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros)
+    try:
+        zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros)
+    except ValueError as exc:  # the library's check of the window: endpoints of one sign
+        raise click.UsageError(str(exc))
     rows = [[z, b[0], b[1]] for z, b in zip(zl.zeros, zl.brackets)]
     _emit_rows(rows, ("zero", "bracket_lo", "bracket_hi"), fmt)
     if interlace:
-        if next_handle is None:
+        if f_name != "fourth-limit":
             raise click.UsageError("interlacing report needs --f fourth-limit")
-        zl2 = limits.find_zeros(next_handle, next_window[0], next_window[1],
-                                max_zeros=max_zeros)
+        next_handle = limits.fourth_limit_series(fam, n_index + 1)
+        next_lo, next_hi = limits.fourth_limit_zero_window(q, n_index + 1, max_zeros)
+        zl2 = limits.find_zeros(next_handle, next_lo, next_hi, max_zeros=max_zeros)
         ok = limits.interlaces(zl, zl2)
         click.echo(f"interlace n={n_index} vs n={n_index + 1}: {'pass' if ok else 'fail'}")
         if not ok:
@@ -315,13 +319,7 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
 @click.option("--n-lo", type=int, default=0)
 @click.option("--n-hi", type=int, required=True)
 @click.option("--grid", required=True, help="lo:hi:count grid over z")
-@click.option("--q", type=float, default=None)
-@click.option("--A", "a_par", type=float, default=None)
-@click.option("--B", "b_par", type=float, default=None)
-@click.option("--C", "c_par", type=float, default=None)
-@click.option("--D", "d_par", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--a", "a_small", type=float, default=None)
+@_family_options
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
 def cmd_table(family, n_lo, n_hi, grid, q, a_par, b_par, c_par, d_par, delta,
               a_small, fmt):

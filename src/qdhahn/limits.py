@@ -4,7 +4,9 @@ Each family is a frozen dataclass exposing the recurrence coefficients
 ``a_coeff(n)`` / ``b_sq_coeff(n)`` and declaring its closed forms once,
 as members that the module-level functions look up: ``_solutions``
 (index -> evaluator; 1 is always the subdominant/minimal one),
-``_poly_terms`` (the explicit polynomial's double sum), ``_cf_forms``
+``_poly_terms`` (the explicit polynomial's double sum, declared as a
+prefactor and the (nums, dens, step, power) factors of its outer and
+inner term ratios, which ``qseries.double_sum`` sums), ``_cf_forms``
 (name -> series pair of 1/CF and its value, the default first),
 ``_scan_series`` (the pair zero scans use) and, for the three families
 with a spectral cut, ``_growth_product`` and ``_weight_parts``.
@@ -86,11 +88,6 @@ def _gamma(family) -> complex:
 
 def _terminates(p, q) -> bool:
     return termination_order(p, q) is not None
-
-
-def _nz(value):
-    if value == 0:
-        raise ZeroDivisor("polynomial term denominator vanished")
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +194,8 @@ class BigQLaguerre(_LimitFamily):
     def _poly_terms(self, z, n):
         q, A, B, C = self.q, self.A, self.B, self.C
         pref = z**n * qpoch_multi([A, B, q / (A * B * z)], q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - A * B * C * z / q * q ** (ell - 1))
-            den = (
-                (1 - A * B * z * q ** (-n) * q ** (ell - 1))
-                * (1 - A * q ** (ell - 1))
-                * (1 - B * q ** (ell - 1))
-            )
-            _nz(den)
-            return num / den * (-(q ** (ell - 1))) * (A * B / C)
-
-        def inner(j):
-            num = (
-                (1 - A / q * q ** (j - 1))
-                * (1 - B / q * q ** (j - 1))
-                * (1 - A * B * z * q ** (j - 1))
-            )
-            den = (1 - A * B * C * z / q * q ** (j - 1)) * (1 - q**j)
-            _nz(den)
-            return num / den * (C * q / (A * B)) * (-(q ** (-(j - 1))))
-
+        outer = [q**-n, A * B * C * z / q], [A * B * z * q**-n, A, B], -(A * B / C), 1
+        inner = [A / q, B / q, A * B * z], [A * B * C * z / q, q], -(C * q / (A * B)), -1
         return pref, outer, inner
 
     def _cf(self, z, policy):
@@ -290,27 +268,8 @@ class Wall(_LimitFamily):
     def _poly_terms(self, z, n):
         q, A, B = self.q, self.A, self.B
         pref = z**n * qpoch_multi([q / (A * B * z), A, B], q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = (
-                (1 - q ** (-n) * A * B * z * q ** (ell - 1))
-                * (1 - A * q ** (ell - 1))
-                * (1 - B * q ** (ell - 1))
-            )
-            _nz(den)
-            return num / den * q ** (2 * (ell - 1)) * (A * A * B * B * z / q)
-
-        def inner(j):
-            num = (
-                (1 - A / q * q ** (j - 1))
-                * (1 - B / q * q ** (j - 1))
-                * (1 - A * B * z * q ** (j - 1))
-            )
-            den = 1 - q**j
-            _nz(den)
-            return num / den * (q / (A * B)) ** 2 / z * q ** (-2 * (j - 1))
-
+        outer = [q**-n], [q**-n * A * B * z, A, B], A * A * B * B * z / q, 2
+        inner = [A / q, B / q, A * B * z], [q], (q / (A * B)) ** 2 / z, -2
         return pref, outer, inner
 
     def _cf(self, z, policy):
@@ -373,20 +332,7 @@ class LimitWall(_LimitFamily):
     def _poly_terms(self, z, n):
         q, A = self.q, self.A
         pref = q ** (n * n) / A**n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-(q ** (-(ell - 1)))) * (A * z)
-
-        def inner(j):
-            num = 1 - A / q * q ** (j - 1)
-            den = 1 - q**j
-            _nz(den)
-            return num / den * q ** (j - 1) * (-1 / (A * z))
-
-        return pref, outer, inner
+        return pref, ([q**-n], [A], -(A * z), -1), ([A / q], [q], -1 / (A * z), 1)
 
     def _cf(self, z, policy):
         q, A = self.q, self.A
@@ -433,17 +379,7 @@ class FourthLimit(_LimitFamily):
     def _poly_terms(self, z, n):
         q = self.q
         pref = _sign(n) * q ** (n * n) * q ** (n * (n - 1) // 2) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            return num * q ** (-2 * (ell - 1)) * z
-
-        def inner(j):
-            den = 1 - q**j
-            _nz(den)
-            return q ** (2 * (j - 1)) / den / (q * z)
-
-        return pref, outer, inner
+        return pref, ([q**-n], [], z, -2), ([], [q], 1 / (q * z), 2)
 
     def _cf(self, z, policy):
         q = self.q
@@ -551,27 +487,8 @@ class AlSalamChihara(_LimitFamily):
         gamma = self.gamma
         _, _, u = spectral_pair(self, z)
         pref = (gamma * u / 2) ** n * qpoch_multi([A, B], q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (
-                (1 - q ** (-n) * q ** (ell - 1))
-                * (1 - 2 * u / (gamma * d) * q ** (ell - 1))
-                * (1 - 2 * u / gamma * q ** (ell - 1))
-            )
-            den = (1 - A * q ** (ell - 1)) * (1 - B * q ** (ell - 1))
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * (1 - B / q * q ** (j - 1))
-            den = (
-                (1 - q**j)
-                * (1 - 2 * u / (gamma * d) * q ** (j - 1))
-                * (1 - 2 * u / gamma * q ** (j - 1))
-            )
-            _nz(den)
-            return num / den * (-1) * u**2 * q**j
-
+        outer = [q**-n, 2 * u / (gamma * d), 2 * u / gamma], [A, B], -(q**n) * u**-2, -1
+        inner = [A / q, B / q], [q, 2 * u / (gamma * d), 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
     def _cf(self, z, policy):
@@ -645,23 +562,8 @@ class AlSalamCarlitz1(_LimitFamily):
     def _poly_terms(self, z, n):
         q, A, d = self.q, self.A, self.delta
         pref = (-q / (A * d * z)) ** n * qpoch(A, q, n) / qpoch(q, q, n) * q ** (n * (n - 1) // 2)
-
-        def outer(ell):
-            num = (
-                (1 - q ** (-n) * q ** (ell - 1))
-                * (1 - 1 / (z * d) * q ** (ell - 1))
-                * (1 - 1 / z * q ** (ell - 1))
-            )
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * q ** (-2 * (ell - 1)) * (A * d * z * z / q) * q**n
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * q ** (2 * j - 1)
-            den = (1 - q**j) * (1 - 1 / (z * d) * q ** (j - 1)) * (1 - 1 / z * q ** (j - 1))
-            _nz(den)
-            return num / den / (A * d * z * z)
-
+        outer = [q**-n, 1 / (z * d), 1 / z], [A], A * d * z * z / q * q**n, -2
+        inner = [A / q], [q, 1 / (z * d), 1 / z], q / (A * d * z * z), 2
         return pref, outer, inner
 
     def _cf(self, z, policy):
@@ -722,17 +624,7 @@ class LimitASC1(_LimitFamily):
         # the forward recurrence agree on this one)
         q, d = self.q, self.delta
         pref = d**-n * q ** (n * n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
-            return num * (-d * z) * q ** (-(ell - 1))
-
-        def inner(j):
-            den = (1 - 1 / z * q ** (j - 1)) * (1 - q**j)
-            _nz(den)
-            return q ** (j - 1) / den * (-1 / (z * d))
-
-        return pref, outer, inner
+        return pref, ([q**-n, 1 / z], [], -d * z, -1), ([], [1 / z, q], -1 / (z * d), 1)
 
     def _cf(self, z, policy):
         q, d = self.q, self.delta
@@ -797,23 +689,9 @@ class ContQHermite(_LimitFamily):
 
     def _poly_terms(self, z, n):
         q, A = self.q, self.A
-        gamma = self.gamma
         _, _, u = spectral_pair(self, z)
-        pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = 1 - A / q * q ** (j - 1)
-            den = 1 - q**j
-            _nz(den)
-            return num / den * (-1) * u**2 * q**j
-
-        return pref, outer, inner
+        pref = (self.gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
+        return pref, ([q**-n], [A], -(q**n) * u**-2, -1), ([A / q], [q], -(u**2) * q, 1)
 
     def _cf(self, z, policy):
         q, A, d = self.q, self.A, self.delta
@@ -856,17 +734,7 @@ class LimitQHermite(_LimitFamily):
     def _poly_terms(self, z, n):
         q, d = self.q, self.delta
         pref = (-z) ** -n * q ** (n * (n - 1) // 2) * (q / d) ** n / qpoch(q, q, n)
-
-        def outer(ell):
-            num = 1 - q ** (-n) * q ** (ell - 1)
-            return num * z * z * q**n * (d / q) * q ** (-2 * (ell - 1))
-
-        def inner(j):
-            den = 1 - q**j
-            _nz(den)
-            return q ** (2 * j - 1) / den / (z * z * d)
-
-        return pref, outer, inner
+        return pref, ([q**-n], [], z * z * q**n * (d / q), -2), ([], [q], q / (z * z * d), 2)
 
     def _cf(self, z, policy):
         q, d = self.q, self.delta
@@ -936,19 +804,8 @@ class ContBigQHermite(_LimitFamily):
         gamma = self.gamma
         _, _, u = spectral_pair(self, z)
         pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 2 * u / gamma * q ** (ell - 1))
-            den = 1 - A * q ** (ell - 1)
-            _nz(den)
-            return num / den * (-1) * u**-2 * q**n * q ** (-(ell - 1))
-
-        def inner(j):
-            num = (1 - A / q * q ** (j - 1)) * (-1) * u**2 * q**j
-            den = (1 - q**j) * (1 - 2 * u / gamma * q ** (j - 1))
-            _nz(den)
-            return num / den
-
+        outer = [q**-n, 2 * u / gamma], [A], -(q**n) * u**-2, -1
+        inner = [A / q], [q, 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
     def _cf(self, z, policy):
@@ -1009,17 +866,8 @@ class QBesselOrder(_LimitFamily):
     def _poly_terms(self, z, n):
         q, a = self.q, self.a
         pref = (-a / z) ** n * q ** (n * (n + 1) // 2) / qpoch(q, q, n)
-
-        def outer(ell):
-            num = (1 - q ** (-n) * q ** (ell - 1)) * (1 - 1 / z * q ** (ell - 1))
-            return num * q ** (-(2 * ell - 1)) * q**n * (z * z / a)
-
-        def inner(j):
-            den = (1 - q**j) * (1 - 1 / z * q ** (j - 1))
-            _nz(den)
-            return q ** (2 * j - 1) * (a / (z * z)) / den
-
-        return pref, outer, inner
+        outer = [q**-n, 1 / z], [], q**n * z * z / (a * q), -2
+        return pref, outer, ([], [q, 1 / z], q * a / (z * z), 2)
 
     def _cf(self, z, policy):
         q, a = self.q, self.a
@@ -1146,14 +994,14 @@ def limit_solution_sequence(family, z, which, start, stop, policy=DEFAULT_POLICY
 # ---------------------------------------------------------------------------
 
 
-def limit_poly(family, z, n: int, policy=DEFAULT_POLICY) -> complex:
+def limit_poly(family, z, n: int) -> complex:
     """Closed-form value of the monic polynomial P_n(z) of the family;
     Overflow or ZeroDivisor once its double sum leaves the double range."""
     if n < 0:
         raise ValueError("n must be >= 0")
     terms = _closed_form(family, "_poly_terms", "no explicit polynomial for {!r}")
     z = complex(z)
-    return double_sum(n, lambda: terms(z, n))
+    return double_sum(n, family.q, lambda: terms(z, n))
 
 
 def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
@@ -1164,20 +1012,12 @@ def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
     q, d = family.q, family.delta
     z = complex(z)
 
-    def outer(ell):
-        num = (
-            (1 - q ** (-n) * q ** (ell - 1))
-            * (1 - 1 / (z * d) * q ** (ell - 1))
-            * (1 - 1 / z * q ** (ell - 1))
-        )
-        return num * (-d) * q ** (-3 * (ell - 1)) * z * z * q ** (n - 1)
+    def terms():
+        pref = (z * d) ** -n * q ** (n * n) / qpoch(q, q, n)
+        outer = [q**-n, 1 / (z * d), 1 / z], [], -d * z * z * q ** (n - 1), -3
+        return pref, outer, ([], [q, 1 / (z * d), 1 / z], -1 / (z * z * d), 3)
 
-    def inner(j):
-        den = (1 - q**j) * (1 - 1 / (z * d) * q ** (j - 1)) * (1 - 1 / z * q ** (j - 1))
-        _nz(den)
-        return q ** (3 * (j - 1)) / den / (z * z) * (-1 / d)
-
-    return double_sum(n, lambda: ((z * d) ** -n * q ** (n * n) / qpoch(q, q, n), outer, inner))
+    return double_sum(n, q, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1535,7 +1375,7 @@ class ZeroList:
 
 def _grid(lo: float, hi: float, count: int, log_spaced: bool):
     if log_spaced:
-        if lo * hi <= 0:
+        if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):  # lo * hi can underflow
             raise ValueError("log-spaced scan needs endpoints of one sign")
         sign = 1.0 if lo > 0 else -1.0
         a, b = math.log(abs(lo)), math.log(abs(hi))
@@ -1602,6 +1442,8 @@ def find_zeros(
             a, b, fa = x0, x1, y0
             while abs(b - a) > 1e-12 * min(1.0, abs(a) + abs(b)) and abs(b - a) > 5e-324:
                 mid = 0.5 * (a + b)
+                if mid == a or mid == b:  # a and b are adjacent doubles
+                    break
                 fm = safe_f(mid)
                 if math.isnan(fm):
                     break
@@ -1647,11 +1489,18 @@ def fourth_limit_zero_window(q: float, n: int, count: int = 8):
     parameter-free series handle of order n.
 
     Zeros cluster geometrically toward 0- with ratio about q^2, so the
-    inner endpoint must shrink with the requested count.
+    inner endpoint must shrink with the requested count.  Overflow when
+    the window leaves the double range (an endpoint overflows, or the
+    inner one underflows to zero).
     """
-    lo = -1e6 * q ** (2 * n)
-    hi = -(q ** (2 * n + 1)) * q ** (2 * (count + 2))
-    return lo, hi
+    try:
+        lo = -1e6 * q ** (2 * n)
+        hi = -(q ** (2 * n + 1)) * q ** (2 * (count + 2))
+        if math.isfinite(lo) and hi != 0:
+            return lo, hi
+    except OverflowError:
+        pass
+    raise Overflow(f"the zero window of order n = {n} at q = {q} leaves the double range")
 
 
 def interlaces(first, second) -> bool:

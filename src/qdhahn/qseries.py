@@ -87,20 +87,49 @@ def double_range(evaluate, context: str) -> complex:
     return _assert_finite(value, context)
 
 
-def double_sum(n: int, terms) -> complex:
+def term_ratio(q: float, k: int, factors) -> complex:
+    """The ratio t_k / t_(k-1) of a basic hypergeometric term declared by
+    its factors (nums, dens, step, power):
+
+        step q^(power (k-1)) prod_a (1 - a q^(k-1)) / prod_b (1 - b q^(k-1))
+
+    over a in nums and b in dens; ZeroDivisor where the denominator
+    vanishes."""
+    nums, dens, step, power = factors
+    qk = q ** (k - 1)
+    num = 1.0 + 0.0j
+    for a in nums:
+        num *= 1 - a * qk
+    den = 1.0 + 0.0j
+    for b in dens:
+        den *= 1 - b * qk
+    if den == 0:
+        raise ZeroDivisor("explicit polynomial term denominator vanished")
+    ratio = num / den
+    if power:
+        ratio *= q ** (power * (k - 1))
+    return ratio * step
+
+
+def double_sum(n: int, q: float, terms) -> complex:
     """pref * sum_{l<=n} outer_l sum_{j<=l} inner_j, where ``terms()``
-    builds (pref, outer_ratio, inner_ratio) and outer_l, inner_j are the
-    running products of the ratios from 1; raises as ``double_range``."""
+    builds (pref, outer, inner), outer and inner being the factors of
+    their term ratios (see ``term_ratio``) and outer_l, inner_j the
+    running products of the ratios from 1; raises as ``double_range``.
+    Every such sum here is a monic polynomial, so n = 0 gives P_0 = 1
+    without building the factors (which may divide by z = 0)."""
+    if n == 0:
+        return 1.0 + 0.0j
 
     def evaluate():
-        pref, outer_ratio, inner_ratio = terms()
+        pref, outer, inner = terms()
         total = inner_total = 0.0 + 0.0j
         outer_t = inner_t = 1.0 + 0.0j
         # the inner sums are prefix sums of one series: each adds a term
         for ell in range(n + 1):
             if ell > 0:
-                outer_t *= outer_ratio(ell)
-                inner_t *= inner_ratio(ell)
+                outer_t *= term_ratio(q, ell, outer)
+                inner_t *= term_ratio(q, ell, inner)
             inner_total += inner_t
             total += outer_t * inner_total
         return pref * total

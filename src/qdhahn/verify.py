@@ -118,14 +118,18 @@ def _comfortable(value, bound=4.0) -> bool:
     return v <= bound and abs(v - 1.0) >= 0.3
 
 
+def _distinct(vals, q) -> bool:
+    """The flagship parameters keep 1e-3 apart from each other and from q."""
+    return (min(abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)) >= 1e-3
+            and all(abs(v - q) >= 1e-3 for v in vals))
+
+
 def draw_cdqh(rng, q_range=(0.35, 0.65)):
     """A comfortable flagship draw plus an off-cut spectral point."""
     while True:
         q = rng.uniform(*q_range)
         vals = [rng.uniform(0.2, 0.85) for _ in range(4)]
-        if min(abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)) < 1e-3:
-            continue
-        if any(abs(v - q) < 1e-3 for v in vals):
+        if not _distinct(vals, q):
             continue
         params = cdqhahn.CDQHParams(q, *vals)
         x = rng.uniform(1.3, 2.8) * rng.choice([1.0, -1.0])
@@ -146,9 +150,7 @@ def draw_cdqh_polyform(rng):
     while True:
         q = rng.uniform(0.62, 0.74)
         vals = [rng.uniform(0.3, 0.8) for _ in range(4)]
-        if min(abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)) < 1e-3:
-            continue
-        if any(abs(v - q) < 1e-3 for v in vals):
+        if not _distinct(vals, q):
             continue
         params = cdqhahn.CDQHParams(q, *vals)
         x = rng.uniform(2.4, 3.4) * rng.choice([1.0, -1.0])

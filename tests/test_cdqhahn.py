@@ -347,6 +347,11 @@ class TestSharedDoubleSum:
             for n in range(0, 13):
                 assert explicit_poly(params, point, n) == inline_double_sum(params, point, n)
 
+    def test_vanished_term_denominator_raises_zero_divisor(self):
+        params = CDQHParams(0.5, 1.0, 0.4, 0.35, 0.45)
+        with pytest.raises(ZeroDivisor):
+            explicit_poly(params, spectral_point(params, x=2.0), 3)
+
     @pytest.mark.parametrize("fn, n", [(explicit_poly, 1200), (explicit_poly_ir, 1200),
                                        (explicit_poly_ir, 200)])
     def test_past_the_double_range_raises_a_named_error(self, params, fn, n):

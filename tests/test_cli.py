@@ -343,6 +343,17 @@ CONTRACT_CASES = [
     # a zero scan finds at least one zero, or there is nothing to interlace
     *[(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--max-zeros", count,
         "--interlace"), {}, 2) for count in ("0", "-3")],
+    # zeros past |x| ~ 8e3 end their bisection
+    (("zeros", "--f", "fourth-limit", "--n", "-7", "--q", "0.5", "--interlace"), {}, 0),
+    # a log-spaced scan needs endpoints of one sign, and q a base in (0, 1)
+    (("zeros", "--f", "fourth-limit", "--q", "0.5", "--scan-lo", "-1", "--scan-hi", "1"), {}, 2),
+    (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", ".5", "--scan-lo", "-1",
+      "--scan-hi", "1"), {}, 2),
+    (("zeros", "--f", "fourth-limit", "--n", "0", "--q", "2"), {}, 2),
+    # a window whose endpoint product underflows still scans; one that
+    # leaves the double range is a named numerical error
+    (("zeros", "--f", "fourth-limit", "--n", "300", "--q", "0.5"), {}, 0),
+    *[(("zeros", "--f", "fourth-limit", "--n", n, "--q", "0.5"), {}, 3) for n in ("-600", "600")],
 ]
 
 
@@ -373,6 +384,14 @@ def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
     assert exit_code == code
     assert err.startswith("error:") if code else err == ""
     assert "Traceback" not in err
+
+
+def test_eval_and_table_declare_the_same_family_options():
+    names = ["q", "a_par", "b_par", "c_par", "d_par", "delta", "a_small"]
+    for command in (cli.cmd_eval, cli.cmd_table):
+        params = [param.name for param in command.params]
+        start = params.index("q")
+        assert params[start:start + len(names)] == names
 
 
 def test_accepted_cf_forms_evaluate():

@@ -1,6 +1,9 @@
 import cmath
+import dataclasses
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +151,27 @@ class TestClosedFormRegistry:
         if family_id == "limit-asc1":
             with pytest.raises(QdhError):
                 limit_asc1_poly_alt(fam, z, 1200)
+
+    @pytest.mark.parametrize("family_id", sorted(f for f, c in FAMILIES.items()
+                                                 if "A" in c.param_names))
+    def test_vanished_term_denominator_at_a_equal_one_raises_zero_divisor(self, family_id):
+        fam, z = GENERIC[family_id]
+        with pytest.raises(ZeroDivisor):
+            limit_poly(dataclasses.replace(fam, A=1.0), z, 3)
+
+    @pytest.mark.parametrize("poly, family_id", [(limit_poly, "limit-asc1"),
+                                                 (limit_poly, "q-bessel-order"),
+                                                 (limit_asc1_poly_alt, "limit-asc1")])
+    def test_vanished_term_denominator_at_z_equal_one_raises_zero_divisor(self, poly, family_id):
+        with pytest.raises(ZeroDivisor):
+            poly(GENERIC[family_id][0], 1.0, 3)
+
+    @pytest.mark.parametrize("family_id", sorted(GENERIC))
+    def test_degree_zero_is_one_at_z_equal_zero(self, family_id):
+        fam = GENERIC[family_id][0]
+        assert limit_poly(fam, 0, 0) == 1
+        if family_id == "limit-asc1":
+            assert limit_asc1_poly_alt(fam, 0, 0) == 1
 
     def test_flagship_family_has_no_limit_closed_forms(self):
         params = CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
@@ -572,6 +596,33 @@ class TestZeros:
     def test_scan_too_coarse_raises(self):
         with pytest.raises(ScanTooCoarse):
             find_zeros(lambda x: 1.0, 1.0, 2.0, log_spaced=False, expect=2, samples=64)
+
+    def test_bisection_ends_where_the_bracket_is_two_adjacent_doubles(self):
+        # past |x| ~ 8e3 the relative stop width is below one ulp; the
+        # scan runs in a child process, so a hang fails instead of stalling
+        code = ("from qdhahn.limits import find_zeros; "
+                "print(find_zeros(lambda x: x * x - 2e10, 1e3, 1e6, max_zeros=1).zeros[0])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        root = float(done.stdout)
+        assert abs(root - math.sqrt(2e10)) <= 4 * math.ulp(root)
+
+    def test_log_scan_of_a_window_whose_endpoint_product_underflows(self):
+        lo, hi = fourth_limit_zero_window(0.5, 300, 8)
+        assert lo * hi == 0
+        zl = find_zeros(fourth_limit_series(FourthLimit(0.5), 300), lo, hi, max_zeros=8)
+        assert len(zl) == 8
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)])
+    def test_log_scan_needs_endpoints_of_one_sign(self, lo, hi):
+        with pytest.raises(ValueError, match="one sign"):
+            find_zeros(math.sin, lo, hi)
+
+    @pytest.mark.parametrize("n", [-600, 600])
+    def test_zero_window_past_the_double_range_raises_overflow(self, n):
+        with pytest.raises(Overflow):
+            fourth_limit_zero_window(0.5, n, 8)
 
     @pytest.mark.parametrize(
         "fam",
