@@ -21,6 +21,14 @@ Solution labels (all satisfy the recurrence; pairwise independent):
     "lead-c"    series led by C q^n with companion pair (B, C)
     "lead-d"    series led by D q^n with companion pair (B, D)
     "inverted"  reciprocal-parameter series; constant multiple of lead-c
+
+The closed forms are declared once on ``CDQHParams`` and evaluated
+through the closed-form layer of ``family``, which every family shares:
+``solution``, ``cf_stieltjes``, ``explicit_poly``, ``explicit_poly_ir``
+and ``weight`` here, or equally ``limits.limit_solution``, ``limit_cf``,
+``limit_poly`` and ``limit_weight``.  A bare float overflow or division
+by zero raises Overflow or ZeroDivisor, and a vanished denominator
+series of a form of 1/CF raises PoleHit.
 """
 
 from __future__ import annotations
@@ -31,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qseries
-from . import recurrence
-from .errors import BranchAmbiguous, Overflow, UnknownFamily, ZeroDivisor
+from . import family, qseries, recurrence
+from .errors import BranchAmbiguous, ZeroDivisor
+from .family import Family, cf_denominator, solution_scaled, solution_sequence
 from .qseries import (
     DEFAULT_POLICY,
     phi32,
@@ -44,7 +52,7 @@ from .qseries import (
     term_ratio,
     weight_density,
 )
-from .recurrence import Scaled, SolutionSequence
+from .recurrence import Scaled
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 OFF_CUT = "off-cut"
@@ -53,12 +61,11 @@ BELOW = "below"
 
 
 @dataclass(frozen=True)
-class CDQHParams:
-    """The flagship family.  It declares the members every family
-    declares (see ``limits``), "minimal" and "ratio" first.  Its closed
-    forms take a SpectralPoint, so it adds the point construction
-    (``point_at`` with a side on the cut, ``z_at`` from x = alpha z),
-    and a "poly-alt" entry point, the two-index double sum."""
+class CDQHParams(Family):
+    """The flagship family (see ``family`` for its declared members).
+    Its closed forms take a SpectralPoint, so it adds the point
+    construction: ``point_at`` with a side on the cut, and ``z_at``
+    from x = alpha z."""
 
     q: float
     A: complex
@@ -68,13 +75,6 @@ class CDQHParams:
 
     family_id = "cdqh"
     param_names = ("A", "B", "C", "D")
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", qseries._check_q(self.q))
-        for name in self.param_names:
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.A * self.B * self.C * self.D == 0:
-            raise ValueError("parameters A, B, C, D must be nonzero")
 
     def a_coeff(self, n: int) -> complex:
         q = self.q
@@ -100,9 +100,12 @@ class CDQHParams:
         return CDQHParams(self.q, *picked)
 
     def point_at(self, z, side=None, single_valued=False) -> "SpectralPoint":
-        """The spectral point at z.  Without a side it must lie off the
-        cut, except for a form that is single valued across the cut (a
-        polynomial), which there takes the side above."""
+        """The spectral point at z (a SpectralPoint is its own).  Without
+        a side it must lie off the cut, except for a form that is single
+        valued across the cut (a polynomial), which there takes the side
+        above."""
+        if isinstance(z, SpectralPoint):
+            return z
         try:
             return spectral_point(self, z=z, side=side or OFF_CUT)
         except BranchAmbiguous:
@@ -114,10 +117,6 @@ class CDQHParams:
         """The z of the rescaled point x = alpha z, on the cut or off it:
         z does not depend on the side, which ``point_at`` takes."""
         return complex(x) / self.alpha
-
-    def entry_points(self):
-        return {"poly": explicit_poly, "poly-alt": explicit_poly_ir, "solution": solution,
-                "cf": cf_stieltjes, "weight": weight}
 
     def _growth_series(self, lam, n, policy) -> Scaled:
         q = self.q
@@ -204,7 +203,7 @@ class CDQHParams:
             (1 - B * C * D * lam / q) * (1 - A * B * C * lam / q)
         )
         num = phi32(B * C * lam, B, C, B * C * D * lam, A * B * C * lam, q, policy)
-        return _transform_ratio(pref, num, self._ratio_denominator(lam, policy))
+        return pref * num / cf_denominator(self._ratio_denominator(lam, policy))
 
     def _cf_ratio_alt(self, point, policy):
         q = self.q
@@ -215,7 +214,7 @@ class CDQHParams:
         den = phi32(
             B * C * lam, B / q, C / q, 1 / (A * lam_p), 1 / (D * lam_p), q, policy
         )
-        return _transform_ratio(pref, num, den)
+        return pref * num / cf_denominator(den)
 
     def _cf_pincherle(self, point, policy):
         x0 = solution_scaled(self, point, "minimal", 0, policy)
@@ -275,9 +274,32 @@ class CDQHParams:
                  ta * u * q / (A * D), 0)
         return pref, outer, inner
 
-    def _weight_parts(self, point, policy):
+    def _poly_alt(self, point, n):
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
+        u = point.u
+        root = cmath.sqrt(B * C * q / (A * D))
+        pref = qpoch_multi([B, C], q, n) / (B * C) ** n
+        outer = [q ** (-n), root * u, root / u], [q, B, C], q, 0
+        total = 0.0 + 0.0j
+        outer_t = 1.0 + 0.0j
+        for k in range(n + 1):
+            if k > 0:
+                outer_t *= term_ratio(q, k, outer)
+            inner = ([A / q, D / q, q ** (k + 1), q ** (k - n)],
+                     [q, C * q**k, B * q**k, q ** (-n)], B * C * q / (A * D), 0)
+            inner_total = inner_t = 1.0 + 0.0j
+            for j in range(1, n - k + 1):
+                inner_t *= term_ratio(q, j, inner)
+                inner_total += inner_t
+            total += outer_t * inner_total
+        return pref * total
+
+    def _weight_parts(self, x, policy):
+        _require_real_params(self)
+        q = self.q
+        A, B, C, D = self.A, self.B, self.C, self.D
+        point = spectral_point(self, x=x, side=ABOVE)
         u = point.u
         two_alpha = 2 * point.alpha
         numerator = qpoch_multi([A, B, C, D], q) * qpoch_multi([u * u, 1 / (u * u)], q)
@@ -411,55 +433,15 @@ def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> S
 # ---------------------------------------------------------------------------
 
 
-def solution_scaled(
-    params: CDQHParams,
-    point: SpectralPoint,
-    which: str,
-    n: int,
-    policy=DEFAULT_POLICY,
-) -> Scaled:
-    if which not in SOLUTIONS:
-        raise UnknownFamily(f"unknown solution label {which!r}")
-    point = _spectral(params, point)
-    try:
-        return params._solutions[which](params, point, n, policy)
-    except OverflowError:  # a bare float power such as q**(1 - n) at large n
-        pass
-    # raised outside the handler, so that it holds no traceback of the
-    # failed call (whose frames would keep the caller's locals alive)
-    raise Overflow(f"solution {which!r} at n = {n} left the double-precision range")
-
-
-def _spectral(params, point, single_valued=False) -> "SpectralPoint":
-    """``point`` itself, or the spectral point ``params.point_at`` builds
-    at a number z."""
-    if isinstance(point, SpectralPoint):
-        return point
-    return params.point_at(point, single_valued=single_valued)
-
-
 def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> complex:
     """Value of the named closed-form solution at index n, at a
     SpectralPoint or a number z off the cut."""
     return solution_scaled(params, point, which, n, policy).value
 
 
-def solution_sequence(
-    params, point, which: str, start: int, stop: int, policy=DEFAULT_POLICY
-) -> SolutionSequence:
-    """Closed-form values over [start, stop], evaluated independently at
-    each index (never by running the recurrence)."""
-    return SolutionSequence.from_function(
-        lambda n: solution_scaled(params, point, which, n, policy),
-        start,
-        stop,
-        provenance=f"closed-form:{which}",
-    )
-
-
 def minimal_solution(params, point, n: int, policy=DEFAULT_POLICY) -> complex:
     """The subdominant solution; requires a strict branch ordering."""
-    point = _spectral(params, point)
+    point = params.point_at(point)
     if abs(point.lam_minus) >= abs(point.lam_plus) * (1 - 1e-14) and point.side == OFF_CUT:
         raise BranchAmbiguous("minimal solution needs |lambda_-| < |lambda_+|")
     return solution(params, point, "minimal", n, policy)
@@ -515,15 +497,7 @@ def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str = "ratio",
     reductions "reduced" (single balanced series) and "reduced-product"
     (explicit infinite-product numerator over the pole-carrying products).
     """
-    if form not in CF_FORMS:
-        raise ValueError(f"unknown form {form!r}; expected one of {CF_FORMS}")
-    return params._cf_forms[form](params, _spectral(params, point), policy)
-
-
-def _transform_ratio(pref, num, den):
-    if den == 0:
-        raise ZeroDivisor("transform pole: denominator series vanished")
-    return pref * num / den
+    return family.cf(params, point, form, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +528,7 @@ def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous spectral component at
     x in (-1, 1) (unnormalized).  A one-dimensional array of x gives the
     density at every point, in one pass of each series kernel."""
-    _require_real_params(params)
-    x = support_points(x)
-    point = spectral_point(params, x=x, side=ABOVE)
-    return weight_density(x, *params._weight_parts(point, policy))
+    return family.weight(params, x, policy)
 
 
 def weight_reduced(params: CDQHParams, x: float) -> float:
@@ -587,46 +558,14 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
 
 def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     """Double-sum closed form of the monic polynomial P_n(z), at a
-    SpectralPoint or a number z (single valued, so a z on the cut takes
-    the side above); Overflow or ZeroDivisor once its terms leave the
-    double range."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    point = _spectral(params, point, single_valued=True)
-    if point.u == 0:
-        raise ZeroDivisor("u must be nonzero")
-    return qseries.double_sum(n, params.q, lambda: params._poly_terms(point, n))
+    SpectralPoint or a number z (on the cut it takes the side above)."""
+    return family.poly(params, point, n)
 
 
 def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
-    """Alternative double sum for P_n(z), taking its point as
-    ``explicit_poly`` does; manifestly symmetric under u <-> 1/u.
-    Overflow or ZeroDivisor once its terms leave the double range."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    u = _spectral(params, point, single_valued=True).u
-    root = cmath.sqrt(B * C * q / (A * D))
-
-    def evaluate():
-        pref = qpoch_multi([B, C], q, n) / (B * C) ** n
-        outer = [q ** (-n), root * u, root / u], [q, B, C], q, 0
-        total = 0.0 + 0.0j
-        outer_t = 1.0 + 0.0j
-        for k in range(n + 1):
-            if k > 0:
-                outer_t *= term_ratio(q, k, outer)
-            inner = ([A / q, D / q, q ** (k + 1), q ** (k - n)],
-                     [q, C * q**k, B * q**k, q ** (-n)], B * C * q / (A * D), 0)
-            inner_total = inner_t = 1.0 + 0.0j
-            for j in range(1, n - k + 1):
-                inner_t *= term_ratio(q, j, inner)
-                inner_total += inner_t
-            total += outer_t * inner_total
-        return pref * total
-
-    return qseries.double_range(evaluate, "two-index polynomial double sum")
+    """A second double sum for P_n(z), manifestly symmetric under
+    u <-> 1/u, taking its point as ``explicit_poly`` does."""
+    return family.poly_alt(params, point, n)
 
 
 def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int):

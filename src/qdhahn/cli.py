@@ -20,14 +20,13 @@ import sys
 import click
 import numpy as np
 
-from . import cdqhahn, limits, recurrence, verify
-from .errors import BranchAmbiguous, QdhError
+from . import family as closed_forms
+from . import limits, recurrence, verify
+from .errors import BranchAmbiguous, QdhError, UnknownFamily
 from .qseries import TruncationPolicy
 
 CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
-# every family the CLI builds, by id: the flagship family, then the limits
-_FAMILIES = {"cdqh": cdqhahn.CDQHParams} | dict(sorted(limits.FAMILIES.items()))
 
 
 def _fmt(value) -> str:
@@ -73,26 +72,14 @@ def _policy(tol):
 
 def _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small):
     """Construct the requested coefficient family, reporting missing
-    parameters as `missing: <name>`."""
+    parameters as `missing: <name>`; options it does not take are
+    ignored."""
     if q is None:
         raise click.UsageError("missing: q")
-    given = {
-        "A": a_par,
-        "B": b_par,
-        "C": c_par,
-        "D": d_par,
-        "delta": delta,
-        "a": a_small,
-    }
-    cls = _FAMILIES.get(family)
-    if cls is None:
-        raise click.UsageError(f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
-    missing = [n for n in cls.param_names if given.get(n) is None]
-    if missing:
-        raise click.UsageError(f"missing: {', '.join(missing)}")
     try:
-        return cls(q, **{n: given[n] for n in cls.param_names})
-    except (ValueError, TypeError) as exc:
+        return limits.family_from_id(family, q, A=a_par, B=b_par, C=c_par, D=d_par,
+                                     delta=delta, a=a_small)
+    except (UnknownFamily, ValueError, TypeError) as exc:
         raise click.UsageError(str(exc))
 
 
@@ -171,8 +158,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
     if what in ("poly", "poly-alt") and n_index < 0:
         raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
-    entry = fam.entry_points()
-    if what == "poly-alt" and what not in entry:
+    if what == "poly-alt" and not hasattr(fam, "_poly_alt"):
         raise click.UsageError(f"poly-alt is not defined for {family}")
     # the family's solution labels (names or indices, --which is read as
     # the default's type) and forms of 1/CF, the default first
@@ -196,7 +182,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
 
     def evaluate(z):
         if what == "weight":
-            return complex(entry["weight"](fam, float(z.real), policy))
+            return complex(closed_forms.weight(fam, float(z.real), policy))
         if what == "cf-trunc":
             # the J-fraction has its poles on the cut, so no boundary values
             try:
@@ -206,18 +192,20 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
                     "the truncated J-fraction has no value on the cut, from either side"
                 ) from None
             fam.point_at(z, side)  # a side off the cut stays a usage error
-            return 1.0 / recurrence.cf_truncated(fam, z, depth)
+            return 1.0 / closed_forms.cf_denominator(recurrence.cf_truncated(fam, z, depth))
         point = fam.point_at(z, side, single_valued=what in ("poly", "poly-alt"))
-        if what in ("poly", "poly-alt"):
-            return entry[what](fam, point, n_index)
+        if what == "poly":
+            return closed_forms.poly(fam, point, n_index)
+        if what == "poly-alt":
+            return closed_forms.poly_alt(fam, point, n_index)
         if what == "solution":
-            return entry[what](fam, point, label, n_index, policy)
-        return entry["cf"](fam, point, cf_form or forms[0], policy)
+            return closed_forms.solution_scaled(fam, point, label, n_index, policy).value
+        return closed_forms.cf(fam, point, cf_form or forms[0], policy)
 
     try:
         if what == "weight" and grid is not None:
             # one grid call: the series kernels sum every point at once
-            values = [complex(v) for v in entry["weight"](fam, np.array(points), policy)]
+            values = [complex(v) for v in closed_forms.weight(fam, np.array(points), policy)]
         else:
             values = [evaluate(pt) for pt in points]
     except ValueError as exc:  # the library's checks of its input, e.g. x off (-1, 1)

@@ -2,25 +2,20 @@
 
 Each family is a frozen dataclass exposing the recurrence coefficients
 ``a_coeff(n)`` / ``b_sq_coeff(n)`` and declaring its closed forms once,
-as members that the module-level functions look up: ``_solutions``
+as the members ``family`` describes, taking z itself: ``_solutions``
 (index -> evaluator; 1 is always the subdominant/minimal one),
-``_poly_terms`` (the explicit polynomial's double sum, declared as a
-prefactor and the (nums, dens, step, power) factors of its outer and
-inner term ratios, which ``qseries.double_sum`` sums), ``_cf_forms``
-(name -> series pair of 1/CF and its value, the default first),
-``_scan_series`` (the pair zero scans use) and, for the three families
-with a spectral cut, ``_growth_product`` and ``_weight_parts``.
-Divergent series that only exist formally raise FormalOnly unless a
-parameter makes them terminate.
+``_poly_terms`` (the (nums, dens, step, power) factors of the double
+sum's term ratios, see ``qseries.term_ratio``), ``_cf_forms``, and for
+the three families with a spectral cut ``_growth_product`` and
+``_weight_parts``.  The four scan families also declare
+``_scan_series``, the (numerator, denominator) pair their 1/CF divides
+and zero scans use.  Divergent series that only exist formally raise
+FormalOnly unless a parameter makes them terminate.
 
-All twelve families, the flagship ``cdqhahn.CDQHParams`` included,
-declare ``_solutions``, ``_cf_forms``, ``_poly_terms`` and, on a cut,
-``_weight_parts``, plus ``point_at(z, side, single_valued)`` (the
-argument the closed forms take: here z itself), ``z_at`` (z from a
-rescaled x, or None) and ``entry_points()`` (the public function of
-each closed form by its ``qdh eval --what``), so no caller tests which
-family it holds.  The flagship adds its point construction and a
-"poly-alt" (limit-asc1 has one too).
+``limit_solution``, ``limit_poly``, ``limit_cf`` and ``limit_weight``
+evaluate through the one closed-form layer of ``family``, so they take
+the flagship ``cdqhahn.CDQHParams`` (at a number z or a SpectralPoint)
+as well as a limit family.
 
 Families and their parameters:
 
@@ -41,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +51,19 @@ from .errors import (
     ResonantDelta,
     ScanTooCoarse,
     UnknownFamily,
-    UnsupportedFamily,
     ZeroDivisor,
+)
+from .family import (
+    Family,
+    cf,
+    cf_denominator,
+    guarded,
+    member,
+    poly,
+    poly_alt,
+    solution_scaled,
+    solution_sequence,
+    weight,
 )
 from .qseries import (
     DEFAULT_POLICY,
@@ -73,7 +80,7 @@ from .qseries import (
     termination_order,
     weight_density,
 )
-from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
+from .recurrence import Scaled, characteristic_roots, forward_eval
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 
@@ -95,35 +102,8 @@ def _terminates(p, q) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _LimitFamily:
-    """Parameter checks and entry points shared by the limit families,
-    whose closed forms take z itself."""
-
-    z_at = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", qseries._check_q(self.q))
-        for name in self.param_names:
-            value = complex(getattr(self, name))
-            if value == 0:
-                raise ValueError(f"parameter {name} must be nonzero")
-            object.__setattr__(self, name, value)
-
-    def point_at(self, z, side=None, single_valued=False) -> complex:
-        return complex(z)
-
-    def entry_points(self):
-        """The public function of each closed form, by its ``qdh eval --what``."""
-        return {"poly": limit_poly, "solution": limit_solution, "cf": limit_cf,
-                "weight": limit_weight}
-
-    def _comfort_drivers(self, z):
-        """Series arguments at z that verification draws keep comfortable."""
-        return []
-
-
 @dataclass(frozen=True)
-class BigQLaguerre(_LimitFamily):
+class BigQLaguerre(Family):
     q: float
     A: complex
     B: complex
@@ -202,7 +182,7 @@ class BigQLaguerre(_LimitFamily):
         q, A, B, C = self.q, self.A, self.B, self.C
         num = phi21(B, C, q / (A * z), q / (B * C * z), q, policy)
         den = phi21(B / q, C / q, 1 / (A * z), q / (B * C * z), q, policy)
-        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+        return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
 
@@ -212,7 +192,7 @@ class BigQLaguerre(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class Wall(_LimitFamily):
+class Wall(Family):
     q: float
     A: complex
     B: complex
@@ -276,7 +256,7 @@ class Wall(_LimitFamily):
         q, A, B = self.q, self.A, self.B
         num = phi11(B, q / (A * z), q / (B * z), q, policy)
         den = phi11(B / q, 1 / (A * z), 1 / (B * z), q, policy)
-        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+        return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
 
@@ -286,7 +266,7 @@ class Wall(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class LimitWall(_LimitFamily):
+class LimitWall(Family):
     q: float
     A: complex
 
@@ -338,13 +318,13 @@ class LimitWall(_LimitFamily):
         q, A = self.q, self.A
         num = phi01(q / (A * z), q / z, q, policy)
         den = phi01(1 / (A * z), 1 / (q * z), q, policy)
-        return num, den, lambda: num / (z * (1 - 1 / (A * z)) * den)
+        return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
     def _cf_confluent(self, z, policy):
         q, A = self.q, self.A
         num = phi11(A, 0.0, q / (A * z), q, policy)
         den = phi11(A / q, 0.0, 1 / (A * z), q, policy)
-        return num, den, lambda: num / (z * den)
+        return num / (z * cf_denominator(den))
 
     _cf_forms = {"default": _cf, "series-ratio": _cf, "confluent": _cf_confluent}
 
@@ -353,7 +333,7 @@ class LimitWall(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class FourthLimit(_LimitFamily):
+class FourthLimit(Family):
     q: float
 
     family_id = "fourth-limit"
@@ -385,18 +365,18 @@ class FourthLimit(_LimitFamily):
         q = self.q
         num = phi01(0.0, q / z, q, policy)
         den = phi01(0.0, 1 / (q * z), q, policy)
-        return num, den, lambda: num / (z * den)
+        return num / (z * cf_denominator(den))
 
     def _cf_power_sums(self, z, policy):
         num = _theta_like(self.q, z, 0)
         den = _theta_like(self.q, z, -2)
-        return num, den, lambda: num / (z * den)
+        return num / (z * cf_denominator(den))
 
     _cf_forms = {"default": _cf, "series-ratio": _cf, "power-sums": _cf_power_sums}
 
 
 @dataclass(frozen=True)
-class AlSalamChihara(_LimitFamily):
+class AlSalamChihara(Family):
     q: float
     A: complex
     B: complex
@@ -496,13 +476,14 @@ class AlSalamChihara(_LimitFamily):
         small, _, _ = spectral_pair(self, z)
         num = phi21(B * small, B, A * B * small, A * d * small, q, policy)
         den = phi21(B * small, B / q, A * B * small / q, A * d * small, q, policy)
-        return num, den, lambda: A * B * d * small / (q * (1 - A * B * small / q)) * num / den
+        return A * B * d * small / (q * (1 - A * B * small / q)) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, u, policy):
+    def _weight_parts(self, x, policy):
         q, A, B, d = self.q, self.A, self.B, self.delta
         gamma = self.gamma
+        u = _unit_circle_point(x)
         lam_p = gamma / 2 * u
         lam_m = gamma / 2 / u
         numerator = qpoch_multi([A, B, u * u, 1 / (u * u)], q)
@@ -515,7 +496,7 @@ class AlSalamChihara(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class AlSalamCarlitz1(_LimitFamily):
+class AlSalamCarlitz1(Family):
     q: float
     A: complex
     delta: complex
@@ -566,14 +547,16 @@ class AlSalamCarlitz1(_LimitFamily):
         inner = [A / q], [q, 1 / (z * d), 1 / z], q / (A * d * z * z), 2
         return pref, outer, inner
 
-    def _cf(self, z, policy):
+    def _scan_series(self, z, policy):
         q, A, d = self.q, self.A, self.delta
-        num = phi11(q / (A * z * d), q / (z * d), q / z, q, policy)
-        den = phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy)
-        return num, den, lambda: num / (z * (1 - 1 / (d * z)) * den)
+        return (phi11(q / (A * z * d), q / (z * d), q / z, q, policy),
+                phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy))
+
+    def _cf(self, z, policy):
+        num, den = self._scan_series(z, policy)
+        return num / (z * (1 - 1 / (self.delta * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
-    _scan_series = _cf
 
     def _comfort_drivers(self, z):
         q, A, d = self.q, self.A, self.delta
@@ -581,7 +564,7 @@ class AlSalamCarlitz1(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class LimitASC1(_LimitFamily):
+class LimitASC1(Family):
     q: float
     delta: complex
 
@@ -626,24 +609,29 @@ class LimitASC1(_LimitFamily):
         pref = d**-n * q ** (n * n) / qpoch(q, q, n)
         return pref, ([q**-n, 1 / z], [], -d * z, -1), ([], [1 / z, q], -1 / (z * d), 1)
 
-    def _cf(self, z, policy):
+    def _poly_alt(self, z, n):
         q, d = self.q, self.delta
-        num = phi11(0.0, q / (z * d), q / z, q, policy)
-        den = phi11(0.0, 1 / (z * d), 1 / z, q, policy)
-        return num, den, lambda: num / (z * (1 - 1 / (d * z)) * den)
+        pref = (z * d) ** -n * q ** (n * n) / qpoch(q, q, n)
+        outer = [q**-n, 1 / (z * d), 1 / z], [], -d * z * z * q ** (n - 1), -3
+        return double_sum(n, q, pref, outer, ([], [q, 1 / (z * d), 1 / z], -1 / (z * z * d), 3))
+
+    def _scan_series(self, z, policy):
+        q, d = self.q, self.delta
+        return (phi11(0.0, q / (z * d), q / z, q, policy),
+                phi11(0.0, 1 / (z * d), 1 / z, q, policy))
+
+    def _cf(self, z, policy):
+        num, den = self._scan_series(z, policy)
+        return num / (z * (1 - 1 / (self.delta * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
-    _scan_series = _cf
-
-    def entry_points(self):
-        return {**super().entry_points(), "poly-alt": limit_asc1_poly_alt}
 
     def _comfort_drivers(self, z):
         return [self.q / (self.delta * z), 1 / z]
 
 
 @dataclass(frozen=True)
-class ContQHermite(_LimitFamily):
+class ContQHermite(Family):
     q: float
     A: complex
     delta: complex
@@ -698,18 +686,19 @@ class ContQHermite(_LimitFamily):
         small, _, _ = spectral_pair(self, z)
         num = phi11(A, 0.0, A * d * small * small, q, policy)
         den = phi11(A / q, 0.0, A * d * small * small, q, policy)
-        return num, den, lambda: (A * d * small / q) * num / den
+        return (A * d * small / q) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, u, policy):
+    def _weight_parts(self, x, policy):
+        u = _unit_circle_point(x)
         numerator = qpoch_multi([self.A, u * u, 1 / (u * u)], self.q)
         fm, fp = cont_q_hermite_weight_denominators(self, x, policy)
         return numerator, 1.0 + 0.0j, fm * fp
 
 
 @dataclass(frozen=True)
-class LimitQHermite(_LimitFamily):
+class LimitQHermite(Family):
     q: float
     delta: complex
 
@@ -736,18 +725,19 @@ class LimitQHermite(_LimitFamily):
         pref = (-z) ** -n * q ** (n * (n - 1) // 2) * (q / d) ** n / qpoch(q, q, n)
         return pref, ([q**-n], [], z * z * q**n * (d / q), -2), ([], [q], q / (z * z * d), 2)
 
-    def _cf(self, z, policy):
+    def _scan_series(self, z, policy):
         q, d = self.q, self.delta
-        num = phi01(0.0, q * q / (d * z * z), q, policy)
-        den = phi01(0.0, q / (d * z * z), q, policy)
-        return num, den, lambda: num / (z * den)
+        return phi01(0.0, q * q / (d * z * z), q, policy), phi01(0.0, q / (d * z * z), q, policy)
+
+    def _cf(self, z, policy):
+        num, den = self._scan_series(z, policy)
+        return num / (z * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
-    _scan_series = _cf
 
 
 @dataclass(frozen=True)
-class ContBigQHermite(_LimitFamily):
+class ContBigQHermite(Family):
     q: float
     A: complex
     a: complex
@@ -813,13 +803,14 @@ class ContBigQHermite(_LimitFamily):
         small, _, _ = spectral_pair(self, z)
         num = phi21(A, A * small, 0.0, small / a, q, policy)
         den = phi21(A / q, A * small, 0.0, small / a, q, policy)
-        return num, den, lambda: (A * small / (a * q)) * num / den
+        return (A * small / (a * q)) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, u, policy):
+    def _weight_parts(self, x, policy):
         q, A, a = self.q, self.A, self.a
         gamma = self.gamma
+        u = _unit_circle_point(x)
         lam_p = gamma / 2 * u
         lam_m = gamma / 2 / u
         numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
@@ -830,7 +821,7 @@ class ContBigQHermite(_LimitFamily):
 
 
 @dataclass(frozen=True)
-class QBesselOrder(_LimitFamily):
+class QBesselOrder(Family):
     q: float
     a: complex
 
@@ -869,14 +860,15 @@ class QBesselOrder(_LimitFamily):
         outer = [q**-n, 1 / z], [], q**n * z * z / (a * q), -2
         return pref, outer, ([], [q, 1 / z], q * a / (z * z), 2)
 
-    def _cf(self, z, policy):
+    def _scan_series(self, z, policy):
         q, a = self.q, self.a
-        num = phi01(q / z, a * q * q / (z * z), q, policy)
-        den = phi01(1 / z, a * q / (z * z), q, policy)
-        return num, den, lambda: num / ((z - 1) * den)
+        return phi01(q / z, a * q * q / (z * z), q, policy), phi01(1 / z, a * q / (z * z), q, policy)
+
+    def _cf(self, z, policy):
+        num, den = self._scan_series(z, policy)
+        return num / ((z - 1) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
-    _scan_series = _cf
 
     def _comfort_drivers(self, z):
         return [1 / z, self.a * self.q / z]
@@ -900,49 +892,28 @@ FAMILIES = {
 }
 
 
+# every family by id, the flagship included
+_BY_ID = {CDQHParams.family_id: CDQHParams, **FAMILIES}
+
+
 def family_from_id(family_id: str, q, **params):
-    """Instantiate a limit family by identifier; raises UnknownFamily."""
-    try:
-        cls = FAMILIES[family_id]
-    except KeyError:
-        raise UnknownFamily(
-            f"unknown family {family_id!r}; known: {sorted(FAMILIES)}"
-        ) from None
-    missing = [name for name in cls.param_names if name not in params]
+    """Instantiate any family, the flagship included, by identifier from
+    q and its parameters (those it does not take, and those given as
+    None, are not passed on); UnknownFamily for an unknown identifier and
+    TypeError naming the missing parameters."""
+    cls = _BY_ID.get(family_id)
+    if cls is None:
+        raise UnknownFamily(f"unknown family {family_id!r}; known: {', '.join(sorted(_BY_ID))}")
+    missing = [name for name in cls.param_names if params.get(name) is None]
     if missing:
         raise TypeError(f"missing: {', '.join(missing)}")
-    extra = set(params) - set(cls.param_names)
-    if extra:
-        raise TypeError(f"unexpected parameters: {sorted(extra)}")
     return cls(q, **{name: params[name] for name in cls.param_names})
-
-
-def _closed_form(family, member: str, missing: str):
-    """The limit family's closed form ``member``; UnknownFamily for any
-    other family and UnsupportedFamily for a limit family without it,
-    ``missing`` naming the family."""
-    if not isinstance(family, _LimitFamily):
-        raise UnknownFamily(missing.format(family.family_id))
-    form = getattr(family, member, None)
-    if form is None:
-        raise UnsupportedFamily(missing.format(family.family_id))
-    return form
-
-
-def _at_point(family, z, evaluate):
-    """evaluate(), a closed form of the family at z, with a bare division
-    by zero there (a series argument such as q/(A z) at z = 0) raised as
-    ZeroDivisor."""
-    try:
-        return evaluate()
-    except ZeroDivisionError:
-        raise ZeroDivisor(f"{family.family_id} closed form divides by zero at z = {z}") from None
 
 
 def spectral_pair(family, z):
     """(small root, large root) of the family's asymptotic growth
     equation at z, along with u = large/(gamma/2) where defined."""
-    prod = _closed_form(family, "_growth_product", "{} has no spectral pair")()
+    prod = member(family, "_growth_product", "{} has no spectral pair")(family)
     small, large = characteristic_roots(z, prod)
     half_gamma = cmath.sqrt(prod)
     return small, large, large / half_gamma
@@ -956,37 +927,16 @@ def spectral_pair(family, z):
 def solution_indices(family) -> tuple:
     """All solution indices of the family (index -1 is the dominant
     branch where the minimal one has a two-sided companion)."""
-    return tuple(sorted(_closed_form(family, "_solutions", "no solutions table for {!r}")))
-
-
-def limit_solution_scaled(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> Scaled:
-    table = _closed_form(family, "_solutions", "no solutions table for {!r}")
-    if which not in table:
-        raise UnknownFamily(
-            f"{family.family_id} has solutions {sorted(table)}, not {which}"
-        )
-    z = complex(z)
-    try:
-        return _at_point(family, z, lambda: table[which](family, z, n, policy))
-    except OverflowError:  # a bare float power such as q**(1 - n) at large n
-        pass
-    # raised outside the handler: see cdqhahn.solution_scaled
-    raise Overflow(f"{family.family_id} solution {which} at n = {n} left the double-precision range")
+    return tuple(sorted(family._solutions))
 
 
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
     """Closed-form solution value; raises FormalOnly for the divergent
     formal series and DivergentSeries when outside the domain."""
-    return limit_solution_scaled(family, z, which, n, policy).value
+    return solution_scaled(family, z, which, n, policy).value
 
 
-def limit_solution_sequence(family, z, which, start, stop, policy=DEFAULT_POLICY):
-    return SolutionSequence.from_function(
-        lambda n: limit_solution_scaled(family, z, which, n, policy),
-        start,
-        stop,
-        provenance=f"closed-form:{family.family_id}:{which}",
-    )
+limit_solution_sequence = solution_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -995,51 +945,29 @@ def limit_solution_sequence(family, z, which, start, stop, policy=DEFAULT_POLICY
 
 
 def limit_poly(family, z, n: int) -> complex:
-    """Closed-form value of the monic polynomial P_n(z) of the family;
-    Overflow or ZeroDivisor once its double sum leaves the double range."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    terms = _closed_form(family, "_poly_terms", "no explicit polynomial for {!r}")
-    z = complex(z)
-    return double_sum(n, family.q, lambda: terms(z, n))
+    """Closed-form value of the monic polynomial P_n(z) of the family."""
+    return poly(family, z, n)
 
 
 def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
     """The polynomial of the limit Al-Salam-Carlitz family computed as a
     parent-family limit rather than from its own generating function."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q, d = family.q, family.delta
-    z = complex(z)
-
-    def terms():
-        pref = (z * d) ** -n * q ** (n * n) / qpoch(q, q, n)
-        outer = [q**-n, 1 / (z * d), 1 / z], [], -d * z * z * q ** (n - 1), -3
-        return pref, outer, ([], [q, 1 / (z * d), 1 / z], -1 / (z * z * d), 3)
-
-    return double_sum(n, q, terms)
+    return poly_alt(family, z, n)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form continued fractions (values of 1/CF).  A form gives the
-# numerator and denominator series at z and the value built from them.
+# Closed-form continued fractions (values of 1/CF).
 # ---------------------------------------------------------------------------
 
 
 def cf_forms(family) -> tuple:
     """Names of the family's closed forms of 1/CF, the default first."""
-    return tuple(_closed_form(family, "_cf_forms", "no closed continued fraction for {!r}"))
+    return tuple(family._cf_forms)
 
 
 def limit_cf(family, z, form: str = "default", policy=DEFAULT_POLICY) -> complex:
     """Closed-form value of 1/CF(z) for the family's J-fraction."""
-    forms = _closed_form(family, "_cf_forms", "no closed continued fraction for {!r}")
-    if form not in forms:
-        raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
-    z = complex(z)
-    num, den, value = _at_point(family, z, lambda: forms[form](family, z, policy))
-    _cf_den(den)
-    return _at_point(family, z, value)
+    return cf(family, z, form, policy)
 
 
 def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
@@ -1047,18 +975,15 @@ def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
     closed-form 1/CF, for zero/interlacing scans of the positive
     definite regimes.  A one-dimensional array of z gives both at every
     point, in one pass of each series kernel."""
-    series = _closed_form(family, "_scan_series", "no scan-ready series pair for {!r}")
+    series = member(family, "_scan_series", "no scan-ready series pair for {!r}")
     if isinstance(z, np.ndarray):
         z = np.asarray(z, dtype=complex)
         # numpy divides by zero without raising: name the scalar's error
         at = qseries.first_point(z == 0, z)
         if at is not None:
-            raise ZeroDivisor(f"{family.family_id} closed form divides by zero at z = {at}")
-        num, den, _ = series(z, policy)
-        return num, den
-    z = complex(z)
-    num, den, _ = _at_point(family, z, lambda: series(z, policy))
-    return num, den
+            raise ZeroDivisor(f"{family.family_id} continued fraction divides by zero at {at}")
+        return series(family, z, policy)
+    return guarded("continued fraction", series, family, complex(z), policy)
 
 
 def _theta_like(q, z, shift):
@@ -1073,11 +998,6 @@ def _theta_like(q, z, shift):
         if abs(term) < 1e-17 * max(abs(total), 1.0) or k > 400:
             break
     return 1.0 + total
-
-
-def _cf_den(value):
-    if value == 0:
-        raise PoleHit("denominator series vanished: z is a pole of the transform")
 
 
 def fourth_limit_series(family: FourthLimit, n: int):
@@ -1151,13 +1071,8 @@ def _unit_circle_point(x: float):
 
 def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous component at x in (-1, 1),
-    where the spectral variable is z = gamma x (unnormalized).  A
-    one-dimensional array of x gives the density at every point, in one
-    pass of each series kernel."""
-    x = support_points(x)
-    parts = _closed_form(family, "_weight_parts",
-                         "{} carries no absolutely continuous weight here")
-    return weight_density(x, *parts(x, _unit_circle_point(x), policy))
+    where the spectral variable is z = gamma x (see ``family.weight``)."""
+    return weight(family, x, policy)
 
 
 def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
@@ -1351,7 +1266,7 @@ def qbessel_series_forms(family: QBesselOrder, z, n: int, policy=DEFAULT_POLICY)
     the 0-phi-1 kernel; the two must agree."""
     q, a = family.q, family.a
     z = complex(z)
-    direct = limit_solution_scaled(family, z, 1, n, policy)
+    direct = solution_scaled(family, z, 1, n, policy)
     series = qpoch(q ** (n + 1) / z, q) * phi01(
         q ** (n + 1) / z, a * q ** (n + 2) / (z * z), q, policy
     )
@@ -1490,13 +1405,13 @@ def fourth_limit_zero_window(q: float, n: int, count: int = 8):
 
     Zeros cluster geometrically toward 0- with ratio about q^2, so the
     inner endpoint must shrink with the requested count.  Overflow when
-    the window leaves the double range (an endpoint overflows, or the
-    inner one underflows to zero).
+    the window leaves the double range: an endpoint overflows, or the
+    inner one is subnormal, where the zeros near it cannot be resolved.
     """
     try:
         lo = -1e6 * q ** (2 * n)
         hi = -(q ** (2 * n + 1)) * q ** (2 * (count + 2))
-        if math.isfinite(lo) and hi != 0:
+        if math.isfinite(lo) and abs(hi) >= sys.float_info.min:
             return lo, hi
     except OverflowError:
         pass

@@ -74,19 +74,6 @@ def _assert_finite(value: complex, context: str) -> complex:
     return value
 
 
-def double_range(evaluate, context: str) -> complex:
-    """evaluate(), with Python's bare float overflow and division by zero
-    raised as Overflow and ZeroDivisor, and a non-finite value (e.g. an
-    underflowed q**(n*n) times an infinite sum) as Overflow."""
-    try:
-        value = evaluate()
-    except OverflowError:
-        raise Overflow(f"{context} left the double-precision range") from None
-    except ZeroDivisionError:
-        raise ZeroDivisor(f"{context} divided by a vanished or underflowed term") from None
-    return _assert_finite(value, context)
-
-
 def term_ratio(q: float, k: int, factors) -> complex:
     """The ratio t_k / t_(k-1) of a basic hypergeometric term declared by
     its factors (nums, dens, step, power):
@@ -111,30 +98,20 @@ def term_ratio(q: float, k: int, factors) -> complex:
     return ratio * step
 
 
-def double_sum(n: int, q: float, terms) -> complex:
-    """pref * sum_{l<=n} outer_l sum_{j<=l} inner_j, where ``terms()``
-    builds (pref, outer, inner), outer and inner being the factors of
-    their term ratios (see ``term_ratio``) and outer_l, inner_j the
-    running products of the ratios from 1; raises as ``double_range``.
-    Every such sum here is a monic polynomial, so n = 0 gives P_0 = 1
-    without building the factors (which may divide by z = 0)."""
-    if n == 0:
-        return 1.0 + 0.0j
-
-    def evaluate():
-        pref, outer, inner = terms()
-        total = inner_total = 0.0 + 0.0j
-        outer_t = inner_t = 1.0 + 0.0j
-        # the inner sums are prefix sums of one series: each adds a term
-        for ell in range(n + 1):
-            if ell > 0:
-                outer_t *= term_ratio(q, ell, outer)
-                inner_t *= term_ratio(q, ell, inner)
-            inner_total += inner_t
-            total += outer_t * inner_total
-        return pref * total
-
-    return double_range(evaluate, "explicit polynomial double sum")
+def double_sum(n: int, q: float, pref, outer, inner) -> complex:
+    """pref * sum_{l<=n} outer_l sum_{j<=l} inner_j, where outer and inner
+    are the factors of their term ratios (see ``term_ratio``) and outer_l,
+    inner_j the running products of the ratios from 1."""
+    total = inner_total = 0.0 + 0.0j
+    outer_t = inner_t = 1.0 + 0.0j
+    # the inner sums are prefix sums of one series: each adds a term
+    for ell in range(n + 1):
+        if ell > 0:
+            outer_t *= term_ratio(q, ell, outer)
+            inner_t *= term_ratio(q, ell, inner)
+        inner_total += inner_t
+        total += outer_t * inner_total
+    return pref * total
 
 
 def first_point(mask, points):

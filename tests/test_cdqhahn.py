@@ -487,6 +487,18 @@ class TestPointArguments:
             assert spectral_point(params, x=0.4, side=side).z == z
         assert params.z_at(2.0) == spectral_point(params, x=2.0).z
 
+    def test_closed_forms_where_a_prefactor_vanishes_are_finite_or_named_errors(self):
+        # at z = 24, lambda_- = 4 and 1 - BCD lambda_-/q is exactly 0
+        params = CDQHParams(0.5, 0.0625, 0.25, 0.5, 0.5)
+        calls = [lambda f=f: cf_stieltjes(params, 24.0, f) for f in cdqhahn.CF_FORMS]
+        calls += [lambda w=w: solution(params, 24.0, w, n) for w in SOLUTIONS for n in (0, 2)]
+        for call in calls:
+            try:
+                value = call()
+            except (QdhError, ValueError):
+                continue
+            assert cmath.isfinite(value)
+
     def test_power_past_the_double_range_is_a_named_error(self, params, point):
         # q**(1 - n) overflows at n = 4000
         with pytest.raises(Overflow):

@@ -334,6 +334,16 @@ CONTRACT_CASES = [
       "--x", "2", *CDQH_ARGS), {}, 3),
     (("eval", "--family", "al-salam-carlitz1", "--what", "solution", "--which", "2", "--n", "4000",
       "--z", "2.5", "--q", ".5", *LIMIT_ARGS["al-salam-carlitz1"]), {}, 3),
+    # at z = 24, 1 - BCD lambda_-/q vanishes: a closed form that divides by
+    # zero there, and the truncated fraction that vanishes, exit 3
+    *[(("eval", "--family", "cdqh", "--z", "24", "--q", "0.5", "--A", "0.0625", "--B", "0.25",
+        "--C", "0.5", "--D", "0.5", *what), {}, 3)
+      for what in (("--what", "cf"), ("--what", "cf", "--cf-form", "ratio-alt"),
+                   ("--what", "solution", "--which", "dominant", "--n", "2"),
+                   ("--what", "cf-trunc"))],
+    # parameters whose product underflows to zero are a usage error
+    (("eval", "--family", "wall", "--q", "0.5", "--A", "1e-200", "--B", "1e-200", "--what",
+      "cf-trunc", "--z", "4"), {}, 2),
     # a point on the cut with a side evaluates
     *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "poly", "--n", "3",
         *CDQH_ARGS), {}, 0) for side in ("above", "below")],
@@ -386,6 +396,22 @@ def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_scans_up_to_the_subnormal_window_find_eight_zeros_or_exit_3(monkeypatch, capsys):
+    # past n = 500 at q = 0.5 the window's inner end is subnormal, where a
+    # scan used to print fewer zeros with exit 0
+    for n in range(480, 527):
+        monkeypatch.setattr(sys, "argv", ["qdh", "zeros", "--f", "fourth-limit", "--n", str(n),
+                                          "--q", "0.5", "--interlace"])
+        try:
+            cli.run()
+        except SystemExit as exited:
+            code = exited.code
+        else:
+            code = 0
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 3 or (code == 0 and len(rows) == 10 and rows[-1].endswith("pass")), n
+
+
 def test_eval_and_table_declare_the_same_family_options():
     names = ["q", "a_par", "b_par", "c_par", "d_par", "delta", "a_small"]
     for command in (cli.cmd_eval, cli.cmd_table):
@@ -404,7 +430,7 @@ def test_accepted_cf_forms_evaluate():
 
 
 @pytest.mark.parametrize("what", ["solution", "cf", "poly"])
-@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+@pytest.mark.parametrize("family", sorted(["cdqh", *limits.FAMILIES]))
 def test_every_family_evaluates_through_one_path(family, what):
     point = ("--x", "2", *CDQH_ARGS) if family == "cdqh" else (
         "--z", "2.5", "--q", ".5", *LIMIT_ARGS[family])

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qdhahn import limits, recurrence, verify
+from qdhahn import cdqhahn, limits, recurrence, verify
 from qdhahn.cdqhahn import CDQHParams
 from qdhahn.errors import (
     DivergentSeries,
@@ -86,6 +86,24 @@ class TestRegistry:
     def test_missing_parameter_message(self):
         with pytest.raises(TypeError, match="missing: B"):
             family_from_id("wall", 0.5, A=0.3)
+
+    @pytest.mark.parametrize("build", [lambda: CDQHParams(0.5, 1e-200, 1e-200, 0.3, 0.4),
+                                       lambda: Wall(0.5, 1e-200, 1e-200),
+                                       lambda: BigQLaguerre(0.5, 1e200, 1e200, 0.0)])
+    def test_parameters_and_their_product_must_be_nonzero(self, build):
+        # the coefficients divide by the product, which can underflow (or,
+        # past an overflow, come out nan beside a zero parameter)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            build()
+
+    def test_the_flagship_by_id_and_parameters_it_does_not_take(self):
+        # None counts as not given; parameters the family does not take are
+        # not passed on (``qdh zeros`` gives every cf-part family A = q)
+        assert family_from_id("cdqh", 0.5, A=0.3, B=0.4, C=0.35, D=0.45, delta=None) == \
+            CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
+        assert family_from_id("limit-asc1", 0.5, A=0.5, delta=0.6) == LimitASC1(0.5, 0.6)
+        with pytest.raises(TypeError, match="missing: C, D"):
+            family_from_id("cdqh", 0.5, A=0.3, B=0.4, C=None)
 
 
 # How each scan family's closed-form 1/CF combines its series pair.
@@ -173,12 +191,21 @@ class TestClosedFormRegistry:
         if family_id == "limit-asc1":
             assert limit_asc1_poly_alt(fam, 0, 0) == 1
 
-    def test_flagship_family_has_no_limit_closed_forms(self):
+    def test_limit_closed_forms_of_the_flagship_are_its_own(self):
+        # one closed-form layer: the limit_* names evaluate the flagship too
         params = CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
-        for call in (lambda: limit_poly(params, 2.5, 3), lambda: limit_cf(params, 2.5),
-                     lambda: limit_solution(params, 2.5, 1, 3)):
-            with pytest.raises(UnknownFamily):
-                call()
+        for z in (25.0, 3.0 - 2.0j, params.point_at(-25.0)):
+            for n in (0, 3, 7):
+                assert limit_poly(params, z, n) == cdqhahn.explicit_poly(params, z, n)
+                for which in cdqhahn.SOLUTIONS:
+                    assert (limit_solution(params, z, which, n)
+                            == cdqhahn.solution(params, z, which, n))
+            for form in cdqhahn.CF_FORMS[:3]:
+                assert limit_cf(params, z, form) == cdqhahn.cf_stieltjes(params, z, form)
+        reduced = CDQHParams(0.5, 0.3, 0.4, 0.5, 0.45)
+        for form in cdqhahn.CF_FORMS[3:]:
+            assert limit_cf(reduced, 25.0, form) == cdqhahn.cf_stieltjes(reduced, 25.0, form)
+        assert limit_weight(reduced, 0.3) == cdqhahn.weight(reduced, 0.3)
 
 
 CUT_FAMILIES = ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")
@@ -619,8 +646,9 @@ class TestZeros:
         with pytest.raises(ValueError, match="one sign"):
             find_zeros(math.sin, lo, hi)
 
-    @pytest.mark.parametrize("n", [-600, 600])
+    @pytest.mark.parametrize("n", [-600, 501, 600])
     def test_zero_window_past_the_double_range_raises_overflow(self, n):
+        # at n = 501 the inner end is subnormal
         with pytest.raises(Overflow):
             fourth_limit_zero_window(0.5, n, 8)
 
