@@ -4,7 +4,8 @@ explicit polynomial formulas, and a verification harness.
 
 The flagship four-parameter family lives in :mod:`qdhahn.cdqhahn`; the
 eleven limit families in :mod:`qdhahn.limits`; the closed-form layer all
-twelve share in :mod:`qdhahn.family`; generic three-term
+twelve share, with the spectral geometry of the four that have a cut, in
+:mod:`qdhahn.family`; generic three-term
 recurrence machinery in :mod:`qdhahn.recurrence`; q-Pochhammer symbols
 and basic hypergeometric series in :mod:`qdhahn.qseries`; seeded
 identity checks in :mod:`qdhahn.verify`.  The ``qdh`` console script

@@ -7,10 +7,12 @@ Parameters (q, A, B, C, D) drive the recurrence
     b_n^2 = (q / ABCD) (1 - A q^(n-1)) (1 - B q^(n-1))
                        (1 - C q^(n-1)) (1 - D q^(n-1)),
 
-symmetric in A, B, C, D.  The spectral variable is x = alpha z with
-alpha = sqrt(ABCD/q)/2; the two growth rates lambda_-+ solve
-lambda^2 - z lambda + q/(ABCD) = 0 and pair with u = 2 alpha lambda_+
-(|u| >= 1 off the cut, u on the unit circle on it).
+symmetric in A, B, C, D.  It is one of the four cut families of
+``family``: its growth rates lambda_-+ solve lambda^2 - z lambda +
+q/(ABCD) = 0, the spectral variable is x = alpha z with alpha =
+sqrt(ABCD/q)/2, and u = 2 alpha lambda_+ (|u| >= 1 off the cut, u on the
+unit circle on it).  ``spectral_point`` and ``SpectralPoint`` live in
+``family`` and serve all four; they are re-exported here.
 
 Solution labels (all satisfy the recurrence; pairwise independent):
 
@@ -34,20 +36,17 @@ series of a form of 1/CF raises PoleHit.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import family, qseries, recurrence
+from . import family, qseries
 from .errors import BranchAmbiguous, ZeroDivisor
-from .family import Family, cf_denominator, solution_scaled, solution_sequence
+from .family import (ABOVE, BELOW, OFF_CUT, CutFamily, SpectralPoint, cf_denominator,
+                     solution_scaled, solution_sequence, spectral_point)
 from .qseries import (
     DEFAULT_POLICY,
     phi32,
     qpoch,
     qpoch_multi,
-    sqrt,
     support_points,
     term_ratio,
     weight_density,
@@ -55,17 +54,11 @@ from .qseries import (
 from .recurrence import Scaled
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
-OFF_CUT = "off-cut"
-ABOVE = "above"
-BELOW = "below"
-
 
 @dataclass(frozen=True)
-class CDQHParams(Family):
-    """The flagship family (see ``family`` for its declared members).
-    Its closed forms take a SpectralPoint, so it adds the point
-    construction: ``point_at`` with a side on the cut, and ``z_at``
-    from x = alpha z."""
+class CDQHParams(CutFamily):
+    """The flagship family (see ``family`` for its declared members and
+    its SpectralPoint)."""
 
     q: float
     A: complex
@@ -99,24 +92,8 @@ class CDQHParams(Family):
         picked = [vals[ch] for ch in order]
         return CDQHParams(self.q, *picked)
 
-    def point_at(self, z, side=None, single_valued=False) -> "SpectralPoint":
-        """The spectral point at z (a SpectralPoint is its own).  Without
-        a side it must lie off the cut, except for a form that is single
-        valued across the cut (a polynomial), which there takes the side
-        above."""
-        if isinstance(z, SpectralPoint):
-            return z
-        try:
-            return spectral_point(self, z=z, side=side or OFF_CUT)
-        except BranchAmbiguous:
-            if side is None and single_valued:
-                return spectral_point(self, z=z, side=ABOVE)
-            raise
-
-    def z_at(self, x) -> complex:
-        """The z of the rescaled point x = alpha z, on the cut or off it:
-        z does not depend on the side, which ``point_at`` takes."""
-        return complex(x) / self.alpha
+    def _growth_product(self):
+        return self.q / (self.A * self.B * self.C * self.D)
 
     def _growth_series(self, lam, n, policy) -> Scaled:
         q = self.q
@@ -343,91 +320,6 @@ def birth_death_rates(params: CDQHParams, n: int) -> BirthDeathRates:
     return BirthDeathRates(lam, mu)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    z: complex
-    alpha: complex
-    x: complex
-    u: complex
-    lam_minus: complex
-    lam_plus: complex
-    side: str = OFF_CUT
-
-
-def _quotient(a, b: complex):
-    """a / b for an array a and a complex scalar b, rounded element by
-    element as Python's complex division rounds (numpy multiplies by the
-    reciprocal instead).  Near x = +-1 a last-bit change in x moves
-    sqrt(1 - x^2), and with it the weight, a thousand times more, so
-    grid and scalar spectral points must agree to the last bit."""
-    if abs(b.real) >= abs(b.imag):
-        ratio = b.imag / b.real
-        denom = b.real + b.imag * ratio
-        real, imag = (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
-    else:
-        ratio = b.real / b.imag
-        denom = b.real * ratio + b.imag
-        real, imag = (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
-    out = np.empty(np.shape(a), dtype=complex)
-    out.real, out.imag = real, imag
-    return out
-
-
-def spectral_point(params: CDQHParams, z=None, x=None, side: str = OFF_CUT) -> SpectralPoint:
-    """Spectral data at z (or x = alpha z).
-
-    Off the cut lam_minus is the root of smaller modulus; on the cut the
-    side flag selects the boundary value the off-cut branch tends to:
-    approaching from above sends the small root to (x - i sqrt(1-x^2)) /
-    (2 alpha), from below to its conjugate.  An array of z (or x) gives
-    the data at every point, as arrays.
-    """
-    alpha = params.alpha
-    if (z is None) == (x is None):
-        raise ValueError("provide exactly one of z or x")
-    grid = isinstance(x if z is None else z, np.ndarray)
-    given = None if x is None else (np.asarray(x, dtype=complex) if grid else complex(x))
-    if z is None:
-        z = _quotient(given, alpha) if grid else given / alpha
-    else:
-        z = np.asarray(z, dtype=complex) if grid else complex(z)
-    x = alpha * z
-    prod = params.q / (params.A * params.B * params.C * params.D)
-    if side == OFF_CUT:
-        small, large = recurrence.characteristic_roots(z, prod)
-        scale = abs(large)
-        # the sqrt near a double root resolves only to ~sqrt(eps)
-        ambiguous = abs(abs(small) - scale) <= 4e-8 * (
-            np.maximum(scale, 1e-300) if grid else max(scale, 1e-300))
-        if ambiguous.any() if grid else ambiguous:
-            raise BranchAmbiguous(
-                "|lambda_-| = |lambda_+|: the point lies on the cut; pick a side"
-            )
-        u = 2 * alpha * large
-        return SpectralPoint(z, alpha, x, u, small, large, side)
-    if side not in (ABOVE, BELOW):
-        raise ValueError(f"side must be one of {OFF_CUT!r}, {ABOVE!r}, {BELOW!r}")
-    if given is not None:
-        # keep the given x: the round trip through z can move it by an
-        # ulp, which sqrt(1 - x^2) magnifies near +-1
-        x = given
-    inside = (abs(x.imag) <= 1e-10) & (-1.0 < x.real) & (x.real < 1.0)
-    if not (inside.all() if grid else inside):
-        raise ValueError("boundary sides require real x strictly inside (-1, 1)")
-    xr = x.real
-    root = sqrt(1.0 - xr * xr)
-    divide = _quotient if grid else operator.truediv
-    lam_a = divide(xr - 1j * root, 2 * alpha)
-    lam_b = divide(xr + 1j * root, 2 * alpha)
-    if side == ABOVE:
-        small, large = lam_a, lam_b
-    else:
-        small, large = lam_b, lam_a
-    u = 2 * alpha * large
-    return SpectralPoint(z, alpha, xr.astype(complex) if grid else complex(xr), u, small,
-                         large, side)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form solutions.
 # ---------------------------------------------------------------------------
@@ -486,16 +378,17 @@ def _require_reduced(params: CDQHParams):
         raise ValueError("this form requires C = q")
 
 
-def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str = "ratio",
+def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str | None = None,
                  policy=DEFAULT_POLICY) -> complex:
     """1/CF(z) for the J-fraction attached to the recurrence, at a
     SpectralPoint or a number z off the cut.
 
-    Forms: "ratio" (quotient of two balanced series), "ratio-alt"
-    (identical value, prefactor written through lambda_+), "pincherle"
-    (from the minimal solution at indices 0 and -1), and the C = q
-    reductions "reduced" (single balanced series) and "reduced-product"
-    (explicit infinite-product numerator over the pole-carrying products).
+    Forms: "ratio" (quotient of two balanced series; the default, also
+    for None), "ratio-alt" (identical value, prefactor written through
+    lambda_+), "pincherle" (from the minimal solution at indices 0 and
+    -1), and the C = q reductions "reduced" (single balanced series) and
+    "reduced-product" (explicit infinite-product numerator over the
+    pole-carrying products).
     """
     return family.cf(params, point, form, policy)
 

@@ -141,7 +141,8 @@ def main():
               help="solution label (cdqh) or index (limit families)")
 @click.option("--n", "n_index", type=int, default=0, help="degree / sequence index")
 @click.option("--z", "z_text", default=None, help="spectral argument (re or re+imi)")
-@click.option("--x", "x_text", default=None, help="rescaled argument on the cut side")
+@click.option("--x", "x_text", default=None,
+              help="rescaled argument x = alpha z of a cut family, or the weight's x")
 @click.option("--grid", default=None, help="lo:hi:count grid over z (or x for weight)")
 @click.option("--depth", type=int, default=400, help="truncation depth for cf-trunc")
 @_family_options
@@ -200,7 +201,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
             return closed_forms.poly_alt(fam, point, n_index)
         if what == "solution":
             return closed_forms.solution_scaled(fam, point, label, n_index, policy).value
-        return closed_forms.cf(fam, point, cf_form or forms[0], policy)
+        return closed_forms.cf(fam, point, cf_form, policy)
 
     try:
         if what == "weight" and grid is not None:

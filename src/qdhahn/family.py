@@ -15,29 +15,46 @@ forms once, as class members:
     _weight_parts  (x, policy) -> numerator, denominator and bracket of
                    the weight on the cut (families with a cut)
 
+The four families with a spectral cut (cdqh, al-salam-chihara,
+cont-q-hermite and cont-big-q-hermite) derive from ``CutFamily``.  Each
+declares ``_growth_product()``, the product p of its growth rates
+lambda_-+, the roots of lambda^2 - z lambda + p; they meet in modulus on
+the cut z = gamma x, -1 < x < 1, with gamma = 2 sqrt(p) = 1/alpha.
+
 ``point_at(z, side, single_valued)`` turns the point a caller gives into
-the argument these members take: z itself for a limit family, the
-spectral point for the flagship (which also takes a SpectralPoint as it
-is).  The functions below are the one way to evaluate the members: each
-looks the member up, evaluates it at its point and raises Python's bare
-OverflowError and ZeroDivisionError as Overflow and ZeroDivisor (a
-vanished denominator of 1/CF is PoleHit, see ``cf_denominator``).
+the argument these members take: z itself for a family without a cut,
+the ``SpectralPoint`` at z for a cut family (which also takes a
+SpectralPoint as it is).  The functions below are the one way to
+evaluate the members: each looks the member up, evaluates it at its
+point and raises Python's bare OverflowError and ZeroDivisionError as
+Overflow and ZeroDivisor (a vanished denominator of 1/CF is PoleHit, see
+``cf_denominator``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+from dataclasses import dataclass
 
-from .errors import Overflow, PoleHit, UnknownFamily, UnsupportedFamily, ZeroDivisor
-from .qseries import (DEFAULT_POLICY, _assert_finite, _check_q, double_sum, support_points,
-                      weight_density)
-from .recurrence import SolutionSequence
+import numpy as np
+
+from .errors import (BranchAmbiguous, Overflow, PoleHit, UnknownFamily, UnsupportedFamily,
+                     ZeroDivisor)
+from .qseries import (DEFAULT_POLICY, _assert_finite, _check_q, double_sum, sqrt,
+                      support_points, weight_density)
+from .recurrence import SolutionSequence, characteristic_roots
+
+OFF_CUT = "off-cut"
+ABOVE = "above"
+BELOW = "below"
 
 
 class Family:
     """Parameter checks and point conversion shared by the families."""
 
-    z_at = None  # z from a rescaled argument x; only the flagship has one
+    z_at = None  # z from a rescaled argument x; only a cut family has one
 
     def __post_init__(self):
         object.__setattr__(self, "q", _check_q(self.q))
@@ -55,6 +72,126 @@ class Family:
     def _comfort_drivers(self, z):
         """Series arguments at z that verification draws keep comfortable."""
         return []
+
+
+class CutFamily(Family):
+    """A family with a spectral cut (see above).  Its closed forms take
+    a SpectralPoint: ``point_at`` builds it, with a side on the cut, and
+    ``z_at`` gives z from x = alpha z."""
+
+    @property
+    def gamma(self) -> complex:
+        return 2 * cmath.sqrt(self._growth_product())
+
+    @property
+    def alpha(self) -> complex:
+        gamma = self.gamma
+        if not (gamma and cmath.isfinite(gamma)):  # p underflowed or overflowed
+            raise Overflow(f"{self.family_id} has no cut in the double range (gamma = {gamma})")
+        return 1 / gamma
+
+    def point_at(self, z, side=None, single_valued=False) -> "SpectralPoint":
+        """The spectral point at z (a SpectralPoint is its own).  Without
+        a side it must lie off the cut, except for a form that is single
+        valued across the cut (a polynomial), which there takes the side
+        above."""
+        if isinstance(z, SpectralPoint):
+            return z
+        try:
+            return spectral_point(self, z=z, side=side or OFF_CUT)
+        except BranchAmbiguous:
+            if side is None and single_valued:
+                return spectral_point(self, z=z, side=ABOVE)
+            raise
+
+    def z_at(self, x) -> complex:
+        """The z of the rescaled point x = alpha z, on the cut or off it:
+        z does not depend on the side, which ``point_at`` takes."""
+        return complex(x) / self.alpha
+
+
+@dataclass(frozen=True)
+class SpectralPoint:
+    z: complex
+    alpha: complex
+    x: complex
+    u: complex
+    lam_minus: complex
+    lam_plus: complex
+    side: str = OFF_CUT
+
+
+def _quotient(a, b: complex):
+    """a / b for an array a and a complex scalar b, rounded element by
+    element as Python's complex division rounds (numpy multiplies by the
+    reciprocal instead).  Near x = +-1 a last-bit change in x moves
+    sqrt(1 - x^2), and with it the weight, a thousand times more, so
+    grid and scalar spectral points must agree to the last bit."""
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        real, imag = (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
+    else:
+        ratio = b.real / b.imag
+        denom = b.real * ratio + b.imag
+        real, imag = (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def spectral_point(params: CutFamily, z=None, x=None, side: str = OFF_CUT) -> SpectralPoint:
+    """Spectral data of a cut family at z (or x = alpha z).
+
+    Off the cut lam_minus is the root of smaller modulus; on the cut the
+    side flag selects the boundary value the off-cut branch tends to:
+    approaching from above sends the small root to (x - i sqrt(1-x^2)) /
+    (2 alpha), from below to its conjugate.  u = 2 alpha lam_plus.  An
+    array of z (or x) gives the data at every point, as arrays.
+    """
+    alpha = params.alpha
+    if (z is None) == (x is None):
+        raise ValueError("provide exactly one of z or x")
+    grid = isinstance(x if z is None else z, np.ndarray)
+    given = None if x is None else (np.asarray(x, dtype=complex) if grid else complex(x))
+    if z is None:
+        z = _quotient(given, alpha) if grid else given / alpha
+    else:
+        z = np.asarray(z, dtype=complex) if grid else complex(z)
+    x = alpha * z
+    if side == OFF_CUT:
+        small, large = characteristic_roots(z, params._growth_product())
+        scale = abs(large)
+        # the sqrt near a double root resolves only to ~sqrt(eps)
+        ambiguous = abs(abs(small) - scale) <= 4e-8 * (
+            np.maximum(scale, 1e-300) if grid else max(scale, 1e-300))
+        if ambiguous.any() if grid else ambiguous:
+            raise BranchAmbiguous(
+                "|lambda_-| = |lambda_+|: the point lies on the cut; pick a side"
+            )
+        u = 2 * alpha * large
+        return SpectralPoint(z, alpha, x, u, small, large, side)
+    if side not in (ABOVE, BELOW):
+        raise ValueError(f"side must be one of {OFF_CUT!r}, {ABOVE!r}, {BELOW!r}")
+    if given is not None:
+        # keep the given x: the round trip through z can move it by an
+        # ulp, which sqrt(1 - x^2) magnifies near +-1
+        x = given
+    inside = (abs(x.imag) <= 1e-10) & (-1.0 < x.real) & (x.real < 1.0)
+    if not (inside.all() if grid else inside):
+        raise ValueError("boundary sides require real x strictly inside (-1, 1)")
+    xr = x.real
+    root = sqrt(1.0 - xr * xr)
+    divide = _quotient if grid else operator.truediv
+    lam_a = divide(xr - 1j * root, 2 * alpha)
+    lam_b = divide(xr + 1j * root, 2 * alpha)
+    if side == ABOVE:
+        small, large = lam_a, lam_b
+    else:
+        small, large = lam_b, lam_a
+    u = 2 * alpha * large
+    return SpectralPoint(z, alpha, xr.astype(complex) if grid else complex(xr), u, small,
+                         large, side)
 
 
 def guarded(what: str, evaluate, family, at, *args):
@@ -111,15 +248,15 @@ def _double_sum(family, at, n):
 
 
 def _polynomial(evaluate, family, point, n: int) -> complex:
-    """The monic P_n(point) by ``evaluate``; single valued, so a flagship
-    point on the cut takes the side above.  Overflow or ZeroDivisor once
-    its terms leave the double range; P_0 = 1 everywhere, z = 0 included,
-    without evaluating the terms."""
+    """The monic P_n(point) by ``evaluate``; single valued, so a point on
+    a cut takes the side above.  Overflow or ZeroDivisor once its terms
+    leave the double range; P_0 = 1 everywhere, z = 0 included, without
+    building the point or evaluating the terms."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    at = family.point_at(point, single_valued=True)
     if n == 0:
         return 1.0 + 0.0j
+    at = family.point_at(point, single_valued=True)
     return _assert_finite(guarded("polynomial", evaluate, family, at, n),
                           "explicit polynomial double sum")
 
@@ -135,9 +272,11 @@ def poly_alt(family, point, n: int) -> complex:
                        family, point, n)
 
 
-def cf(family, point, form: str, policy) -> complex:
-    """1/CF at the point by the named closed form."""
+def cf(family, point, form=None, policy=DEFAULT_POLICY) -> complex:
+    """1/CF at the point by the named closed form (None: the family's
+    first declared form)."""
     forms = family._cf_forms
+    form = next(iter(forms)) if form is None else form
     if form not in forms:
         raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
     return guarded("continued fraction", forms[form], family, family.point_at(point), policy)

@@ -2,12 +2,15 @@
 
 Each family is a frozen dataclass exposing the recurrence coefficients
 ``a_coeff(n)`` / ``b_sq_coeff(n)`` and declaring its closed forms once,
-as the members ``family`` describes, taking z itself: ``_solutions``
-(index -> evaluator; 1 is always the subdominant/minimal one),
-``_poly_terms`` (the (nums, dens, step, power) factors of the double
-sum's term ratios, see ``qseries.term_ratio``), ``_cf_forms``, and for
-the three families with a spectral cut ``_growth_product`` and
-``_weight_parts``.  The four scan families also declare
+as the members ``family`` describes: ``_solutions`` (index -> evaluator;
+1 is always the subdominant/minimal one), ``_poly_terms`` (the (nums,
+dens, step, power) factors of the double sum's term ratios, see
+``qseries.term_ratio``) and ``_cf_forms``.  The three families with a
+spectral cut (al-salam-chihara, cont-q-hermite and cont-big-q-hermite)
+are ``family.CutFamily``s like the flagship: they declare
+``_growth_product`` and ``_weight_parts``, and their members take the
+flagship's ``SpectralPoint`` (with a side on the cut) where the other
+eight take z itself.  The four scan families also declare
 ``_scan_series``, the (numerator, denominator) pair their 1/CF divides
 and zero scans use.  Divergent series that only exist formally raise
 FormalOnly unless a parameter makes them terminate.
@@ -54,6 +57,8 @@ from .errors import (
     ZeroDivisor,
 )
 from .family import (
+    ABOVE,
+    CutFamily,
     Family,
     cf,
     cf_denominator,
@@ -63,6 +68,7 @@ from .family import (
     poly_alt,
     solution_scaled,
     solution_sequence,
+    spectral_point,
     weight,
 )
 from .qseries import (
@@ -75,22 +81,16 @@ from .qseries import (
     phi_r0_terminating,
     qpoch,
     qpoch_multi,
-    sqrt,
     support_points,
     termination_order,
     weight_density,
 )
-from .recurrence import Scaled, characteristic_roots, forward_eval
+from .recurrence import Scaled, forward_eval
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 
 def _sign(n: int) -> complex:
     return -1.0 + 0.0j if n % 2 else 1.0 + 0.0j
-
-
-def _gamma(family) -> complex:
-    """Scale of the spectral cut z = gamma x, -1 < x < 1, of a cut family."""
-    return 2 * cmath.sqrt(family._growth_product())
 
 
 def _terminates(p, q) -> bool:
@@ -376,7 +376,7 @@ class FourthLimit(Family):
 
 
 @dataclass(frozen=True)
-class AlSalamChihara(Family):
+class AlSalamChihara(CutFamily):
     q: float
     A: complex
     B: complex
@@ -400,33 +400,29 @@ class AlSalamChihara(Family):
     def _growth_product(self):
         return self.q / (self.A * self.B * self.delta)
 
-    gamma = property(_gamma)
-
-    def _solution_1(self, z, n, policy, branch="minus"):
+    def _growth_series(self, lam, n, policy):
         q, A, B = self.q, self.A, self.B
-        small, large, _ = spectral_pair(self, z)
-        lam = small if branch == "minus" else large
         pref = qpoch_multi([A, B], q, n) / qpoch(A * B * lam, q, n)
         series = phi21(B * lam, B * q**n, A * B * lam * q**n, A * self.delta * lam, q, policy)
         return _power(lam, n) * (pref * series)
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, pt, n, policy):
         q, B = self.q, self.B
-        small, large, _ = spectral_pair(self, z)
         pref = qpoch(B, q, n)
-        series = phi21(B * large, B * small, q / self.delta, q ** (1 - n) / B, q, policy)
+        series = phi21(B * pt.lam_plus, B * pt.lam_minus, q / self.delta, q ** (1 - n) / B, q,
+                       policy)
         return _power(B, -n) * (pref * series)
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, pt, n, policy):
         q, B, d = self.q, self.B, self.delta
-        small, large, _ = spectral_pair(self, z)
         pref = qpoch(B, q, n)
-        series = phi21(B * d * large, B * d * small, q * d, q ** (1 - n) / B, q, policy)
+        series = phi21(B * d * pt.lam_plus, B * d * pt.lam_minus, q * d, q ** (1 - n) / B, q,
+                       policy)
         return _power(d * B, -n) * (pref * series)
 
-    def _solution_4_direct(self, z, n, policy):
+    def _solution_4_direct(self, pt, n, policy):
         q, A, B, d = self.q, self.A, self.B, self.delta
-        small, large, _ = spectral_pair(self, z)
+        small, large = pt.lam_minus, pt.lam_plus
         pref = qpoch_multi([A * B * d * large / q, A * B * d * small / q], q, n)
         series = phi22_balanced(
             q ** (1 - n) / A,
@@ -444,36 +440,36 @@ class AlSalamChihara(Family):
             * (pref * series)
         )
 
-    def _solution_4(self, z, n, policy):
+    def _solution_4(self, pt, n, policy):
         # the defining confluent double-denominator series is an exact
         # n-independent multiple of solution 2; its direct sum collapses by
         # cancellation as n grows, so evaluate through that multiple with
         # the constant pinned at n = 0 where the direct sum is clean
         if n <= 2:
-            return self._solution_4_direct(z, n, policy)
-        const = self._solution_4_direct(z, 0, policy).value / self._solution_2(z, 0, policy).value
-        return self._solution_2(z, n, policy) * const
+            return self._solution_4_direct(pt, n, policy)
+        const = (self._solution_4_direct(pt, 0, policy).value
+                 / self._solution_2(pt, 0, policy).value)
+        return self._solution_2(pt, n, policy) * const
 
     _solutions = {
-        1: _solution_1,
-        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
+        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
         2: _solution_2,
         3: _solution_3,
         4: _solution_4,
     }
 
-    def _poly_terms(self, z, n):
+    def _poly_terms(self, pt, n):
         q, A, B, d = self.q, self.A, self.B, self.delta
-        gamma = self.gamma
-        _, _, u = spectral_pair(self, z)
+        gamma, u = self.gamma, pt.u
         pref = (gamma * u / 2) ** n * qpoch_multi([A, B], q, n) / qpoch(q, q, n)
         outer = [q**-n, 2 * u / (gamma * d), 2 * u / gamma], [A, B], -(q**n) * u**-2, -1
         inner = [A / q, B / q], [q, 2 * u / (gamma * d), 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
-    def _cf(self, z, policy):
+    def _cf(self, pt, policy):
         q, A, B, d = self.q, self.A, self.B, self.delta
-        small, _, _ = spectral_pair(self, z)
+        small = pt.lam_minus
         num = phi21(B * small, B, A * B * small, A * d * small, q, policy)
         den = phi21(B * small, B / q, A * B * small / q, A * d * small, q, policy)
         return A * B * d * small / (q * (1 - A * B * small / q)) * num / cf_denominator(den)
@@ -482,10 +478,8 @@ class AlSalamChihara(Family):
 
     def _weight_parts(self, x, policy):
         q, A, B, d = self.q, self.A, self.B, self.delta
-        gamma = self.gamma
-        u = _unit_circle_point(x)
-        lam_p = gamma / 2 * u
-        lam_m = gamma / 2 / u
+        pt = spectral_point(self, x=x, side=ABOVE)
+        u, lam_p, lam_m = pt.u, pt.lam_plus, pt.lam_minus
         numerator = qpoch_multi([A, B, u * u, 1 / (u * u)], q)
         denominator = qpoch_multi(
             [A * d * lam_p, A * d * lam_m, A * B * lam_p / q, A * B * lam_m / q], q
@@ -631,7 +625,7 @@ class LimitASC1(Family):
 
 
 @dataclass(frozen=True)
-class ContQHermite(Family):
+class ContQHermite(CutFamily):
     q: float
     A: complex
     delta: complex
@@ -649,19 +643,15 @@ class ContQHermite(Family):
     def _growth_product(self):
         return self.q / (self.A * self.delta)
 
-    gamma = property(_gamma)
-
-    def _solution_1(self, z, n, policy, branch="minus"):
+    def _growth_series(self, mu, n, policy):
         q, A, d = self.q, self.A, self.delta
-        small, large, _ = spectral_pair(self, z)
-        mu = small if branch == "minus" else large
         pref = qpoch(A, q, n)
         series = phi11(A * q**n, 0.0, A * d * mu * mu, q, policy)
         return _power(mu, n) * (pref * series)
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, pt, n, policy):
         q, A, d = self.q, self.A, self.delta
-        small, _, _ = spectral_pair(self, z)
+        small = pt.lam_minus
         if not _terminates(q ** (1 - n) / A, q):
             raise FormalOnly("formal series unless A is a power of q")
         series = phi_r0_terminating(
@@ -670,20 +660,19 @@ class ContQHermite(Family):
         return _power(small, n) * series
 
     _solutions = {
-        1: _solution_1,
-        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
+        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
         2: _solution_2,
     }
 
-    def _poly_terms(self, z, n):
-        q, A = self.q, self.A
-        _, _, u = spectral_pair(self, z)
+    def _poly_terms(self, pt, n):
+        q, A, u = self.q, self.A, pt.u
         pref = (self.gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
         return pref, ([q**-n], [A], -(q**n) * u**-2, -1), ([A / q], [q], -(u**2) * q, 1)
 
-    def _cf(self, z, policy):
+    def _cf(self, pt, policy):
         q, A, d = self.q, self.A, self.delta
-        small, _, _ = spectral_pair(self, z)
+        small = pt.lam_minus
         num = phi11(A, 0.0, A * d * small * small, q, policy)
         den = phi11(A / q, 0.0, A * d * small * small, q, policy)
         return (A * d * small / q) * num / cf_denominator(den)
@@ -691,7 +680,7 @@ class ContQHermite(Family):
     _cf_forms = {"default": _cf}
 
     def _weight_parts(self, x, policy):
-        u = _unit_circle_point(x)
+        u = spectral_point(self, x=x, side=ABOVE).u
         numerator = qpoch_multi([self.A, u * u, 1 / (u * u)], self.q)
         fm, fp = cont_q_hermite_weight_denominators(self, x, policy)
         return numerator, 1.0 + 0.0j, fm * fp
@@ -737,7 +726,7 @@ class LimitQHermite(Family):
 
 
 @dataclass(frozen=True)
-class ContBigQHermite(Family):
+class ContBigQHermite(CutFamily):
     q: float
     A: complex
     a: complex
@@ -755,26 +744,22 @@ class ContBigQHermite(Family):
     def _growth_product(self):
         return self.a * self.q / self.A
 
-    gamma = property(_gamma)
-
-    def _solution_1(self, z, n, policy, branch="minus"):
+    def _growth_series(self, lam, n, policy):
         q, A, a = self.q, self.A, self.a
-        small, large, _ = spectral_pair(self, z)
-        lam = small if branch == "minus" else large
         pref = qpoch(A, q, n)
         series = phi21(A * lam, A * q**n, 0.0, lam / a, q, policy)
         return _power(lam, n) * (pref * series)
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, pt, n, policy):
         q, A, a = self.q, self.A, self.a
-        small, large, _ = spectral_pair(self, z)
+        small, large = pt.lam_minus, pt.lam_plus
         pref = qpoch(A * small / (a * q), q, n)
         series = phi21(q ** (1 - n) / A, 0.0, large * q ** (1 - n), A * small, q, policy)
         return _power(large, n) * (pref * series)
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, pt, n, policy):
         q, A, a = self.q, self.A, self.a
-        small, large, _ = spectral_pair(self, z)
+        small, large = pt.lam_minus, pt.lam_plus
         if not _terminates(q ** (1 - n) / A, q):
             raise FormalOnly("formal series unless A is a power of q")
         series = phi_r0_terminating(
@@ -783,24 +768,23 @@ class ContBigQHermite(Family):
         return _power(large, n) * series
 
     _solutions = {
-        1: _solution_1,
-        -1: lambda f, z, n, p: f._solution_1(z, n, p, "plus"),
+        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
+        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
         2: _solution_2,
         3: _solution_3,
     }
 
-    def _poly_terms(self, z, n):
+    def _poly_terms(self, pt, n):
         q, A = self.q, self.A
-        gamma = self.gamma
-        _, _, u = spectral_pair(self, z)
+        gamma, u = self.gamma, pt.u
         pref = (gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
         outer = [q**-n, 2 * u / gamma], [A], -(q**n) * u**-2, -1
         inner = [A / q], [q, 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
-    def _cf(self, z, policy):
+    def _cf(self, pt, policy):
         q, A, a = self.q, self.A, self.a
-        small, _, _ = spectral_pair(self, z)
+        small = pt.lam_minus
         num = phi21(A, A * small, 0.0, small / a, q, policy)
         den = phi21(A / q, A * small, 0.0, small / a, q, policy)
         return (A * small / (a * q)) * num / cf_denominator(den)
@@ -809,12 +793,10 @@ class ContBigQHermite(Family):
 
     def _weight_parts(self, x, policy):
         q, A, a = self.q, self.A, self.a
-        gamma = self.gamma
-        u = _unit_circle_point(x)
-        lam_p = gamma / 2 * u
-        lam_m = gamma / 2 / u
+        pt = spectral_point(self, x=x, side=ABOVE)
+        u, lam_p, lam_m = pt.u, pt.lam_plus, pt.lam_minus
         numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
-        denominator = qpoch_multi([gamma * u / (2 * a), gamma / (2 * a * u)], q)
+        denominator = qpoch_multi([lam_p / a, lam_m / a], q)
         bracket = phi21(A / q, A * lam_m, 0.0, lam_m / a, q, policy)
         bracket *= phi21(A / q, A * lam_p, 0.0, lam_p / a, q, policy)
         return numerator, denominator, bracket
@@ -910,15 +892,6 @@ def family_from_id(family_id: str, q, **params):
     return cls(q, **{name: params[name] for name in cls.param_names})
 
 
-def spectral_pair(family, z):
-    """(small root, large root) of the family's asymptotic growth
-    equation at z, along with u = large/(gamma/2) where defined."""
-    prod = member(family, "_growth_product", "{} has no spectral pair")(family)
-    small, large = characteristic_roots(z, prod)
-    half_gamma = cmath.sqrt(prod)
-    return small, large, large / half_gamma
-
-
 # ---------------------------------------------------------------------------
 # Closed-form solutions, indexed by small integers; index 1 is minimal.
 # ---------------------------------------------------------------------------
@@ -965,8 +938,9 @@ def cf_forms(family) -> tuple:
     return tuple(family._cf_forms)
 
 
-def limit_cf(family, z, form: str = "default", policy=DEFAULT_POLICY) -> complex:
-    """Closed-form value of 1/CF(z) for the family's J-fraction."""
+def limit_cf(family, z, form: str | None = None, policy=DEFAULT_POLICY) -> complex:
+    """Closed-form value of 1/CF(z) for the family's J-fraction, by the
+    named form (None: the family's first declared form)."""
     return cf(family, z, form, policy)
 
 
@@ -1062,13 +1036,6 @@ def _fourth_limit_grid(q, n, x):
 # ---------------------------------------------------------------------------
 
 
-def _unit_circle_point(x: float):
-    """x + i sqrt(1 - x^2) (at every point of an array x)."""
-    x = support_points(x)
-    s = sqrt(1.0 - x * x)
-    return x + 1j * s
-
-
 def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous component at x in (-1, 1),
     where the spectral variable is z = gamma x (see ``family.weight``)."""
@@ -1085,7 +1052,7 @@ def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
     displayed form obscures.
     """
     q, A = family.q, family.A
-    u = _unit_circle_point(x)
+    u = spectral_point(family, x=support_points(x), side=ABOVE).u
     return (
         phi11(A / q, 0.0, q / (u * u), q, policy),
         phi11(A / q, 0.0, q * u * u, q, policy),
@@ -1099,7 +1066,7 @@ def cont_big_q_hermite_weight_reduced(family: ContBigQHermite, x: float) -> floa
     if abs(family.A - q) > 1e-12:
         raise ValueError("the reduced weight requires A = q")
     x = support_points(x)
-    u = _unit_circle_point(x)
+    u = spectral_point(family, x=x, side=ABOVE).u
     root = cmath.sqrt(complex(a))
     numerator = qpoch(q, q) * qpoch_multi([u * u, 1 / (u * u)], q)
     denominator = qpoch_multi([u / root, 1 / (u * root)], q)

@@ -946,13 +946,9 @@ def phi_r0_terminating(numerator, w, q, policy: TruncationPolicy = DEFAULT_POLIC
 
 # ---------------------------------------------------------------------------
 # Transformation identities.  Each entry evaluates both sides independently;
-# the caller asserts closeness.  Samplers draw parameters inside the
+# the caller asserts closeness.  Draw boxes hold parameters inside the
 # documented convergence domain of both sides.
 # ---------------------------------------------------------------------------
-
-
-def _uniform(rng, lo, hi):
-    return lo + (hi - lo) * rng.random()
 
 
 def _t_cont_a(q, policy, a, b, c, d, e):
@@ -961,41 +957,15 @@ def _t_cont_a(q, policy, a, b, c, d, e):
     return phi(spec, policy), rhs
 
 
-def _s_cont_a(rng, q):
-    while True:
-        a, b, c = (_uniform(rng, 1.2, 2.5), _uniform(rng, 0.1, 0.9), _uniform(rng, 0.1, 0.9))
-        d, e = _uniform(rng, 0.1, 0.9), _uniform(rng, 0.1, 0.9)
-        if abs(d * e / (a * b * c)) < 0.8 and abs(e / a) < 0.8:
-            return {"a": a, "b": b, "c": c, "d": d, "e": e}
-
-
 def _t_cont_b(q, policy, a, b, c, d, e):
     spec = _balanced_spec(a, b, c, d, e, q)
     rhs = _rep_value(*_phi32_rep("pivot-arg", b, (a, c), d, e, spec.argument, b, q), policy)
     return phi(spec, policy), rhs
 
 
-def _s_cont_b(rng, q):
-    while True:
-        a, c = _uniform(rng, 0.3, 1.6), _uniform(rng, 0.3, 1.6)
-        b = _uniform(rng, 0.1, 0.85)
-        d, e = _uniform(rng, 0.1, 0.9), _uniform(rng, 0.1, 0.9)
-        if abs(d * e / (a * b * c)) < 0.8:
-            return {"a": a, "b": b, "c": c, "d": d, "e": e}
-
-
 def _t_heine(q, policy, a, b, c, z):
     lhs = _phi((a, b), (c,), q, z, policy)
     return lhs, _rep_value(*_phi21_pivot(b, a, c, z, q), policy)
-
-
-def _s_heine(rng, q):
-    return {
-        "a": _uniform(rng, 0.1, 0.9),
-        "b": _uniform(rng, 0.1, 0.85),
-        "c": _uniform(rng, 0.1, 0.9),
-        "z": _uniform(rng, 0.05, 0.85),
-    }
 
 
 def _t_p21_p22(q, policy, a, b, c, z):
@@ -1018,26 +988,10 @@ def _t_p21_p11(q, policy, a, c, z):
     return lhs, rhs
 
 
-def _s_p21_z(rng, q):
-    return {
-        "a": _uniform(rng, 0.1, 0.9),
-        "c": _uniform(rng, 0.1, 0.9),
-        "z": _uniform(rng, 0.05, 0.85),
-    }
-
-
 def _t_p11_swap(q, policy, b, c, z):
     lhs = _phi((c / b,), (c,), q, b * z, policy)
     rhs = qpoch(b * z, q) / qpoch(c, q) * _phi((z,), (b * z,), q, c, policy)
     return lhs, rhs
-
-
-def _s_p11_swap(rng, q):
-    return {
-        "b": _uniform(rng, 0.1, 0.9),
-        "c": _uniform(rng, 0.1, 0.9),
-        "z": _uniform(rng, 0.05, 0.9),
-    }
 
 
 def _t_p11_zero_swap(q, policy, c, z):
@@ -1052,31 +1006,33 @@ def _t_p01_p11(q, policy, c, z):
     return lhs, rhs
 
 
-def _s_two_params(rng, q):
-    return {"c": _uniform(rng, 0.1, 0.9), "z": _uniform(rng, 0.05, 0.9)}
-
-
 def _t_qbinomial(q, policy, a, z):
     lhs = _phi((a,), (), q, z, policy)
     rhs = qpoch(a * z, q) / qpoch(z, q)
     return lhs, rhs
 
 
-def _s_qbinomial(rng, q):
-    return {"a": _uniform(rng, 0.1, 0.9), "z": _uniform(rng, 0.05, 0.85)}
-
+# Each identity's draw box: its parameters, in draw order, each uniform
+# on (lo, hi), and for the balanced pair the condition a draw must meet
+_HEINE_BOX = (("a", 0.1, 0.9), ("b", 0.1, 0.85), ("c", 0.1, 0.9), ("z", 0.05, 0.85))
+_P21_BOX = (("a", 0.1, 0.9), ("c", 0.1, 0.9), ("z", 0.05, 0.85))
+_TWO_BOX = (("c", 0.1, 0.9), ("z", 0.05, 0.9))
 
 TRANSFORMS = {
-    "cont-a": (_t_cont_a, _s_cont_a),
-    "cont-b": (_t_cont_b, _s_cont_b),
-    "heine": (_t_heine, _s_heine),
-    "p21-p22": (_t_p21_p22, _s_heine),
-    "p21-p12": (_t_p21_p12, _s_p21_z),
-    "p21-p11": (_t_p21_p11, _s_p21_z),
-    "p11-swap": (_t_p11_swap, _s_p11_swap),
-    "p11-zero-swap": (_t_p11_zero_swap, _s_two_params),
-    "p01-p11": (_t_p01_p11, _s_two_params),
-    "q-binomial": (_t_qbinomial, _s_qbinomial),
+    "cont-a": (_t_cont_a, (("a", 1.2, 2.5), ("b", 0.1, 0.9), ("c", 0.1, 0.9), ("d", 0.1, 0.9),
+                           ("e", 0.1, 0.9)),
+               lambda a, b, c, d, e: abs(d * e / (a * b * c)) < 0.8 and abs(e / a) < 0.8),
+    "cont-b": (_t_cont_b, (("a", 0.3, 1.6), ("c", 0.3, 1.6), ("b", 0.1, 0.85), ("d", 0.1, 0.9),
+                           ("e", 0.1, 0.9)),
+               lambda a, b, c, d, e: abs(d * e / (a * b * c)) < 0.8),
+    "heine": (_t_heine, _HEINE_BOX, None),
+    "p21-p22": (_t_p21_p22, _HEINE_BOX, None),
+    "p21-p12": (_t_p21_p12, _P21_BOX, None),
+    "p21-p11": (_t_p21_p11, _P21_BOX, None),
+    "p11-swap": (_t_p11_swap, (("b", 0.1, 0.9), ("c", 0.1, 0.9), ("z", 0.05, 0.9)), None),
+    "p11-zero-swap": (_t_p11_zero_swap, _TWO_BOX, None),
+    "p01-p11": (_t_p01_p11, _TWO_BOX, None),
+    "q-binomial": (_t_qbinomial, (("a", 0.1, 0.9), ("z", 0.05, 0.85)), None),
 }
 
 
@@ -1087,13 +1043,18 @@ def transform_ids():
 def transform_check(transform_id: str, q, policy: TruncationPolicy = DEFAULT_POLICY, **params):
     """Evaluate both sides of the named identity; returns (lhs, rhs)."""
     try:
-        evaluator, _ = TRANSFORMS[transform_id]
+        evaluator = TRANSFORMS[transform_id][0]
     except KeyError:
         raise KeyError(f"unknown transform id {transform_id!r}") from None
     return evaluator(_check_q(q), policy, **params)
 
 
 def sample_transform_inputs(transform_id: str, rng, q):
-    """Draw one in-domain parameter set for the named identity."""
-    _, sampler = TRANSFORMS[transform_id]
-    return sampler(rng, _check_q(q))
+    """Draw one in-domain parameter set for the named identity from its
+    box (q is checked; no box depends on it)."""
+    _, box, accept = TRANSFORMS[transform_id]
+    _check_q(q)
+    while True:
+        params = {name: lo + (hi - lo) * rng.random() for name, lo, hi in box}
+        if accept is None or accept(**params):
+            return params

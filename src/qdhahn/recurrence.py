@@ -322,7 +322,8 @@ def cf_truncated(family, z, depth: int, table=None) -> complex:
     """Evaluate the J-fraction z - a_0 - b_1^2/(z - a_1 - ...) bottom-up
     from tail value 0 at the given depth.  ``table`` (from
     ``coeff_table``) is extended to the depth and read instead of
-    re-deriving the coefficients."""
+    re-deriving the coefficients.  Overflow where the value is not
+    finite."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     z = complex(z)
@@ -333,7 +334,10 @@ def cf_truncated(family, z, depth: int, table=None) -> complex:
         if den == 0:
             raise ZeroDenominator(f"convergent hit a pole at level {k}")
         tail = b_sq[k] / den
-    return z - a[0] - tail
+    value = z - a[0] - tail
+    if not cmath.isfinite(value):
+        raise Overflow(f"truncated J-fraction at depth {depth} left the double range")
+    return value
 
 
 def cf_adaptive(family, z, rel_tol: float = 1e-12):

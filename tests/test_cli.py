@@ -299,6 +299,10 @@ LIMIT_ARGS = {
     "q-bessel-order": ("--a", "-1"),
 }
 WALL = ("eval", "--family", "wall", "--q", ".5", "--A", ".3", "--B", ".4")
+# the families with a spectral cut and their parameters; z = 2.5 lies on
+# each cut, at x = 0.24 (cdqh), 0.51, 0.81 and 0.77
+CUT_ARGS = {"cdqh": CDQH_ARGS, **{fid: ("--q", ".5", *LIMIT_ARGS[fid]) for fid in
+                                  ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")}}
 
 # (argv, environment, exit code): double sums past the double range exit
 # 3; malformed input exits 2
@@ -344,12 +348,28 @@ CONTRACT_CASES = [
     # parameters whose product underflows to zero are a usage error
     (("eval", "--family", "wall", "--q", "0.5", "--A", "1e-200", "--B", "1e-200", "--what",
       "cf-trunc", "--z", "4"), {}, 2),
-    # a point on the cut with a side evaluates
-    *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "poly", "--n", "3",
-        *CDQH_ARGS), {}, 0) for side in ("above", "below")],
+    # a point on the cut with a side evaluates, as a polynomial does without one
+    *[(("eval", "--family", fid, "--x", "0.4", "--side", side, "--what", what, "--n", "3",
+        *args), {}, 0) for fid, args in CUT_ARGS.items() for side in ("above", "below")
+      for what in ("poly", "solution", "cf")],
+    *[(("eval", "--family", fid, "--x", "0.3", "--what", "poly", *args), {}, 0)
+      for fid, args in CUT_ARGS.items()],
+    # a solution or a 1/CF there needs a side
+    *[(("eval", "--family", fid, "--x", "0.4", "--what", what, *args), {}, 3)
+      for fid, args in CUT_ARGS.items() for what in ("solution", "cf")],
     # except the truncated J-fraction, whose poles lie on the cut
-    *[(("eval", "--family", "cdqh", "--x", "0.4", "--side", side, "--what", "cf-trunc",
-        *CDQH_ARGS), {}, 3) for side in ("above", "below")],
+    *[(("eval", "--family", fid, *point, "--what", "cf-trunc", *args), {}, 3)
+      for fid, args in CUT_ARGS.items()
+      for point in (("--x", "0.4", "--side", "above"), ("--x", "0.4", "--side", "below"),
+                    ("--z", "2.5"))],
+    # a truncated J-fraction that leaves the double range
+    (("eval", "--family", "cont-big-q-hermite", "--q", "0.45345304972429223", "--A", "1e-200",
+      "--a", "1e200", "--what", "cf-trunc", "--z", "0.5"), {}, 3),
+    # a cut whose growth product overflows (gamma = inf) or underflows (gamma = 0)
+    *[(("eval", "--family", fid, "--what", "cf", *point, "--q", ".5", *args), {}, 3)
+      for fid, args in (("cont-big-q-hermite", ("--A", "1e-200", "--a", "1e200")),
+                        ("cont-q-hermite", ("--A", "-1e200", "--delta", "1e200")))
+      for point in (("--z", "2.5"), ("--x", "0.3", "--side", "above"))],
     # a zero scan finds at least one zero, or there is nothing to interlace
     *[(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--max-zeros", count,
         "--interlace"), {}, 2) for count in ("0", "-3")],
@@ -432,33 +452,41 @@ def test_accepted_cf_forms_evaluate():
 @pytest.mark.parametrize("what", ["solution", "cf", "poly"])
 @pytest.mark.parametrize("family", sorted(["cdqh", *limits.FAMILIES]))
 def test_every_family_evaluates_through_one_path(family, what):
-    point = ("--x", "2", *CDQH_ARGS) if family == "cdqh" else (
+    # a cut family's point is off its cut
+    point = ("--x", "2", *CUT_ARGS[family]) if family in CUT_ARGS else (
         "--z", "2.5", "--q", ".5", *LIMIT_ARGS[family])
     result = invoke("eval", "--family", family, "--what", what, *point)
     assert result.exit_code == 0, result.output
     assert len(result.output.strip().splitlines()) == 3
 
 
-def test_flagship_polynomial_on_the_cut_takes_the_side_above():
+@pytest.mark.parametrize("family", sorted(CUT_ARGS))
+def test_flagship_polynomial_on_the_cut_takes_the_side_above(family):
     # polynomials are single valued across the cut; solutions are not
-    on_cut = ("eval", "--family", "cdqh", "--z", "2.5", *CDQH_ARGS)
+    on_cut = ("eval", "--family", family, "--z", "2.5", *CUT_ARGS[family])
     above = invoke(*on_cut, "--what", "poly", "--n", "3", "--side", "above")
     assert above.exit_code == 0
     assert invoke(*on_cut, "--what", "poly", "--n", "3").output == above.output
     assert run_script(*on_cut, "--what", "solution").returncode == 3
 
 
-@pytest.mark.parametrize("what", ["poly", "poly-alt", "solution", "cf"])
-def test_the_side_on_the_cut_picks_the_boundary_value(what):
+@pytest.mark.parametrize("family, what", [
+    (family, what) for family in sorted(CUT_ARGS)
+    for what in ("poly", "poly-alt", "solution", "cf") if what != "poly-alt" or family == "cdqh"])
+def test_the_side_on_the_cut_picks_the_boundary_value(family, what):
     # the two sides give complex conjugate values for real parameters
-    on_cut = ("eval", "--family", "cdqh", "--x", "0.4", "--what", what, "--n", "3", *CDQH_ARGS)
+    on_cut = ("eval", "--family", family, "--x", "0.4", "--what", what, "--n", "3",
+              *CUT_ARGS[family])
     rows = {}
     for side in ("above", "below"):
         result = invoke(*on_cut, "--side", side)
         assert result.exit_code == 0
         rows[side] = [float(v) for v in result.output.strip().splitlines()[-1].split(",")]
     (x, re_a, im_a), (_, re_b, im_b) = rows["above"], rows["below"]
-    assert x == pytest.approx(0.4 / cdqhahn.CDQHParams(.5, .3, .4, .35, .45).alpha.real)
+    args = CUT_ARGS[family]
+    fam = limits.family_from_id(family, **{k.lstrip("-"): float(v) for k, v in
+                                           zip(args[::2], args[1::2])})
+    assert x == pytest.approx(fam.z_at(0.4).real)
     assert re_b == pytest.approx(re_a, rel=1e-12)
     assert im_b == pytest.approx(-im_a, rel=1e-9, abs=1e-12 * abs(re_a))
 

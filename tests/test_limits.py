@@ -11,6 +11,7 @@ import pytest
 from qdhahn import cdqhahn, limits, recurrence, verify
 from qdhahn.cdqhahn import CDQHParams
 from qdhahn.errors import (
+    BranchAmbiguous,
     DivergentSeries,
     FormalOnly,
     Overflow,
@@ -137,18 +138,18 @@ class TestClosedFormRegistry:
             assert limit_cf(fam, point) == combined
 
     @pytest.mark.parametrize("family_id", sorted(GENERIC))
-    def test_gamma_is_twice_the_root_of_the_spectral_pair_product(self, family_id):
+    def test_spectral_point_holds_the_growth_rates_of_the_cut(self, family_id):
         fam, z = GENERIC[family_id]
         if family_id not in GROWTH_PRODUCTS:
-            assert not hasattr(fam, "gamma")
-            with pytest.raises(UnsupportedFamily):
-                limits.spectral_pair(fam, z)
+            assert not hasattr(fam, "gamma") and fam.z_at is None
+            assert fam.point_at(z) == z
             return
         product = GROWTH_PRODUCTS[family_id](fam)
         assert fam.gamma == 2 * cmath.sqrt(product)
-        small, large, u = limits.spectral_pair(fam, z)
-        assert u == large / cmath.sqrt(product)
-        assert abs(small * large - product) <= 1e-14 * abs(product)
+        pt = fam.point_at(z)
+        assert abs(pt.lam_minus * pt.lam_plus - product) <= 1e-14 * abs(product)
+        assert pt.u == 2 * pt.alpha * pt.lam_plus
+        assert pt.alpha == fam.alpha == 1 / fam.gamma
 
     @pytest.mark.parametrize("family_id", sorted(GENERIC))
     def test_unknown_form_rejected(self, family_id):
@@ -202,6 +203,8 @@ class TestClosedFormRegistry:
                             == cdqhahn.solution(params, z, which, n))
             for form in cdqhahn.CF_FORMS[:3]:
                 assert limit_cf(params, z, form) == cdqhahn.cf_stieltjes(params, z, form)
+            # no form: the family's first, as for every family
+            assert limit_cf(params, z) == cdqhahn.cf_stieltjes(params, z, "ratio")
         reduced = CDQHParams(0.5, 0.3, 0.4, 0.5, 0.45)
         for form in cdqhahn.CF_FORMS[3:]:
             assert limit_cf(reduced, 25.0, form) == cdqhahn.cf_stieltjes(reduced, 25.0, form)
@@ -226,11 +229,14 @@ class TestZeroPoint:
             assert all(cmath.isfinite(v) for v in values), family_id
 
     @pytest.mark.parametrize("family_id", sorted(GENERIC))
-    def test_cut_families_evaluate_at_zero_and_the_others_raise_zero_divisor(self, family_id):
+    def test_cut_families_need_a_side_at_zero_and_the_others_raise_zero_divisor(self, family_id):
         fam, _ = GENERIC[family_id]
         if family_id in CUT_FAMILIES:
-            assert cmath.isfinite(limit_cf(fam, 0))
-            assert cmath.isfinite(limit_solution(fam, 0, 1, 3))
+            # z = 0 is the middle of the cut, x = 0
+            for call in (lambda z: limit_cf(fam, z), lambda z: limit_solution(fam, z, 1, 3)):
+                with pytest.raises(BranchAmbiguous):
+                    call(0)
+                assert cmath.isfinite(call(fam.point_at(0, "above")))
             return
         for call in (lambda: limit_cf(fam, 0), lambda: limit_solution(fam, 0, 1, 3)):
             with pytest.raises(ZeroDivisor):
