@@ -42,9 +42,9 @@ import numpy as np
 
 from .errors import (BranchAmbiguous, Overflow, PoleHit, UnknownFamily, UnsupportedFamily,
                      ZeroDivisor)
-from .qseries import (DEFAULT_POLICY, _assert_finite, _check_q, double_sum, sqrt,
+from .qseries import (DEFAULT_POLICY, _check_q, double_sum, sqrt,
                       support_points, weight_density)
-from .recurrence import SolutionSequence, characteristic_roots
+from .recurrence import Scaled, SolutionSequence, characteristic_roots
 
 OFF_CUT = "off-cut"
 ABOVE = "above"
@@ -197,16 +197,31 @@ def spectral_point(params: CutFamily, z=None, x=None, side: str = OFF_CUT) -> Sp
 def guarded(what: str, evaluate, family, at, *args):
     """evaluate(family, at, *args), with a bare float overflow or division
     by zero (a power such as q**(1 - n) at large n, a series argument such
-    as q/(A z) at z = 0) raised as Overflow or ZeroDivisor."""
+    as q/(A z) at z = 0) raised as Overflow or ZeroDivisor.  A value that
+    is not finite (nan from inf - inf at parameters near the double range)
+    is an Overflow too."""
     try:
-        return evaluate(family, at, *args)
+        value = evaluate(family, at, *args)
     except OverflowError:
         error, event = Overflow, "left the double-precision range"
     except ZeroDivisionError:
         error, event = ZeroDivisor, "divides by zero"
+    else:
+        if _finite(value):
+            return value
+        error, event = Overflow, "is not finite"
     # raised after the handler, so that it holds no traceback of the
     # failed call (whose frames would keep the caller's locals alive)
     raise error(f"{family.family_id} {what} {event} at {getattr(at, 'z', at)}")
+
+
+def _finite(value) -> bool:
+    """False where a closed form lost its value to nan or inf (a Scaled
+    value in its mantissa or its log_scale).  The parts of a tuple, which
+    a weight or a zero scan combines itself, pass as they are."""
+    if isinstance(value, Scaled):
+        return cmath.isfinite(value.mantissa) and math.isfinite(value.log_scale)
+    return isinstance(value, tuple) or cmath.isfinite(value)
 
 
 def member(family, name: str, missing: str):
@@ -257,8 +272,7 @@ def _polynomial(evaluate, family, point, n: int) -> complex:
     if n == 0:
         return 1.0 + 0.0j
     at = family.point_at(point, single_valued=True)
-    return _assert_finite(guarded("polynomial", evaluate, family, at, n),
-                          "explicit polynomial double sum")
+    return guarded("polynomial", evaluate, family, at, n)
 
 
 def poly(family, point, n: int) -> complex:

@@ -304,8 +304,11 @@ def termination_order(p, q, max_order: int = 5000):
     """Smallest m >= 0 with p = q^(-m) to relative tolerance, else None.
 
     The nearest admissible m wins; ties break toward the smaller m.
+    Overflow where p is not finite (a parameter past the double range).
     """
     p = complex(p)
+    if not cmath.isfinite(p):
+        raise Overflow(f"series parameter {p} is not finite")
     if p == 0 or abs(p.imag) > TERMINATION_REL_TOL * abs(p) or p.real <= 0:
         return None
     estimate = -math.log(abs(p)) / math.log(q)

@@ -173,6 +173,12 @@ class TestVerify:
         assert result.exit_code == 0
         assert "PASS symmetries" in result.output
 
+    def test_fast_battery_passes(self):
+        # the --fast node count keeps the orthogonality drift inside its gate
+        result = invoke("verify", "--check", "all", "--fast")
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+
     def test_unknown_check_exit_2(self):
         proc = run_script("verify", "--check", "bogus")
         assert proc.returncode == 2
@@ -384,6 +390,15 @@ CONTRACT_CASES = [
     # leaves the double range is a named numerical error
     (("zeros", "--f", "fourth-limit", "--n", "300", "--q", "0.5"), {}, 0),
     *[(("zeros", "--f", "fourth-limit", "--n", n, "--q", "0.5"), {}, 3) for n in ("-600", "600")],
+    # parameters near the double range: a closed-form solution that loses
+    # its value to nan, and a series parameter that is nan, exit 3
+    (("eval", "--family", "wall", "--what", "solution", "--n", "0", "--q", ".5", "--z", "2.5",
+      "--A", "1e200", "--B", "-1e200"), {}, 3),
+    (("eval", "--family", "big-q-laguerre", "--what", "solution", "--n", "0",
+      "--q", "0.7791726911073964", "--z", "0.5", "--A", "1e200", "--B", "-0.7", "--C", "-1e200"),
+     {}, 3),
+    (("eval", "--family", "cdqh", "--what", "solution", "--n", "0", "--q", "0.4796172764073389",
+      "--z", "0.001", "--A", "-1e100", "--B", "1e100", "--C", "-1e200", "--D", "-2"), {}, 3),
 ]
 
 

@@ -1,6 +1,9 @@
 import json
+import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from qdhahn import limits, verify
@@ -33,6 +36,44 @@ class TestCheckReport:
         line = report.to_text()
         assert line.startswith("PASS demo:")
         assert "seed=7" in line
+
+
+def _mp_legendre_root(count, theta):
+    """The root x of P_count nearest cos(theta) and its Gauss weight, by
+    Newton's method in theta on the Legendre recurrence at 50 digits.
+    From a start good to double precision, one correction leaves an
+    error far below it, and the second pass evaluates there.
+    (mpmath.legendre loses digits near the edges at large counts.)"""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(theta)
+        for _ in range(2):
+            x = mpmath.cos(t)
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, count):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            slope = count * (x * p - p_prev) / mpmath.sin(t)
+            t -= p / slope
+        return x, 2 / slope**2
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("count", [600, 2000, 4000])
+    def test_nodes_and_weights_against_a_50_digit_reference(self, count):
+        x, w = verify.gauss_nodes(count)
+        assert x.shape == w.shape == (count,)
+        assert np.all(np.diff(x) > 0)
+        # the four outermost nodes, then two interior ones
+        for i, tol in [(0, 1e-9), (1, 1e-9), (2, 1e-9), (3, 1e-9),
+                       (count // 3, 1e-13), (count // 2, 1e-13)]:
+            ref_x, ref_w = _mp_legendre_root(count, math.acos(x[i]))
+            assert abs(x[i] - ref_x) <= 1.2e-16, (i, x[i])
+            assert abs(w[i] - ref_w) <= tol * ref_w, (i, w[i])
+
+    def test_odd_count_is_symmetric_about_an_exact_zero(self):
+        x, w = verify.gauss_nodes(601)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert x[300] == 0.0 and np.all(np.diff(x) > 0)
+        assert abs(w.sum() - 2) <= 1e-14
 
 
 class TestChecks:
