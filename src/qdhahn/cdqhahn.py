@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from . import family, qseries
 from .errors import BranchAmbiguous, ZeroDivisor
 from .family import (ABOVE, BELOW, OFF_CUT, CutFamily, SpectralPoint, cf_denominator,
-                     solution_scaled, solution_sequence, spectral_point)
+                     solution_scaled, solution_sequence, solution_value, spectral_point)
 from .qseries import (
     DEFAULT_POLICY,
     phi32,
@@ -328,7 +328,7 @@ def birth_death_rates(params: CDQHParams, n: int) -> BirthDeathRates:
 def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> complex:
     """Value of the named closed-form solution at index n, at a
     SpectralPoint or a number z off the cut."""
-    return solution_scaled(params, point, which, n, policy).value
+    return solution_value(params, point, which, n, policy)
 
 
 def minimal_solution(params, point, n: int, policy=DEFAULT_POLICY) -> complex:

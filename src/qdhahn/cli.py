@@ -200,7 +200,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
         if what == "poly-alt":
             return closed_forms.poly_alt(fam, point, n_index)
         if what == "solution":
-            return closed_forms.solution_scaled(fam, point, label, n_index, policy).value
+            return closed_forms.solution_value(fam, point, label, n_index, policy)
         return closed_forms.cf(fam, point, cf_form, policy)
 
     try:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +248,18 @@ def solution_scaled(family, point, which, n: int, policy):
     if which not in table:
         raise UnknownFamily(f"{family.family_id} has solutions {list(table)}, not {which!r}")
     return guarded("solution", table[which], family, family.point_at(point), n, policy)
+
+
+def solution_value(family, point, which, n: int, policy):
+    """The named closed-form solution at index n as a number.  Overflow
+    where the value is nonzero but falls below the normal double range:
+    a subnormal (or a zero) keeps too few of its bits to vouch for."""
+    scaled = solution_scaled(family, point, which, n, policy)
+    value = scaled.value
+    if scaled.mantissa != 0 and abs(value) < sys.float_info.min:
+        raise Overflow(f"{family.family_id} solution {which} at n = {n} falls below the "
+                       f"normal double range (|value| = {abs(value):.3g})")
+    return value
 
 
 def solution_sequence(family, point, which, start: int, stop: int, policy=DEFAULT_POLICY):

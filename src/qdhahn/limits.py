@@ -68,6 +68,7 @@ from .family import (
     poly_alt,
     solution_scaled,
     solution_sequence,
+    solution_value,
     spectral_point,
     weight,
 )
@@ -906,7 +907,7 @@ def solution_indices(family) -> tuple:
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
     """Closed-form solution value; raises FormalOnly for the divergent
     formal series and DivergentSeries when outside the domain."""
-    return solution_scaled(family, z, which, n, policy).value
+    return solution_value(family, z, which, n, policy)
 
 
 limit_solution_sequence = solution_sequence

@@ -380,11 +380,13 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
             return _phi_core_grid(spec, policy)
     q = spec.q
     z = spec.argument
-    extra = 1 + spec.s - spec.r
-    stop = series_termination(spec, policy.max_terms)
+    numerator, denominator = spec.numerator, spec.denominator
+    rel_tol, max_terms = policy.rel_tol, policy.max_terms
+    extra = 1 + len(denominator) - len(numerator)
+    stop = series_termination(spec, max_terms)
     if stop is not None:
-        for b in spec.denominator:
-            m = termination_order(b, q, policy.max_terms)
+        for b in denominator:
+            m = termination_order(b, q, max_terms)
             if m is not None and m < stop:
                 raise ZeroDivisor(
                     "denominator parameter equals q^-%d before the series terminates" % m
@@ -406,14 +408,14 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     ratio_mag = 0.0
     qk = 1.0  # q^k
     k = 0
-    while True:
-        if stop is not None and k >= stop:
-            break
+    # comparisons stand in for max and min below: they pick the same
+    # operand, a nan included, without a builtin call per term
+    while stop is None or k < stop:
         num = 1.0 + 0.0j
-        for a in spec.numerator:
+        for a in numerator:
             num *= 1.0 - a * qk
         den = 1.0 - q * qk  # the (q; q)_k factor advanced to k+1
-        for b in spec.denominator:
+        for b in denominator:
             den *= 1.0 - b * qk
         if den == 0:
             raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
@@ -425,29 +427,35 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
             factor *= base**extra
         term *= factor
         total += term
-        largest = max(largest, abs(term))
-        weighted += (k + 2.0) * abs(term)
+        size = abs(term)
+        if size > largest:
+            largest = size
+        weighted += (k + 2.0) * size
         ratio_mag = abs(factor)
         k += 1
         qk *= q
         if stop is None:
-            # geometric tail-aware smallness; three consecutive small
-            # terms guard against alternating near-cancellation
+            # geometric tail-aware smallness, the tail factor clamped to
+            # [1, 1e3]; three consecutive small terms guard against
+            # alternating near-cancellation
             tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
-            tail_factor = min(max(tail_factor, 1.0), 1e3)
-            if abs(term) * tail_factor < policy.rel_tol * max(
-                abs(total), 1e-3 * largest
-            ):
+            if 1.0 > tail_factor:
+                tail_factor = 1.0
+            if 1e3 < tail_factor:
+                tail_factor = 1e3
+            floor = 1e-3 * largest
+            magnitude = abs(total)
+            if size * tail_factor < rel_tol * (floor if floor > magnitude else magnitude):
                 small_run += 1
                 if small_run >= 3:
                     break
             else:
                 small_run = 0
-            if k >= policy.max_terms or (k > 800 and ratio_mag > 0.995):
+            if k >= max_terms or (k > 800 and ratio_mag > 0.995):
                 raise MaxTermsExceeded(
-                    "series did not settle within %d terms" % min(k, policy.max_terms)
+                    "series did not settle within %d terms" % min(k, max_terms)
                 )
-        elif k > policy.max_terms:
+        elif k > max_terms:
             raise MaxTermsExceeded("terminating series exceeds the term budget")
     if stop is not None:
         tail = 0.0

@@ -208,9 +208,23 @@ def _balanced_draw(rng, q):
 CONTIGUOUS_RELATIONS = ("a-up", "up-mixed", "a-bilateral", "a-updown", "all-updown")
 
 
-def _contiguous_residual(relation_id, a, b, c, d, e, q):
+class _DrawSeries(dict):
+    """phi32 over one draw, summing each distinct argument tuple once:
+    the five relations use seven shifted series among them.  phi32 is
+    looked up at each call, never captured, so a rebinding of the name
+    reaches every series summed."""
+
+    def __call__(self, *args):
+        if args not in self:
+            self[args] = phi32(*args)
+        return self[args]
+
+
+def _contiguous_residual(relation_id, a, b, c, d, e, q, series=None):
     """Residual of the named three-term shift relation, normalized by
-    its largest term."""
+    its largest term.  ``series`` sums the draw's phi32 (a ``_DrawSeries``
+    shared by the relations of one draw); by default a fresh one."""
+    phi32 = _DrawSeries() if series is None else series
     if relation_id == "a-up":
         terms = [
             phi32(a, b, c, d, e, q),
@@ -270,21 +284,32 @@ def _contiguous_residual(relation_id, a, b, c, d, e, q):
     return abs(sum(terms)) / max(scale, 1e-300)
 
 
+def _contiguous_reports(relation_ids, sample_count, seed, threshold):
+    """Residuals of the named relations over one pass of the seeded
+    draws; every relation of a draw reads the same summed series."""
+    rng = random.Random(seed)
+    reports = [CheckReport(f"contiguous/{rid}", seed, 0, 0.0, threshold) for rid in relation_ids]
+    for _ in range(sample_count):
+        q = rng.uniform(0.35, 0.65)
+        a, b, c, d, e = _balanced_draw(rng, q)
+        inputs = {"q": q, "a": a, "b": b, "c": c, "d": d, "e": e}
+        series = _DrawSeries()
+        for rid, report in zip(relation_ids, reports):
+            res = _contiguous_residual(rid, a, b, c, d, e, q, series)
+            report.record(res, inputs, res, 0.0)
+    return reports
+
+
 def check_contiguous(relation_id: str, sample_count: int = 100,
                      seed: int = DEFAULT_SEED, threshold: float = 1e-9) -> CheckReport:
     """Residuals of one three-term shift relation over random draws."""
-    rng = random.Random(seed)
-    report = CheckReport(f"contiguous/{relation_id}", seed, 0, 0.0, threshold)
-    while report.points_tested < sample_count:
-        q = rng.uniform(0.35, 0.65)
-        a, b, c, d, e = _balanced_draw(rng, q)
-        res = _contiguous_residual(relation_id, a, b, c, d, e, q)
-        report.record(res, {"q": q, "a": a, "b": b, "c": c, "d": d, "e": e}, res, 0.0)
-    return report
+    return _contiguous_reports((relation_id,), sample_count, seed, threshold)[0]
 
 
 def check_contiguous_all(sample_count: int = 100, seed: int = DEFAULT_SEED):
-    return [check_contiguous(rid, sample_count, seed) for rid in CONTIGUOUS_RELATIONS]
+    """``check_contiguous`` for the five relations, which draw alike from
+    one seed, in one pass over the draws."""
+    return _contiguous_reports(CONTIGUOUS_RELATIONS, sample_count, seed, 1e-9)
 
 
 # ---------------------------------------------------------------------------

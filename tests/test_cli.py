@@ -399,6 +399,10 @@ CONTRACT_CASES = [
      {}, 3),
     (("eval", "--family", "cdqh", "--what", "solution", "--n", "0", "--q", "0.4796172764073389",
       "--z", "0.001", "--A", "-1e100", "--B", "1e100", "--C", "-1e200", "--D", "-2"), {}, 3),
+    # a closed-form solution below the normal double range (a subnormal) exits 3
+    (("eval", "--family", "limit-wall", "--what", "solution", "--which", "1", "--n", "25",
+      "--z", "2.426627338843389", "--q", "0.45267364450866543", "--A", "0.5753877893352477"),
+     {}, 3),
 ]
 
 

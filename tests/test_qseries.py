@@ -319,6 +319,146 @@ class TestPhi32Ranking:
             for _, message in failed)
 
 
+def former_phi_core(spec, policy):
+    """The reference for the scalar ``_phi_core``: a copy of its loop
+    before the per-term work was trimmed (one abs per term, comparisons
+    for max and min, hoisted attributes).  Same operations, same order."""
+    q = spec.q
+    z = spec.argument
+    extra = 1 + spec.s - spec.r
+    stop = qseries.series_termination(spec, policy.max_terms)
+    if stop is not None:
+        for b in spec.denominator:
+            m = qseries.termination_order(b, q, policy.max_terms)
+            if m is not None and m < stop:
+                raise ZeroDivisor(
+                    "denominator parameter equals q^-%d before the series terminates" % m
+                )
+    else:
+        if spec.r > spec.s + 1:
+            raise DivergentSeries(
+                "nonterminating series with r > s+1 diverges for every argument"
+            )
+        if spec.r == spec.s + 1 and abs(z) >= 1.0:
+            raise DivergentSeries(
+                "argument modulus >= 1 with r = s+1; use a continuation"
+            )
+    term = 1.0 + 0.0j
+    total = term
+    largest = 1.0
+    weighted = 1.0  # sum of (k+1) |T_k|, driving the rounding estimate
+    small_run = 0
+    ratio_mag = 0.0
+    qk = 1.0  # q^k
+    k = 0
+    while True:
+        if stop is not None and k >= stop:
+            break
+        num = 1.0 + 0.0j
+        for a in spec.numerator:
+            num *= 1.0 - a * qk
+        den = 1.0 - q * qk  # the (q; q)_k factor advanced to k+1
+        for b in spec.denominator:
+            den *= 1.0 - b * qk
+        if den == 0:
+            raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
+        factor = num / den * z
+        if extra:
+            base = -qk
+            if base == 0.0 and extra < 0:
+                raise Overflow("q^k underflow with negative exponent weight")
+            factor *= base**extra
+        term *= factor
+        total += term
+        largest = max(largest, abs(term))
+        weighted += (k + 2.0) * abs(term)
+        ratio_mag = abs(factor)
+        k += 1
+        qk *= q
+        if stop is None:
+            # geometric tail-aware smallness; three consecutive small
+            # terms guard against alternating near-cancellation
+            tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
+            tail_factor = min(max(tail_factor, 1.0), 1e3)
+            if abs(term) * tail_factor < policy.rel_tol * max(
+                abs(total), 1e-3 * largest
+            ):
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
+            if k >= policy.max_terms or (k > 800 and ratio_mag > 0.995):
+                raise MaxTermsExceeded(
+                    "series did not settle within %d terms" % min(k, policy.max_terms)
+                )
+        elif k > policy.max_terms:
+            raise MaxTermsExceeded("terminating series exceeds the term budget")
+    if stop is not None:
+        tail = 0.0
+    else:
+        tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
+        tail = abs(term) * min(max(tail_factor, 1.0), 1e3)
+    return qseries._assert_finite(total, "series sum"), weighted, tail
+
+
+
+def phi_core_corpus(rng, count):
+    """``count`` seeded (spec, policy) pairs for the scalar series loop:
+    terminating and nonterminating series, real and complex parameters,
+    r = s + 1 and r != s + 1, denominators that vanish, parameters near
+    the double range and term budgets small enough to run out."""
+    def param(lo, hi):
+        value = rng.uniform(lo, hi) * rng.choice((1, -1))
+        return value * cmath.exp(1j * rng.uniform(-3, 3)) if rng.random() < 0.5 else value
+
+    corpus = []
+    for _ in range(count):
+        q = 0.5 if rng.random() < 0.1 else rng.uniform(0.1, 0.9)
+        numerator = [param(0.05, 2.5) for _ in range(rng.randint(0, 4))]
+        denominator = [param(0.05, 2.5) for _ in range(rng.randint(0, 3))]
+        kind = rng.random()
+        if numerator and kind < 0.35:
+            numerator[0] = q ** -rng.randint(0, 40)
+        if denominator and kind < 0.15:
+            denominator[0] = q ** -rng.randint(0, 12)
+        if numerator and 0.9 < kind:
+            numerator[-1] = param(1e150, 1e160)
+        policy = TruncationPolicy(rel_tol=rng.choice((1e-12, 1e-15, 1e-6)),
+                                  max_terms=rng.choice((5000, 5000, 40, 8)))
+        corpus.append((SeriesSpec(tuple(numerator), tuple(denominator), q, param(0.01, 1.3)),
+                       policy))
+    return corpus
+
+
+def core_outcome(fn, spec, policy):
+    """The sum, the weighted term total and the tail bound as their exact
+    bits, or the error class and message."""
+    try:
+        value, weighted, tail = fn(spec, policy)
+    except QdhError as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex(), weighted.hex(), tail.hex()
+
+
+class TestPhiCoreLoop:
+    def test_scalar_loop_matches_the_former_loop_bit_for_bit(self):
+        corpus = phi_core_corpus(random.Random(17), 1500)
+        outcomes = [core_outcome(qseries._phi_core, *case) for case in corpus]
+        assert outcomes == [core_outcome(former_phi_core, *case) for case in corpus]
+        # the corpus reaches sums of every kind and each named error
+        summed = [spec for (spec, _), out in zip(corpus, outcomes) if len(out) == 4]
+        failed = {out for out in outcomes if len(out) == 2}
+        assert len(summed) > 500
+        assert any(spec.r != spec.s + 1 for spec in summed)
+        assert any(qseries.series_termination(spec) is not None for spec in summed)
+        assert any(any(a.imag for a in spec.numerator) for spec in summed)
+        assert {name for name, _ in failed} == {
+            "DivergentSeries", "MaxTermsExceeded", "Overflow", "ZeroDivisor"}
+        assert {message.split(" ")[0] for name, message in failed if name == "ZeroDivisor"} == {
+            "denominator", "series"}
+
+
 class TestTransformRegistry:
     def test_ids_stable(self):
         assert set(qseries.transform_ids()) == {

@@ -87,6 +87,35 @@ class TestChecks:
         b = verify.check_contiguous("a-up", sample_count=10, seed=5)
         assert a.max_rel_error == b.max_rel_error
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contiguous_all_equals_one_unshared_pass_per_relation(self, seed):
+        # each relation drawing and summing its own series, as a
+        # check_contiguous of its own did before the relations shared draws
+        unshared = []
+        for rid in verify.CONTIGUOUS_RELATIONS:
+            rng = random.Random(seed)
+            report = verify.CheckReport(f"contiguous/{rid}", seed, 0, 0.0, 1e-9)
+            for _ in range(100):
+                q = rng.uniform(0.35, 0.65)
+                a, b, c, d, e = verify._balanced_draw(rng, q)
+                res = verify._contiguous_residual(rid, a, b, c, d, e, q)
+                report.record(res, {"q": q, "a": a, "b": b, "c": c, "d": d, "e": e}, res, 0.0)
+            unshared.append(report.to_dict())
+        shared = [report.to_dict() for report in verify.check_contiguous_all(seed=seed)]
+        assert shared == unshared
+
+    def test_contiguous_draw_sums_each_of_its_seven_series_once(self, monkeypatch):
+        summed = []
+
+        def counted(*args):
+            summed.append(args)
+            return verify.qseries.phi32(*args)
+
+        monkeypatch.setattr(verify, "phi32", counted)
+        reports = verify.check_contiguous_all(sample_count=1, seed=5)
+        assert [report.points_tested for report in reports] == [1] * 5
+        assert 0 < len(summed) == len(set(summed)) <= 7
+
     def test_contiguous_degenerate_equal_parameters_still_hold(self):
         # a draw with b = d collapses one shift factor; the relation
         # residual must still vanish
