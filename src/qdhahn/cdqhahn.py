@@ -418,9 +418,9 @@ def weight_factors(params: CDQHParams, x: float, policy=DEFAULT_POLICY):
 
 
 def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
-    """Density of the absolutely continuous spectral component at
-    x in (-1, 1) (unnormalized).  A one-dimensional array of x gives the
-    density at every point, in one pass of each series kernel."""
+    """Density of the absolutely continuous spectral part at x in (-1, 1),
+    of mass 1 when there are no mass points.  A one-dimensional array of
+    x gives the density at every point, in one pass of each series kernel."""
     return family.weight(params, x, policy)
 
 

@@ -310,9 +310,9 @@ def cf(family, point, form=None, policy=DEFAULT_POLICY) -> complex:
 
 
 def weight(family, x, policy):
-    """Density of the absolutely continuous component at x in (-1, 1)
-    (unnormalized).  A one-dimensional array of x gives the density at
-    every point, in one pass of each series kernel."""
+    """Density of the absolutely continuous component at x in (-1, 1),
+    of mass 1 when there are no mass points.  A one-dimensional array of
+    x gives the density at every point, in one pass of each series kernel."""
     x = support_points(x)
     parts = member(family, "_weight_parts", "{} carries no absolutely continuous weight here")
     return weight_density(x, *guarded("weight", parts, family, x, policy))

@@ -97,6 +97,22 @@ def _rel(lhs, rhs, scale=None) -> float:
     return abs(lhs - rhs) / scale
 
 
+def _sampled(check_id, seed, threshold, count, trial):
+    """One sampled check: run ``trial(rng)`` on one seeded stream until
+    ``count`` points are recorded.  A trial yields its records
+    ``(error, inputs, lhs, rhs)``; one that raises a QdhError is redrawn,
+    and the records it yielded before keep their place."""
+    rng = random.Random(seed)
+    report = CheckReport(check_id, seed, 0, 0.0, threshold)
+    while report.points_tested < count:
+        try:
+            for record in trial(rng):
+                report.record(*record)
+        except QdhError:
+            continue
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Draw samplers.  All rejection rules are numerical-comfort conditions:
 # arguments bounded away from the unit circle and from the q-power pole
@@ -205,9 +221,6 @@ def _balanced_draw(rng, q):
 # Contiguous relations among balanced series.
 # ---------------------------------------------------------------------------
 
-CONTIGUOUS_RELATIONS = ("a-up", "up-mixed", "a-bilateral", "a-updown", "all-updown")
-
-
 class _DrawSeries(dict):
     """phi32 over one draw, summing each distinct argument tuple once:
     the five relations use seven shifted series among them.  phi32 is
@@ -220,75 +233,75 @@ class _DrawSeries(dict):
         return self[args]
 
 
+# The three terms of each shift relation at a draw (a, b, c, d, e, q),
+# with ``phi32`` summing the draw's series.
+CONTIGUOUS_RELATIONS = {
+    "a-up": lambda a, b, c, d, e, q, phi32: [
+        phi32(a, b, c, d, e, q),
+        -phi32(a * q, b, c, d, e, q),
+        (1 - b)
+        * (1 - c)
+        / ((1 - d) * (1 - e))
+        * (d * e / (a * b * c * q))
+        * phi32(a * q, b * q, c * q, d * q, e * q, q),
+    ],
+    "up-mixed": lambda a, b, c, d, e, q, phi32: [
+        (1 - d) * (1 - e) * phi32(a, b, c, d, e, q),
+        (d - a) * (1 - e / a) * phi32(a, b * q, c * q, d * q, e * q, q),
+        -(1 - a) * (1 - d * e / (a * b * c * q)) * phi32(a * q, b * q, c * q, d * q, e * q, q),
+    ],
+    "a-bilateral": lambda a, b, c, d, e, q, phi32: [
+        (1 - b)
+        * (1 - c)
+        * (1 - d / a)
+        * (1 - e / a)
+        / ((1 - d) * (1 - e))
+        * (d * e / (b * c * q))
+        * phi32(a, b * q, c * q, d * q, e * q, q),
+        -(
+            (1 - a) * (1 - d * e / (a * b * c * q))
+            + a * (1 - d / (a * q)) * (1 - e / (a * q))
+            + (d * e / (a * b * c * q)) * (1 - b) * (1 - c)
+        )
+        * phi32(a, b, c, d, e, q),
+        (1 - d / q) * (1 - e / q) * phi32(a, b / q, c / q, d / q, e / q, q),
+    ],
+    "a-updown": lambda a, b, c, d, e, q, phi32: [
+        (d * e * (a - b - c) + a * b * c * (d + e + q - a - a * q))
+        * phi32(a, b, c, d, e, q),
+        (1 - a) * (d * e - a * b * c * q) * phi32(a * q, b, c, d, e, q),
+        b * c * (d - a) * (e - a) * phi32(a / q, b, c, d, e, q),
+    ],
+    "all-updown": lambda a, b, c, d, e, q, phi32: [
+        (1 - a)
+        * (1 - b)
+        * (1 - c)
+        / ((1 - d) * (1 - e))
+        * (d * e / (a * b * c * q))
+        * (d * e - a * b * c * q)
+        * phi32(a * q, b * q, c * q, d * q, e * q, q),
+        (a * b * c * (d + e - q) + d * e * (1 + q - a - b - c))
+        * phi32(a, b, c, d, e, q),
+        a * b * c * q * (1 - d / q) * (1 - e / q) * phi32(a / q, b / q, c / q, d / q, e / q, q),
+    ],
+}
+
+
 def _contiguous_residual(relation_id, a, b, c, d, e, q, series=None):
     """Residual of the named three-term shift relation, normalized by
     its largest term.  ``series`` sums the draw's phi32 (a ``_DrawSeries``
     shared by the relations of one draw); by default a fresh one."""
-    phi32 = _DrawSeries() if series is None else series
-    if relation_id == "a-up":
-        terms = [
-            phi32(a, b, c, d, e, q),
-            -phi32(a * q, b, c, d, e, q),
-            (1 - b)
-            * (1 - c)
-            / ((1 - d) * (1 - e))
-            * (d * e / (a * b * c * q))
-            * phi32(a * q, b * q, c * q, d * q, e * q, q),
-        ]
-    elif relation_id == "up-mixed":
-        terms = [
-            (1 - d) * (1 - e) * phi32(a, b, c, d, e, q),
-            (d - a) * (1 - e / a) * phi32(a, b * q, c * q, d * q, e * q, q),
-            -(1 - a) * (1 - d * e / (a * b * c * q)) * phi32(a * q, b * q, c * q, d * q, e * q, q),
-        ]
-    elif relation_id == "a-bilateral":
-        terms = [
-            (1 - b)
-            * (1 - c)
-            * (1 - d / a)
-            * (1 - e / a)
-            / ((1 - d) * (1 - e))
-            * (d * e / (b * c * q))
-            * phi32(a, b * q, c * q, d * q, e * q, q),
-            -(
-                (1 - a) * (1 - d * e / (a * b * c * q))
-                + a * (1 - d / (a * q)) * (1 - e / (a * q))
-                + (d * e / (a * b * c * q)) * (1 - b) * (1 - c)
-            )
-            * phi32(a, b, c, d, e, q),
-            (1 - d / q) * (1 - e / q) * phi32(a, b / q, c / q, d / q, e / q, q),
-        ]
-    elif relation_id == "a-updown":
-        terms = [
-            (d * e * (a - b - c) + a * b * c * (d + e + q - a - a * q))
-            * phi32(a, b, c, d, e, q),
-            (1 - a) * (d * e - a * b * c * q) * phi32(a * q, b, c, d, e, q),
-            b * c * (d - a) * (e - a) * phi32(a / q, b, c, d, e, q),
-        ]
-    elif relation_id == "all-updown":
-        terms = [
-            (1 - a)
-            * (1 - b)
-            * (1 - c)
-            / ((1 - d) * (1 - e))
-            * (d * e / (a * b * c * q))
-            * (d * e - a * b * c * q)
-            * phi32(a * q, b * q, c * q, d * q, e * q, q),
-            (a * b * c * (d + e - q) + d * e * (1 + q - a - b - c))
-            * phi32(a, b, c, d, e, q),
-            a * b * c * q * (1 - d / q) * (1 - e / q) * phi32(a / q, b / q, c / q, d / q, e / q, q),
-        ]
-    else:
-        raise KeyError(f"unknown contiguous relation {relation_id!r}")
+    series = _DrawSeries() if series is None else series
+    terms = CONTIGUOUS_RELATIONS[relation_id](a, b, c, d, e, q, series)
     scale = max(abs(t) for t in terms)
     return abs(sum(terms)) / max(scale, 1e-300)
 
 
-def _contiguous_reports(relation_ids, sample_count, seed, threshold):
+def _contiguous_reports(relation_ids, sample_count, seed):
     """Residuals of the named relations over one pass of the seeded
     draws; every relation of a draw reads the same summed series."""
     rng = random.Random(seed)
-    reports = [CheckReport(f"contiguous/{rid}", seed, 0, 0.0, threshold) for rid in relation_ids]
+    reports = [CheckReport(f"contiguous/{rid}", seed, 0, 0.0, 1e-9) for rid in relation_ids]
     for _ in range(sample_count):
         q = rng.uniform(0.35, 0.65)
         a, b, c, d, e = _balanced_draw(rng, q)
@@ -301,15 +314,15 @@ def _contiguous_reports(relation_ids, sample_count, seed, threshold):
 
 
 def check_contiguous(relation_id: str, sample_count: int = 100,
-                     seed: int = DEFAULT_SEED, threshold: float = 1e-9) -> CheckReport:
+                     seed: int = DEFAULT_SEED) -> CheckReport:
     """Residuals of one three-term shift relation over random draws."""
-    return _contiguous_reports((relation_id,), sample_count, seed, threshold)[0]
+    return _contiguous_reports((relation_id,), sample_count, seed)[0]
 
 
 def check_contiguous_all(sample_count: int = 100, seed: int = DEFAULT_SEED):
     """``check_contiguous`` for the five relations, which draw alike from
     one seed, in one pass over the draws."""
-    return _contiguous_reports(CONTIGUOUS_RELATIONS, sample_count, seed, 1e-9)
+    return _contiguous_reports(CONTIGUOUS_RELATIONS, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +330,28 @@ def check_contiguous_all(sample_count: int = 100, seed: int = DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def check_three_term_transform(sample_count: int = 50, seed: int = DEFAULT_SEED,
-                               threshold: float = 1e-8) -> CheckReport:
-    rng = random.Random(seed)
-    report = CheckReport("three-term-transform", seed, 0, 0.0, threshold)
-    while report.points_tested < sample_count:
-        params, point = draw_cdqh(rng)
-        if abs(params.A - params.C) < 5e-3:
-            continue  # the connecting products collapse when A = C
-        try:
-            c1, c4, c2 = cdqhahn.three_term_coeffs(params, point)
-            n = rng.randrange(0, 8)
-            lhs = c1 * cdqhahn.solution(params, point, "dominant", n) - c4 * cdqhahn.solution(
-                params, point, "lead-c", n
-            )
-            rhs = c2 * cdqhahn.solution(params, point, "lead-a", n)
-        except QdhError:
-            continue
-        err = _rel(lhs, rhs)
-        report.record(
-            err,
-            {"q": params.q, "A": params.A.real, "B": params.B.real,
-             "C": params.C.real, "D": params.D.real, "x": point.x, "n": n},
-            lhs,
-            rhs,
-        )
-    return report
+def _three_term_trial(rng):
+    params, point = draw_cdqh(rng)
+    if abs(params.A - params.C) < 5e-3:
+        return  # the connecting products collapse when A = C
+    c1, c4, c2 = cdqhahn.three_term_coeffs(params, point)
+    n = rng.randrange(0, 8)
+    lhs = c1 * cdqhahn.solution(params, point, "dominant", n) - c4 * cdqhahn.solution(
+        params, point, "lead-c", n
+    )
+    rhs = c2 * cdqhahn.solution(params, point, "lead-a", n)
+    err = _rel(lhs, rhs)
+    yield (
+        err,
+        {"q": params.q, "A": params.A.real, "B": params.B.real,
+         "C": params.C.real, "D": params.D.real, "x": point.x, "n": n},
+        lhs,
+        rhs,
+    )
+
+
+def check_three_term_transform(sample_count: int = 50, seed: int = DEFAULT_SEED) -> CheckReport:
+    return _sampled("three-term-transform", seed, 1e-8, sample_count, _three_term_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -375,45 +384,38 @@ def _lead_a_two_series(params, point, n):
     return pref * (t1 + t2)
 
 
-def check_c_eq_q_reduction(sample_count: int = 20, seed: int = DEFAULT_SEED,
-                           threshold: float = 1e-9) -> CheckReport:
+def _c_eq_q_trial(rng):
+    params, point = draw_cdqh(rng)
+    n = rng.randrange(0, 6)
+    lhs = cdqhahn.solution(params, point, "lead-a", n)
+    rhs = _lead_a_two_series(params, point, n)
+    yield (_rel(lhs, rhs), {"stage": "two-series", "n": n, "q": params.q},
+           lhs, rhs)
+    # C = q: single terminating series times an n-independent constant
+    reduced = cdqhahn.CDQHParams(params.q, params.A, params.B, params.q, params.D)
+    rpoint = cdqhahn.spectral_point(reduced, x=point.x.real)
+    lead_a = [cdqhahn.solution(reduced, rpoint, "lead-a", m) for m in (0, 1, n)]
+    terminating = [
+        cdqhahn.dual_qhahn_reduction(reduced, rpoint, m) for m in (0, 1, n)
+    ]
+    ratios = [va / vb for va, vb in zip(lead_a, terminating)]
+    err = max(_rel(r, ratios[0]) for r in ratios)
+    yield (err, {"stage": "reduction-ratio", "n": n, "q": params.q},
+           ratios[-1], ratios[0])
+    const = qseries.qpoch_multi(
+        [reduced.A * params.q * rpoint.lam_minus, reduced.A * params.q * rpoint.lam_plus],
+        params.q,
+    ) / qseries.qpoch_multi([reduced.A * params.q / reduced.D, params.q / reduced.B], params.q)
+    yield (_rel(ratios[0], const), {"stage": "reduction-constant", "q": params.q},
+           ratios[0], const)
+
+
+def check_c_eq_q_reduction(sample_count: int = 20, seed: int = DEFAULT_SEED) -> CheckReport:
     """Three staged equalities: the two-series rewrite against the
     lead-a solution for generic C; its collapse to a single terminating
     series at C = q; and the n-independence of the ratio against the
     classical terminating form."""
-    rng = random.Random(seed)
-    report = CheckReport("c-eq-q-reduction", seed, 0, 0.0, threshold)
-    while report.points_tested < sample_count:
-        params, point = draw_cdqh(rng)
-        n = rng.randrange(0, 6)
-        try:
-            lhs = cdqhahn.solution(params, point, "lead-a", n)
-            rhs = _lead_a_two_series(params, point, n)
-        except QdhError:
-            continue
-        report.record(_rel(lhs, rhs), {"stage": "two-series", "n": n, "q": params.q},
-                      lhs, rhs)
-        # C = q: single terminating series times an n-independent constant
-        reduced = cdqhahn.CDQHParams(params.q, params.A, params.B, params.q, params.D)
-        rpoint = cdqhahn.spectral_point(reduced, x=point.x.real)
-        try:
-            lead_a = [cdqhahn.solution(reduced, rpoint, "lead-a", m) for m in (0, 1, n)]
-            terminating = [
-                cdqhahn.dual_qhahn_reduction(reduced, rpoint, m) for m in (0, 1, n)
-            ]
-        except QdhError:
-            continue
-        ratios = [va / vb for va, vb in zip(lead_a, terminating)]
-        err = max(_rel(r, ratios[0]) for r in ratios)
-        report.record(err, {"stage": "reduction-ratio", "n": n, "q": params.q},
-                      ratios[-1], ratios[0])
-        const = qseries.qpoch_multi(
-            [reduced.A * params.q * rpoint.lam_minus, reduced.A * params.q * rpoint.lam_plus],
-            params.q,
-        ) / qseries.qpoch_multi([reduced.A * params.q / reduced.D, params.q / reduced.B], params.q)
-        report.record(_rel(ratios[0], const), {"stage": "reduction-constant", "q": params.q},
-                      ratios[0], const)
-    return report
+    return _sampled("c-eq-q-reduction", seed, 1e-9, sample_count, _c_eq_q_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +549,17 @@ def transform_pole_free(params, x_max: float = 30.0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_symmetries(n_max: int = 8, sample_count: int = 5, seed: int = DEFAULT_SEED,
-                     threshold: float = 1e-9) -> CheckReport:
-    """Full parameter-exchange invariance plus u <-> 1/u invariance."""
+def check_symmetries(sample_count: int = 5, seed: int = DEFAULT_SEED) -> CheckReport:
+    """Full parameter-exchange invariance plus u <-> 1/u invariance, at
+    degrees 2..8."""
     import itertools
 
     rng = random.Random(seed)
-    report = CheckReport("symmetries", seed, 0, 0.0, threshold)
+    report = CheckReport("symmetries", seed, 0, 0.0, 1e-9)
     for _ in range(sample_count):
         params, point = draw_cdqh_polyform(rng)
         x = point.x.real
-        n = rng.randrange(2, n_max + 1)
+        n = rng.randrange(2, 9)
         base = cdqhahn.explicit_poly(params, point, n)
         for perm in itertools.permutations("ABCD"):
             permuted = params.permuted("".join(perm))
@@ -591,18 +593,18 @@ def check_symmetries(n_max: int = 8, sample_count: int = 5, seed: int = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
-def check_limits_all(scales=(1e2, 1e3, 1e4), n: int = 3, seed: int = DEFAULT_SEED,
-                     threshold: float = 0.999) -> CheckReport:
-    """Monotone deviation decrease across every documented limit edge.
+def check_limits_all(seed: int = DEFAULT_SEED) -> CheckReport:
+    """Monotone deviation decrease across every documented limit edge,
+    at scales 1e2, 1e3 and 1e4 and degree 3.
 
     The recorded metric per edge is the worst consecutive deviation
     ratio; strict decrease means every ratio is below one.
     """
     rng = random.Random(seed)
-    report = CheckReport("limit-edges", seed, 0, 0.0, threshold)
+    report = CheckReport("limit-edges", seed, 0, 0.0, 0.999)
     for edge_id, edge in limits.LIMIT_EDGES.items():
         child, z = draw_limit_family(rng, edge["child"], q_range=(0.4, 0.6))
-        deviations = limits.limit_convergence(edge_id, child, scales, n, z)
+        deviations = limits.limit_convergence(edge_id, child, (1e2, 1e3, 1e4), 3, z)
         worst_ratio = max(
             d2 / d1 if d1 > 0 else 0.0 for d1, d2 in zip(deviations, deviations[1:])
         )
@@ -635,63 +637,44 @@ def check_limits_all(scales=(1e2, 1e3, 1e4), n: int = 3, seed: int = DEFAULT_SEE
 # ---------------------------------------------------------------------------
 
 
-def check_transforms(transform_id=None, sample_count: int = 100,
-                     seed: int = DEFAULT_SEED, threshold: float = 1e-10):
-    """Both-sides agreement for the named identity (or all of them)."""
-    ids = [transform_id] if transform_id else list(qseries.transform_ids())
-    reports = []
-    for tid in ids:
-        rng = random.Random(seed)
-        report = CheckReport(f"transform/{tid}", seed, 0, 0.0, threshold)
-        while report.points_tested < sample_count:
-            q = rng.uniform(0.3, 0.7)
-            inputs = qseries.sample_transform_inputs(tid, rng, q)
-            try:
-                lhs, rhs = qseries.transform_check(tid, q, **inputs)
-            except QdhError:
-                continue
-            report.record(_rel(lhs, rhs, max(abs(lhs), 1.0)), {"q": q, **inputs}, lhs, rhs)
-        reports.append(report)
-    return reports if transform_id is None else reports[0]
+def _transform_trial(tid, rng):
+    q = rng.uniform(0.3, 0.7)
+    inputs = qseries.sample_transform_inputs(tid, rng, q)
+    lhs, rhs = qseries.transform_check(tid, q, **inputs)
+    yield _rel(lhs, rhs, max(abs(lhs), 1.0)), {"q": q, **inputs}, lhs, rhs
+
+
+def check_transforms(sample_count: int = 100, seed: int = DEFAULT_SEED):
+    """Both-sides agreement for every registered identity, one report each."""
+    return [_sampled(f"transform/{tid}", seed, 1e-10, sample_count,
+                     functools.partial(_transform_trial, tid))
+            for tid in qseries.transform_ids()]
 
 
 # ---------------------------------------------------------------------------
 # Suite runner.
 # ---------------------------------------------------------------------------
 
-CHECK_IDS = (
-    "contiguous",
-    "three-term-transform",
-    "c-eq-q-reduction",
-    "orthogonality",
-    "symmetries",
-    "limits",
-    "transforms",
-)
+# check id -> its reports at (seed, fast).  Each entry looks its check
+# up by name when it runs, so a rebinding of a check_* name reaches it.
+CHECKS = {
+    "contiguous": lambda seed, fast: check_contiguous_all(30 if fast else 100, seed),
+    "three-term-transform":
+        lambda seed, fast: [check_three_term_transform(15 if fast else 50, seed)],
+    "c-eq-q-reduction": lambda seed, fast: [check_c_eq_q_reduction(6 if fast else 20, seed)],
+    # 800: the Gauss drift against 1600 nodes is 7.4e-8 (associated)
+    # and 6.0e-8 (reduced), inside the 1e-7 gate; 724 nodes just pass
+    "orthogonality": lambda seed, fast: [
+        check_orthogonality(case, nodes=800 if fast else 2000, seed=seed)
+        for case in ("reduced", "associated")],
+    "symmetries": lambda seed, fast: [check_symmetries(2 if fast else 5, seed)],
+    "limits": lambda seed, fast: [check_limits_all(seed)],
+    "transforms": lambda seed, fast: check_transforms(30 if fast else 100, seed),
+}
+CHECK_IDS = tuple(CHECKS)
 
 
 def run_checks(check_id: str = "all", seed: int = DEFAULT_SEED, fast: bool = False):
     """Run one named check (or the whole battery); returns reports."""
-    reports = []
-    count = 30 if fast else 100
-    if check_id in ("contiguous", "all"):
-        reports.extend(check_contiguous_all(sample_count=count, seed=seed))
-    if check_id in ("three-term-transform", "all"):
-        reports.append(check_three_term_transform(sample_count=15 if fast else 50, seed=seed))
-    if check_id in ("c-eq-q-reduction", "all"):
-        reports.append(check_c_eq_q_reduction(sample_count=6 if fast else 20, seed=seed))
-    if check_id in ("orthogonality", "all"):
-        # 800: the Gauss drift against 1600 nodes is 7.4e-8 (associated)
-        # and 6.0e-8 (reduced), inside the 1e-7 gate; 724 nodes just pass
-        nodes = 800 if fast else 2000
-        reports.append(check_orthogonality("reduced", nodes=nodes, seed=seed))
-        reports.append(check_orthogonality("associated", nodes=nodes, seed=seed))
-    if check_id in ("symmetries", "all"):
-        reports.append(check_symmetries(sample_count=2 if fast else 5, seed=seed))
-    if check_id in ("limits", "all"):
-        reports.append(check_limits_all(seed=seed))
-    if check_id in ("transforms", "all"):
-        reports.extend(check_transforms(sample_count=count, seed=seed))
-    if not reports:
-        raise KeyError(f"unknown check {check_id!r}; known: {CHECK_IDS + ('all',)}")
-    return reports
+    ids = CHECK_IDS if check_id == "all" else (check_id,)
+    return [report for cid in ids for report in CHECKS[cid](seed, fast)]

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from qdhahn import limits, verify
+from qdhahn import cdqhahn, limits, qseries, verify
+from qdhahn.errors import QdhError
 
 
 class TestCheckReport:
@@ -159,6 +161,48 @@ class TestChecks:
         with pytest.raises(KeyError):
             verify.run_checks("bogus")
 
+    def test_run_checks_all_report_order(self):
+        ids = [report.check_id for report in verify.run_checks("all", seed=3, fast=True)]
+        assert ids == [
+            "contiguous/a-up", "contiguous/up-mixed", "contiguous/a-bilateral",
+            "contiguous/a-updown", "contiguous/all-updown",
+            "three-term-transform", "c-eq-q-reduction",
+            "orthogonality/reduced", "orthogonality/associated",
+            "symmetries", "limit-edges",
+            "transform/cont-a", "transform/cont-b", "transform/heine",
+            "transform/p21-p22", "transform/p21-p12", "transform/p21-p11",
+            "transform/p11-swap", "transform/p11-zero-swap", "transform/p01-p11",
+            "transform/q-binomial",
+        ]
+
+    def test_run_checks_looks_each_check_up_when_called(self, monkeypatch):
+        # the benchmark's tracer rebinds the check_* names; a table that
+        # captured the function objects would bypass the rebound name
+        calls = []
+        original = verify.check_limits_all
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_limits_all", wrapper)
+        reports = verify.run_checks("limits", seed=5)
+        assert calls == [(5,)]
+        assert [report.check_id for report in reports] == ["limit-edges"]
+
+    def test_readme_table_matches_the_battery(self):
+        # the README's verify table: check id, report ids, counts, threshold
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Verification battery", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:-1] for line in section.splitlines()
+                if line.startswith("| `")]
+        assert [row[0].strip().strip("`") for row in rows] == list(verify.CHECK_IDS)
+        for check_id, report_ids, _, threshold in rows:
+            reports = verify.run_checks(check_id.strip().strip("`"), seed=3, fast=True)
+            listed = [rid.strip().strip("`") for rid in report_ids.split(",")]
+            assert [report.check_id for report in reports] == listed
+            assert {report.threshold for report in reports} == {float(threshold)}
+
     def test_pole_free_scan_flags_reduced_masses(self):
         # pushing one parameter far above the mass-free bound plants a
         # pole on the real axis, which the scan must detect
@@ -166,6 +210,119 @@ class TestChecks:
 
         clean = cdqhahn.CDQHParams(0.5, 0.4, 0.4, 0.7, 0.4)
         assert verify.transform_pole_free(clean)
+
+
+# The three sampled checks as each wrote its own draw/reject/record loop
+# before they shared verify._sampled.
+
+
+def _former_three_term(sample_count, seed):
+    rng = random.Random(seed)
+    report = verify.CheckReport("three-term-transform", seed, 0, 0.0, 1e-8)
+    while report.points_tested < sample_count:
+        params, point = verify.draw_cdqh(rng)
+        if abs(params.A - params.C) < 5e-3:
+            continue
+        try:
+            c1, c4, c2 = cdqhahn.three_term_coeffs(params, point)
+            n = rng.randrange(0, 8)
+            lhs = c1 * cdqhahn.solution(params, point, "dominant", n) - c4 * cdqhahn.solution(
+                params, point, "lead-c", n
+            )
+            rhs = c2 * cdqhahn.solution(params, point, "lead-a", n)
+        except QdhError:
+            continue
+        err = verify._rel(lhs, rhs)
+        report.record(
+            err,
+            {"q": params.q, "A": params.A.real, "B": params.B.real,
+             "C": params.C.real, "D": params.D.real, "x": point.x, "n": n},
+            lhs,
+            rhs,
+        )
+    return report
+
+
+def _former_c_eq_q(sample_count, seed):
+    rng = random.Random(seed)
+    report = verify.CheckReport("c-eq-q-reduction", seed, 0, 0.0, 1e-9)
+    while report.points_tested < sample_count:
+        params, point = verify.draw_cdqh(rng)
+        n = rng.randrange(0, 6)
+        try:
+            lhs = cdqhahn.solution(params, point, "lead-a", n)
+            rhs = verify._lead_a_two_series(params, point, n)
+        except QdhError:
+            continue
+        report.record(verify._rel(lhs, rhs), {"stage": "two-series", "n": n, "q": params.q},
+                      lhs, rhs)
+        reduced = cdqhahn.CDQHParams(params.q, params.A, params.B, params.q, params.D)
+        rpoint = cdqhahn.spectral_point(reduced, x=point.x.real)
+        try:
+            lead_a = [cdqhahn.solution(reduced, rpoint, "lead-a", m) for m in (0, 1, n)]
+            terminating = [
+                cdqhahn.dual_qhahn_reduction(reduced, rpoint, m) for m in (0, 1, n)
+            ]
+        except QdhError:
+            continue
+        ratios = [va / vb for va, vb in zip(lead_a, terminating)]
+        err = max(verify._rel(r, ratios[0]) for r in ratios)
+        report.record(err, {"stage": "reduction-ratio", "n": n, "q": params.q},
+                      ratios[-1], ratios[0])
+        const = qseries.qpoch_multi(
+            [reduced.A * params.q * rpoint.lam_minus, reduced.A * params.q * rpoint.lam_plus],
+            params.q,
+        ) / qseries.qpoch_multi([reduced.A * params.q / reduced.D, params.q / reduced.B], params.q)
+        report.record(verify._rel(ratios[0], const),
+                      {"stage": "reduction-constant", "q": params.q}, ratios[0], const)
+    return report
+
+
+def _former_transforms(sample_count, seed):
+    reports = []
+    for tid in qseries.transform_ids():
+        rng = random.Random(seed)
+        report = verify.CheckReport(f"transform/{tid}", seed, 0, 0.0, 1e-10)
+        while report.points_tested < sample_count:
+            q = rng.uniform(0.3, 0.7)
+            inputs = qseries.sample_transform_inputs(tid, rng, q)
+            try:
+                lhs, rhs = qseries.transform_check(tid, q, **inputs)
+            except QdhError:
+                continue
+            report.record(verify._rel(lhs, rhs, max(abs(lhs), 1.0)), {"q": q, **inputs}, lhs, rhs)
+        reports.append(report)
+    return reports
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_checks_equal_their_former_loops(seed):
+    assert (verify.check_three_term_transform(seed=seed).to_dict()
+            == _former_three_term(50, seed).to_dict())
+    assert (verify.check_c_eq_q_reduction(seed=seed).to_dict()
+            == _former_c_eq_q(20, seed).to_dict())
+    assert ([report.to_dict() for report in verify.check_transforms(seed=seed)]
+            == [report.to_dict() for report in _former_transforms(100, seed)])
+
+
+def test_sampled_keeps_the_records_of_a_trial_before_it_raises():
+    def trial(rng):
+        value = rng.random()
+        yield 2e-9, {"v": value}, value, 0.0
+        if value < 0.5:
+            raise QdhError("redraw")
+        yield 0.0, {"v": value}, value, value
+
+    report = verify._sampled("demo", 9, 1e-9, 6, trial)
+    rng = random.Random(9)
+    trials = points = 0
+    while points < 6:
+        trials += 1
+        points += 1 if rng.random() < 0.5 else 2
+    assert report.points_tested == points
+    # each trial's first record fails the threshold and is kept, redrawn or not
+    assert len(report.failures) == trials
+    assert report.max_rel_error == 2e-9 and not report.passed
 
 
 def _draw_by_family_id(rng, family_id, q_range=(0.35, 0.65)):
