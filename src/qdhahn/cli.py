@@ -11,8 +11,6 @@ truncation tolerance.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
@@ -29,8 +27,10 @@ CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
 
 
-def _fmt(value) -> str:
-    return f"{value:.17g}"
+def _cell(value) -> str:
+    """A value's output text: a float (numpy float64 too) to 17
+    significant digits, anything else by ``str``."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _parse_complex(text: str) -> complex:
@@ -84,34 +84,25 @@ def _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small):
 
 
 def _emit_rows(rows, header, fmt, params_comment=None):
+    cells = [list(map(_cell, row)) for row in rows]
+    if fmt == "json":
+        click.echo(json.dumps({"header": list(header), "rows": cells}, sort_keys=True))
+        return
+    comment = [f"# {params_comment}"] if params_comment else []
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        if params_comment:
-            buffer.write(f"# {params_comment}\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-        click.echo(buffer.getvalue(), nl=False)
-    elif fmt == "json":
-        click.echo(
-            json.dumps(
-                {"header": list(header), "rows": [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows]},
-                sort_keys=True,
-            )
-        )
-    else:
-        if params_comment:
-            click.echo(f"# {params_comment}")
-        for row in rows:
-            click.echo(" ".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines = [*comment, ",".join(header), *map(",".join, cells)]
+        click.echo("\r\n".join(lines) + "\r\n", nl=False)
+    elif comment or cells:  # an empty zero scan prints nothing
+        click.echo("\n".join([*comment, *map(" ".join, cells)]))
 
 
 def _family_comment(family_obj):
-    parts = [f"family={family_obj.family_id}", f"q={_fmt(family_obj.q)}"]
+    parts = [f"family={family_obj.family_id}", f"q={_cell(family_obj.q)}"]
     for name in family_obj.param_names:
         value = complex(getattr(family_obj, name))
-        text = _fmt(value.real) if value.imag == 0 else f"{_fmt(value.real)}+{_fmt(value.imag)}i"
+        text = _cell(value.real)
+        if value.imag != 0:
+            text += f"+{_cell(value.imag)}i"
         parts.append(f"{name}={text}")
     return " ".join(parts)
 
@@ -214,8 +205,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
     rows = []
     for pt, value in zip(points, values):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt
-        rows.append([coord if isinstance(coord, float) else str(coord),
-                     value.real, value.imag])
+        rows.append([coord, value.real, value.imag])
     _emit_rows(rows, ("n_or_x", "re", "im"), fmt, _family_comment(fam))
 
 

@@ -1372,15 +1372,16 @@ def fourth_limit_zero_window(q: float, n: int, count: int = 8):
     parameter-free series handle of order n.
 
     Zeros cluster geometrically toward 0- with ratio about q^2, so the
-    inner endpoint must shrink with the requested count.  Overflow when
-    the window leaves the double range: an endpoint overflows, or the
-    inner one is subnormal, where the zeros near it cannot be resolved.
+    inner endpoint must shrink with the requested count; a subnormal one
+    is clamped to the normal range.  Overflow when the outer endpoint
+    overflows, or the ``count``-th zero, of size at least about
+    q^(2n + 2 count - 1), is subnormal, where it cannot be resolved.
     """
     try:
         lo = -1e6 * q ** (2 * n)
         hi = -(q ** (2 * n + 1)) * q ** (2 * (count + 2))
-        if math.isfinite(lo) and abs(hi) >= sys.float_info.min:
-            return lo, hi
+        if math.isfinite(lo) and q ** (2 * n + 2 * count - 1) >= sys.float_info.min:
+            return lo, min(hi, -sys.float_info.min)
     except OverflowError:
         pass
     raise Overflow(f"the zero window of order n = {n} at q = {q} leaves the double range")

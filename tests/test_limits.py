@@ -652,11 +652,37 @@ class TestZeros:
         with pytest.raises(ValueError, match="one sign"):
             find_zeros(math.sin, lo, hi)
 
-    @pytest.mark.parametrize("n", [-600, 501, 600])
+    @pytest.mark.parametrize("n", [-600, 504, 600])
     def test_zero_window_past_the_double_range_raises_overflow(self, n):
-        # at n = 501 the inner end is subnormal
+        # at n = 504 the eighth zero is subnormal
         with pytest.raises(Overflow):
             fourth_limit_zero_window(0.5, n, 8)
+
+    def test_zero_windows_with_a_normal_inner_end_are_unchanged(self):
+        # the window before its inner end was clamped to the normal range
+        for n in range(-500, 501):
+            hi = -(0.5 ** (2 * n + 1)) * 0.5 ** (2 * (8 + 2))
+            if abs(hi) >= sys.float_info.min:
+                assert fourth_limit_zero_window(0.5, n, 8) == (-1e6 * 0.5 ** (2 * n), hi), n
+        assert fourth_limit_zero_window(0.5, 501, 8)[1] == -sys.float_info.min
+
+    @pytest.mark.parametrize("q", [0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
+    def test_zero_window_bound_lies_below_the_last_zero(self, q):
+        # the window stands while q^(2n + 2 count - 1) is normal; the
+        # count-th zero is at least that large, also at the last such n,
+        # whose window is clamped
+        count = 8
+        last = 0
+        while q ** (2 * (last + 1) + 2 * count - 1) >= sys.float_info.min:
+            last += 1
+        with pytest.raises(Overflow):
+            fourth_limit_zero_window(q, last + 1, count)
+        for n in (3, last):
+            lo, hi = fourth_limit_zero_window(q, n, count)
+            zl = find_zeros(fourth_limit_series(FourthLimit(q), n), lo, hi, max_zeros=count)
+            assert len(zl) == count
+            assert abs(zl.zeros[-1]) >= q ** (2 * n + 2 * count - 1)
+        assert hi == -sys.float_info.min  # the last window's inner end
 
     @pytest.mark.parametrize(
         "fam",
