@@ -21,14 +21,13 @@ from .cdqhahn import (
     explicit_poly,
     explicit_poly_ir,
     genfun_coeffs,
-    minimal_solution,
     solution,
-    solution_sequence,
     spectral_point,
     weight,
     weight_reduced,
 )
 from .errors import QdhError
+from .family import solution_sequence
 from .limits import (
     FAMILIES,
     ZeroList,
@@ -95,7 +94,6 @@ __all__ = [
     "limit_poly",
     "limit_solution",
     "limit_weight",
-    "minimal_solution",
     "minimality_ratio",
     "phi",
     "phi32",

@@ -25,12 +25,16 @@ Solution labels (all satisfy the recurrence; pairwise independent):
     "inverted"  reciprocal-parameter series; constant multiple of lead-c
 
 The closed forms are declared once on ``CDQHParams`` and evaluated
-through the closed-form layer of ``family``, which every family shares:
+through the closed-form layer of ``family``, which every family shares.
 ``solution``, ``cf_stieltjes``, ``explicit_poly``, ``explicit_poly_ir``
-and ``weight`` here, or equally ``limits.limit_solution``, ``limit_cf``,
-``limit_poly`` and ``limit_weight``.  A bare float overflow or division
-by zero raises Overflow or ZeroDivisor, and a vanished denominator
-series of a form of 1/CF raises PoleHit.
+and ``weight`` here (like ``limits.limit_solution``, ``limit_cf``,
+``limit_poly`` and ``limit_weight``) are thin functions over that layer.
+They stay, with ``spectral_point``, because the benchmark under
+``qdhbench/`` calls them by these names and its tracer rebinds them to
+time each layer; once the library records its own spans they can go.
+A bare float overflow or division by zero raises Overflow or
+ZeroDivisor, and a vanished denominator series of a form of 1/CF
+raises PoleHit.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ import cmath
 from dataclasses import dataclass
 
 from . import family, qseries
-from .errors import BranchAmbiguous, ZeroDivisor
-from .family import (ABOVE, BELOW, OFF_CUT, CutFamily, SpectralPoint, cf_denominator,
-                     solution_scaled, solution_sequence, solution_value, spectral_point)
+from .errors import ZeroDivisor
+from .family import (ABOVE, BELOW, CutFamily, SpectralPoint, cf_denominator, solution_scaled,
+                     solution_value, spectral_point)
 from .qseries import (
     DEFAULT_POLICY,
     phi32,
@@ -296,10 +300,6 @@ class CDQHParams(CutFamily):
         return numerator, denominator, bracket
 
 
-SOLUTIONS = tuple(CDQHParams._solutions)
-CF_FORMS = tuple(CDQHParams._cf_forms)
-
-
 @dataclass(frozen=True)
 class BirthDeathRates:
     lambda_n: complex
@@ -329,14 +329,6 @@ def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> comple
     """Value of the named closed-form solution at index n, at a
     SpectralPoint or a number z off the cut."""
     return solution_value(params, point, which, n, policy)
-
-
-def minimal_solution(params, point, n: int, policy=DEFAULT_POLICY) -> complex:
-    """The subdominant solution; requires a strict branch ordering."""
-    point = params.point_at(point)
-    if abs(point.lam_minus) >= abs(point.lam_plus) * (1 - 1e-14) and point.side == OFF_CUT:
-        raise BranchAmbiguous("minimal solution needs |lambda_-| < |lambda_+|")
-    return solution(params, point, "minimal", n, policy)
 
 
 def inverted_to_lead_c_constant(params: CDQHParams, point: SpectralPoint) -> complex:
@@ -404,17 +396,6 @@ def _require_real_params(params: CDQHParams):
             raise ValueError("the weight needs real parameters")
     if (params.A * params.B * params.C * params.D / params.q).real <= 0:
         raise ValueError("the weight needs real positive ABCD/q")
-
-
-def weight_factors(params: CDQHParams, x: float, policy=DEFAULT_POLICY):
-    """The two boundary series whose product forms the weight bracket.
-
-    For real parameters they are complex conjugates of each other.  An
-    array of x gives both at every point.
-    """
-    point = spectral_point(params, x=x, side=ABOVE)
-    return tuple(params._ratio_denominator(lam, policy)
-                 for lam in (point.lam_minus, point.lam_plus))
 
 
 def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:

@@ -267,12 +267,14 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
             raise click.UsageError("missing: scan-lo/scan-hi for cf parts")
     else:
         raise click.UsageError(f"unknown series handle {f_name!r}")
+    # the default window holds max_zeros zeros: a shorter list is ScanTooCoarse
+    expect = max_zeros if scan_lo is None and scan_hi is None else None
     if scan_lo is not None:
         lo = scan_lo
     if scan_hi is not None:
         hi = scan_hi
     try:
-        zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros)
+        zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros, expect=expect)
     except ValueError as exc:  # the library's check of the window: endpoints of one sign
         raise click.UsageError(str(exc))
     rows = [[z, b[0], b[1]] for z, b in zip(zl.zeros, zl.brackets)]
@@ -282,7 +284,8 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
             raise click.UsageError("interlacing report needs --f fourth-limit")
         next_handle = limits.fourth_limit_series(fam, n_index + 1)
         next_lo, next_hi = limits.fourth_limit_zero_window(q, n_index + 1, max_zeros)
-        zl2 = limits.find_zeros(next_handle, next_lo, next_hi, max_zeros=max_zeros)
+        zl2 = limits.find_zeros(next_handle, next_lo, next_hi, max_zeros=max_zeros,
+                                expect=expect)
         ok = limits.interlaces(zl, zl2)
         click.echo(f"interlace n={n_index} vs n={n_index + 1}: {'pass' if ok else 'fail'}")
         if not ok:

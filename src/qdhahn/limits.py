@@ -18,7 +18,12 @@ FormalOnly unless a parameter makes them terminate.
 ``limit_solution``, ``limit_poly``, ``limit_cf`` and ``limit_weight``
 evaluate through the one closed-form layer of ``family``, so they take
 the flagship ``cdqhahn.CDQHParams`` (at a number z or a SpectralPoint)
-as well as a limit family.
+as well as a limit family.  They are thin functions over that layer,
+kept because the benchmark under ``qdhbench/`` calls them by these
+names and its tracer rebinds them to time each layer; once the library
+records its own spans they can go.  The other closed forms have one
+name, in ``family``: ``poly_alt``, ``solution_sequence``, and a
+family's ``_solutions`` and ``_cf_forms`` for its labels and forms.
 
 Families and their parameters:
 
@@ -65,9 +70,7 @@ from .family import (
     guarded,
     member,
     poly,
-    poly_alt,
     solution_scaled,
-    solution_sequence,
     solution_value,
     spectral_point,
     weight,
@@ -369,9 +372,8 @@ class FourthLimit(Family):
         return num / (z * cf_denominator(den))
 
     def _cf_power_sums(self, z, policy):
-        num = _theta_like(self.q, z, 0)
-        den = _theta_like(self.q, z, -2)
-        return num / (z * cf_denominator(den))
+        num = fourth_limit_series(self, 0)(z)
+        return num / (z * cf_denominator(fourth_limit_series(self, -1)(z)))
 
     _cf_forms = {"default": _cf, "series-ratio": _cf, "power-sums": _cf_power_sums}
 
@@ -681,9 +683,13 @@ class ContQHermite(CutFamily):
     _cf_forms = {"default": _cf}
 
     def _weight_parts(self, x, policy):
+        q, A = self.q, self.A
         u = spectral_point(self, x=x, side=ABOVE).u
-        numerator = qpoch_multi([self.A, u * u, 1 / (u * u)], self.q)
-        fm, fp = cont_q_hermite_weight_denominators(self, x, policy)
+        numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
+        # the two confluent factors dividing the weight, both 1 at A = q;
+        # q u^(+-2) is the boundary value of the denominator's argument
+        fm = phi11(A / q, 0.0, q / (u * u), q, policy)
+        fp = phi11(A / q, 0.0, q * u * u, q, policy)
         return numerator, 1.0 + 0.0j, fm * fp
 
 
@@ -898,19 +904,10 @@ def family_from_id(family_id: str, q, **params):
 # ---------------------------------------------------------------------------
 
 
-def solution_indices(family) -> tuple:
-    """All solution indices of the family (index -1 is the dominant
-    branch where the minimal one has a two-sided companion)."""
-    return tuple(sorted(family._solutions))
-
-
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
     """Closed-form solution value; raises FormalOnly for the divergent
     formal series and DivergentSeries when outside the domain."""
     return solution_value(family, z, which, n, policy)
-
-
-limit_solution_sequence = solution_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -923,20 +920,9 @@ def limit_poly(family, z, n: int) -> complex:
     return poly(family, z, n)
 
 
-def limit_asc1_poly_alt(family: LimitASC1, z, n: int) -> complex:
-    """The polynomial of the limit Al-Salam-Carlitz family computed as a
-    parent-family limit rather than from its own generating function."""
-    return poly_alt(family, z, n)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form continued fractions (values of 1/CF).
 # ---------------------------------------------------------------------------
-
-
-def cf_forms(family) -> tuple:
-    """Names of the family's closed forms of 1/CF, the default first."""
-    return tuple(family._cf_forms)
 
 
 def limit_cf(family, z, form: str | None = None, policy=DEFAULT_POLICY) -> complex:
@@ -959,20 +945,6 @@ def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
             raise ZeroDivisor(f"{family.family_id} continued fraction divides by zero at {at}")
         return series(family, z, policy)
     return guarded("continued fraction", series, family, complex(z), policy)
-
-
-def _theta_like(q, z, shift):
-    """sum_k q^(k^2 + shift*k) z^-k / (q; q)_k."""
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 0
-    while True:
-        k += 1
-        term *= q ** (2 * k - 1 + shift) / ((1 - q**k) * z)
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1.0) or k > 400:
-            break
-    return 1.0 + total
 
 
 def fourth_limit_series(family: FourthLimit, n: int):
@@ -1041,23 +1013,6 @@ def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
     """Density of the absolutely continuous component at x in (-1, 1),
     where the spectral variable is z = gamma x (see ``family.weight``)."""
     return weight(family, x, policy)
-
-
-def cont_q_hermite_weight_denominators(family: ContQHermite, x: float,
-                                       policy=DEFAULT_POLICY):
-    """The two confluent factors dividing the q-Hermite-like weight; both
-    equal 1 when A = q.
-
-    The series argument is q u^(+-2): the boundary value of the same
-    argument the continued-fraction denominator carries, which the
-    displayed form obscures.
-    """
-    q, A = family.q, family.A
-    u = spectral_point(family, x=support_points(x), side=ABOVE).u
-    return (
-        phi11(A / q, 0.0, q / (u * u), q, policy),
-        phi11(A / q, 0.0, q * u * u, q, policy),
-    )
 
 
 def cont_big_q_hermite_weight_reduced(family: ContBigQHermite, x: float) -> float:

@@ -187,7 +187,7 @@ def coeff_table(family, n: int, table=None):
     return a, b_sq
 
 
-def forward_eval(family, z, x_prev, x_0, n_max: int, provenance="forward") -> SolutionSequence:
+def forward_eval(family, z, x_prev, x_0, n_max: int) -> SolutionSequence:
     """Iterate X_{n+1} = (z - a_n) X_n - b_n^2 X_{n-1} from the seeds.
 
     Seeds are (X_{-1}, X_0); with (0, 1) the result is the sequence of
@@ -201,7 +201,7 @@ def forward_eval(family, z, x_prev, x_0, n_max: int, provenance="forward") -> So
         raise ValueError("n_max must be >= 0")
     a, b_sq = coeff_table(family, n_max)
     if isinstance(z, np.ndarray):
-        return _forward_grid(a, b_sq, z, complex(x_prev), complex(x_0), provenance)
+        return _forward_grid(a, b_sq, z, complex(x_prev), complex(x_0))
     z = complex(z)
     mantissas = [complex(x_prev), complex(x_0)]
     scales = [0.0, 0.0]
@@ -220,11 +220,11 @@ def forward_eval(family, z, x_prev, x_0, n_max: int, provenance="forward") -> So
                 log_scale += math.log(top)
         mantissas.append(cur)
         scales.append(log_scale)
-    return SolutionSequence(-1, tuple(mantissas), tuple(scales), provenance)
+    return SolutionSequence(-1, tuple(mantissas), tuple(scales), "forward")
 
 
 @np.errstate(all="ignore")  # an overflow raises Overflow below instead
-def _forward_grid(a, b_sq, z, x_prev, x_0, provenance):
+def _forward_grid(a, b_sq, z, x_prev, x_0):
     """The forward loop over a 1-D array of z.  Real and imaginary parts
     are carried apart and combined the way CPython multiplies and divides
     complex numbers (numpy's complex product fuses multiply-adds), and
@@ -256,7 +256,7 @@ def _forward_grid(a, b_sq, z, x_prev, x_0, provenance):
             log_scale = log_scale + [math.log(v) if v > 0 else 0.0 for v in top.tolist()]
         mantissas.real[n + 2], mantissas.imag[n + 2] = cr, ci
         scales[n + 2] = log_scale
-    return SolutionSequence(-1, mantissas, scales, provenance)
+    return SolutionSequence(-1, mantissas, scales, "forward")
 
 
 def _aligned(*terms: Scaled):

@@ -11,7 +11,6 @@ rejection rules are part of the documented test domain.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -79,9 +78,6 @@ class CheckReport:
             "failures": [f.to_dict() for f in self.failures],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -120,18 +116,18 @@ def _sampled(check_id, seed, threshold, count, trial):
 # ---------------------------------------------------------------------------
 
 
-def _away_from_lattice(value, q, margin=5e-3) -> bool:
+def _away_from_lattice(value, q) -> bool:
     """True when value is not suspiciously close to q^-m for m >= 0."""
     v = abs(value)
-    if v < 1.0 - margin:
+    if v < 1.0 - 5e-3:
         return True
     pos = math.log(v) / math.log(1.0 / q)
-    return abs(pos - round(pos)) * math.log(1.0 / q) > margin
+    return abs(pos - round(pos)) * math.log(1.0 / q) > 5e-3
 
 
-def _comfortable(value, bound=4.0) -> bool:
+def _comfortable(value) -> bool:
     v = abs(value)
-    return v <= bound and abs(v - 1.0) >= 0.3
+    return v <= 4.0 and abs(v - 1.0) >= 0.3
 
 
 def _distinct(vals, q) -> bool:

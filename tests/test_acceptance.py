@@ -14,6 +14,7 @@ import random
 import pytest
 
 from qdhahn import cdqhahn, limits, qseries, recurrence, verify
+from qdhahn.family import solution_sequence
 
 SEED = 20240801
 
@@ -35,8 +36,8 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(20):
             params, point = verify.draw_cdqh(rng)
-            for which in cdqhahn.SOLUTIONS:
-                seq = cdqhahn.solution_sequence(params, point, which, 0, 26)
+            for which in cdqhahn.CDQHParams._solutions:
+                seq = solution_sequence(params, point, which, 0, 26)
                 for n in range(1, 26):
                     worst = max(
                         worst, recurrence.relative_residual(params, point.z, seq, n)
@@ -44,9 +45,9 @@ class TestAcceptance:
         for family_id in limits.FAMILIES:
             for _ in range(20):
                 fam, z = verify.draw_limit_family(rng, family_id)
-                for which in limits.solution_indices(fam):
+                for which in fam._solutions:
                     try:
-                        seq = limits.limit_solution_sequence(fam, z, which, 0, 26)
+                        seq = solution_sequence(fam, z, which, 0, 26)
                     except (limits.FormalOnly, limits.DivergentSeries):
                         continue
                     for n in range(1, 26):
@@ -174,8 +175,8 @@ class TestAcceptance:
         fam = limits.ContQHermite(0.5, 0.5, 0.7)
         den_worst = 0.0
         for x in (-0.8, -0.3, 0.2, 0.7):
-            dm, dp = limits.cont_q_hermite_weight_denominators(fam, x)
-            den_worst = max(den_worst, abs(dm - 1), abs(dp - 1))
+            _, denominator, bracket = fam._weight_parts(x, qseries.DEFAULT_POLICY)
+            den_worst = max(den_worst, abs(denominator - 1), abs(bracket - 1))
         fam2 = limits.ContBigQHermite(0.5, 0.5, 1.6)
         big_worst = 0.0
         for x in (-0.8, -0.3, 0.2, 0.7):

@@ -8,7 +8,6 @@ import pytest
 from qdhahn import cdqhahn, qseries, recurrence, verify
 from qdhahn.cdqhahn import (
     CDQHParams,
-    SOLUTIONS,
     cf_stieltjes,
     dual_qhahn_reduction,
     explicit_poly,
@@ -16,16 +15,17 @@ from qdhahn.cdqhahn import (
     genfun_coeffs,
     genfun_coeffs_reduced,
     inverted_to_lead_c_constant,
-    minimal_solution,
     solution,
-    solution_sequence,
     spectral_point,
     three_term_coeffs,
     weight,
-    weight_factors,
     weight_reduced,
 )
 from qdhahn.errors import BranchAmbiguous, Overflow, QdhError, ZeroDivisor
+from qdhahn.family import solution_sequence
+
+# the flagship's solution labels, in declaration order
+SOLUTIONS = tuple(CDQHParams._solutions)
 
 
 @pytest.fixture
@@ -137,12 +137,6 @@ class TestSolutions:
             inverted_to_lead_c_constant(params, point), rel=1e-9
         )
 
-    def test_minimal_equals_subdominant_label(self, params, point):
-        for n in (0, 3, 7):
-            assert minimal_solution(params, point, n) == solution(
-                params, point, "minimal", n
-            )
-
     def test_minimality_against_lead_a(self, params, point):
         minimal = solution_sequence(params, point, "minimal", 0, 22)
         other = solution_sequence(params, point, "lead-a", 0, 22)
@@ -228,7 +222,8 @@ class TestWeight:
 
     def test_bracket_factors_are_conjugate(self, params):
         for x in (-0.7, 0.2, 0.85):
-            fm, fp = weight_factors(params, x)
+            point = spectral_point(params, x=x, side=cdqhahn.ABOVE)
+            fm, fp = [params._ratio_denominator(lam) for lam in (point.lam_minus, point.lam_plus)]
             assert fm.conjugate() == pytest.approx(fp, rel=1e-12)
 
     def test_positive_on_grid(self, params):
@@ -451,14 +446,14 @@ class TestDualQHahnReduction:
 def test_label_and_form_tables_keep_their_order_default_first():
     # the CLI takes the first label and form as its defaults
     assert SOLUTIONS == ("minimal", "dominant", "lead-a", "lead-b", "lead-c", "lead-d", "inverted")
-    assert cdqhahn.CF_FORMS == ("ratio", "ratio-alt", "pincherle", "reduced", "reduced-product")
+    assert tuple(CDQHParams._cf_forms) == ("ratio", "ratio-alt", "pincherle", "reduced", "reduced-product")
 
 
 class TestPointArguments:
     @pytest.mark.parametrize("evaluate", [
         lambda params, pt: solution(params, pt, "minimal", 5),
         lambda params, pt: solution(params, pt, "inverted", 3),
-        lambda params, pt: minimal_solution(params, pt, 4),
+        lambda params, pt: solution_sequence(params, pt, "minimal", 0, 4).value(4),
         lambda params, pt: cf_stieltjes(params, pt),
         lambda params, pt: cf_stieltjes(params, pt, "pincherle"),
         lambda params, pt: explicit_poly(params, pt, 4),
@@ -490,7 +485,7 @@ class TestPointArguments:
     def test_closed_forms_where_a_prefactor_vanishes_are_finite_or_named_errors(self):
         # at z = 24, lambda_- = 4 and 1 - BCD lambda_-/q is exactly 0
         params = CDQHParams(0.5, 0.0625, 0.25, 0.5, 0.5)
-        calls = [lambda f=f: cf_stieltjes(params, 24.0, f) for f in cdqhahn.CF_FORMS]
+        calls = [lambda f=f: cf_stieltjes(params, 24.0, f) for f in CDQHParams._cf_forms]
         calls += [lambda w=w: solution(params, 24.0, w, n) for w in SOLUTIONS for n in (0, 2)]
         for call in calls:
             try:

@@ -475,6 +475,27 @@ def test_zero_scans_with_a_clamped_window_find_eight_zeros(monkeypatch, capsys):
     assert code == 3 and rows == []
 
 
+def test_default_window_scans_that_find_too_few_zeros_exit_3(monkeypatch, capsys):
+    # the default window holds eight zeros; from q ~ 0.92 the scan finds
+    # fewer (6 at q = 0.93, 3 at 0.95 for n = 3), which printed with exit 0
+    scan = ("zeros", "--f", "fourth-limit", "--n", "3")
+    for q in ("0.93", "0.95"):
+        code, rows = _run((*scan, "--q", q), monkeypatch, capsys)
+        assert code == 3 and rows == [], q
+    code, rows = _run((*scan, "--q", "0.9"), monkeypatch, capsys)
+    assert code == 0 and len(rows) == 9
+    # the interlacing report's scan of n + 1 too: at q = 0.924, n = -1
+    # finds its eight zeros and n = 0 does not
+    code, rows = _run(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.924",
+                       "--interlace"), monkeypatch, capsys)
+    assert code == 3 and len(rows) == 9
+    # a window given by hand is scanned as it is, however many zeros it holds
+    lo, hi = limits.fourth_limit_zero_window(0.95, 3, 8)
+    code, rows = _run((*scan, "--q", "0.95", "--scan-lo", repr(lo), "--scan-hi", repr(hi)),
+                      monkeypatch, capsys)
+    assert code == 0 and 1 < len(rows) < 9
+
+
 def test_eval_and_table_declare_the_same_family_options():
     names = ["q", "a_par", "b_par", "c_par", "d_par", "delta", "a_small"]
     for command in (cli.cmd_eval, cli.cmd_table):

@@ -82,9 +82,14 @@ class TestWeightGrids:
     def test_weight_factors_match_scalar(self):
         params = cdqhahn.CDQHParams(*ORTHO_CASES["associated"])
         xs = cosine_nodes(50)
-        fm, fp = cdqhahn.weight_factors(params, xs)
+
+        def factors(x):
+            point = cdqhahn.spectral_point(params, x=x, side=cdqhahn.ABOVE)
+            return [params._ratio_denominator(lam) for lam in (point.lam_minus, point.lam_plus)]
+
+        fm, fp = factors(xs)
         for i, x in enumerate(xs):
-            sm, sp = cdqhahn.weight_factors(params, float(x))
+            sm, sp = factors(float(x))
             assert abs(fm[i] - sm) <= GRID_REL_TOL * abs(sm)
             assert abs(fp[i] - sp) <= GRID_REL_TOL * abs(sp)
 

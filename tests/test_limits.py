@@ -23,6 +23,7 @@ from qdhahn.errors import (
     UnsupportedFamily,
     ZeroDivisor,
 )
+from qdhahn.family import poly_alt, solution_sequence
 from qdhahn.limits import (
     FAMILIES,
     AlSalamCarlitz1,
@@ -38,24 +39,21 @@ from qdhahn.limits import (
     Wall,
     asc1_identity_checks,
     asc1_partial_fractions,
-    cf_forms,
     family_from_id,
     find_zeros,
     fourth_limit_series,
     fourth_limit_zero_window,
     interlaces,
-    limit_asc1_poly_alt,
     limit_cf,
     limit_cf_parts,
     limit_convergence,
     limit_poly,
     limit_solution,
-    limit_solution_sequence,
     limit_weight,
     qbessel_connection,
     qbessel_series_forms,
-    solution_indices,
 )
+from qdhahn.qseries import DEFAULT_POLICY
 
 GENERIC = {
     "big-q-laguerre": (BigQLaguerre(0.5, 0.3, 0.4, 0.35), 2.31),
@@ -154,7 +152,7 @@ class TestClosedFormRegistry:
     @pytest.mark.parametrize("family_id", sorted(GENERIC))
     def test_unknown_form_rejected(self, family_id):
         fam, z = GENERIC[family_id]
-        forms = cf_forms(fam)
+        forms = tuple(fam._cf_forms)
         assert forms[0] == "default"
         extra = {"limit-wall": ("series-ratio", "confluent"),
                  "fourth-limit": ("series-ratio", "power-sums")}
@@ -169,7 +167,7 @@ class TestClosedFormRegistry:
             limit_poly(fam, z, 1200)
         if family_id == "limit-asc1":
             with pytest.raises(QdhError):
-                limit_asc1_poly_alt(fam, z, 1200)
+                poly_alt(fam, z, 1200)
 
     @pytest.mark.parametrize("family_id", sorted(f for f, c in FAMILIES.items()
                                                  if "A" in c.param_names))
@@ -180,7 +178,7 @@ class TestClosedFormRegistry:
 
     @pytest.mark.parametrize("poly, family_id", [(limit_poly, "limit-asc1"),
                                                  (limit_poly, "q-bessel-order"),
-                                                 (limit_asc1_poly_alt, "limit-asc1")])
+                                                 (poly_alt, "limit-asc1")])
     def test_vanished_term_denominator_at_z_equal_one_raises_zero_divisor(self, poly, family_id):
         with pytest.raises(ZeroDivisor):
             poly(GENERIC[family_id][0], 1.0, 3)
@@ -190,7 +188,7 @@ class TestClosedFormRegistry:
         fam = GENERIC[family_id][0]
         assert limit_poly(fam, 0, 0) == 1
         if family_id == "limit-asc1":
-            assert limit_asc1_poly_alt(fam, 0, 0) == 1
+            assert poly_alt(fam, 0, 0) == 1
 
     def test_limit_closed_forms_of_the_flagship_are_its_own(self):
         # one closed-form layer: the limit_* names evaluate the flagship too
@@ -198,15 +196,15 @@ class TestClosedFormRegistry:
         for z in (25.0, 3.0 - 2.0j, params.point_at(-25.0)):
             for n in (0, 3, 7):
                 assert limit_poly(params, z, n) == cdqhahn.explicit_poly(params, z, n)
-                for which in cdqhahn.SOLUTIONS:
+                for which in CDQHParams._solutions:
                     assert (limit_solution(params, z, which, n)
                             == cdqhahn.solution(params, z, which, n))
-            for form in cdqhahn.CF_FORMS[:3]:
+            for form in tuple(CDQHParams._cf_forms)[:3]:
                 assert limit_cf(params, z, form) == cdqhahn.cf_stieltjes(params, z, form)
             # no form: the family's first, as for every family
             assert limit_cf(params, z) == cdqhahn.cf_stieltjes(params, z, "ratio")
         reduced = CDQHParams(0.5, 0.3, 0.4, 0.5, 0.45)
-        for form in cdqhahn.CF_FORMS[3:]:
+        for form in tuple(CDQHParams._cf_forms)[3:]:
             assert limit_cf(reduced, 25.0, form) == cdqhahn.cf_stieltjes(reduced, 25.0, form)
         assert limit_weight(reduced, 0.3) == cdqhahn.weight(reduced, 0.3)
 
@@ -219,8 +217,8 @@ class TestZeroPoint:
     def test_every_closed_form_at_zero_is_finite_or_a_named_error(self, family_id):
         fam, _ = GENERIC[family_id]
         calls = [lambda: limit_poly(fam, 0, 3), lambda: limit_cf_parts(fam, 0)]
-        calls += [lambda w=w: limit_solution(fam, 0, w, 3) for w in solution_indices(fam)]
-        calls += [lambda f=f: limit_cf(fam, 0, f) for f in cf_forms(fam)]
+        calls += [lambda w=w: limit_solution(fam, 0, w, 3) for w in fam._solutions]
+        calls += [lambda f=f: limit_cf(fam, 0, f) for f in fam._cf_forms]
         for call in calls:
             try:
                 values = np.atleast_1d(call())
@@ -248,9 +246,9 @@ class TestSolutions:
     def test_every_nonformal_solution_satisfies_recurrence(self, family_id):
         fam, z = GENERIC[family_id]
         checked = 0
-        for which in solution_indices(fam):
+        for which in fam._solutions:
             try:
-                seq = limit_solution_sequence(fam, z, which, 0, 26)
+                seq = solution_sequence(fam, z, which, 0, 26)
             except (FormalOnly, DivergentSeries):
                 continue
             worst = max(
@@ -272,7 +270,7 @@ class TestSolutions:
         # A = q turns the divergent tail series into a terminating sum
         fam = Wall(0.5, 0.5, 0.4)
         value = limit_solution(fam, 2.31, 4, 3)
-        seq = limit_solution_sequence(fam, 2.31, 4, 0, 8)
+        seq = solution_sequence(fam, 2.31, 4, 0, 8)
         worst = max(recurrence.relative_residual(fam, 2.31, seq, n) for n in range(1, 8))
         assert worst < 1e-11
         assert value != 0
@@ -295,8 +293,8 @@ class TestSolutions:
     def test_dominant_branches_exist_for_cut_families(self):
         for family_id in ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite"):
             fam, z = GENERIC[family_id]
-            assert -1 in solution_indices(fam)
-            seq = limit_solution_sequence(fam, z, -1, 0, 10)
+            assert -1 in fam._solutions
+            seq = solution_sequence(fam, z, -1, 0, 10)
             worst = max(
                 recurrence.relative_residual(fam, z, seq, n) for n in range(1, 10)
             )
@@ -346,7 +344,7 @@ class TestPolynomials:
         fam, z = GENERIC["limit-asc1"]
         for n in range(0, 9):
             a = limit_poly(fam, z, n)
-            b = limit_asc1_poly_alt(fam, z, n)
+            b = poly_alt(fam, z, n)
             assert abs(a - b) <= 1e-9 * max(abs(a), 1e-12)
 
 
@@ -384,9 +382,9 @@ class TestWeights:
 
     def test_hermite_like_denominators_collapse_at_reduced_parameter(self):
         fam = ContQHermite(0.5, 0.5, 0.7)  # A = q
-        dm, dp = limits.cont_q_hermite_weight_denominators(fam, 0.4)
-        assert dm == pytest.approx(1.0)
-        assert dp == pytest.approx(1.0)
+        _, denominator, bracket = fam._weight_parts(0.4, DEFAULT_POLICY)
+        assert denominator == pytest.approx(1.0)
+        assert bracket == pytest.approx(1.0)
 
     def test_big_hermite_weight_reduces_at_a_eq_q(self):
         fam = ContBigQHermite(0.5, 0.5, 1.6)

@@ -5,6 +5,7 @@ import pytest
 
 from qdhahn import cdqhahn, limits, recurrence
 from qdhahn.errors import IndexOutOfWindow, Overflow, ZeroDenominator, ZeroDivisor
+from qdhahn.family import solution_sequence
 from qdhahn.recurrence import (
     Scaled,
     SolutionSequence,
@@ -215,7 +216,7 @@ class TestForwardEval:
     def test_closed_form_seeded_forward_run_matches_closed_form(self, cdqh):
         # seeds (X_-1, X_0) from the closed form reproduce the rest of it
         point = cdqhahn.spectral_point(cdqh, x=2.0)
-        closed = cdqhahn.solution_sequence(cdqh, point, "lead-b", -1, 12)
+        closed = solution_sequence(cdqh, point, "lead-b", -1, 12)
         seeded = forward_eval(cdqh, point.z, closed.value(-1), closed.value(0), 12)
         for n in range(1, 13):
             assert abs(seeded.value(n) - closed.value(n)) < 1e-10 * abs(closed.value(n))
@@ -236,7 +237,7 @@ class TestResidualAndCasoratian:
 
     def test_closed_form_residual_small(self, cdqh):
         point = cdqhahn.spectral_point(cdqh, x=2.0)
-        seq = cdqhahn.solution_sequence(cdqh, point, "lead-a", 0, 12)
+        seq = solution_sequence(cdqh, point, "lead-a", 0, 12)
         for n in range(1, 12):
             assert relative_residual(cdqh, point.z, seq, n) < 1e-11
 
@@ -268,8 +269,8 @@ class TestResidualAndCasoratian:
 
     def test_casoratian_of_independent_solutions_never_vanishes(self, cdqh):
         point = cdqhahn.spectral_point(cdqh, x=2.0)
-        a = cdqhahn.solution_sequence(cdqh, point, "minimal", 0, 10)
-        b = cdqhahn.solution_sequence(cdqh, point, "lead-a", 0, 10)
+        a = solution_sequence(cdqh, point, "minimal", 0, 10)
+        b = solution_sequence(cdqh, point, "lead-a", 0, 10)
         for n in range(0, 10):
             assert abs(casoratian(a, b, n)) > 0
 
@@ -346,8 +347,8 @@ class TestMinimalityRatio:
 
     def test_geometric_decay_rate_matches_branch_ratio(self, cdqh):
         point = cdqhahn.spectral_point(cdqh, x=2.0)
-        minimal = cdqhahn.solution_sequence(cdqh, point, "minimal", 0, 24)
-        dominant = cdqhahn.solution_sequence(cdqh, point, "lead-a", 0, 24)
+        minimal = solution_sequence(cdqh, point, "minimal", 0, 24)
+        dominant = solution_sequence(cdqh, point, "lead-a", 0, 24)
         ratios = minimality_ratio(minimal, dominant)
         rho = abs(point.lam_minus / point.lam_plus)
         for n in range(16, 23):

@@ -24,7 +24,7 @@ class TestCheckReport:
     def test_json_schema(self):
         report = verify.CheckReport("demo", 7, 0, 0.0, 1e-9)
         report.record(0.5, {"x": 0.1, "w": 1 + 2j}, 1.0, 1.5)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert set(payload) == {
             "check_id", "seed", "points", "max_rel_error", "pass", "failures",
         }
