@@ -295,8 +295,7 @@ class CDQHParams(CutFamily):
             ],
             q,
         )
-        bracket = (self._ratio_denominator(point.lam_minus, policy)
-                   * self._ratio_denominator(point.lam_plus, policy))
+        bracket = family.cut_bracket(self, point, lambda lam: self._ratio_denominator(lam, policy))
         return numerator, denominator, bracket
 
 

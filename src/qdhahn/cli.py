@@ -267,6 +267,8 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
             raise click.UsageError("missing: scan-lo/scan-hi for cf parts")
     else:
         raise click.UsageError(f"unknown series handle {f_name!r}")
+    if interlace and f_name != "fourth-limit":
+        raise click.UsageError("interlacing report needs --f fourth-limit")
     # the default window holds max_zeros zeros: a shorter list is ScanTooCoarse
     expect = max_zeros if scan_lo is None and scan_hi is None else None
     if scan_lo is not None:
@@ -277,15 +279,14 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
         zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros, expect=expect)
     except ValueError as exc:  # the library's check of the window: endpoints of one sign
         raise click.UsageError(str(exc))
-    rows = [[z, b[0], b[1]] for z, b in zip(zl.zeros, zl.brackets)]
-    _emit_rows(rows, ("zero", "bracket_lo", "bracket_hi"), fmt)
-    if interlace:
-        if f_name != "fourth-limit":
-            raise click.UsageError("interlacing report needs --f fourth-limit")
+    if interlace:  # both scans run before anything prints
         next_handle = limits.fourth_limit_series(fam, n_index + 1)
         next_lo, next_hi = limits.fourth_limit_zero_window(q, n_index + 1, max_zeros)
         zl2 = limits.find_zeros(next_handle, next_lo, next_hi, max_zeros=max_zeros,
                                 expect=expect)
+    rows = [[z, b[0], b[1]] for z, b in zip(zl.zeros, zl.brackets)]
+    _emit_rows(rows, ("zero", "bracket_lo", "bracket_hi"), fmt)
+    if interlace:
         ok = limits.interlaces(zl, zl2)
         click.echo(f"interlace n={n_index} vs n={n_index + 1}: {'pass' if ok else 'fail'}")
         if not ok:

@@ -13,7 +13,8 @@ forms once, as class members:
     _cf_forms      form -> evaluator(family, point, policy) -> 1/CF, the
                    default form first
     _weight_parts  (x, policy) -> numerator, denominator and bracket of
-                   the weight on the cut (families with a cut)
+                   the weight on the cut (families with a cut; see
+                   ``cut_bracket``)
 
 The four families with a spectral cut (cdqh, al-salam-chihara,
 cont-q-hermite and cont-big-q-hermite) derive from ``CutFamily``.  Each
@@ -307,6 +308,19 @@ def cf(family, point, form=None, policy=DEFAULT_POLICY) -> complex:
     if form not in forms:
         raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
     return guarded("continued fraction", forms[form], family, family.point_at(point), policy)
+
+
+def cut_bracket(family, point, f):
+    """f(lam_minus) f(lam_plus) at a SpectralPoint on the cut, the
+    bracket of a weight.  Where lam_plus is bit for bit the conjugate of
+    lam_minus (a real alpha) and the family's parameters are real, the
+    series kernels round f(lam_plus) to the conjugate of f(lam_minus), so
+    f is evaluated once; otherwise twice."""
+    low = f(point.lam_minus)
+    if (all(getattr(family, name).imag == 0 for name in family.param_names)
+            and np.array_equal(point.lam_plus, point.lam_minus.conjugate())):
+        return low * low.conjugate()
+    return low * f(point.lam_plus)
 
 
 def weight(family, x, policy):

@@ -67,6 +67,7 @@ from .family import (
     Family,
     cf,
     cf_denominator,
+    cut_bracket,
     guarded,
     member,
     poly,
@@ -487,8 +488,8 @@ class AlSalamChihara(CutFamily):
         denominator = qpoch_multi(
             [A * d * lam_p, A * d * lam_m, A * B * lam_p / q, A * B * lam_m / q], q
         )
-        bracket = phi21(B * lam_m, B / q, A * B * lam_m / q, A * d * lam_m, q, policy)
-        bracket *= phi21(B * lam_p, B / q, A * B * lam_p / q, A * d * lam_p, q, policy)
+        bracket = cut_bracket(
+            self, pt, lambda lam: phi21(B * lam, B / q, A * B * lam / q, A * d * lam, q, policy))
         return numerator, denominator, bracket
 
 
@@ -804,8 +805,7 @@ class ContBigQHermite(CutFamily):
         u, lam_p, lam_m = pt.u, pt.lam_plus, pt.lam_minus
         numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
         denominator = qpoch_multi([lam_p / a, lam_m / a], q)
-        bracket = phi21(A / q, A * lam_m, 0.0, lam_m / a, q, policy)
-        bracket *= phi21(A / q, A * lam_p, 0.0, lam_p / a, q, policy)
+        bracket = cut_bracket(self, pt, lambda lam: phi21(A / q, A * lam, 0.0, lam / a, q, policy))
         return numerator, denominator, bracket
 
 

@@ -23,7 +23,10 @@ Grids: ``qpoch`` (infinite order), ``_phi_core``, ``phi32``, ``phi21``
 and ``phi11`` also accept numpy arrays of points.  A grid call applies
 the scalar stopping and ranking rules point by point, in one pass of
 array arithmetic per series term, and raises the named error a scalar
-call at its first failing point would raise.
+call at its first failing point would raise.  A candidate rank of the
+grid ranking sums all its points in one array pass per series shape,
+whichever candidates they take, and a few slow points still keep that
+pass alive for all of them.
 """
 
 from __future__ import annotations
@@ -279,15 +282,23 @@ def qpoch(a, q, n=INFINITY) -> complex:
 def _qpoch_inf_grid(a, q):
     """(a; q)_inf at every point of the array ``a``, by the scalar rule:
     each point multiplies in its own factors until they fall below the
-    threshold, then takes the same tail estimate."""
+    threshold, then takes the same tail estimate.  The live points
+    advance alone and leave the arrays once their factor is small."""
     factor = np.array(a, dtype=complex)
     product = np.ones(factor.shape, dtype=complex)
     threshold = QPOCH_REL_TOL * (1.0 - q)
-    live = np.abs(factor) >= threshold
-    while live.any():
-        product = np.where(live, product * (1.0 - factor), product)
-        factor = np.where(live, factor * q, factor)
-        live = np.abs(factor) >= threshold
+    idx = np.flatnonzero(np.abs(factor) >= threshold)
+    live_factor, live_product = factor[idx], product[idx]
+    while idx.size:
+        # not in place: numpy rounds an in-place product of one element
+        # apart from the same product in a longer array
+        live_product = live_product * (1.0 - live_factor)
+        live_factor = live_factor * q
+        live = np.abs(live_factor) >= threshold
+        if not live.all():
+            done = idx[~live]
+            product[done], factor[done] = live_product[~live], live_factor[~live]
+            idx, live_factor, live_product = idx[live], live_factor[live], live_product[live]
     return product * np.exp(-factor / (1.0 - q))
 
 
@@ -471,15 +482,20 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
     All points advance one term per pass; each applies the scalar
     stopping rules on its own and leaves the pass once it terminates,
     settles or fails, so the work follows the slowest point still live.
+    A pass checks only the exits that can take a point in it: ending
+    where some live point terminates, settling where some does not, the
+    term budget once k > 800 or k >= max_terms.  The live arrays shrink
+    only when a point left.
     """
     q = spec.q
     size = spec.argument.size
     extra = 1 + spec.s - spec.r
+    rel_tol, max_terms = policy.rel_tol, policy.max_terms
     errors = np.full(size, None, dtype=object)
-    stop = series_termination(spec, policy.max_terms)
+    stop = series_termination(spec, max_terms)
     terminating = stop >= 0
     for b in spec.denominator:
-        m = _termination_orders(b, q, policy.max_terms)
+        m = _termination_orders(b, q, max_terms)
         for i in np.flatnonzero(terminating & (m >= 0) & (m < stop)):
             errors[i] = ZeroDivisor(
                 "denominator parameter equals q^-%d before the series terminates" % m[i]
@@ -495,12 +511,11 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
     out_total = np.zeros(size, dtype=complex)
     out_weighted = np.zeros(size)
     out_tail = np.zeros(size)
-
     idx = np.flatnonzero(np.equal(errors, None))
-    count = idx.size
-    state = [
-        [a[idx] for a in spec.numerator],
-        [b[idx] for b in spec.denominator],
+    r, s, count = spec.r, spec.s, idx.size
+    live = [
+        *(a[idx] for a in spec.numerator),
+        *(b[idx] for b in spec.denominator),
         spec.argument[idx],
         stop[idx],
         np.ones(count, dtype=complex),  # term
@@ -512,65 +527,82 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
     qk = 1.0
     k = 0
     while idx.size:
-        nums, dens, z, st, term, total, largest, weighted, small_run = state
-        finished = st == k
-        out_total[idx[finished]] = total[finished]
-        out_weighted[idx[finished]] = weighted[finished]
-        if finished.all():
-            break
-        num = np.ones(idx.size, dtype=complex)
-        for a in nums:
-            num *= 1.0 - a * qk
-        den = 1.0 - q * qk
-        for b in dens:
-            den = den * (1.0 - b * qk)
-        factor = num / den * z
-        if extra:
-            base = -qk
-            if base == 0.0 and extra < 0:
-                errors[idx[~finished]] = Overflow("q^k underflow with negative exponent weight")
+        nums, dens = live[:r], live[r:r + s]
+        z, st, term, total, largest, weighted, small_run = live[r + s:]
+        ending = st >= 0
+        ends, opens = ending.any(), not ending.all()
+        # passes update the live arrays in place until a point leaves.  A
+        # point that ends stays in them for the pass that finds it: numpy
+        # rounds an in-place product of one element apart, so the length
+        # of the arrays can move the last bit of a live point
+        while True:
+            gone = st == k if ends else np.zeros(idx.size, dtype=bool)
+            if ends and gone.any():  # finished
+                out_total[idx[gone]] = total[gone]
+                out_weighted[idx[gone]] = weighted[gone]
+                if gone.all():
+                    break
+            num = np.ones(idx.size, dtype=complex)
+            for a in nums:
+                num *= 1.0 - a * qk
+            den = 1.0 - q * qk
+            for b in dens:
+                den = den * (1.0 - b * qk)
+            factor = num / den * z
+            if extra:
+                base = -qk
+                if base == 0.0 and extra < 0:
+                    errors[idx[~gone]] = Overflow("q^k underflow with negative exponent weight")
+                    gone[:] = True
+                    break
+                factor *= base**extra
+            term *= factor
+            total += term
+            size_term = np.abs(term)
+            np.fmax(largest, size_term, out=largest)
+            weighted += (k + 2.0) * size_term
+            k += 1
+            qk *= q
+            if not np.all(den):  # den is a float for a series without denominators
+                vanished = (den == 0) & ~gone
+                for i in idx[vanished]:
+                    errors[i] = ZeroDivisor("series denominator vanished at term %d" % k)
+                gone |= vanished
+            if opens:
+                ratio_mag = np.abs(factor)
+                tail_factor = np.clip(
+                    np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0, 1e3)
+                small = size_term * tail_factor < rel_tol * np.maximum(
+                    np.abs(total), 1e-3 * largest
+                )
+                small_run += 1
+                small_run *= small
+                open_ended = ~ending & ~gone
+                settled = open_ended & (small_run >= 3)
+                if settled.any():
+                    out_total[idx[settled]] = total[settled]
+                    out_weighted[idx[settled]] = weighted[settled]
+                    out_tail[idx[settled]] = size_term[settled] * tail_factor[settled]
+                    gone |= settled
+                if k > 800 or k >= max_terms:
+                    over = open_ended & ~settled & (
+                        (k >= max_terms) | ((k > 800) & (ratio_mag > 0.995))
+                    )
+                    if over.any():
+                        errors[idx[over]] = MaxTermsExceeded(
+                            "series did not settle within %d terms" % min(k, max_terms)
+                        )
+                    gone |= over
+            if ends and k > max_terms:
+                over_budget = ending & ~gone
+                errors[idx[over_budget]] = MaxTermsExceeded(
+                    "terminating series exceeds the term budget")
+                gone |= over_budget
+            if gone.any():
                 break
-            factor *= base**extra
-        term *= factor
-        total += term
-        size_term = np.abs(term)
-        largest = np.fmax(largest, size_term)
-        weighted += (k + 2.0) * size_term
-        ratio_mag = np.abs(factor)
-        k += 1
-        qk *= q
-        vanished = ~finished & (den == 0)
-        for i in idx[vanished]:
-            errors[i] = ZeroDivisor("series denominator vanished at term %d" % k)
-        open_ended = ~finished & ~vanished & (st < 0)
-        tail_factor = np.minimum(np.maximum(
-            np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0), 1e3)
-        small = size_term * tail_factor < policy.rel_tol * np.maximum(
-            np.abs(total), 1e-3 * largest
-        )
-        small_run = np.where(small, small_run + 1, 0)
-        settled = open_ended & (small_run >= 3)
-        out_total[idx[settled]] = total[settled]
-        out_weighted[idx[settled]] = weighted[settled]
-        out_tail[idx[settled]] = size_term[settled] * tail_factor[settled]
-        over = open_ended & ~settled & (
-            (k >= policy.max_terms) | ((k > 800) & (ratio_mag > 0.995))
-        )
-        if over.any():
-            errors[idx[over]] = MaxTermsExceeded(
-                "series did not settle within %d terms" % min(k, policy.max_terms)
-            )
-        over_budget = ~finished & ~vanished & (st >= 0) & (k > policy.max_terms)
-        if over_budget.any():
-            errors[idx[over_budget]] = MaxTermsExceeded("terminating series exceeds the term budget")
-        keep = ~(finished | vanished | settled | over | over_budget)
-        state = [nums, dens, z, st, term, total, largest, weighted, small_run]
-        if not keep.all():
-            idx = idx[keep]
-            state = [
-                [v[keep] for v in item] if isinstance(item, list) else item[keep]
-                for item in state
-            ]
+        keep = ~gone
+        idx = idx[keep]
+        live = [v[keep] for v in live]
     summed = np.equal(errors, None)
     errors[summed & ~np.isfinite(out_total)] = Overflow(
         "series sum left the double-precision range"
@@ -794,10 +826,12 @@ def _rank_grid(candidates, size, q, policy, keys=None):
     order: by increasing ``keys`` (stable) when given, else in list
     order.  It keeps the first value whose relative error estimate meets
     _TARGET_REL_ERROR, else its smallest estimate; a candidate is summed
-    only at the points that reach it.  Given ``keys``, the error is
-    relative to the series alone and a non-finite value fails the point
-    (phi32's rule).  Returns (values, indices of points with no usable
-    result, last failure per point).
+    only at the points that reach it.  The candidates of one rank are
+    summed in one array pass per series shape and then taken in slot
+    order.  Given ``keys``, the error is relative to the series alone
+    and a non-finite value fails the point (phi32's rule).  Returns
+    (values, indices of points with no usable result, last failure per
+    point).
     """
     count = len(candidates)
     usable = np.array([np.broadcast_to(u, (size,)) for u, _ in candidates])
@@ -813,10 +847,14 @@ def _rank_grid(candidates, size, q, policy, keys=None):
     last_error = np.full(size, None, dtype=object)
     for rank in range(count):
         waiting = usable[rank] & ~resolved
+        reps = []
         for slot in sorted(set(order[rank][waiting].tolist())):
             pts = np.flatnonzero(waiting & (order[rank] == slot))
-            rep = candidates[slot][1]()
-            value, rel, errors = _grid_candidate(rep, pts, q, policy, keys is not None)
+            pref, spec = candidates[slot][1]()
+            reps.append((pts, pref, spec.take(pts)))
+        sums = _grid_sums([spec for _, _, spec in reps], policy)
+        for (pts, pref, _), summed in zip(reps, sums):
+            value, rel, errors = _grid_candidate(pref, pts, summed, q, keys is not None)
             ok = np.equal(errors, None)
             last_error[pts[~ok]] = errors[~ok]
             win = ok & (rel <= _TARGET_REL_ERROR)
@@ -829,15 +867,40 @@ def _rank_grid(candidates, size, q, policy, keys=None):
     return values, np.flatnonzero(~resolved & ~have_best), last_error
 
 
-def _grid_candidate(rep, pts, q, policy, series_relative):
-    """One representation summed at the grid points ``pts``: (values,
+def _grid_sums(specs, policy):
+    """``_phi_core`` of each grid spec, in one call for all the specs of
+    one series shape (r, s): their points are joined, summed at once and
+    split back.  A point's sum is the same either way, but for the last
+    bits of a point that one of the calls sums alone for some terms
+    (numpy rounds an in-place product of one element apart)."""
+    sums = [None] * len(specs)
+    shapes = {}
+    for i, spec in enumerate(specs):
+        shapes.setdefault((spec.r, spec.s), []).append(i)
+    for members in shapes.values():
+        parts = [specs[i] for i in members]
+        joined = parts[0] if len(parts) == 1 else SeriesSpec(
+            tuple(map(np.concatenate, zip(*(p.numerator for p in parts)))),
+            tuple(map(np.concatenate, zip(*(p.denominator for p in parts)))),
+            parts[0].q,
+            np.concatenate([p.argument for p in parts]),
+        )
+        bounds = np.cumsum([p.argument.size for p in parts])[:-1]
+        pieces = [np.split(v, bounds) for v in _phi_core(joined, policy)]
+        for j, i in enumerate(members):
+            sums[i] = tuple(v[j] for v in pieces)
+    return sums
+
+
+def _grid_candidate(pref, pts, summed, q, series_relative):
+    """One representation at the grid points ``pts``, from its prefactor
+    and its summed series (``_phi_core``'s result there): (values,
     relative error estimates, per-point failures)."""
-    pref, spec = rep
     errors = np.full(pts.size, None, dtype=object)
     if pref is not None:
         factor, overflow = _grid_prefactor(pref, pts, q)
         errors[overflow] = Overflow("q-Pochhammer product list left the double-precision range")
-    series, weighted, tail, series_errors = _phi_core(spec.take(pts), policy)
+    series, weighted, tail, series_errors = summed
     errors = np.where(np.equal(errors, None), series_errors, errors)
     err = _series_error(series, weighted, tail)
     value = series if pref is None else factor * series

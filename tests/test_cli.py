@@ -488,12 +488,47 @@ def test_default_window_scans_that_find_too_few_zeros_exit_3(monkeypatch, capsys
     # finds its eight zeros and n = 0 does not
     code, rows = _run(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.924",
                        "--interlace"), monkeypatch, capsys)
-    assert code == 3 and len(rows) == 9
+    assert code == 3 and rows == []
     # a window given by hand is scanned as it is, however many zeros it holds
     lo, hi = limits.fourth_limit_zero_window(0.95, 3, 8)
     code, rows = _run((*scan, "--q", "0.95", "--scan-lo", repr(lo), "--scan-hi", repr(hi)),
                       monkeypatch, capsys)
     assert code == 0 and 1 < len(rows) < 9
+
+
+# `qdh zeros --f fourth-limit --n -1 --q 0.5 --interlace` as it printed
+# when the rows went out before the scan of n + 1
+INTERLACE_PRINTED = (
+    "zero,bracket_lo,bracket_hi\r\n"
+    "-3.2045654446326455,-3.217291110149664,-3.1945462576019925\r\n"
+    "-0.61424675187029776,-0.61599322860580974,-0.61163842368598031\r\n"
+    "-0.13778929976295529,-0.13786290587690908,-0.13688827493472605\r\n"
+    "-0.032770179114943093,-0.03288891288174331,-0.032656402534268512\r\n"
+    "-0.0079979911269832983,-0.0080148452579566747,-0.0079581837786738569\r\n"
+    "-0.0019760387970629099,-0.0019810850509783501,-0.0019670796390258145\r\n"
+    "-0.00049112875397873445,-0.00049316503468130844,-0.00048967857181193592\r\n"
+    "-0.00012242521512152086,-0.00012276694093073159,-0.00012189903191236897\r\n"
+    "interlace n=-1 vs n=0: pass\n"
+)
+
+
+def test_interlace_errors_print_no_rows(monkeypatch, capsys):
+    # the usage check and both scans run before any row is printed: an
+    # error exit leaves stdout empty
+    for argv, code in [
+        # the scan of n + 1 resolves 4 of its 8 zeros
+        (("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.924", "--interlace"), 3),
+        # the report needs the fourth-limit handle
+        (("zeros", "--f", "al-salam-carlitz1:num", "--q", ".5", "--delta", ".4", "--a", "-.8",
+          "--scan-lo", ".1", "--scan-hi", "5", "--interlace"), 2),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["qdh", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        out, err = capsys.readouterr()
+        assert exited.value.code == code and out == "" and err.startswith("error:"), argv
+    result = invoke("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--interlace")
+    assert result.exit_code == 0 and result.stdout_bytes == INTERLACE_PRINTED.encode()
 
 
 def test_eval_and_table_declare_the_same_family_options():
