@@ -20,6 +20,7 @@ import numpy as np
 
 from . import family as closed_forms
 from . import limits, recurrence, verify
+from .cdqhahn import CDQHParams
 from .errors import BranchAmbiguous, QdhError, UnknownFamily
 from .qseries import TruncationPolicy
 
@@ -70,15 +71,14 @@ def _policy(tol):
         raise click.UsageError(f"series tolerance (--tol or QDH_TOL): {exc}")
 
 
-def _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small):
-    """Construct the requested coefficient family, reporting missing
-    parameters as `missing: <name>`; options it does not take are
-    ignored."""
+def _build_family(family, q, params):
+    """Construct the requested coefficient family from q and the dict of
+    its parameters, reporting missing ones as `missing: <name>`;
+    parameters it does not take are ignored."""
     if q is None:
         raise click.UsageError("missing: q")
     try:
-        return limits.family_from_id(family, q, A=a_par, B=b_par, C=c_par, D=d_par,
-                                     delta=delta, a=a_small)
+        return limits.family_from_id(family, q, **params)
     except (UnknownFamily, ValueError, TypeError) as exc:
         raise click.UsageError(str(exc))
 
@@ -107,14 +107,16 @@ def _family_comment(family_obj):
     return " ".join(parts)
 
 
-_FAMILY_OPTIONS = (("--q", "q"), ("--A", "a_par"), ("--B", "b_par"), ("--C", "c_par"),
-                   ("--D", "d_par"), ("--delta", "delta"), ("--a", "a_small"))
+# q, then each family parameter by its name, the flagship's first
+_FAMILY_OPTIONS = tuple(dict.fromkeys(
+    ["q", *(name for cls in (CDQHParams, *limits.FAMILIES.values()) for name in cls.param_names)]))
 
 
 def _family_options(command):
     """The family parameters, declared once for every command that builds a family."""
-    for flag, name in reversed(_FAMILY_OPTIONS):
-        command = click.option(flag, name, type=float, default=None)(command)
+    for name in reversed(_FAMILY_OPTIONS):
+        # the explicit destination keeps --A and --a apart
+        command = click.option(f"--{name}", name, type=float, default=None)(command)
     return command
 
 
@@ -142,11 +144,11 @@ def main():
               default=None, help="boundary side when the point lies on the cut")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
 @click.option("--tol", type=float, default=None, help="series truncation tolerance")
-def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q,
-             a_par, b_par, c_par, d_par, delta, a_small, cf_form, side, fmt, tol):
+def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_form, side,
+             fmt, tol, **params):
     """Evaluate a polynomial, solution, continued fraction, or weight at
     a point or over a grid; one CSV row per point (n_or_x, re, im)."""
-    fam = _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small)
+    fam = _build_family(family, q, params)
     if what in ("poly", "poly-alt") and n_index < 0:
         raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
@@ -235,21 +237,20 @@ def cmd_verify(check_id, seed, fast, fmt):
 @click.option("--n", "n_index", type=int, default=0)
 @click.option("--q", type=float, required=True)
 @click.option("--delta", type=float, default=None)
-@click.option("--a", "a_small", type=float, default=None)
+@click.option("--a", type=float, default=None)
 @click.option("--scan-lo", type=float, default=None)
 @click.option("--scan-hi", type=float, default=None)
 @click.option("--max-zeros", type=int, default=8)
 @click.option("--interlace", is_flag=True,
               help="also scan order n+1 and report interlacing")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
-def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
-              interlace, fmt):
+def cmd_zeros(f_name, n_index, q, delta, a, scan_lo, scan_hi, max_zeros, interlace, fmt):
     """Bracket and bisect real zeros of a family's series handle; CSV
     columns: zero, bracket_lo, bracket_hi."""
     if max_zeros < 1:
         raise click.UsageError("--max-zeros must be >= 1")
     if f_name == "fourth-limit":
-        fam = _build_family(f_name, q, None, None, None, None, None, None)
+        fam = _build_family(f_name, q, {})
         handle = limits.fourth_limit_series(fam, n_index)
         lo, hi = limits.fourth_limit_zero_window(q, n_index, max_zeros)
     elif ":" in f_name:
@@ -257,7 +258,7 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
         if part not in ("num", "den"):
             raise click.UsageError("cf part must be num or den")
         # a family with an A parameter takes A = q, the explicit-pole regime
-        fam = _build_family(family_id, q, q, None, None, None, delta, a_small)
+        fam = _build_family(family_id, q, {"A": q, "delta": delta, "a": a})
         index = 0 if part == "num" else 1
 
         def handle(x):
@@ -300,11 +301,10 @@ def cmd_zeros(f_name, n_index, q, delta, a_small, scan_lo, scan_hi, max_zeros,
 @click.option("--grid", required=True, help="lo:hi:count grid over z")
 @_family_options
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
-def cmd_table(family, n_lo, n_hi, grid, q, a_par, b_par, c_par, d_par, delta,
-              a_small, fmt):
+def cmd_table(family, n_lo, n_hi, grid, q, fmt, **params):
     """Matrix of monic polynomial values P_n(z) over an n range and a z
     grid, one grid point per row."""
-    fam = _build_family(family, q, a_par, b_par, c_par, d_par, delta, a_small)
+    fam = _build_family(family, q, params)
     if n_lo < 0:
         raise click.UsageError("--n-lo must be >= 0: degrees are not negative")
     rows = []

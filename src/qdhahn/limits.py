@@ -1254,8 +1254,8 @@ def find_zeros(
     one (see ``_scan_values``); bisection calls f on single points.
     Sign changes caused by simple poles are discarded (the function
     blows up rather than vanishes at the located point).  With
-    ``expect`` set, failure to resolve that many zeros after one 4x grid
-    refinement raises ScanTooCoarse.
+    ``expect`` set, a scan that resolves fewer zeros raises
+    ScanTooCoarse.
     """
     def safe_f(x):
         try:
@@ -1306,19 +1306,7 @@ def find_zeros(
     order = sorted(range(len(zeros)), key=lambda i: zeros[i])
     result = ZeroList(tuple(zeros_sorted), tuple(brackets[i] for i in order))
     if expect is not None and len(result) < expect:
-        if samples < 40000:
-            return find_zeros(
-                f,
-                scan_lo,
-                scan_hi,
-                max_zeros=max_zeros,
-                samples=samples * 4,
-                log_spaced=log_spaced,
-                expect=expect,
-            )
-        raise ScanTooCoarse(
-            f"resolved {len(result)} zeros, expected {expect}; refine the scan"
-        )
+        raise ScanTooCoarse(f"resolved {len(result)} zeros, expected {expect}")
     return result
 
 

@@ -432,10 +432,10 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
             raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
         factor = num / den * z
         if extra:
-            base = -qk
-            if base == 0.0 and extra < 0:
-                raise Overflow("q^k underflow with negative exponent weight")
-            factor *= base**extra
+            try:  # a q^k near 0 to a negative power leaves the double range
+                factor *= (-qk)**extra
+            except (ZeroDivisionError, OverflowError):
+                raise Overflow("q^k underflow with negative exponent weight") from None
         term *= factor
         total += term
         size = abs(term)
@@ -550,12 +550,12 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
                 den = den * (1.0 - b * qk)
             factor = num / den * z
             if extra:
-                base = -qk
-                if base == 0.0 and extra < 0:
+                try:  # as in the scalar loop
+                    factor *= (-qk)**extra
+                except (ZeroDivisionError, OverflowError):
                     errors[idx[~gone]] = Overflow("q^k underflow with negative exponent weight")
                     gone[:] = True
                     break
-                factor *= base**extra
             term *= factor
             total += term
             size_term = np.abs(term)
@@ -762,12 +762,12 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
     overall best.  ``size`` is the number of grid points (None for a
     scalar), and each grid point ranks its own usable candidates.
 
-    Given ``keys``, one per candidate, phi32's rule applies: candidates
-    are visited by increasing key (stable), the error is relative to
-    the series alone, and a value that leaves the double range fails
-    its candidate.  Where no candidate serves, NoConvergentRepresentation
-    says ``failure(i)`` for the point i (None for a scalar), or that no
-    usable representation was found.
+    A candidate's relative error is its series' error estimate over
+    |series| (a prefactor scales both alike); a value that leaves the
+    double range fails its candidate.  ``keys``, one per candidate, only
+    sets the order: by increasing key (stable).  Where no candidate
+    serves, NoConvergentRepresentation says ``failure(i)`` for the point
+    i (None for a scalar), or that no usable representation was found.
     """
     if size is not None:
         with np.errstate(all="ignore"):
@@ -776,8 +776,7 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
             raise _no_representation(failure, missing[0], last_error[missing[0]])
         return found
     if keys is not None:
-        order = sorted((i for i, (usable, _) in enumerate(candidates) if usable),
-                       key=keys.__getitem__)
+        order = sorted((i for i, c in enumerate(candidates) if c[0]), key=keys.__getitem__)
         candidates = [candidates[i] for i in order]
     best = None
     last_error = None
@@ -789,19 +788,11 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
             if pref is not None:
                 pref = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
             series, weighted, tail = _phi_core(spec, policy)
-            err = _series_error(series, weighted, tail)
-            value = series if pref is None else pref * series
-            if keys is not None:
-                value = _assert_finite(value, "continued balanced series")
-                rel = err / max(abs(series), 1e-300)
-            elif pref is not None:
-                err *= abs(pref)
+            value = series if pref is None else _assert_finite(pref * series, "representation")
         except (ZeroDivisor, Overflow, DivergentSeries, MaxTermsExceeded) as exc:
             last_error = exc
             continue
-        if keys is None:
-            value = _assert_finite(value, "series evaluation")
-            rel = err / max(abs(value), 1e-300)
+        rel = _series_error(series, weighted, tail) / max(abs(series), 1e-300)
         if rel <= _TARGET_REL_ERROR:
             return value
         if best is None or rel < best[0]:
@@ -822,14 +813,10 @@ def _no_representation(failure, at, last_error):
 def _rank_grid(candidates, size, q, policy, keys=None):
     """``_best_of``'s ranking loop over a grid.
 
-    Every point visits its usable candidates (usable, build) in its own
-    order: by increasing ``keys`` (stable) when given, else in list
-    order.  It keeps the first value whose relative error estimate meets
-    _TARGET_REL_ERROR, else its smallest estimate; a candidate is summed
-    only at the points that reach it.  The candidates of one rank are
-    summed in one array pass per series shape and then taken in slot
-    order.  Given ``keys``, the error is relative to the series alone
-    and a non-finite value fails the point (phi32's rule).  Returns
+    Every point visits its usable candidates in its own order and keeps
+    what the scalar loop keeps; a candidate is summed only at the points
+    that reach it.  The candidates of one rank are summed in one array
+    pass per series shape and then taken in slot order.  Returns
     (values, indices of points with no usable result, last failure per
     point).
     """
@@ -854,7 +841,7 @@ def _rank_grid(candidates, size, q, policy, keys=None):
             reps.append((pts, pref, spec.take(pts)))
         sums = _grid_sums([spec for _, _, spec in reps], policy)
         for (pts, pref, _), summed in zip(reps, sums):
-            value, rel, errors = _grid_candidate(pref, pts, summed, q, keys is not None)
+            value, rel, errors = _grid_candidate(pref, pts, summed, q)
             ok = np.equal(errors, None)
             last_error[pts[~ok]] = errors[~ok]
             win = ok & (rel <= _TARGET_REL_ERROR)
@@ -892,28 +879,21 @@ def _grid_sums(specs, policy):
     return sums
 
 
-def _grid_candidate(pref, pts, summed, q, series_relative):
+def _grid_candidate(pref, pts, summed, q):
     """One representation at the grid points ``pts``, from its prefactor
     and its summed series (``_phi_core``'s result there): (values,
-    relative error estimates, per-point failures)."""
+    relative error estimates, per-point failures) by ``_best_of``'s rule."""
     errors = np.full(pts.size, None, dtype=object)
     if pref is not None:
         factor, overflow = _grid_prefactor(pref, pts, q)
         errors[overflow] = Overflow("q-Pochhammer product list left the double-precision range")
     series, weighted, tail, series_errors = summed
     errors = np.where(np.equal(errors, None), series_errors, errors)
-    err = _series_error(series, weighted, tail)
     value = series if pref is None else factor * series
-    if series_relative:
-        errors[np.equal(errors, None) & ~np.isfinite(value)] = Overflow(
-            "continued balanced series left the double-precision range"
-        )
-        return value, err / np.maximum(np.abs(series), 1e-300), errors
-    if pref is not None:
-        err = err * np.abs(factor)
-    if (np.equal(errors, None) & ~np.isfinite(value)).any():
-        raise Overflow("series evaluation left the double-precision range")
-    return value, err / np.maximum(np.abs(value), 1e-300), errors
+    errors[np.equal(errors, None) & ~np.isfinite(value)] = Overflow(
+        "representation left the double-precision range")
+    rel = _series_error(series, weighted, tail) / np.maximum(np.abs(series), 1e-300)
+    return value, rel, errors
 
 
 def _grid_prefactor(pref, pts, q):

@@ -532,11 +532,12 @@ def test_interlace_errors_print_no_rows(monkeypatch, capsys):
 
 
 def test_eval_and_table_declare_the_same_family_options():
-    names = ["q", "a_par", "b_par", "c_par", "d_par", "delta", "a_small"]
+    # each flag is named after its family parameter; --A and --a stay apart
+    names = ["q", "A", "B", "C", "D", "delta", "a"]
     for command in (cli.cmd_eval, cli.cmd_table):
-        params = [param.name for param in command.params]
-        start = params.index("q")
-        assert params[start:start + len(names)] == names
+        params = [(param.name, param.opts) for param in command.params]
+        start = params.index(("q", ["--q"]))
+        assert params[start:start + len(names)] == [(name, [f"--{name}"]) for name in names]
 
 
 def test_accepted_cf_forms_evaluate():

@@ -628,6 +628,22 @@ class TestZeros:
         with pytest.raises(ScanTooCoarse):
             find_zeros(lambda x: 1.0, 1.0, 2.0, log_spaced=False, expect=2, samples=64)
 
+    def test_a_short_scan_raises_after_one_scan(self):
+        # at q = 0.95 the default window's scan resolves 3 of 8 zeros; a
+        # finer grid resolves no more, so none is tried
+        f = fourth_limit_series(FourthLimit(0.95), 3)
+        shapes = []
+
+        def recorded(x):
+            shapes.append(np.shape(x))
+            return f(x)
+
+        lo, hi = fourth_limit_zero_window(0.95, 3, 8)
+        with pytest.raises(ScanTooCoarse) as raised:
+            find_zeros(recorded, lo, hi, max_zeros=8, expect=8)
+        assert str(raised.value) == "resolved 3 zeros, expected 8"
+        assert [shape for shape in shapes if shape] == [(4000,)]
+
     def test_bisection_ends_where_the_bracket_is_two_adjacent_doubles(self):
         # past |x| ~ 8e3 the relative stop width is below one ulp; the
         # scan runs in a child process, so a hang fails instead of stalling

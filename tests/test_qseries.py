@@ -3,6 +3,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -457,6 +458,59 @@ class TestPhiCoreLoop:
             "DivergentSeries", "MaxTermsExceeded", "Overflow", "ZeroDivisor"}
         assert {message.split(" ")[0] for name, message in failed if name == "ZeroDivisor"} == {
             "denominator", "series"}
+
+    def test_q_power_past_the_double_range_is_a_named_overflow(self):
+        # a terminating 3-phi-0 weights its terms by (q^k)^-2, which leaves
+        # the double range once q^k falls below about 1e-154; every point
+        # of a grid fails alike
+        message = "q^k underflow with negative exponent weight"
+        for call in (lambda: qseries.phi_r0_terminating((2.0**1000, .5, .5), .1, .5),
+                     lambda: phi(SeriesSpec((np.array([2.0**1000]), .5, .5), (), .5, .1))):
+            with pytest.raises(Overflow) as raised:
+                call()
+            assert str(raised.value) == message
+        spec = SeriesSpec((np.array([2.0**1000, 2.0**900]), .5, .5), (), .5, np.array([.1, .2]))
+        errors = qseries._phi_core(spec, qseries.DEFAULT_POLICY)[3]
+        assert [(type(e), str(e)) for e in errors] == [(Overflow, message)] * 2
+
+
+class TestOneRankingRule:
+    """A candidate whose value leaves the double range fails on its own,
+    whether or not keys order the candidates, scalar and grid alike."""
+
+    @staticmethod
+    def candidates(z, shape=lambda v: v):
+        # (-1e10; 0.5)_inf is 1.4e172, and the terminating 1-phi-0 sums
+        # to 1 - 2z: their product overflows at z = -1e200
+        q = 0.5
+        return [
+            (True, lambda: (([-1e10], []), SeriesSpec((shape(2.0),), (), q, z))),
+            (True, lambda: (None, SeriesSpec((shape(2.0),), (), q, shape(0.25)))),
+        ]
+
+    @pytest.mark.parametrize("keys", [None, [1.0, 2.0]])
+    def test_an_overflowing_candidate_yields_to_the_next(self, keys):
+        value = qseries._best_of(self.candidates(-1e200), 0.5, qseries.DEFAULT_POLICY,
+                                 keys=keys)
+        assert value == 0.5
+        with pytest.raises(NoConvergentRepresentation,
+                           match="last failure: representation left the double-precision"):
+            qseries._best_of(self.candidates(-1e200)[:1], 0.5, qseries.DEFAULT_POLICY,
+                             keys=keys and keys[:1])
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_an_overflowing_grid_point_yields_to_the_next_candidate(self, ordered):
+        z = np.array([-1e200, 0.25, -1e200])
+        keys = [np.ones(3), np.full(3, 2.0)] if ordered else None
+        values = qseries._best_of(
+            self.candidates(z, lambda v: np.full(3, v, dtype=complex)), 0.5,
+            qseries.DEFAULT_POLICY, size=3, keys=keys)
+        assert values[0] == values[2] == 0.5
+        assert values[1] == qpoch_multi([-1e10], 0.5) * 0.5
+        for point in range(3):  # each point as the scalar call gives it
+            point_keys = keys and [k[point] for k in keys]
+            assert values[point] == qseries._best_of(
+                self.candidates(complex(z[point])), 0.5, qseries.DEFAULT_POLICY, keys=point_keys)
 
 
 class TestTransformRegistry:
