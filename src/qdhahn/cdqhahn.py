@@ -27,8 +27,9 @@ Solution labels (all satisfy the recurrence; pairwise independent):
 The closed forms are declared once on ``CDQHParams`` and evaluated
 through the closed-form layer of ``family``, which every family shares.
 ``solution``, ``cf_stieltjes``, ``explicit_poly``, ``explicit_poly_ir``
-and ``weight`` here (like ``limits.limit_solution``, ``limit_cf``,
-``limit_poly`` and ``limit_weight``) are thin functions over that layer.
+(the paper's double sums; P_n itself is ``family.poly``) and ``weight``
+here (like ``limits.limit_solution``, ``limit_cf``, ``limit_poly`` and
+``limit_weight``) are thin functions over that layer.
 They stay, with ``spectral_point``, because the benchmark under
 ``qdhbench/`` calls them by these names and its tracer rebinds them to
 time each layer; once the library records its own spans they can go.
@@ -432,7 +433,7 @@ def weight_reduced(params: CDQHParams, x: float) -> float:
 def explicit_poly(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     """Double-sum closed form of the monic polynomial P_n(z), at a
     SpectralPoint or a number z (on the cut it takes the side above)."""
-    return family.poly(params, point, n)
+    return family.explicit_poly(params, point, n)
 
 
 def explicit_poly_ir(params: CDQHParams, point: SpectralPoint, n: int) -> complex:

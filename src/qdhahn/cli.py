@@ -11,6 +11,7 @@ truncation tolerance.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import sys
@@ -34,11 +35,9 @@ def _cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace("i", "j").replace(" ", ""))
-    except ValueError:
-        raise click.UsageError(f"cannot parse complex literal {text!r}")
+def _parse_complex(text: str, source: str) -> complex:
+    literal = text.replace(" ", "")  # a final i is the imaginary unit ("inf" keeps its i)
+    return _parse_number(literal[:-1] + "j" if literal.endswith("i") else literal, source, complex)
 
 
 def _parse_grid(text: str):
@@ -52,14 +51,19 @@ def _parse_grid(text: str):
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
+    if not cmath.isfinite(step):
+        raise click.UsageError("grid step leaves the double range")
     return [lo + i * step for i in range(count)]
 
 
 def _parse_number(text: str, source: str, kind=float):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise click.UsageError(f"{source}: cannot parse {text!r} as {kind.__name__}")
+    if kind in (float, complex) and not cmath.isfinite(value):
+        raise click.UsageError(f"{source}: {text!r} is not a finite number")
+    return value
 
 
 def _policy(tol):
@@ -168,15 +172,15 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
     elif what == "weight" and x_text is not None:
         points = [_parse_number(x_text, "--x")]
     elif z_text is not None:
-        points = [_parse_complex(z_text)]
+        points = [_parse_complex(z_text, "--z")]
     elif x_text is not None and fam.z_at is not None:
-        points = [fam.z_at(_parse_complex(x_text))]
+        points = [fam.z_at(_parse_complex(x_text, "--x"))]
     else:
         raise click.UsageError("missing: z (or x / --grid)")
 
-    def evaluate(z):
+    def evaluate(z):  # one point, or the whole grid as an array (poly, weight)
         if what == "weight":
-            return complex(closed_forms.weight(fam, float(z.real), policy))
+            return closed_forms.weight(fam, z.real, policy)
         if what == "cf-trunc":
             # the J-fraction has its poles on the cut, so no boundary values
             try:
@@ -185,11 +189,10 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
                 raise BranchAmbiguous(
                     "the truncated J-fraction has no value on the cut, from either side"
                 ) from None
-            fam.point_at(z, side)  # a side off the cut stays a usage error
             return 1.0 / closed_forms.cf_denominator(recurrence.cf_truncated(fam, z, depth))
-        point = fam.point_at(z, side, single_valued=what in ("poly", "poly-alt"))
         if what == "poly":
-            return closed_forms.poly(fam, point, n_index)
+            return closed_forms.poly(fam, z, n_index)
+        point = fam.point_at(z, side, single_valued=what == "poly-alt")
         if what == "poly-alt":
             return closed_forms.poly_alt(fam, point, n_index)
         if what == "solution":
@@ -197,15 +200,18 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
         return closed_forms.cf(fam, point, cf_form, policy)
 
     try:
-        if what == "weight" and grid is not None:
-            # one grid call: the series kernels sum every point at once
-            values = [complex(v) for v in closed_forms.weight(fam, np.array(points), policy)]
+        if side is not None and what != "weight":
+            for z in points:  # a side given at a point off the cut is a usage error
+                fam.point_at(z, side)
+        if what in ("poly", "weight") and grid is not None:
+            # one grid call: the recurrence or the series kernels take every point at once
+            values = evaluate(np.array(points))
         else:
             values = [evaluate(pt) for pt in points]
     except ValueError as exc:  # the library's checks of its input, e.g. x off (-1, 1)
         raise click.UsageError(str(exc))
     rows = []
-    for pt, value in zip(points, values):
+    for pt, value in zip(points, map(complex, values)):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt
         rows.append([coord, value.real, value.imag])
     _emit_rows(rows, ("n_or_x", "re", "im"), fmt, _family_comment(fam))

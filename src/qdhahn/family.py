@@ -6,8 +6,8 @@ forms once, as class members:
 
     _solutions     label -> evaluator(family, point, n, policy) -> Scaled,
                    the minimal solution first
-    _poly_terms    (point, n) -> (prefactor, outer, inner) of the explicit
-                   polynomial's double sum (see ``qseries.double_sum``)
+    _poly_terms    (point, n) -> (prefactor, outer, inner) of the paper's
+                   explicit double sum for P_n (see ``qseries.double_sum``)
     _poly_alt      (point, n) -> a second closed form of P_n, where a
                    family has one (cdqh and limit-asc1)
     _cf_forms      form -> evaluator(family, point, policy) -> 1/CF, the
@@ -29,7 +29,7 @@ SpectralPoint as it is).  The functions below are the one way to
 evaluate the members: each looks the member up, evaluates it at its
 point and raises Python's bare OverflowError and ZeroDivisionError as
 Overflow and ZeroDivisor (a vanished denominator of 1/CF is PoleHit, see
-``cf_denominator``).
+``cf_denominator``).  P_n itself is ``poly``, by its recurrence.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (BranchAmbiguous, Overflow, PoleHit, UnknownFamily, Unsuppor
                      ZeroDivisor)
 from .qseries import (DEFAULT_POLICY, _check_q, double_sum, sqrt,
                       support_points, weight_density)
-from .recurrence import Scaled, SolutionSequence, characteristic_roots
+from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
 
 OFF_CUT = "off-cut"
 ABOVE = "above"
@@ -62,9 +62,9 @@ class Family:
         object.__setattr__(self, "q", _check_q(self.q))
         values = [complex(getattr(self, name)) for name in self.param_names]
         # the coefficients divide by the product, which can underflow
-        if 0 in values or math.prod(values) == 0:
-            raise ValueError(f"parameters {', '.join(self.param_names)} and their product "
-                             "must be nonzero")
+        if 0 in values or math.prod(values) == 0 or not all(map(cmath.isfinite, values)):
+            raise ValueError(f"parameters {', '.join(self.param_names)} must be nonzero and "
+                             "finite, and their product nonzero")
         for name, value in zip(self.param_names, values):
             object.__setattr__(self, name, value)
 
@@ -272,6 +272,16 @@ def solution_sequence(family, point, which, start: int, stop: int, policy=DEFAUL
         provenance=f"closed-form:{family.family_id}:{which}")
 
 
+def poly(family, z, n: int):
+    """The monic P_n at z (a number or a 1-D array) by the recurrence that
+    defines it, as ``qdh table`` runs it: single valued, so a point on a
+    cut needs no side.  ValueError for n < 0; Overflow only where P_n
+    leaves the double range."""
+    seq = forward_eval(family, z, 0.0, 1.0, n)
+    # the row of P_n alone, rounded as the table's rows are
+    return SolutionSequence(n, seq.mantissas[n + 1:], seq.log_scales[n + 1:]).values()[0]
+
+
 def _double_sum(family, at, n):
     return double_sum(n, family.q, *family._poly_terms(at, n))
 
@@ -289,8 +299,8 @@ def _polynomial(evaluate, family, point, n: int) -> complex:
     return guarded("polynomial", evaluate, family, at, n)
 
 
-def poly(family, point, n: int) -> complex:
-    """The family's explicit double sum for P_n (see ``_polynomial``)."""
+def explicit_poly(family, point, n: int) -> complex:
+    """The paper's explicit double sum for P_n (see ``_polynomial``)."""
     return _polynomial(_double_sum, family, point, n)
 
 

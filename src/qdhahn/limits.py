@@ -21,9 +21,11 @@ the flagship ``cdqhahn.CDQHParams`` (at a number z or a SpectralPoint)
 as well as a limit family.  They are thin functions over that layer,
 kept because the benchmark under ``qdhbench/`` calls them by these
 names and its tracer rebinds them to time each layer; once the library
-records its own spans they can go.  The other closed forms have one
-name, in ``family``: ``poly_alt``, ``solution_sequence``, and a
-family's ``_solutions`` and ``_cf_forms`` for its labels and forms.
+records its own spans they can go.  ``limit_poly`` is the paper's
+double sum; the limit edges compare P_n itself, ``family.poly``.  The
+other closed forms have one name, in ``family``: ``poly_alt``,
+``solution_sequence``, and a family's ``_solutions`` and ``_cf_forms``
+for its labels and forms.
 
 Families and their parameters:
 
@@ -68,6 +70,7 @@ from .family import (
     cf,
     cf_denominator,
     cut_bracket,
+    explicit_poly,
     guarded,
     member,
     poly,
@@ -90,7 +93,7 @@ from .qseries import (
     termination_order,
     weight_density,
 )
-from .recurrence import Scaled, forward_eval
+from .recurrence import Scaled
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 
@@ -916,8 +919,8 @@ def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> comp
 
 
 def limit_poly(family, z, n: int) -> complex:
-    """Closed-form value of the monic polynomial P_n(z) of the family."""
-    return poly(family, z, n)
+    """The paper's explicit double sum for the monic P_n(z) of the family."""
+    return explicit_poly(family, z, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1350,10 +1353,6 @@ def interlaces(first, second) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _poly_value(family, z, n):
-    return forward_eval(family, z, 0.0, 1.0, n).value(n)
-
-
 # parent family at scale s -> child family; an edge whose parent P_n(z)
 # tends to the child's at the same z and n needs no "map", the rescaled
 # edges map the parent's values onto the child's variable
@@ -1377,7 +1376,7 @@ LIMIT_EDGES = {
     "cdqh-to-asc": {
         "child": "al-salam-chihara",
         "parent": lambda f, s: CDQHParams(f.q, f.A, f.B, 1.0 / s, f.delta / s),
-        "map": lambda parent, z, n, s: (1.0 / s) ** n * _poly_value(parent, z * s, n),
+        "map": lambda parent, z, n, s: (1.0 / s) ** n * poly(parent, z * s, n),
     },
     "asc-to-asc1": {
         "child": "al-salam-carlitz1",
@@ -1391,7 +1390,7 @@ LIMIT_EDGES = {
         "child": "cont-q-hermite",
         "parent": lambda f, s: AlSalamChihara(f.q, f.A, 1.0 / s, f.delta),
         "map": lambda parent, z, n, s: (1.0 / s) ** (n / 2.0)
-        * _poly_value(parent, z * math.sqrt(s), n),
+        * poly(parent, z * math.sqrt(s), n),
     },
     "cont-q-hermite-to-limit-q-hermite": {
         "child": "limit-q-hermite",
@@ -1423,10 +1422,10 @@ def limit_convergence(edge_id: str, child_family, scales, n: int, z) -> list:
             f"{child_family.family_id}"
         )
     z = complex(z)
-    child_value = _poly_value(child_family, z, n)
+    child_value = poly(child_family, z, n)
     deviations = []
     for s in scales:
         parent = edge["parent"](child_family, s)
-        mapped = edge["map"](parent, z, n, s) if "map" in edge else _poly_value(parent, z, n)
+        mapped = edge["map"](parent, z, n, s) if "map" in edge else poly(parent, z, n)
         deviations.append(abs(mapped - child_value))
     return deviations

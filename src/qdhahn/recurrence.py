@@ -44,9 +44,11 @@ class Scaled:
     def value(self) -> complex:
         if self.mantissa == 0:
             return 0.0 + 0.0j
-        if self.log_scale > _LOG_HUGE:
+        scale = math.exp(self.log_scale) if self.log_scale <= _LOG_HUGE else math.inf
+        value = self.mantissa * scale
+        if not cmath.isfinite(value):  # a mantissa above 1 can carry it out of range too
             raise Overflow("scaled value exceeds the double range")
-        return self.mantissa * math.exp(self.log_scale)
+        return value
 
     def log_abs(self) -> float:
         if self.mantissa == 0:
@@ -150,22 +152,25 @@ class SolutionSequence:
     def value(self, n: int) -> complex:
         return self.scaled(n).value
 
+    @np.errstate(all="ignore")  # a value out of range raises Overflow below instead
     def values(self):
         """Every value of the window; for a grid run, a 2-D array whose
-        cells round exactly as ``value`` does (mantissa * math.exp)."""
+        cells round exactly as ``value`` does (mantissa * math.exp) and
+        raise the same Overflow."""
         if not isinstance(self.mantissas, np.ndarray):
             return [self.value(n) for n in range(self.start_index, self.stop_index + 1)]
         m, scales = self.mantissas, self.log_scales
         live = m != 0
-        if (live & (scales > _LOG_HUGE)).any():
-            raise Overflow("scaled value exceeds the double range")
         factor = np.ones(scales.shape)
         scaled = live & (scales != 0)
-        factor[scaled] = [math.exp(s) for s in scales[scaled].tolist()]
+        factor[scaled] = [math.exp(s) if s <= _LOG_HUGE else math.inf
+                          for s in scales[scaled].tolist()]
         out = np.zeros(m.shape, dtype=complex)
         # CPython's product with the float factor taken as complex(f, 0)
         out.real[live] = (m.real * factor - m.imag * 0.0)[live]
         out.imag[live] = (m.real * 0.0 + m.imag * factor)[live]
+        if not np.isfinite(out).all():
+            raise Overflow("scaled value exceeds the double range")
         return out
 
 
@@ -387,26 +392,3 @@ def characteristic_roots(z, product):
     if abs(r1) >= abs(r2):
         return r2, r1
     return r1, r2
-
-
-def poly_coeffs(family, n_max: int):
-    """Monomial coefficient arrays of the monic polynomials P_0..P_{n_max}.
-
-    Row n holds the coefficients of P_n(z) from degree 0 upward; the
-    recurrence is applied directly to the coefficient arrays, so the
-    leading coefficient is exactly 1 by construction.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    a, b_sq = coeff_table(family, n_max)
-    prev = np.array([0.0], dtype=complex)  # P_{-1}
-    cur = np.array([1.0], dtype=complex)  # P_0
-    out = [cur]
-    for n in range(0, n_max):
-        nxt = np.zeros(n + 2, dtype=complex)
-        nxt[1:] += cur  # z * P_n
-        nxt[: n + 1] -= a[n] * cur
-        nxt[: len(prev)] -= b_sq[n] * prev
-        prev, cur = cur, nxt
-        out.append(nxt)
-    return out

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import click
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -122,8 +123,9 @@ class TestEval:
         assert "Traceback" not in proc.stderr
 
     def test_polynomial_past_double_range_exit_3(self):
+        # the recurrence's P_1200 is about 10^477
         proc = run_script(
-            "eval", "--family", "fourth-limit", "--what", "poly", "--n", "30",
+            "eval", "--family", "fourth-limit", "--what", "poly", "--n", "1200",
             "--z", "2.5", "--q", ".5",
         )
         assert proc.returncode == 3
@@ -314,16 +316,27 @@ WALL = ("eval", "--family", "wall", "--q", ".5", "--A", ".3", "--B", ".4")
 CUT_ARGS = {"cdqh": CDQH_ARGS, **{fid: ("--q", ".5", *LIMIT_ARGS[fid]) for fid in
                                   ("al-salam-chihara", "cont-q-hermite", "cont-big-q-hermite")}}
 
-# (argv, environment, exit code): double sums past the double range exit
-# 3; malformed input exits 2
+# the families whose P_1200 at z = 2.5, q = 0.5 lies on their cut, and
+# stays in the double range
+FINITE_P1200 = {"cont-q-hermite": -1.56e226, "cont-big-q-hermite": -3.04e255}
+
+# (argv, environment, exit code): a double sum past the double range, and
+# a P_n past it, exit 3; malformed input exits 2
 CONTRACT_CASES = [
     (("eval", "--family", "cdqh", "--what", "poly-alt", "--n", "200", "--x", "2", *CDQH_ARGS),
      {}, 3),
     (("eval", "--family", "cdqh", "--what", "poly", "--n", "1200", "--x", "2", *CDQH_ARGS),
      {}, 3),
     *[(("eval", "--family", fid, "--what", "poly", "--n", "1200", "--z", "2.5", "--q", ".5",
-        *args), {}, 3) for fid, args in LIMIT_ARGS.items()],
+        *args), {}, 0 if fid in FINITE_P1200 else 3) for fid, args in LIMIT_ARGS.items()],
     ((*WALL, "--what", "poly", "--n", "3", "--grid", "a:b:3"), {}, 2),
+    # a number that is not finite is a usage error, whatever it feeds
+    (("eval", "--family", "wall", "--what", "poly", "--n", "3", "--z", "2", "--q", ".5",
+      "--A", "nan", "--B", ".4"), {}, 2),
+    (("eval", "--family", "wall", "--what", "cf", "--z", "2", "--q", ".5", "--A", ".3",
+      "--B", "inf"), {}, 2),
+    *[((*WALL, "--what", "poly", "--n", "3", "--z", z), {}, 2) for z in ("nan", "inf")],
+    ((*WALL, "--what", "poly", "--n", "3", "--grid", "nan:1:3"), {}, 2),
     ((*WALL, "--what", "solution", "--which", "x", "--z", "2"), {}, 2),
     ((*WALL, "--what", "cf", "--z", "2", "--tol", "0"), {}, 2),
     ((*WALL, "--what", "cf", "--z", "2", "--tol", "-1"), {}, 2),
@@ -337,6 +350,15 @@ CONTRACT_CASES = [
     (("eval", "--family", "cdqh", "--what", "cf", "--z", "50", "--side", "above", *CDQH_ARGS), {}, 2),
     (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", "0", "--scan-lo", ".1",
       "--scan-hi", "1"), {}, 2),
+    # P_775 of fourth-limit at z = 2.5 leaves the double range, for the
+    # table as for eval (the table printed inf)
+    (("table", "--family", "fourth-limit", "--n-lo", "775", "--n-hi", "775", "--grid",
+      "2.5:2.5:1", "--q", ".5"), {}, 3),
+    (("eval", "--family", "fourth-limit", "--what", "poly", "--n", "775", "--z", "2.5",
+      "--q", ".5"), {}, 3),
+    # P_n has a value at z = 0, where the double sums divide by zero
+    *[(("eval", "--family", fid, "--what", "poly", "--n", "5", "--z", "0", "--q", ".5", *args),
+       {}, 0) for fid, args in LIMIT_ARGS.items()],
     # a closed form that divides by zero at z = 0 is a named numerical error
     *[(("eval", "--family", fid, "--what", what, "--z", "0", "--q", ".5", *args), {}, 3)
       for fid, args in LIMIT_ARGS.items() for what in ("cf", "solution")
@@ -419,6 +441,9 @@ def _case_id(case):
                    "--tol", "--cf-form", "--delta", "--max-zeros"):
         if option in argv:
             named.append(f"{option.lstrip('-')}={argv[argv.index(option) + 1]}")
+    # a value that is not finite names its option too
+    named += [f"{option.lstrip('-')}={value}" for option, value in zip(argv, argv[1:])
+              if value in ("nan", "inf")]
     return "-".join([argv[0], *named])
 
 
@@ -589,6 +614,54 @@ def test_the_side_on_the_cut_picks_the_boundary_value(family, what):
     assert x == pytest.approx(fam.z_at(0.4).real)
     assert re_b == pytest.approx(re_a, rel=1e-12)
     assert im_b == pytest.approx(-im_a, rel=1e-9, abs=1e-12 * abs(re_a))
+
+
+POLY_ARGS = {"cdqh": CDQH_ARGS, **{fid: ("--q", ".5", *args) for fid, args in LIMIT_ARGS.items()}}
+
+
+def _rows(result):
+    assert result.exit_code == 0, result.output
+    return [line.split(",") for line in result.output.splitlines()[2:]]
+
+
+@pytest.mark.parametrize("family", sorted(POLY_ARGS))
+def test_eval_poly_prints_the_bits_table_prints(family):
+    # one path for P_n: z = 12 lies off every cut, the grid crosses the
+    # cuts, and z = 2.5 lies on each (a side picks no other value)
+    cases = [(("--z", "12"), "12:12:1"), (("--grid", "-3:3.5:5"), "-3:3.5:5")]
+    if family in CUT_ARGS:
+        cases += [(("--z", "2.5", *side), "2.5:2.5:1")
+                  for side in ((), ("--side", "above"), ("--side", "below"))]
+    for point, grid in cases:
+        table = _rows(invoke("table", "--family", family, "--n-lo", "12", "--n-hi", "12",
+                             "--grid", grid, *POLY_ARGS[family]))
+        evaluated = _rows(invoke("eval", "--family", family, "--what", "poly", "--n", "12",
+                                 *point, *POLY_ARGS[family]))
+        assert [row[:2] for row in evaluated] == table, point
+        assert all(float(row[2]) == 0 for row in evaluated)
+
+
+def test_big_q_laguerre_p40_is_the_recurrence_in_mpmath():
+    # the double sum printed -1.2825e+21 here; P_40 is -3.3921e+12
+    params = {"q": 0.48569, "A": 0.27416, "B": 0.20900, "C": 0.52438}
+    flags = [text for name, value in params.items() for text in (f"--{name}", repr(value))]
+    (row,) = _rows(invoke("eval", "--family", "big-q-laguerre", "--what", "poly", "--n", "40",
+                          "--z", "2.31957", *flags))
+    fam = limits.family_from_id("big-q-laguerre", **params)
+    with mpmath.workdps(50):
+        z, prev, cur = mpmath.mpf(2.31957), mpmath.mpf(0), mpmath.mpf(1)
+        for n in range(40):
+            a_n, b_sq = (mpmath.mpc(c) for c in recurrence.coeffs(fam, n))
+            prev, cur = cur, (z - a_n) * cur - b_sq * prev
+        assert abs(complex(float(row[1]), float(row[2])) - cur) <= 1e-12 * abs(cur)
+
+
+@pytest.mark.parametrize("family", sorted(FINITE_P1200))
+def test_p1200_on_the_cut_is_finite(family):
+    (row,) = _rows(invoke("eval", "--family", family, "--what", "poly", "--n", "1200",
+                          "--z", "2.5", *POLY_ARGS[family]))
+    assert float(row[1]) == pytest.approx(FINITE_P1200[family], rel=5e-3)
+    assert float(row[2]) == 0
 
 
 def _scalar_scan(f, grid, safe_f):

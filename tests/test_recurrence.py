@@ -17,7 +17,6 @@ from qdhahn.recurrence import (
     coeffs,
     forward_eval,
     minimality_ratio,
-    poly_coeffs,
     relative_residual,
     residual,
 )
@@ -356,36 +355,6 @@ class TestMinimalityRatio:
             assert step == pytest.approx(rho, rel=0.05)
 
 
-class TestPolynomialStructure:
-    def test_leading_coefficients_exactly_one(self, cdqh):
-        for row_index, row in enumerate(poly_coeffs(cdqh, 8)):
-            assert row[-1] == 1.0
-            assert len(row) == row_index + 1
-
-    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
-    def test_rows_equal_per_step_reference(self, family):
-        prev, cur = np.array([0.0], dtype=complex), np.array([1.0], dtype=complex)
-        expected = [cur]
-        for n in range(12):
-            a_n, b_sq = coeffs(family, n)
-            nxt = np.zeros(n + 2, dtype=complex)
-            nxt[1:] += cur
-            nxt[: n + 1] -= a_n * cur
-            nxt[: len(prev)] -= b_sq * prev
-            prev, cur = cur, nxt
-            expected.append(nxt)
-        rows = poly_coeffs(family, 12)
-        assert [bits(r) for r in rows] == [bits(r) for r in expected]
-
-    def test_coefficients_evaluate_to_forward_values(self, cdqh):
-        rows = poly_coeffs(cdqh, 6)
-        z = 1.3 + 0.4j
-        seq = forward_eval(cdqh, z, 0.0, 1.0, 6)
-        for n, row in enumerate(rows):
-            value = sum(c * z**k for k, c in enumerate(row))
-            assert abs(value - seq.value(n)) < 1e-12 * max(abs(value), 1.0)
-
-
 class TestCharacteristicRoots:
     def test_ordering_and_vieta(self):
         small, large = characteristic_roots(2.0 + 0.3j, 0.2 - 0.1j)
@@ -403,3 +372,21 @@ class TestScaled:
     def test_log_magnitude_composition(self):
         s = Scaled(2.0 + 0.0j, 10.0) * Scaled(0.5 + 0.0j, -10.0)
         assert s.value == pytest.approx(1.0)
+
+    def test_a_value_past_the_double_range_raises(self):
+        # the log scale is in range, but the mantissa carries the value out
+        # of it; a small mantissa at the same scale keeps its value
+        for s in (Scaled(1e20 + 0.0j, 700.0), Scaled(1.0 + 0.0j, 800.0)):
+            with pytest.raises(Overflow):
+                s.value
+        assert Scaled(1e-10 + 0.0j, 700.0).value == 1e-10 * math.exp(700.0)
+        grid = SolutionSequence(0, np.array([[1.0, 1e20, 1.0]], dtype=complex),
+                                np.array([[0.0, 700.0, 800.0]]))
+        for column in range(3):
+            column_run = SolutionSequence(0, grid.mantissas[:, column:column + 1],
+                                          grid.log_scales[:, column:column + 1])
+            if column:
+                with pytest.raises(Overflow):
+                    column_run.values()
+            else:
+                assert column_run.values()[0, 0] == 1.0
