@@ -318,9 +318,9 @@ def cmd_table(family, n_lo, n_hi, grid, q, fmt, **params):
     if n_hi >= n_lo:
         points = _parse_grid(grid)
         header += [f"n{n}" for n in range(n_lo, n_hi + 1)]
-        # one recurrence pass over the whole grid; row n + 1 holds P_n
-        seq = recurrence.forward_eval(fam, np.array(points, dtype=complex), 0.0, 1.0, n_hi)
-        for z, values in zip(points, seq.values()[n_lo + 1:].T):
+        # one recurrence pass over the whole grid
+        table = closed_forms.poly_rows(fam, np.array(points, dtype=complex), n_lo, n_hi)
+        for z, values in zip(points, table.T):
             rows.append([z] + [v.real if abs(v.imag) < 1e-300 else v for v in values.tolist()])
     _emit_rows(rows, header, fmt, _family_comment(fam))
 

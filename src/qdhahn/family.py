@@ -273,13 +273,42 @@ def solution_sequence(family, point, which, start: int, stop: int, policy=DEFAUL
 
 
 def poly(family, z, n: int):
-    """The monic P_n at z (a number or a 1-D array) by the recurrence that
-    defines it, as ``qdh table`` runs it: single valued, so a point on a
-    cut needs no side.  ValueError for n < 0; Overflow only where P_n
-    leaves the double range."""
-    seq = forward_eval(family, z, 0.0, 1.0, n)
-    # the row of P_n alone, rounded as the table's rows are
-    return SolutionSequence(n, seq.mantissas[n + 1:], seq.log_scales[n + 1:]).values()[0]
+    """The monic P_n at z (a number or a 1-D array); see ``poly_rows``."""
+    return poly_rows(family, z, n, n)[0]
+
+
+def poly_rows(family, z, n_lo: int, n_hi: int):
+    """P_n_lo, ..., P_n_hi at z (a number or a 1-D array) by the recurrence
+    that defines them, one row per n, as ``qdh table`` prints them: single
+    valued, so a point on a cut needs no side.  ValueError for n_hi < 0;
+    Overflow only where some P_n leaves the double range, naming the
+    family, the first such point (its index too on a grid) and the least
+    n there."""
+    seq = forward_eval(family, z, 0.0, 1.0, n_hi)
+    rows = SolutionSequence(n_lo, seq.mantissas[n_lo + 1:], seq.log_scales[n_lo + 1:])
+    try:
+        return rows.values()
+    except Overflow:
+        j, n = _first_out_of_range(rows)
+        point = complex(np.ravel(z)[j])
+        at = f"z={point.real if point.imag == 0 else point}"
+        if isinstance(z, np.ndarray):
+            at += f" (grid point {j})"
+        raise Overflow(f"{family.family_id} P_{n} at {at} exceeds the double range") from None
+
+
+def _first_out_of_range(rows):
+    """(point index, n) of the first point whose value leaves the double
+    range in some row of ``rows``, and the least such n there; each cell
+    rounds as ``Scaled.value`` does."""
+    mantissas = np.reshape(rows.mantissas, (len(rows), -1))
+    scales = np.reshape(rows.log_scales, (len(rows), -1))
+    for j in range(mantissas.shape[1]):
+        for i in range(len(rows)):
+            try:
+                Scaled(complex(mantissas[i, j]), float(scales[i, j])).value
+            except Overflow:
+                return j, rows.start_index + i
 
 
 def _double_sum(family, at, n):

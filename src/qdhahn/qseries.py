@@ -12,6 +12,12 @@ which terminates when some numerator parameter equals q^(-m) for an
 integer m >= 0, converges for every argument when r <= s, converges for
 |z| < 1 when r = s+1, and otherwise diverges.
 
+An infinite q-Pochhammer product (a; q)_inf multiplies its factors
+1 - a q^j while |a q^j| >= (4e-17 (1 - q))^(1/4).  The rest is
+(x; q)_inf at the first factor left out, x = a q^J, taken from the
+expansion log (x; q)_inf = -sum_m x^m / (m (1 - q^m)) cut after m = 3,
+whose first term left out is at most 1e-17.
+
 ``phi32`` evaluates the balanced 3-phi-2 with argument de/(abc); outside
 the unit disk it dispatches automatically to one of the two standard
 continuations, trying every assignment of the numerator parameters to
@@ -52,10 +58,9 @@ INFINITY = math.inf
 
 # Numerator parameter p terminates a series iff |p - q^-m| < this times q^-m.
 TERMINATION_REL_TOL = 1e-13
-
-# An infinite q-Pochhammer product stops once its factors deviate from 1
-# by less than this times (1 - q).
-QPOCH_REL_TOL = 1e-15
+# Every q^-m with m >= 0 is at least 1, so a parameter whose real part is
+# below this matches none of them.
+_TERMINATION_REAL_FLOOR = 1.0 - 2 * TERMINATION_REL_TOL
 
 
 def _check_q(q) -> float:
@@ -236,14 +241,31 @@ class SeriesSpec:
         )
 
 
+def _qpoch_cutoff(q: float) -> float:
+    """x* = (4e-17 (1 - q))^(1/4): an infinite q-Pochhammer product
+    multiplies its factors 1 - x while |x| >= x*, and ``_qpoch_log_tail``
+    stands for the rest; the first term that tail leaves out,
+    x^4 / (4 (1 - q^4)), is then at most 1e-17."""
+    return (4e-17 * (1.0 - q)) ** 0.25
+
+
+def _qpoch_log_tail(x, q: float):
+    """log (x; q)_inf to third order in x, the first factor not multiplied
+    in: -x/(1 - q) - x^2/(2 (1 - q^2)) - x^3/(3 (1 - q^3)) (Gasper and
+    Rahman, Basic Hypergeometric Series, section 1.3); x is a number or
+    an array."""
+    c1, c2, c3 = 1.0 / (1.0 - q), 1.0 / (2.0 * (1.0 - q * q)), 1.0 / (3.0 * (1.0 - q**3))
+    return -x * (c1 + x * (c2 + x * c3))
+
+
 def qpoch(a, q, n=INFINITY) -> complex:
     """(a; q)_n for integer n (of either sign) or n = math.inf.
 
-    The infinite product is truncated once the factor deviation
-    |a q^(j-1)| drops below QPOCH_REL_TOL*(1-q); a first-order
-    multiplicative tail estimate exp(-a q^J / (1-q)) is then applied, so
-    the result is accurate well beyond the bare truncation point.  An
-    array ``a`` gives the infinite product at every point.
+    The infinite product multiplies its factors 1 - a q^j while
+    |a q^j| >= x* (``_qpoch_cutoff``) and ends in a third-order
+    logarithmic tail, exp of ``_qpoch_log_tail`` at the first factor left
+    out, whose first omitted term is at most 1e-17.  An array ``a`` gives
+    the infinite product at every point, by the same rule.
     """
     q = _check_q(q)
     try:
@@ -255,11 +277,11 @@ def qpoch(a, q, n=INFINITY) -> complex:
     if n == INFINITY:
         product = 1.0 + 0.0j
         factor = a  # a * q^(j-1), starting at j = 1
-        threshold = QPOCH_REL_TOL * (1.0 - q)
-        while abs(factor) >= threshold:
+        cutoff = _qpoch_cutoff(q)
+        while abs(factor) >= cutoff:
             product *= 1.0 - factor
             factor *= q
-        product *= cmath.exp(-factor / (1.0 - q))
+        product *= cmath.exp(_qpoch_log_tail(factor, q))
         return _assert_finite(product, "infinite q-Pochhammer product")
     n = int(n)
     if n >= 0:
@@ -282,24 +304,24 @@ def qpoch(a, q, n=INFINITY) -> complex:
 def _qpoch_inf_grid(a, q):
     """(a; q)_inf at every point of the array ``a``, by the scalar rule:
     each point multiplies in its own factors until they fall below the
-    threshold, then takes the same tail estimate.  The live points
+    cutoff, then takes the same tail.  The live points
     advance alone and leave the arrays once their factor is small."""
     factor = np.array(a, dtype=complex)
     product = np.ones(factor.shape, dtype=complex)
-    threshold = QPOCH_REL_TOL * (1.0 - q)
-    idx = np.flatnonzero(np.abs(factor) >= threshold)
+    cutoff = _qpoch_cutoff(q)
+    idx = np.flatnonzero(np.abs(factor) >= cutoff)
     live_factor, live_product = factor[idx], product[idx]
     while idx.size:
         # not in place: numpy rounds an in-place product of one element
         # apart from the same product in a longer array
         live_product = live_product * (1.0 - live_factor)
         live_factor = live_factor * q
-        live = np.abs(live_factor) >= threshold
+        live = np.abs(live_factor) >= cutoff
         if not live.all():
             done = idx[~live]
             product[done], factor[done] = live_product[~live], live_factor[~live]
             idx, live_factor, live_product = idx[live], live_factor[live], live_product[live]
-    return product * np.exp(-factor / (1.0 - q))
+    return product * np.exp(_qpoch_log_tail(factor, q))
 
 
 def qpoch_multi(params, q, n=INFINITY) -> complex:
@@ -320,7 +342,7 @@ def termination_order(p, q, max_order: int = 5000):
     p = complex(p)
     if not cmath.isfinite(p):
         raise Overflow(f"series parameter {p} is not finite")
-    if p == 0 or abs(p.imag) > TERMINATION_REL_TOL * abs(p) or p.real <= 0:
+    if p.real < _TERMINATION_REAL_FLOOR or abs(p.imag) > TERMINATION_REL_TOL * abs(p):
         return None
     estimate = -math.log(abs(p)) / math.log(q)
     best = None
@@ -417,6 +439,11 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     weighted = 1.0  # sum of (k+1) |T_k|, driving the rounding estimate
     small_run = 0
     ratio_mag = 0.0
+    # |total| <= weighted, 1e-3 largest <= weighted and the tail factor is
+    # at least 1, so a term of size >= big * weighted is not small; before
+    # term 800 and the budget, such a term needs no other test
+    big = 2.0 * rel_tol
+    quick_until = min(800, max_terms)
     qk = 1.0  # q^k
     k = 0
     # comparisons stand in for max and min below: they pick the same
@@ -442,13 +469,16 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
         if size > largest:
             largest = size
         weighted += (k + 2.0) * size
-        ratio_mag = abs(factor)
         k += 1
         qk *= q
         if stop is None:
+            if size >= big * weighted and k < quick_until:
+                small_run = 0
+                continue
             # geometric tail-aware smallness, the tail factor clamped to
             # [1, 1e3]; three consecutive small terms guard against
             # alternating near-cancellation
+            ratio_mag = abs(factor)
             tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
             if 1.0 > tail_factor:
                 tail_factor = 1.0

@@ -464,6 +464,25 @@ def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--what", "poly", "--n", "775", "--z", "2.5"), "P_775 at z=2.5 exceeds"),
+    (("eval", "--what", "poly", "--n", "775", "--grid", "2.0:2.6:4"),
+     "P_775 at z=2.6 (grid point 3) exceeds"),
+    (("table", "--n-lo", "770", "--n-hi", "776", "--grid", "2.0:2.5:3"),
+     "P_774 at z=2.5 (grid point 2) exceeds"),
+])
+def test_an_overflowing_polynomial_names_its_family_degree_and_point(argv, message,
+                                                                      monkeypatch, capsys):
+    # at q = 0.5, fourth-limit's P_n at z = 2.5 leaves the double range
+    # from n = 774 on; at z <= 2.25 it stays inside up to n = 776, and at
+    # z = 2.4 up to n = 775
+    monkeypatch.setattr(sys, "argv", ["qdh", *argv, "--family", "fourth-limit", "--q", ".5"])
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 3
+    assert capsys.readouterr().err == f"error: Overflow: fourth-limit {message} the double range\n"
+
 def _run(argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["qdh", *argv])
     try:

@@ -30,15 +30,16 @@ ORTHO_CASES = {
 
 
 def former_qpoch_inf_grid(a, q):
+    # the masked loop, under the current cutoff and third-order tail
     factor = np.array(a, dtype=complex)
     product = np.ones(factor.shape, dtype=complex)
-    threshold = qseries.QPOCH_REL_TOL * (1.0 - q)
-    live = np.abs(factor) >= threshold
+    cutoff = qseries._qpoch_cutoff(q)
+    live = np.abs(factor) >= cutoff
     while live.any():
         product = np.where(live, product * (1.0 - factor), product)
         factor = np.where(live, factor * q, factor)
-        live = np.abs(factor) >= threshold
-    return product * np.exp(-factor / (1.0 - q))
+        live = np.abs(factor) >= cutoff
+    return product * np.exp(qseries._qpoch_log_tail(factor, q))
 
 
 def former_phi_core_grid(spec, policy):

@@ -22,6 +22,37 @@ from qdhahn.qseries import SeriesSpec, TruncationPolicy, phi, phi32, qpoch, qpoc
 from conftest import brute_phi, brute_qpoch, brute_qpoch_inf
 
 
+def former_qpoch_inf(a, q):
+    """(a; q)_inf by the former rule: the factors while |a q^j| >=
+    1e-15 (1 - q), then the first-order tail exp(-x / (1 - q))."""
+    product, factor = 1.0 + 0.0j, complex(a)
+    while abs(factor) >= 1e-15 * (1.0 - q):
+        product *= 1.0 - factor
+        factor *= q
+    return product * cmath.exp(-factor / (1.0 - q))
+
+
+def qpoch_inf_40_digits(a, q):
+    """(a; q)_inf at 40 digits: the factors while |a q^j| >= 1e-3, then
+    exp of the log series -sum x^m / (m (1 - q^m)) to m = 14, whose rest
+    is below 1e-44 for q <= 0.99."""
+    with mpmath.workdps(40):
+        x, q = mpmath.mpc(a), mpmath.mpf(q)
+        product = mpmath.mpc(1)
+        while abs(x) >= 1e-3:
+            product *= 1 - x
+            x *= q
+        log_tail = -mpmath.fsum(x**m / (m * (1 - q**m)) for m in range(1, 15))
+        return product * mpmath.exp(log_tail)
+
+
+def qpoch_draws(seed, count):
+    """(a, q) with q in [0.05, 0.95] and |a| <= 40 at any phase."""
+    rng = random.Random(seed)
+    return [(cmath.rect(rng.uniform(0, 40), rng.uniform(-math.pi, math.pi)),
+             rng.uniform(0.05, 0.95)) for _ in range(count)]
+
+
 class TestQPochhammer:
     def test_empty_product(self):
         assert qpoch(0.3 + 0.1j, 0.5, 0) == 1
@@ -42,6 +73,39 @@ class TestQPochhammer:
             mine = qpoch(a, q, math.inf)
             ref = complex(mpmath.qp(mpmath.mpc(a), q))
             assert abs(mine - ref) <= 1e-12 * max(abs(ref), 1e-30)
+
+    def test_the_40_digit_reference_is_mpmath_qp(self):
+        with mpmath.workdps(40):
+            for a, q in qpoch_draws(3, 6):
+                ref = mpmath.qp(mpmath.mpc(a), mpmath.mpf(q))
+                assert abs(qpoch_inf_40_digits(a, q) - ref) <= 1e-35 * abs(ref)
+
+    def test_infinite_product_errors_no_larger_than_the_former_rule(self):
+        draws = qpoch_draws(7, 400)
+        new, old = [], []
+        for a, q in draws:
+            ref = complex(qpoch_inf_40_digits(a, q))
+            new.append(abs(qpoch(a, q) - ref) / abs(ref))
+            old.append(abs(former_qpoch_inf(a, q) - ref) / abs(ref))
+        new, old = np.array(new), np.array(old)
+        assert np.median(new) <= np.median(old)
+        # above q = 0.5 both rules share the rounding of their first
+        # factors, which sets the upper percentiles of either
+        low_q = np.array([q <= 0.5 for _, q in draws])
+        assert np.percentile(new[low_q], 99) <= np.percentile(old[low_q], 99)
+        assert new.max() <= 1e-13
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    def test_first_omitted_tail_term_is_at_most_1e_17(self, q):
+        x = qseries._qpoch_cutoff(q)
+        with mpmath.workdps(40):
+            assert mpmath.mpf(x)**4 / (4 * (1 - mpmath.mpf(q)**4)) <= 1e-17
+        # the tail at the largest factor it stands for, at every phase
+        for phase in np.linspace(-math.pi, math.pi, 9):
+            factor = cmath.rect(math.nextafter(x, 0.0), phase)
+            tail = cmath.exp(qseries._qpoch_log_tail(factor, q))
+            ref = qpoch_inf_40_digits(factor, q)
+            assert abs(tail - complex(ref)) <= 4e-16 * abs(ref)
 
     @given(
         a=st.floats(-2.0, 2.0),
@@ -320,17 +384,48 @@ class TestPhi32Ranking:
             for _, message in failed)
 
 
+def former_termination_order(p, q, max_order=5000):
+    """``termination_order`` before its early exit for p.real < 1 - 2e-13."""
+    p = complex(p)
+    if not cmath.isfinite(p):
+        raise Overflow(f"series parameter {p} is not finite")
+    if p == 0 or abs(p.imag) > qseries.TERMINATION_REL_TOL * abs(p) or p.real <= 0:
+        return None
+    estimate = -math.log(abs(p)) / math.log(q)
+    best = None
+    best_err = None
+    for m in sorted({math.floor(estimate), math.ceil(estimate)}):
+        if m < 0 or m > max_order:
+            continue
+        target = q ** (-m)
+        err = abs(p - target)
+        if err < qseries.TERMINATION_REL_TOL * target:
+            if best is None or err < best_err or (err == best_err and m < best):
+                best, best_err = m, err
+    return best
+
+
+def former_series_termination(spec, max_order=5000):
+    orders = [former_termination_order(p, spec.q, max_order) for p in spec.numerator]
+    orders = [m for m in orders if m is not None]
+    return min(orders) if orders else None
+
+
 def former_phi_core(spec, policy):
     """The reference for the scalar ``_phi_core``: a copy of its loop
-    before the per-term work was trimmed (one abs per term, comparisons
-    for max and min, hoisted attributes).  Same operations, same order."""
+    before the cheap small-term test, when every term of an open series
+    took the full test (the tail factor, its clamp and abs(total)), and of
+    ``termination_order`` before its early exit.  Same operations, same
+    order."""
     q = spec.q
     z = spec.argument
-    extra = 1 + spec.s - spec.r
-    stop = qseries.series_termination(spec, policy.max_terms)
+    numerator, denominator = spec.numerator, spec.denominator
+    rel_tol, max_terms = policy.rel_tol, policy.max_terms
+    extra = 1 + len(denominator) - len(numerator)
+    stop = former_series_termination(spec, max_terms)
     if stop is not None:
-        for b in spec.denominator:
-            m = qseries.termination_order(b, q, policy.max_terms)
+        for b in denominator:
+            m = former_termination_order(b, q, max_terms)
             if m is not None and m < stop:
                 raise ZeroDivisor(
                     "denominator parameter equals q^-%d before the series terminates" % m
@@ -352,48 +447,54 @@ def former_phi_core(spec, policy):
     ratio_mag = 0.0
     qk = 1.0  # q^k
     k = 0
-    while True:
-        if stop is not None and k >= stop:
-            break
+    # comparisons stand in for max and min below: they pick the same
+    # operand, a nan included, without a builtin call per term
+    while stop is None or k < stop:
         num = 1.0 + 0.0j
-        for a in spec.numerator:
+        for a in numerator:
             num *= 1.0 - a * qk
         den = 1.0 - q * qk  # the (q; q)_k factor advanced to k+1
-        for b in spec.denominator:
+        for b in denominator:
             den *= 1.0 - b * qk
         if den == 0:
             raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
         factor = num / den * z
         if extra:
-            base = -qk
-            if base == 0.0 and extra < 0:
-                raise Overflow("q^k underflow with negative exponent weight")
-            factor *= base**extra
+            try:  # a q^k near 0 to a negative power leaves the double range
+                factor *= (-qk)**extra
+            except (ZeroDivisionError, OverflowError):
+                raise Overflow("q^k underflow with negative exponent weight") from None
         term *= factor
         total += term
-        largest = max(largest, abs(term))
-        weighted += (k + 2.0) * abs(term)
+        size = abs(term)
+        if size > largest:
+            largest = size
+        weighted += (k + 2.0) * size
         ratio_mag = abs(factor)
         k += 1
         qk *= q
         if stop is None:
-            # geometric tail-aware smallness; three consecutive small
-            # terms guard against alternating near-cancellation
+            # geometric tail-aware smallness, the tail factor clamped to
+            # [1, 1e3]; three consecutive small terms guard against
+            # alternating near-cancellation
             tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
-            tail_factor = min(max(tail_factor, 1.0), 1e3)
-            if abs(term) * tail_factor < policy.rel_tol * max(
-                abs(total), 1e-3 * largest
-            ):
+            if 1.0 > tail_factor:
+                tail_factor = 1.0
+            if 1e3 < tail_factor:
+                tail_factor = 1e3
+            floor = 1e-3 * largest
+            magnitude = abs(total)
+            if size * tail_factor < rel_tol * (floor if floor > magnitude else magnitude):
                 small_run += 1
                 if small_run >= 3:
                     break
             else:
                 small_run = 0
-            if k >= policy.max_terms or (k > 800 and ratio_mag > 0.995):
+            if k >= max_terms or (k > 800 and ratio_mag > 0.995):
                 raise MaxTermsExceeded(
-                    "series did not settle within %d terms" % min(k, policy.max_terms)
+                    "series did not settle within %d terms" % min(k, max_terms)
                 )
-        elif k > policy.max_terms:
+        elif k > max_terms:
             raise MaxTermsExceeded("terminating series exceeds the term budget")
     if stop is not None:
         tail = 0.0
@@ -401,7 +502,6 @@ def former_phi_core(spec, policy):
         tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
         tail = abs(term) * min(max(tail_factor, 1.0), 1e3)
     return qseries._assert_finite(total, "series sum"), weighted, tail
-
 
 
 def phi_core_corpus(rng, count):
@@ -442,6 +542,21 @@ def core_outcome(fn, spec, policy):
     return value.real.hex(), value.imag.hex(), weighted.hex(), tail.hex()
 
 
+def shaped_specs(rng, r, s, q):
+    """Series of shape (r, s): open and terminating ones, with arguments
+    inside, near and outside the unit disk."""
+    def param(lo, hi):
+        return complex(rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-1.0, 1.0)))
+
+    for trial in range(12):
+        numerator = [param(0.05, 1.5) for _ in range(r)]
+        denominator = [param(0.05, 1.2) for _ in range(s)]
+        if r and trial % 3 == 0:  # ends at k = m
+            numerator[trial % r] = q ** -rng.randint(0, 6)
+        z = param(0.05, (0.5, 0.95, 0.999, 3.0)[trial % 4]) * cmath.exp(2j * trial)
+        yield SeriesSpec(tuple(numerator), tuple(denominator), q, z)
+
+
 class TestPhiCoreLoop:
     def test_scalar_loop_matches_the_former_loop_bit_for_bit(self):
         corpus = phi_core_corpus(random.Random(17), 1500)
@@ -472,6 +587,90 @@ class TestPhiCoreLoop:
         spec = SeriesSpec((np.array([2.0**1000, 2.0**900]), .5, .5), (), .5, np.array([.1, .2]))
         errors = qseries._phi_core(spec, qseries.DEFAULT_POLICY)[3]
         assert [(type(e), str(e)) for e in errors] == [(Overflow, message)] * 2
+
+    @pytest.mark.parametrize("r", range(4))
+    @pytest.mark.parametrize("s", range(3))
+    def test_every_shape_matches_the_former_loop(self, r, s):
+        rng = random.Random(10 * r + s)
+        cases = [(spec, policy) for q in (0.1, 0.5, 0.9) for spec in shaped_specs(rng, r, s, q)
+                 for policy in (qseries.DEFAULT_POLICY, TruncationPolicy(max_terms=60),
+                                TruncationPolicy(rel_tol=1e-15))]
+        outcomes = [core_outcome(qseries._phi_core, *case) for case in cases]
+        assert outcomes == [core_outcome(former_phi_core, *case) for case in cases]
+        assert any(len(out) == 4 for out in outcomes)
+
+    def test_every_exit_matches_the_former_loop(self):
+        q = 0.5
+        default, budget = qseries.DEFAULT_POLICY, TruncationPolicy
+        cases = [
+            # settles past 800 terms; the slow ratio past 800 terms
+            (SeriesSpec((0.3,), (), q, 0.99), default),
+            (SeriesSpec((0.3,), (), q, 0.997), default),
+            (SeriesSpec((0.3, 0.2), (0.6,), q, 0.99 * cmath.exp(0.3j)), default),
+            (SeriesSpec((0.3, 0.2), (0.6,), q, 0.999 * cmath.exp(0.3j)), default),
+            # the term budget before and after 800 terms
+            (SeriesSpec((0.3,), (), q, 0.99), budget(max_terms=60)),
+            (SeriesSpec((0.3,), (), q, 0.99), budget(max_terms=900)),
+            (SeriesSpec((q ** -30, 0.4), (0.3,), q, 0.9), budget(max_terms=20)),
+            # a denominator that vanishes, before an ending or in an open series
+            (SeriesSpec((q ** -4, 0.4), (q ** -1,), q, 0.3), default),
+            (SeriesSpec((0.3, 0.4), (q ** -2,), q, 0.3), default),
+            # divergent shapes
+            (SeriesSpec((0.3, 0.4, 0.5), (0.6,), q, 0.3), default),
+            (SeriesSpec((0.3, 0.4), (0.6,), q, 1.5), default),
+            # q^k to a negative power past the double range; a sum past it
+            (SeriesSpec((2.0 ** 1000, 0.5, 0.5), (), 0.1, 0.5), default),
+            (SeriesSpec((q ** -6,), (), q, 1e300), default),
+            # nan and inf parameters and arguments
+            (SeriesSpec((math.nan, 0.4), (0.6,), q, 0.3), default),
+            (SeriesSpec((0.3, 0.4), (math.inf,), q, 0.3), default),
+            (SeriesSpec((0.3, 0.4), (0.6,), q, math.nan), default),
+            (SeriesSpec((0.3,), (0.6,), q, complex(math.inf, 0.0)), default),
+            (SeriesSpec((0.3,), (0.6, 0.2), q, complex(math.nan, 1.0)), default),
+            # terms that grow before they settle, and alternating terms
+            (SeriesSpec((), (0.2,), q, 40.0), default),
+            (SeriesSpec((0.9,), (), 0.95, -0.98), default),
+        ]
+        outcomes = [core_outcome(qseries._phi_core, *case) for case in cases]
+        assert outcomes == [core_outcome(former_phi_core, *case) for case in cases]
+        assert {out[0] for out in outcomes if len(out) == 2} == {
+            "DivergentSeries", "MaxTermsExceeded", "Overflow", "ZeroDivisor"}
+        assert {"series did not settle within %d terms" % k for k in (20, 60, 801, 900)} <= {
+            out[1] for out in outcomes if len(out) == 2}
+        assert sum(len(out) == 4 for out in outcomes) == 4
+
+
+def termination_points(q):
+    """Parameters at, near and away from q^-m, 1 and the early-exit floor
+    1 - 2e-13, real and complex."""
+    points = [1.0, 1 + 1e-13, 1 - 1e-13, 1 + 2e-13, 1 - 2e-13, 1 - 3e-13, 0.37, 0.0, -1.0,
+              -(q ** -3), 1j, 1e-300, 1e300, 1 - 1e-12, complex(1.0, 1e-13), complex(1.0, 2e-13),
+              *np.nextafter(1 - 2e-13, [0.0, 2.0]), *np.nextafter(1.0, [0.0, 2.0])]
+    for m in (0, 1, 2, 5, 17, 40):
+        points += [q ** -m * (1 + rel) for rel in (1e-14, -1e-14, 9.9e-14, -9.9e-14, 1e-13,
+                                                   -1e-13, 1e-9)]
+        points += [q ** -m * cmath.exp(1e-14j), q ** (-m - 0.5)]
+    rng = random.Random(int(q * 1000))
+    points += [complex(rng.uniform(-2, 2), rng.uniform(-1e-12, 1e-12)) for _ in range(100)]
+    return points
+
+
+class TestTerminationOrder:
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999])
+    def test_matches_the_former_answer(self, q):
+        for p in termination_points(q):
+            for max_order in (0, 3, 5000):
+                assert (qseries.termination_order(p, q, max_order)
+                        == former_termination_order(p, q, max_order)), (p, max_order)
+        assert qseries.termination_order(1.0, q) == 0
+        assert qseries.termination_order(q ** -5 * (1 - 1e-14), q) == 5
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
+                                   complex(-math.inf, 0.0)])
+    def test_a_parameter_that_is_not_finite_still_raises(self, p):
+        for order in (qseries.termination_order, former_termination_order):
+            with pytest.raises(Overflow, match="is not finite"):
+                order(p, 0.5)
 
 
 class TestOneRankingRule:
