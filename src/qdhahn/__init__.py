@@ -34,7 +34,6 @@ from .limits import (
     family_from_id,
     find_zeros,
     interlaces,
-    jackson_q_bessel,
     limit_cf,
     limit_convergence,
     limit_poly,
@@ -88,7 +87,6 @@ __all__ = [
     "forward_eval",
     "genfun_coeffs",
     "interlaces",
-    "jackson_q_bessel",
     "limit_cf",
     "limit_convergence",
     "limit_poly",

@@ -331,20 +331,6 @@ def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> comple
     return solution_value(params, point, which, n, policy)
 
 
-def inverted_to_lead_c_constant(params: CDQHParams, point: SpectralPoint) -> complex:
-    """n-independent ratio between the inverted and lead-c solutions.
-
-    The third numerator product is (q/B; q)_inf, as the n = 0 reduction
-    of the connecting transformation forces.
-    """
-    q = params.q
-    A, B, C, D = params.A, params.B, params.C, params.D
-    lam_p, lam_m = point.lam_plus, point.lam_minus
-    num = qpoch_multi([C * q / A, C * q / D, q / B], q)
-    den = qpoch_multi([C, C * lam_p * q, C * lam_m * q], q)
-    return num / den
-
-
 def three_term_coeffs(params: CDQHParams, point: SpectralPoint):
     """Infinite-product coefficients (c_dom, c_lead_c, c_lead_a) of the
     linear relation c_dom * dominant - c_lead_c * lead-c = c_lead_a * lead-a."""
@@ -479,38 +465,6 @@ def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int):
         )
     return [
         sum(c[m] * f[n - m] for m in range(n + 1)) for n in range(n_max + 1)
-    ]
-
-
-def genfun_coeffs_reduced(params: CDQHParams, point: SpectralPoint, n_max: int):
-    """Product form of the generating-function coefficients for D = q.
-
-    Returns the Taylor coefficients of the product of a q-binomial
-    quotient with a 2-phi-1 series; they must match ``genfun_coeffs``
-    when D = q.
-    """
-    if abs(params.D - params.q) > 1e-12:
-        raise ValueError("the product form requires D = q")
-    q = params.q
-    A, B, C = params.A, params.B, params.C
-    u = point.u
-    ta = 2 * point.alpha
-    a, b, c = ta / B, ta / C, ta / A
-    # (c t)_inf / (t u)_inf = sum ((c/u)_m / (q)_m) (u t)^m
-    pre = [1.0 + 0.0j]
-    for m in range(1, n_max + 1):
-        pre.append(pre[m - 1] * (1 - c / u * q ** (m - 1)) / (1 - q**m) * u)
-    ser = [1.0 + 0.0j]
-    for k in range(1, n_max + 1):
-        ser.append(
-            ser[k - 1]
-            * (1 - a * u * q ** (k - 1))
-            * (1 - b * u * q ** (k - 1))
-            / ((1 - a * b * q ** (k - 1)) * (1 - q**k))
-            / u
-        )
-    return [
-        sum(pre[m] * ser[n - m] for m in range(n + 1)) for n in range(n_max + 1)
     ]
 
 

@@ -65,11 +65,6 @@ class PoleHit(QdhError):
     """Evaluation point coincides with a pole of the expansion."""
 
 
-class ResonantDelta(QdhError):
-    """The partial-fraction expansion is invalid because delta is a
-    negative integer power of q."""
-
-
 class ScanTooCoarse(QdhError):
     """Zero scan could not resolve the requested number of zeros."""
 

@@ -416,6 +416,7 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     numerator, denominator = spec.numerator, spec.denominator
     rel_tol, max_terms = policy.rel_tol, policy.max_terms
     extra = 1 + len(denominator) - len(numerator)
+    # at most max_terms: a terminating series ends within the term budget
     stop = series_termination(spec, max_terms)
     if stop is not None:
         for b in denominator:
@@ -496,8 +497,6 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
                 raise MaxTermsExceeded(
                     "series did not settle within %d terms" % min(k, max_terms)
                 )
-        elif k > max_terms:
-            raise MaxTermsExceeded("terminating series exceeds the term budget")
     if stop is not None:
         tail = 0.0
     else:
@@ -623,11 +622,6 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
                             "series did not settle within %d terms" % min(k, max_terms)
                         )
                     gone |= over
-            if ends and k > max_terms:
-                over_budget = ending & ~gone
-                errors[idx[over_budget]] = MaxTermsExceeded(
-                    "terminating series exceeds the term budget")
-                gone |= over_budget
             if gone.any():
                 break
         keep = ~gone

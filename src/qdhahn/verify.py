@@ -19,6 +19,7 @@ import numpy as np
 
 from . import cdqhahn, limits, qseries, recurrence
 from .errors import QdhError, QuadratureNotConverged
+from .family import poly_rows
 from .qseries import phi32
 
 DEFAULT_SEED = 20240801
@@ -293,32 +294,22 @@ def _contiguous_residual(relation_id, a, b, c, d, e, q, series=None):
     return abs(sum(terms)) / max(scale, 1e-300)
 
 
-def _contiguous_reports(relation_ids, sample_count, seed):
-    """Residuals of the named relations over one pass of the seeded
-    draws; every relation of a draw reads the same summed series."""
+def check_contiguous_all(sample_count: int = 100, seed: int = DEFAULT_SEED):
+    """Residuals of the five three-term shift relations, one report each,
+    over one pass of the seeded draws; every relation of a draw reads the
+    same summed series."""
     rng = random.Random(seed)
-    reports = [CheckReport(f"contiguous/{rid}", seed, 0, 0.0, 1e-9) for rid in relation_ids]
+    reports = [CheckReport(f"contiguous/{rid}", seed, 0, 0.0, 1e-9)
+               for rid in CONTIGUOUS_RELATIONS]
     for _ in range(sample_count):
         q = rng.uniform(0.35, 0.65)
         a, b, c, d, e = _balanced_draw(rng, q)
         inputs = {"q": q, "a": a, "b": b, "c": c, "d": d, "e": e}
         series = _DrawSeries()
-        for rid, report in zip(relation_ids, reports):
+        for rid, report in zip(CONTIGUOUS_RELATIONS, reports):
             res = _contiguous_residual(rid, a, b, c, d, e, q, series)
             report.record(res, inputs, res, 0.0)
     return reports
-
-
-def check_contiguous(relation_id: str, sample_count: int = 100,
-                     seed: int = DEFAULT_SEED) -> CheckReport:
-    """Residuals of one three-term shift relation over random draws."""
-    return _contiguous_reports((relation_id,), sample_count, seed)[0]
-
-
-def check_contiguous_all(sample_count: int = 100, seed: int = DEFAULT_SEED):
-    """``check_contiguous`` for the five relations, which draw alike from
-    one seed, in one pass over the draws."""
-    return _contiguous_reports(CONTIGUOUS_RELATIONS, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +463,7 @@ def gram_matrix(weight_fn, family, scale, n_max, nodes: int, method: str):
         quad_w = density * np.sin(theta) * (math.pi / nodes)
     else:
         raise ValueError("method must be 'gauss' or 'cosine'")
-    values = recurrence.forward_eval(family, x / scale, 0.0, 1.0, n_max).values()[1:]
+    values = poly_rows(family, x / scale, 0, n_max)
     return (values * quad_w) @ values.T.conj()
 
 

@@ -13,8 +13,6 @@ from qdhahn.cdqhahn import (
     explicit_poly,
     explicit_poly_ir,
     genfun_coeffs,
-    genfun_coeffs_reduced,
-    inverted_to_lead_c_constant,
     solution,
     spectral_point,
     three_term_coeffs,
@@ -23,6 +21,8 @@ from qdhahn.cdqhahn import (
 )
 from qdhahn.errors import BranchAmbiguous, Overflow, QdhError, ZeroDivisor
 from qdhahn.family import solution_sequence
+
+from paper_identities import genfun_coeffs_reduced, inverted_to_lead_c_constant
 
 # the flagship's solution labels, in declaration order
 SOLUTIONS = tuple(CDQHParams._solutions)

@@ -294,9 +294,9 @@ def _grid_specs():
     return cases
 
 
-# a termination order past every real one, for the exits that only such
+# a termination order past every real one, for the exit that only such
 # an order reaches: no finite q^-m ends a series late enough for q^k to
-# underflow, or for a terminating series to pass the term budget
+# underflow
 FAR_STOP = 2000
 
 
@@ -314,9 +314,6 @@ def _far_specs():
         # q^k = 1e-200 * 1e-200 underflows to 0 at the third term of a
         # 2-phi-0: Overflow
         (qseries.SeriesSpec((0.3, 0.2), (), 1e-200, w), qseries.DEFAULT_POLICY),
-        # the 2-phi-1 passes the term budget before its far ending
-        (qseries.SeriesSpec((0.3, 0.2), (0.5,), Q, w),
-         qseries.TruncationPolicy(rel_tol=1e-12, max_terms=40)),
     ]
 
 
@@ -349,7 +346,6 @@ def test_lean_pass_sums_the_former_bits_at_every_exit(monkeypatch):
         "denominator parameter",
         "series denominator vanished",
         "series did not settle",  # the budget and the slow ratio past 800 terms
-        "terminating series exceeds the term budget",
         "q^k underflow with negative exponent weight",
         "series sum left the double-precision range",
         "nonterminating series with r > s+1 diverges for every argument",

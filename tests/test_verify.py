@@ -85,14 +85,15 @@ class TestChecks:
             assert report.max_rel_error < 1e-9
 
     def test_contiguous_deterministic_per_seed(self):
-        a = verify.check_contiguous("a-up", sample_count=10, seed=5)
-        b = verify.check_contiguous("a-up", sample_count=10, seed=5)
+        a = verify.check_contiguous_all(sample_count=10, seed=5)[0]
+        b = verify.check_contiguous_all(sample_count=10, seed=5)[0]
+        assert a.check_id == "contiguous/a-up"
         assert a.max_rel_error == b.max_rel_error
 
     @pytest.mark.parametrize("seed", range(4))
     def test_contiguous_all_equals_one_unshared_pass_per_relation(self, seed):
-        # each relation drawing and summing its own series, as a
-        # check_contiguous of its own did before the relations shared draws
+        # each relation drawing and summing its own series, as each did
+        # before the relations shared draws
         unshared = []
         for rid in verify.CONTIGUOUS_RELATIONS:
             rng = random.Random(seed)
