@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from . import family, qseries
 from .errors import ZeroDivisor
-from .family import (ABOVE, BELOW, CutFamily, SpectralPoint, cf_denominator, solution_scaled,
+from .family import (ABOVE, CutFamily, SpectralPoint, cf_denominator, solution_scaled,
                      solution_value, spectral_point)
 from .qseries import (
     DEFAULT_POLICY,

@@ -53,7 +53,6 @@ import numpy as np
 from . import qseries
 from .cdqhahn import CDQHParams
 from .errors import (
-    DivergentSeries,
     FormalOnly,
     Overflow,
     ScanTooCoarse,

@@ -33,6 +33,10 @@ call at its first failing point would raise.  A candidate rank of the
 grid ranking sums all its points in one array pass per series shape,
 whichever candidates they take, and a few slow points still keep that
 pass alive for all of them.
+
+The scalar kernels (``_phi_core`` and the infinite ``qpoch``) sum finite
+real inputs in float arithmetic, with the same bits as the complex loop;
+complex, nan and inf inputs use complex arithmetic.
 """
 
 from __future__ import annotations
@@ -275,12 +279,15 @@ def qpoch(a, q, n=INFINITY) -> complex:
             raise ValueError("grids of q-Pochhammer symbols need n = inf") from None
         return _assert_finite(_qpoch_inf_grid(a, q), "infinite q-Pochhammer product")
     if n == INFINITY:
-        product = 1.0 + 0.0j
-        factor = a  # a * q^(j-1), starting at j = 1
         cutoff = _qpoch_cutoff(q)
-        while abs(factor) >= cutoff:
-            product *= 1.0 - factor
-            factor *= q
+        if not a.imag and math.isfinite(a.real):
+            product, factor, last = _qpoch_factors(a.real, q, cutoff)
+            # the complex loop's zero parts take signs of their own where a
+            # factor vanished or the last one multiplied in was negative
+            if product and last > 0.0:
+                product *= math.exp(_qpoch_log_tail(factor, q))
+                return _assert_finite(complex(product), "infinite q-Pochhammer product")
+        product, factor, _ = _qpoch_factors(a, q, cutoff)
         product *= cmath.exp(_qpoch_log_tail(factor, q))
         return _assert_finite(product, "infinite q-Pochhammer product")
     n = int(n)
@@ -299,6 +306,19 @@ def qpoch(a, q, n=INFINITY) -> complex:
             raise ZeroDivisor(f"(a; q)_{n} hits the zero factor 1 - a q^-{j}")
         product *= factor
     return _assert_finite(1.0 / product, "negative-order q-Pochhammer")
+
+
+def _qpoch_factors(a, q, cutoff):
+    """The factors 1 - a q^j of (a; q)_inf multiplied while |a q^j| >=
+    cutoff, in the arithmetic of a, a float or a complex number: (their
+    product, the first a q^j left out, the last factor multiplied in)."""
+    product = last = 1.0
+    factor = a  # a * q^(j-1), starting at j = 1
+    while abs(factor) >= cutoff:
+        last = 1.0 - factor
+        product *= last
+        factor *= q
+    return product, factor, last
 
 
 def _qpoch_inf_grid(a, q):
@@ -350,7 +370,10 @@ def termination_order(p, q, max_order: int = 5000):
     for m in sorted({math.floor(estimate), math.ceil(estimate)}):
         if m < 0 or m > max_order:
             continue
-        target = q ** (-m)
+        try:
+            target = q ** (-m)
+        except OverflowError:  # q^-m past the double range: no match, as on a grid
+            continue
         err = abs(p - target)
         if err < TERMINATION_REL_TOL * target:
             if best is None or err < best_err or (err == best_err and m < best):
@@ -414,8 +437,7 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     q = spec.q
     z = spec.argument
     numerator, denominator = spec.numerator, spec.denominator
-    rel_tol, max_terms = policy.rel_tol, policy.max_terms
-    extra = 1 + len(denominator) - len(numerator)
+    max_terms = policy.max_terms
     # at most max_terms: a terminating series ends within the term budget
     stop = series_termination(spec, max_terms)
     if stop is not None:
@@ -434,8 +456,42 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
             raise DivergentSeries(
                 "argument modulus >= 1 with r = s+1; use a continuation"
             )
-    term = 1.0 + 0.0j
-    total = term
+    summed = None
+    reals = _finite_reals((*numerator, *denominator, z))
+    if reals is not None:
+        summed = _phi_terms(reals[:spec.r], reals[spec.r:-1], reals[-1], q, stop, policy)
+        # floats keep the complex loop's bits while every term is finite
+        # and nonzero; a term of 0, inf or nan may come from a product past
+        # the double range, where that loop's zero imaginary parts turn to
+        # nan, so such a sum is summed again by the complex loop
+        if not 0.0 < abs(summed[3]) < INFINITY:
+            summed = None
+    if summed is None:
+        summed = _phi_terms(numerator, denominator, z, q, stop, policy)
+    total, weighted, tail, _, exceeded = summed
+    if exceeded:
+        raise MaxTermsExceeded("series did not settle within %d terms" % exceeded)
+    return _assert_finite(complex(total), "series sum"), weighted, tail
+
+
+def _finite_reals(values):
+    """The real parts of ``values`` where each is a finite real number
+    (an imaginary part of -0.0 counts as 0), else None."""
+    for v in values:
+        if v.imag or not math.isfinite(v.real):
+            return None
+    return [v.real for v in values]
+
+
+def _phi_terms(numerator, denominator, z, q, stop, policy):
+    """The summing loop of ``_phi_core``, in the arithmetic of the
+    parameters and the argument: floats or complex numbers.  Returns
+    (sum, weighted term total, tail bound, last term, k), where k is the
+    term count at which the budget ran out, or 0."""
+    rel_tol, max_terms = policy.rel_tol, policy.max_terms
+    extra = 1 + len(denominator) - len(numerator)
+    # a complex operand takes 1.0 as 1 + 0j: complex sums keep their bits
+    term = total = 1.0
     largest = 1.0
     weighted = 1.0  # sum of (k+1) |T_k|, driving the rounding estimate
     small_run = 0
@@ -450,7 +506,7 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     # comparisons stand in for max and min below: they pick the same
     # operand, a nan included, without a builtin call per term
     while stop is None or k < stop:
-        num = 1.0 + 0.0j
+        num = 1.0
         for a in numerator:
             num *= 1.0 - a * qk
         den = 1.0 - q * qk  # the (q; q)_k factor advanced to k+1
@@ -494,15 +550,13 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
             else:
                 small_run = 0
             if k >= max_terms or (k > 800 and ratio_mag > 0.995):
-                raise MaxTermsExceeded(
-                    "series did not settle within %d terms" % min(k, max_terms)
-                )
+                return total, weighted, None, term, min(k, max_terms)
     if stop is not None:
         tail = 0.0
     else:
         tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
         tail = abs(term) * min(max(tail_factor, 1.0), 1e3)
-    return _assert_finite(total, "series sum"), weighted, tail
+    return total, weighted, tail, term, 0
 
 
 def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):

@@ -284,11 +284,10 @@ CONTIGUOUS_RELATIONS = {
 }
 
 
-def _contiguous_residual(relation_id, a, b, c, d, e, q, series=None):
+def _contiguous_residual(relation_id, a, b, c, d, e, q, series):
     """Residual of the named three-term shift relation, normalized by
     its largest term.  ``series`` sums the draw's phi32 (a ``_DrawSeries``
-    shared by the relations of one draw); by default a fresh one."""
-    series = _DrawSeries() if series is None else series
+    shared by the relations of one draw)."""
     terms = CONTIGUOUS_RELATIONS[relation_id](a, b, c, d, e, q, series)
     scale = max(abs(t) for t in terms)
     return abs(sum(terms)) / max(scale, 1e-300)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from qdhahn import cdqhahn, limits, qseries, recurrence, verify
-from qdhahn.errors import PoleHit
+from qdhahn.errors import DivergentSeries, PoleHit
 from qdhahn.family import solution_sequence
 
 import paper_identities
@@ -51,7 +51,7 @@ class TestAcceptance:
                 for which in fam._solutions:
                     try:
                         seq = solution_sequence(fam, z, which, 0, 26)
-                    except (limits.FormalOnly, limits.DivergentSeries):
+                    except (limits.FormalOnly, DivergentSeries):
                         continue
                     for n in range(1, 26):
                         worst = max(

@@ -20,7 +20,7 @@ from qdhahn.cdqhahn import (
     weight_reduced,
 )
 from qdhahn.errors import BranchAmbiguous, Overflow, QdhError, ZeroDivisor
-from qdhahn.family import solution_sequence
+from qdhahn.family import ABOVE, BELOW, solution_sequence
 
 from paper_identities import genfun_coeffs_reduced, inverted_to_lead_c_constant
 
@@ -64,8 +64,8 @@ class TestSpectralPoint:
     def test_on_cut_requires_side(self, params):
         with pytest.raises(BranchAmbiguous):
             spectral_point(params, x=0.3)
-        above = spectral_point(params, x=0.3, side=cdqhahn.ABOVE)
-        below = spectral_point(params, x=0.3, side=cdqhahn.BELOW)
+        above = spectral_point(params, x=0.3, side=ABOVE)
+        below = spectral_point(params, x=0.3, side=BELOW)
         assert above.lam_minus == below.lam_plus
         assert abs(abs(above.u) - 1) < 1e-14
 
@@ -222,7 +222,7 @@ class TestWeight:
 
     def test_bracket_factors_are_conjugate(self, params):
         for x in (-0.7, 0.2, 0.85):
-            point = spectral_point(params, x=x, side=cdqhahn.ABOVE)
+            point = spectral_point(params, x=x, side=ABOVE)
             fm, fp = [params._ratio_denominator(lam) for lam in (point.lam_minus, point.lam_plus)]
             assert fm.conjugate() == pytest.approx(fp, rel=1e-12)
 
@@ -467,7 +467,7 @@ class TestPointArguments:
         # polynomials are single valued there and take the side above;
         # solutions need a side
         z = params.z_at(0.4)
-        above = params.point_at(z, cdqhahn.ABOVE)
+        above = params.point_at(z, ABOVE)
         assert explicit_poly(params, z, 3) == explicit_poly(params, above, 3)
         assert explicit_poly_ir(params, z, 3) == explicit_poly_ir(params, above, 3)
         with pytest.raises(BranchAmbiguous):
@@ -478,7 +478,7 @@ class TestPointArguments:
     def test_z_at_holds_on_the_cut_for_either_side(self, params):
         z = params.z_at(0.4)
         assert z == 0.4 / params.alpha
-        for side in (cdqhahn.ABOVE, cdqhahn.BELOW):
+        for side in (ABOVE, BELOW):
             assert spectral_point(params, x=0.4, side=side).z == z
         assert params.z_at(2.0) == spectral_point(params, x=2.0).z
 

@@ -13,6 +13,7 @@ import pytest
 
 from qdhahn import cdqhahn, limits, qseries, recurrence, verify
 from qdhahn.errors import NoConvergentRepresentation, NonRealResult, ZeroDivisor
+from qdhahn.family import ABOVE, BELOW
 
 GRID_REL_TOL = 1e-12
 
@@ -84,7 +85,7 @@ class TestWeightGrids:
         xs = cosine_nodes(50)
 
         def factors(x):
-            point = cdqhahn.spectral_point(params, x=x, side=cdqhahn.ABOVE)
+            point = cdqhahn.spectral_point(params, x=x, side=ABOVE)
             return [params._ratio_denominator(lam) for lam in (point.lam_minus, point.lam_plus)]
 
         fm, fp = factors(xs)
@@ -115,7 +116,7 @@ class TestWeightGrids:
         # a round trip through z can move an edge node by an ulp
         params = cdqhahn.CDQHParams(*ORTHO_CASES[case])
         x = np.concatenate([edges(verify.gauss_nodes(4000)[0]), edges(cosine_nodes(4000))])
-        for side in (cdqhahn.ABOVE, cdqhahn.BELOW):
+        for side in (ABOVE, BELOW):
             assert all(cdqhahn.spectral_point(params, x=x0, side=side).x == x0
                        for x0 in x.tolist())
             assert np.array_equal(cdqhahn.spectral_point(params, x=x, side=side).x, x)

@@ -53,6 +53,40 @@ def qpoch_draws(seed, count):
              rng.uniform(0.05, 0.95)) for _ in range(count)]
 
 
+def former_qpoch_complex(a, q):
+    """(a; q)_inf by the loop every argument took before finite real ones
+    were multiplied in floats: the same rule in complex arithmetic."""
+    product = 1.0 + 0.0j
+    factor = complex(a)
+    cutoff = qseries._qpoch_cutoff(q)
+    while abs(factor) >= cutoff:
+        product *= 1.0 - factor
+        factor *= q
+    product *= cmath.exp(qseries._qpoch_log_tail(factor, q))
+    return qseries._assert_finite(product, "infinite q-Pochhammer product")
+
+
+def real_qpoch_draws(seed, count):
+    """(a, q) with real a of either sign and imaginary part 0.0 or -0.0,
+    |a| up to 40 and every fifth up to 1e300.  Every tenth a is an exact
+    q^-j or -q^-j, every tenth q is 0.5 (where a factor 1 - a q^j can be
+    exactly 0), and every twentieth q is below 1e-5 with a between 1/q and
+    the cutoff over q^2, so that the last two factors multiplied in are
+    negative."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        q = 0.5 if i % 10 == 3 else rng.uniform(0.05, 0.95)
+        a = 10 ** rng.uniform(-5, 300) if i % 5 == 0 else rng.uniform(0, 40)
+        if i % 10 == 1 or i % 10 == 3:
+            a = q ** -rng.randint(0, 40)
+        elif i % 20 == 7:
+            q = 10 ** rng.uniform(-12, -5)
+            a = 10 ** rng.uniform(-math.log10(q), math.log10(qseries._qpoch_cutoff(q) / q**2))
+        draws.append((complex(rng.choice((1, -1)) * a, rng.choice((0.0, -0.0))), q))
+    return draws
+
+
 class TestQPochhammer:
     def test_empty_product(self):
         assert qpoch(0.3 + 0.1j, 0.5, 0) == 1
@@ -94,6 +128,19 @@ class TestQPochhammer:
         low_q = np.array([q <= 0.5 for _, q in draws])
         assert np.percentile(new[low_q], 99) <= np.percentile(old[low_q], 99)
         assert new.max() <= 1e-13
+
+    def test_real_arguments_give_the_complex_loops_bits(self):
+        draws = real_qpoch_draws(23, 20000)
+        outcomes = [outcome(qpoch, a, q) for a, q in draws]
+        assert outcomes == [outcome(former_qpoch_complex, a, q) for a, q in draws]
+        assert all(type(qpoch(a, q)) is complex for (a, q), out in zip(draws, outcomes)
+                   if out[0] != "Overflow")
+        # the draws reach a product of 0, a -0.0 imaginary part (the last
+        # factors negative) and products past the double range
+        assert ("0x0.0p+0", "0x0.0p+0") in outcomes
+        assert any(out[1] == "-0x0.0p+0" for out in outcomes)
+        assert ("Overflow", "infinite q-Pochhammer product left the double-precision range") \
+            in outcomes
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
     def test_first_omitted_tail_term_is_at_most_1e_17(self, q):
@@ -557,6 +604,30 @@ def shaped_specs(rng, r, s, q):
         yield SeriesSpec(tuple(numerator), tuple(denominator), q, z)
 
 
+def real_shaped_specs(rng, r, s, q):
+    """Real series of shape (r, s), which the scalar loop sums in floats:
+    parameters of either sign, 0.0 among them, imaginary parts of 0.0 and
+    -0.0, exact q^-m endings, and for r <= s arguments up to |z| = 30,
+    some with a numerator parameter large enough that the terms leave the
+    double range."""
+    def param(lo, hi):
+        return complex(rng.choice((1, -1)) * rng.uniform(lo, hi), rng.choice((0.0, -0.0)))
+
+    for trial in range(16):
+        numerator = [param(0.05, 2.5) for _ in range(r)]
+        denominator = [param(0.05, 2.5) for _ in range(s)]
+        if r and trial % 4 == 1:  # the transform identities pass (a, 0.0)
+            numerator[trial % r] = 0.0
+        if s and trial % 8 == 2:
+            denominator[0] = complex(0.0, -0.0)
+        if r and trial % 3 == 0:  # ends at k = m
+            numerator[trial % r] = q ** -rng.randint(0, 6)
+        reach = (0.5, 0.95, 0.999, 3.0)[trial % 4] if r > s else (0.5, 3.0, 12.0, 30.0)[trial % 4]
+        if r and r <= s and trial % 8 == 7:
+            numerator[0] = param(1e100, 1e120)
+        yield SeriesSpec(tuple(numerator), tuple(denominator), q, param(0.01, reach))
+
+
 class TestPhiCoreLoop:
     def test_scalar_loop_matches_the_former_loop_bit_for_bit(self):
         corpus = phi_core_corpus(random.Random(17), 1500)
@@ -592,12 +663,23 @@ class TestPhiCoreLoop:
     @pytest.mark.parametrize("s", range(3))
     def test_every_shape_matches_the_former_loop(self, r, s):
         rng = random.Random(10 * r + s)
-        cases = [(spec, policy) for q in (0.1, 0.5, 0.9) for spec in shaped_specs(rng, r, s, q)
+        specs = [spec for q in (0.1, 0.5, 0.9) for spec in shaped_specs(rng, r, s, q)]
+        real = [spec for q in (0.05, 0.5, 0.95) for spec in real_shaped_specs(rng, r, s, q)]
+        cases = [(spec, policy) for spec in specs + real
                  for policy in (qseries.DEFAULT_POLICY, TruncationPolicy(max_terms=60),
                                 TruncationPolicy(rel_tol=1e-15))]
         outcomes = [core_outcome(qseries._phi_core, *case) for case in cases]
         assert outcomes == [core_outcome(former_phi_core, *case) for case in cases]
         assert any(len(out) == 4 for out in outcomes)
+        # the real specs take the float loop and come back as complex sums
+        assert all(qseries._finite_reals((*spec.numerator, *spec.denominator, spec.argument))
+                   is not None for spec in real)
+        sums = [qseries._phi_core(spec, qseries.DEFAULT_POLICY)[0]
+                for spec, out in zip(real, outcomes[3 * len(specs)::3]) if len(out) == 4]
+        assert sums and all(type(value) is complex for value in sums)
+        if 0 < r <= s:  # terms past the double range end in a named error
+            assert {"MaxTermsExceeded", "Overflow"} & {
+                out[0] for out in outcomes[3 * len(specs)::3] if len(out) == 2}
 
     def test_every_exit_matches_the_former_loop(self):
         q = 0.5
@@ -639,6 +721,28 @@ class TestPhiCoreLoop:
             out[1] for out in outcomes if len(out) == 2}
         assert sum(len(out) == 4 for out in outcomes) == 4
 
+    def test_real_products_past_the_double_range_match_the_former_loop(self):
+        # a numerator or denominator product past the double range is inf
+        # in floats where the complex loop's zero imaginary parts turn to
+        # nan: a term ratio of 0 for a nan one, or a budget spent at 801
+        # terms for one spent at 5000
+        cases = [
+            SeriesSpec((0.3,), (1e200, 1e200, 1e200), 0.5, 0.3),
+            SeriesSpec((1e200, 1e200, 3.0), (1e-3, 2e-3), 0.9, 0.5),
+            SeriesSpec((1e160, 1e150), (0.5,), 0.999, 0.5),
+            SeriesSpec((1e200, 1e200), (1e-100,), 0.9999, 0.5),
+            # terms of 0 and terms past the double range
+            SeriesSpec((0.3, 0.4), (0.6,), 0.5, 0.0),
+            SeriesSpec((), (0.2,), 0.5, 1e300),
+        ]
+        outcomes = [core_outcome(qseries._phi_core, spec, qseries.DEFAULT_POLICY)
+                    for spec in cases]
+        assert outcomes == [core_outcome(former_phi_core, spec, qseries.DEFAULT_POLICY)
+                            for spec in cases]
+        assert outcomes[:4] == [
+            ("MaxTermsExceeded", "series did not settle within %d terms" % k)
+            for k in (5000, 1004, 2010, 5000)]
+
 
 def termination_points(q):
     """Parameters at, near and away from q^-m, 1 and the early-exit floor
@@ -664,6 +768,20 @@ class TestTerminationOrder:
                         == former_termination_order(p, q, max_order)), (p, max_order)
         assert qseries.termination_order(1.0, q) == 0
         assert qseries.termination_order(q ** -5 * (1 - 1e-14), q) == 5
+
+    def test_a_power_past_the_double_range_matches_no_parameter(self):
+        # q^-1024 at q = 0.5 leaves the double range: no order, as on a grid,
+        # so a scalar call and a one-point grid fail with the same error
+        assert qseries.termination_order(1.7e308, 0.5) is None
+        with np.errstate(all="ignore"):
+            assert qseries._termination_orders(np.array([1.7e308 + 0j]), 0.5, 5000) == [-1]
+        calls = {MaxTermsExceeded: lambda p: phi(SeriesSpec((p,), (0.5,), 0.5, 0.1)),
+                 NoConvergentRepresentation: lambda p: qseries.phi21(p, 0.3, 0.5, 0.1, 0.5)}
+        for error, call in calls.items():
+            for p in (1.7e308, np.array([1.7e308])):
+                with pytest.raises(QdhError) as raised:
+                    call(p)
+                assert type(raised.value) is error
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
                                    complex(-math.inf, 0.0)])

@@ -101,7 +101,8 @@ class TestChecks:
             for _ in range(100):
                 q = rng.uniform(0.35, 0.65)
                 a, b, c, d, e = verify._balanced_draw(rng, q)
-                res = verify._contiguous_residual(rid, a, b, c, d, e, q)
+                res = verify._contiguous_residual(rid, a, b, c, d, e, q,
+                                                   verify._DrawSeries())
                 report.record(res, {"q": q, "a": a, "b": b, "c": c, "d": d, "e": e}, res, 0.0)
             unshared.append(report.to_dict())
         shared = [report.to_dict() for report in verify.check_contiguous_all(seed=seed)]
@@ -123,7 +124,7 @@ class TestChecks:
         # a draw with b = d collapses one shift factor; the relation
         # residual must still vanish
         res = verify._contiguous_residual(
-            "a-up", 0.4, 0.35, 0.6, 0.35, 0.25, 0.5
+            "a-up", 0.4, 0.35, 0.6, 0.35, 0.25, 0.5, verify._DrawSeries()
         )
         assert res < 1e-12
 
