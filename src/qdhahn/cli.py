@@ -87,17 +87,36 @@ def _build_family(family, q, params):
         raise click.UsageError(str(exc))
 
 
+# (separator, *cell types) -> that row's format string; the commands
+# print a few type sequences (table rows are floats but for complex P_n)
+_ROW_FORMATS = {}
+
+
+def _format_rows(rows, sep):
+    """Each row as its cells' ``_cell`` texts joined by ``sep``, by one
+    ``%`` call: %.17g prints a float's ``format(v, ".17g")`` bytes."""
+    lines = []
+    for row in rows:
+        key = (sep, *map(type, row))
+        row_format = _ROW_FORMATS.get(key)
+        if row_format is None:
+            row_format = _ROW_FORMATS[key] = sep.join(
+                "%.17g" if issubclass(kind, float) else "%s" for kind in key[1:])
+        lines.append(row_format % tuple(row))
+    return lines
+
+
 def _emit_rows(rows, header, fmt, params_comment=None):
-    cells = [list(map(_cell, row)) for row in rows]
     if fmt == "json":
+        cells = [list(map(_cell, row)) for row in rows]
         click.echo(json.dumps({"header": list(header), "rows": cells}, sort_keys=True))
         return
     comment = [f"# {params_comment}"] if params_comment else []
     if fmt == "csv":
-        lines = [*comment, ",".join(header), *map(",".join, cells)]
+        lines = [*comment, ",".join(header), *_format_rows(rows, ",")]
         click.echo("\r\n".join(lines) + "\r\n", nl=False)
-    elif comment or cells:  # an empty zero scan prints nothing
-        click.echo("\n".join([*comment, *map(" ".join, cells)]))
+    elif comment or rows:  # an empty zero scan prints nothing
+        click.echo("\n".join([*comment, *_format_rows(rows, " ")]))
 
 
 def _family_comment(family_obj):
@@ -319,9 +338,13 @@ def cmd_table(family, n_lo, n_hi, grid, q, fmt, **params):
         points = _parse_grid(grid)
         header += [f"n{n}" for n in range(n_lo, n_hi + 1)]
         # one recurrence pass over the whole grid
-        table = closed_forms.poly_rows(fam, np.array(points, dtype=complex), n_lo, n_hi)
-        for z, values in zip(points, table.T):
-            rows.append([z] + [v.real if abs(v.imag) < 1e-300 else v for v in values.tolist()])
+        table = closed_forms.poly_rows(fam, np.array(points, dtype=complex), n_lo, n_hi).T
+        # one array pass: a value whose imaginary part is below 1e-300
+        # prints as its real part (a Python float), any other as complex
+        cells = table.astype(object)
+        real = np.abs(table.imag) < 1e-300
+        cells[real] = table.real[real]
+        rows = [[z, *values] for z, values in zip(points, cells.tolist())]
     _emit_rows(rows, header, fmt, _family_comment(fam))
 
 

@@ -37,6 +37,9 @@ pass alive for all of them.
 The scalar kernels (``_phi_core`` and the infinite ``qpoch``) sum finite
 real inputs in float arithmetic, with the same bits as the complex loop;
 complex, nan and inf inputs use complex arithmetic.
+
+A nonterminating series whose term is inf or nan can never settle: it
+raises Overflow naming that term, scalar and grid alike.
 """
 
 from __future__ import annotations
@@ -459,13 +462,18 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     summed = None
     reals = _finite_reals((*numerator, *denominator, z))
     if reals is not None:
-        summed = _phi_terms(reals[:spec.r], reals[spec.r:-1], reals[-1], q, stop, policy)
         # floats keep the complex loop's bits while every term is finite
         # and nonzero; a term of 0, inf or nan may come from a product past
         # the double range, where that loop's zero imaginary parts turn to
-        # nan, so such a sum is summed again by the complex loop
-        if not 0.0 < abs(summed[3]) < INFINITY:
-            summed = None
+        # nan, so such a sum is summed again by the complex loop, which
+        # names its own first term past the range
+        try:
+            summed = _phi_terms(reals[:spec.r], reals[spec.r:-1], reals[-1], q, stop, policy)
+        except Overflow:
+            pass
+        else:
+            if not 0.0 < abs(summed[3]) < INFINITY:
+                summed = None
     if summed is None:
         summed = _phi_terms(numerator, denominator, z, q, stop, policy)
     total, weighted, tail, _, exceeded = summed
@@ -497,8 +505,9 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
     small_run = 0
     ratio_mag = 0.0
     # |total| <= weighted, 1e-3 largest <= weighted and the tail factor is
-    # at least 1, so a term of size >= big * weighted is not small; before
-    # term 800 and the budget, such a term needs no other test
+    # at least 1, so a term of size > big * weighted is not small; before
+    # term 800 and the budget, such a term needs no other test.  A term of
+    # inf or nan fails the comparison and meets the full test's range check
     big = 2.0 * rel_tol
     quick_until = min(800, max_terms)
     qk = 1.0  # q^k
@@ -529,7 +538,7 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
         k += 1
         qk *= q
         if stop is None:
-            if size >= big * weighted and k < quick_until:
+            if size > big * weighted and k < quick_until:
                 small_run = 0
                 continue
             # geometric tail-aware smallness, the tail factor clamped to
@@ -549,6 +558,8 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
                     break
             else:
                 small_run = 0
+                if not size < INFINITY:  # inf or nan: the sum can never settle
+                    raise Overflow("series term %d left the double-precision range" % k)
             if k >= max_terms or (k > 800 and ratio_mag > 0.995):
                 return total, weighted, None, term, min(k, max_terms)
     if stop is not None:
@@ -653,8 +664,10 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
                 gone |= vanished
             if opens:
                 ratio_mag = np.abs(factor)
-                tail_factor = np.clip(
-                    np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0, 1e3)
+                # clamped to [1, 1e3] by two ufuncs: np.clip's bits, a
+                # nan included, at less cost per pass
+                tail_factor = np.minimum(np.maximum(
+                    np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0), 1e3)
                 small = size_term * tail_factor < rel_tol * np.maximum(
                     np.abs(total), 1e-3 * largest
                 )
@@ -667,8 +680,15 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
                     out_weighted[idx[settled]] = weighted[settled]
                     out_tail[idx[settled]] = size_term[settled] * tail_factor[settled]
                     gone |= settled
+                # as in the scalar loop: a term of inf or nan can never
+                # settle (one reduction per pass finds it, as nan propagates)
+                if not np.maximum.reduce(size_term) < np.inf:
+                    blown = open_ended & ~np.isfinite(size_term)
+                    errors[idx[blown]] = Overflow(
+                        "series term %d left the double-precision range" % k)
+                    gone |= blown
                 if k > 800 or k >= max_terms:
-                    over = open_ended & ~settled & (
+                    over = open_ended & ~gone & (
                         (k >= max_terms) | ((k > 800) & (ratio_mag > 0.995))
                     )
                     if over.any():

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -9,8 +11,10 @@ import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qdhahn import cdqhahn, cli, limits, recurrence
+from qdhahn import cdqhahn, cli, family, limits, recurrence
 from qdhahn.cli import main
 
 
@@ -801,3 +805,84 @@ def test_commands_emit_through_the_module_global(argv, monkeypatch):
     monkeypatch.setattr(cli, "_emit_rows", lambda rows, *rest: calls.append(len(rows)))
     assert invoke(*argv).exit_code == 0
     assert len(calls) == 1 and calls[0] > 0
+
+
+def _former_table_rows(points, table):
+    """``qdh table``'s former per-cell row builder, kept to check that its
+    one array pass builds the same cells."""
+    rows = []
+    for z, values in zip(points, table.T):
+        rows.append([z] + [v.real if abs(v.imag) < 1e-300 else v for v in values.tolist()])
+    return rows
+
+
+def _crafted_table(n_rows, n_points):
+    """P_n values with every kind of cell the row builder tells apart: an
+    imaginary part below 1e-300 (0, -0.0, +-1e-301) prints the real part,
+    one at 1e-300 or above, nan or inf prints the complex value; real
+    parts include nan and inf."""
+    imags = [0.0, -0.0, 1e-301, -1e-301, 1e-300, 1e-299, -1e-299, math.nan, math.inf, -math.inf]
+    reals = [0.5, -2.5e-310, 1 / 3, -7.25e12, math.nan, math.inf, -math.inf]
+    cells = [complex(re, im) for im in imags for re in reals]
+    count = n_rows * n_points
+    return np.array((cells * (count // len(cells) + 1))[:count]).reshape(n_rows, n_points)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_table_cells_are_the_former_per_cell_builders(fmt, monkeypatch):
+    table = _crafted_table(9, 11)
+    monkeypatch.setattr(family, "poly_rows", lambda fam, z, n_lo, n_hi: table)
+    argv = ("table", "--family", "wall", "--n-lo", "2", "--n-hi", "10", "--grid", "1:2:11",
+            "--q", ".5", *LIMIT_ARGS["wall"], "--format", fmt)
+    printed = invoke(*argv)
+    assert printed.exit_code == 0
+    points = cli._parse_grid("1:2:11")
+
+    def former(rows, header, fmt, params_comment=None):
+        _former_emit_rows(_former_table_rows(points, table), header, fmt, params_comment)
+
+    monkeypatch.setattr(cli, "_emit_rows", former)
+    assert invoke(*argv).output == printed.output
+    # the crafted cells print both ways: as a real part and as complex
+    assert all(text in printed.output
+               for text in ("-2.5000000000000171e-310", "(0.5+1e-300j)", "(nan+infj)"))
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.integers(-10**20, 10**20),
+    # no separator or quote, which the former csv writer quoted
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=',"'),
+            min_size=1, max_size=6),
+)
+
+
+def _same_length_rows(length):
+    return st.lists(st.lists(_CELLS, min_size=length, max_size=length), min_size=1, max_size=6)
+
+
+def _echoed(emit, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(*args)
+    return out.getvalue()
+
+
+@given(rows=st.integers(1, 5).flatmap(_same_length_rows), more=st.lists(st.lists(_CELLS)))
+@example(rows=[[1.5, 2, "a"], [2, 1.5, "a"], ["%s", 1.5, 2 + 1j], [np.float64(0.1), 3, 1e300]],
+         more=[])
+@settings(max_examples=100, deadline=None)
+def test_rows_print_each_cells_text(rows, more):
+    # rows of one length and different cell types: a format kept for one
+    # type sequence must not print the next row
+    rows = rows + [row for row in more if row]
+    header = ("a", "b")
+    for fmt, sep, end in (("csv", ",", "\r\n"), ("text", " ", "\n")):
+        printed = _echoed(cli._emit_rows, rows, header, fmt)
+        lines = [sep.join(map(cli._cell, row)) for row in rows]
+        if fmt == "csv":
+            lines.insert(0, sep.join(header))
+        assert printed == end.join(lines) + end
+        assert printed == _echoed(_former_emit_rows, rows, header, fmt)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -458,12 +459,14 @@ def former_series_termination(spec, max_order=5000):
     return min(orders) if orders else None
 
 
-def former_phi_core(spec, policy):
+def former_phi_core(spec, policy, overflow_exit=True):
     """The reference for the scalar ``_phi_core``: a copy of its loop
     before the cheap small-term test, when every term of an open series
     took the full test (the tail factor, its clamp and abs(total)), and of
     ``termination_order`` before its early exit.  Same operations, same
-    order."""
+    order.  With ``overflow_exit``, a term of inf or nan in an open series
+    raises Overflow naming it, where the loop without that exit ran on to
+    its budget."""
     q = spec.q
     z = spec.argument
     numerator, denominator = spec.numerator, spec.denominator
@@ -537,6 +540,8 @@ def former_phi_core(spec, policy):
                     break
             else:
                 small_run = 0
+                if overflow_exit and not size < math.inf:
+                    raise Overflow("series term %d left the double-precision range" % k)
             if k >= max_terms or (k > 800 and ratio_mag > 0.995):
                 raise MaxTermsExceeded(
                     "series did not settle within %d terms" % min(k, max_terms)
@@ -644,6 +649,14 @@ class TestPhiCoreLoop:
             "DivergentSeries", "MaxTermsExceeded", "Overflow", "ZeroDivisor"}
         assert {message.split(" ")[0] for name, message in failed if name == "ZeroDivisor"} == {
             "denominator", "series"}
+        # the overflow exit changes failures alone: each sum it stops at a
+        # term past the double range failed without it too
+        without = [core_outcome(partial(former_phi_core, overflow_exit=False), *case)
+                   for case in corpus]
+        changed = [(new, old) for new, old in zip(outcomes, without) if new != old]
+        assert changed and all(
+            new[0] == "Overflow" and new[1].startswith("series term ") and len(old) == 2
+            for new, old in changed)
 
     def test_q_power_past_the_double_range_is_a_named_overflow(self):
         # a terminating 3-phi-0 weights its terms by (q^k)^-2, which leaves
@@ -724,8 +737,8 @@ class TestPhiCoreLoop:
     def test_real_products_past_the_double_range_match_the_former_loop(self):
         # a numerator or denominator product past the double range is inf
         # in floats where the complex loop's zero imaginary parts turn to
-        # nan: a term ratio of 0 for a nan one, or a budget spent at 801
-        # terms for one spent at 5000
+        # nan: a term ratio of 0 for a nan one, or a term of inf for one of
+        # nan, which the complex loop names as its first term past the range
         cases = [
             SeriesSpec((0.3,), (1e200, 1e200, 1e200), 0.5, 0.3),
             SeriesSpec((1e200, 1e200, 3.0), (1e-3, 2e-3), 0.9, 0.5),
@@ -739,9 +752,37 @@ class TestPhiCoreLoop:
                     for spec in cases]
         assert outcomes == [core_outcome(former_phi_core, spec, qseries.DEFAULT_POLICY)
                             for spec in cases]
-        assert outcomes[:4] == [
+        assert outcomes[:4] + outcomes[5:] == [
+            ("Overflow", "series term %d left the double-precision range" % k)
+            for k in (1, 1, 1, 1, 2)]
+        # without the overflow exit the loop ran on to its budget
+        assert [core_outcome(partial(former_phi_core, overflow_exit=False), spec,
+                             qseries.DEFAULT_POLICY) for spec in cases[:4] + cases[5:]] == [
             ("MaxTermsExceeded", "series did not settle within %d terms" % k)
-            for k in (5000, 1004, 2010, 5000)]
+            for k in (5000, 1004, 2010, 5000, 5000)]
+
+    @pytest.mark.parametrize("numerator, denominator, q, z, k", [
+        ((), (0.2,), 0.5, 1e300, 2),
+        ((), (0.2,), 0.5, 1e150, 3),  # terms near 1e300 take the cheap test first
+        ((), (0.2,), 0.5, 1e300 * cmath.exp(0.3j), 2),
+        ((0.3,), (0.6, 0.2), 0.5, 1e120, 3),
+        ((1.7e308,), (0.5,), 0.5, 0.1, 1),
+        ((0.3,), (1e200, 1e200, 1e200), 0.5, 0.3, 1),
+    ])
+    def test_a_term_past_the_double_range_is_a_named_overflow(self, numerator, denominator,
+                                                              q, z, k):
+        # the same error at the same term from a scalar call, a one-point
+        # grid and a grid beside a point that settles
+        message = "series term %d left the double-precision range" % k
+        with pytest.raises(Overflow, match=f"^{message}$"):
+            qseries._phi_core(SeriesSpec(numerator, denominator, q, z), qseries.DEFAULT_POLICY)
+        for others in ((), (0.3,)):
+            grid = SeriesSpec(tuple(np.array([p, *others]) for p in numerator),
+                              tuple(np.array([p, *others]) for p in denominator), q,
+                              np.array([z, *others]))
+            errors = qseries._phi_core(grid, qseries.DEFAULT_POLICY)[3]
+            assert [(type(e), str(e)) for e in errors[:1]] == [(Overflow, message)]
+            assert list(errors[1:]) == [None] * len(others)
 
 
 def termination_points(q):
@@ -771,11 +812,12 @@ class TestTerminationOrder:
 
     def test_a_power_past_the_double_range_matches_no_parameter(self):
         # q^-1024 at q = 0.5 leaves the double range: no order, as on a grid,
-        # so a scalar call and a one-point grid fail with the same error
+        # so a scalar call and a one-point grid fail with the same error (the
+        # first term is past the double range)
         assert qseries.termination_order(1.7e308, 0.5) is None
         with np.errstate(all="ignore"):
             assert qseries._termination_orders(np.array([1.7e308 + 0j]), 0.5, 5000) == [-1]
-        calls = {MaxTermsExceeded: lambda p: phi(SeriesSpec((p,), (0.5,), 0.5, 0.1)),
+        calls = {Overflow: lambda p: phi(SeriesSpec((p,), (0.5,), 0.5, 0.1)),
                  NoConvergentRepresentation: lambda p: qseries.phi21(p, 0.3, 0.5, 0.1, 0.5)}
         for error, call in calls.items():
             for p in (1.7e308, np.array([1.7e308])):
