@@ -121,12 +121,9 @@ def _emit_rows(rows, header, fmt, params_comment=None):
 
 def _family_comment(family_obj):
     parts = [f"family={family_obj.family_id}", f"q={_cell(family_obj.q)}"]
-    for name in family_obj.param_names:
-        value = complex(getattr(family_obj, name))
-        text = _cell(value.real)
-        if value.imag != 0:
-            text += f"+{_cell(value.imag)}i"
-        parts.append(f"{name}={text}")
+    # every CLI parameter is a finite float, stored as a complex with imaginary part 0
+    parts += [f"{name}={_cell(getattr(family_obj, name).real)}"
+              for name in family_obj.param_names]
     return " ".join(parts)
 
 

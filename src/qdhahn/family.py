@@ -46,7 +46,8 @@ from .errors import (BranchAmbiguous, Overflow, PoleHit, UnknownFamily, Unsuppor
                      ZeroDivisor)
 from .qseries import (DEFAULT_POLICY, _check_q, double_sum, sqrt,
                       support_points, weight_density)
-from .recurrence import Scaled, SolutionSequence, characteristic_roots, forward_eval
+from .recurrence import (Scaled, SolutionSequence, _cell_values, characteristic_roots,
+                         forward_eval)
 
 OFF_CUT = "off-cut"
 ABOVE = "above"
@@ -267,9 +268,10 @@ def solution_sequence(family, point, which, start: int, stop: int, policy=DEFAUL
     """Closed-form values over [start, stop], evaluated independently at
     each index (never by running the recurrence)."""
     at = family.point_at(point)
-    return SolutionSequence.from_function(
-        lambda n: solution_scaled(family, at, which, n, policy), start, stop,
-        provenance=f"closed-form:{family.family_id}:{which}")
+    cells = [solution_scaled(family, at, which, n, policy).normalized()
+             for n in range(start, stop + 1)]
+    return SolutionSequence(start, tuple(s.mantissa for s in cells),
+                            tuple(s.log_scale for s in cells))
 
 
 def poly(family, z, n: int):
@@ -289,26 +291,14 @@ def poly_rows(family, z, n_lo: int, n_hi: int):
     try:
         return rows.values()
     except Overflow:
-        j, n = _first_out_of_range(rows)
+        lost = ~np.isfinite(_cell_values(rows.mantissas, rows.log_scales)).reshape(len(rows), -1)
+        j = int(lost.any(axis=0).argmax())
+        n = n_lo + int(lost[:, j].argmax())
         point = complex(np.ravel(z)[j])
         at = f"z={point.real if point.imag == 0 else point}"
         if isinstance(z, np.ndarray):
             at += f" (grid point {j})"
         raise Overflow(f"{family.family_id} P_{n} at {at} exceeds the double range") from None
-
-
-def _first_out_of_range(rows):
-    """(point index, n) of the first point whose value leaves the double
-    range in some row of ``rows``, and the least such n there; each cell
-    rounds as ``Scaled.value`` does."""
-    mantissas = np.reshape(rows.mantissas, (len(rows), -1))
-    scales = np.reshape(rows.log_scales, (len(rows), -1))
-    for j in range(mantissas.shape[1]):
-        for i in range(len(rows)):
-            try:
-                Scaled(complex(mantissas[i, j]), float(scales[i, j])).value
-            except Overflow:
-                return j, rows.start_index + i
 
 
 def _double_sum(family, at, n):

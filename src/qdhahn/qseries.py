@@ -981,10 +981,10 @@ def _grid_candidate(pref, pts, summed, q):
     """One representation at the grid points ``pts``, from its prefactor
     and its summed series (``_phi_core``'s result there): (values,
     relative error estimates, per-point failures) by ``_best_of``'s rule."""
-    errors = np.full(pts.size, None, dtype=object)
-    if pref is not None:
-        factor, overflow = _grid_prefactor(pref, pts, q)
-        errors[overflow] = Overflow("q-Pochhammer product list left the double-precision range")
+    if pref is None:
+        errors = np.full(pts.size, None, dtype=object)
+    else:
+        factor, errors = _grid_prefactor(pref, pts, q)
     series, weighted, tail, series_errors = summed
     errors = np.where(np.equal(errors, None), series_errors, errors)
     value = series if pref is None else factor * series
@@ -995,22 +995,28 @@ def _grid_candidate(pref, pts, summed, q):
 
 
 def _grid_prefactor(pref, pts, q):
-    """Prefactor of a grid representation at ``pts``: (value, mask of
-    points where a product overflowed)."""
-    overflow = np.zeros(pts.size, dtype=bool)
+    """Prefactor of a grid representation at ``pts``: (value, per-point
+    failures).  A point fails as the scalar ``qpoch_multi`` calls fail,
+    list by list: at a factor (a ``qpoch``) past the double range, else
+    at the list's product past it."""
+    errors = np.full(pts.size, None, dtype=object)
     products = []
     for params in pref:
         product = np.ones(pts.size, dtype=complex)
+        lost = np.zeros(pts.size, dtype=bool)
         for a in params:
             a = a[pts] if isinstance(a, np.ndarray) else np.full(pts.size, a, dtype=complex)
             factor = _qpoch_inf_grid(a, q)
-            overflow |= ~np.isfinite(factor)
+            lost |= ~np.isfinite(factor)
             product *= factor
-        overflow |= ~np.isfinite(product)
+        for failed, context in ((lost, "infinite q-Pochhammer product"),
+                                (~np.isfinite(product), "q-Pochhammer product list")):
+            errors[failed & np.equal(errors, None)] = Overflow(
+                f"{context} left the double-precision range")
         products.append(product)
-    if (~overflow & (products[1] == 0)).any():
+    if (np.equal(errors, None) & (products[1] == 0)).any():
         raise ZeroDivisionError("complex division by zero")
-    return products[0] / products[1], overflow
+    return products[0] / products[1], errors
 
 
 def phi01(c, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

@@ -36,10 +36,6 @@ class Scaled:
     mantissa: complex
     log_scale: float = 0.0
 
-    @classmethod
-    def of(cls, value) -> "Scaled":
-        return cls(complex(value), 0.0)
-
     @property
     def value(self) -> complex:
         if self.mantissa == 0:
@@ -97,35 +93,10 @@ class SolutionSequence:
     start_index: int
     mantissas: tuple
     log_scales: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         if len(self.mantissas) != len(self.log_scales):
             raise ValueError("mantissas and log_scales must have equal length")
-
-    @classmethod
-    def from_values(cls, start_index, values, provenance="") -> "SolutionSequence":
-        vals = [complex(v) for v in values]
-        return cls(start_index, tuple(vals), tuple(0.0 for _ in vals), provenance)
-
-    @classmethod
-    def from_scaled(cls, start_index, scaled_values, provenance="") -> "SolutionSequence":
-        items = [s.normalized() for s in scaled_values]
-        return cls(
-            start_index,
-            tuple(s.mantissa for s in items),
-            tuple(s.log_scale for s in items),
-            provenance,
-        )
-
-    @classmethod
-    def from_function(cls, fn, start_index, stop_index, provenance="") -> "SolutionSequence":
-        """Build a window from a per-index evaluator returning Scaled."""
-        return cls.from_scaled(
-            start_index,
-            [fn(n) for n in range(start_index, stop_index + 1)],
-            provenance,
-        )
 
     def __len__(self):
         return len(self.mantissas)
@@ -133,9 +104,6 @@ class SolutionSequence:
     @property
     def stop_index(self) -> int:
         return self.start_index + len(self) - 1
-
-    def window(self):
-        return self.start_index, self.stop_index
 
     def _pos(self, n: int) -> int:
         pos = n - self.start_index
@@ -152,26 +120,34 @@ class SolutionSequence:
     def value(self, n: int) -> complex:
         return self.scaled(n).value
 
-    @np.errstate(all="ignore")  # a value out of range raises Overflow below instead
     def values(self):
-        """Every value of the window; for a grid run, a 2-D array whose
-        cells round exactly as ``value`` does (mantissa * math.exp) and
-        raise the same Overflow."""
+        """Every value of the window; for a grid run, the 2-D array of
+        ``_cell_values``.  Overflow where some value leaves the double range."""
         if not isinstance(self.mantissas, np.ndarray):
             return [self.value(n) for n in range(self.start_index, self.stop_index + 1)]
-        m, scales = self.mantissas, self.log_scales
-        live = m != 0
-        factor = np.ones(scales.shape)
-        scaled = live & (scales != 0)
-        factor[scaled] = [math.exp(s) if s <= _LOG_HUGE else math.inf
-                          for s in scales[scaled].tolist()]
-        out = np.zeros(m.shape, dtype=complex)
-        # CPython's product with the float factor taken as complex(f, 0)
-        out.real[live] = (m.real * factor - m.imag * 0.0)[live]
-        out.imag[live] = (m.real * 0.0 + m.imag * factor)[live]
+        out = _cell_values(self.mantissas, self.log_scales)
         if not np.isfinite(out).all():
             raise Overflow("scaled value exceeds the double range")
         return out
+
+
+@np.errstate(all="ignore")  # a value out of range is left inf or nan for the caller
+def _cell_values(mantissas, log_scales):
+    """The values mantissa * exp(log_scale) of an array of cells, each
+    rounded as ``Scaled.value`` rounds it (mantissa * math.exp); a cell
+    whose ``Scaled.value`` raises Overflow is inf or nan."""
+    m = np.asarray(mantissas, dtype=complex)
+    scales = np.asarray(log_scales, dtype=float)
+    live = m != 0
+    factor = np.ones(scales.shape)
+    scaled = live & (scales != 0)
+    factor[scaled] = [math.exp(s) if s <= _LOG_HUGE else math.inf
+                      for s in scales[scaled].tolist()]
+    out = np.zeros(m.shape, dtype=complex)
+    # CPython's product with the float factor taken as complex(f, 0)
+    out.real[live] = (m.real * factor - m.imag * 0.0)[live]
+    out.imag[live] = (m.real * 0.0 + m.imag * factor)[live]
+    return out
 
 
 def coeffs(family, n: int):
@@ -225,7 +201,7 @@ def forward_eval(family, z, x_prev, x_0, n_max: int) -> SolutionSequence:
                 log_scale += math.log(top)
         mantissas.append(cur)
         scales.append(log_scale)
-    return SolutionSequence(-1, tuple(mantissas), tuple(scales), "forward")
+    return SolutionSequence(-1, tuple(mantissas), tuple(scales))
 
 
 @np.errstate(all="ignore")  # an overflow raises Overflow below instead
@@ -261,7 +237,7 @@ def _forward_grid(a, b_sq, z, x_prev, x_0):
             log_scale = log_scale + [math.log(v) if v > 0 else 0.0 for v in top.tolist()]
         mantissas.real[n + 2], mantissas.imag[n + 2] = cr, ci
         scales[n + 2] = log_scale
-    return SolutionSequence(-1, mantissas, scales, "forward")
+    return SolutionSequence(-1, mantissas, scales)
 
 
 def _aligned(*terms: Scaled):

@@ -433,6 +433,18 @@ CONTRACT_CASES = [
     (("eval", "--family", "limit-wall", "--what", "solution", "--which", "1", "--n", "25",
       "--z", "2.426627338843389", "--q", "0.45267364450866543", "--A", "0.5753877893352477"),
      {}, 3),
+    # a grid needs lo:hi:count with a positive count, and a span in the double range
+    *[((*WALL, "--what", "poly", "--n", "3", "--grid", grid), {}, 2)
+      for grid in ("1:2", "1:2:0", "-1e308:1e308:3")],
+    # a family needs q, a form it declares and a point
+    (("eval", "--family", "limit-wall", "--what", "poly", "--n", "2", "--z", "2", "--A", ".3"),
+     {}, 2),
+    ((*WALL, "--what", "poly-alt", "--n", "3", "--z", "2"), {}, 2),
+    ((*WALL, "--what", "poly", "--n", "3"), {}, 2),
+    # a zero scan needs a known function, and a window where it has no default
+    (("zeros", "--f", "al-salam-carlitz1:foo", "--q", ".5", "--delta", ".7"), {}, 2),
+    (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", ".7"), {}, 2),
+    (("zeros", "--f", "nope", "--q", ".5"), {}, 2),
 ]
 
 

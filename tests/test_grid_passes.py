@@ -184,10 +184,10 @@ def former_rank_grid(candidates, size, q, policy, keys=None):
 
 def former_grid_candidate(rep, pts, q, policy, series_relative):
     pref, spec = rep
-    errors = np.full(pts.size, None, dtype=object)
-    if pref is not None:
-        factor, overflow = qseries._grid_prefactor(pref, pts, q)
-        errors[overflow] = Overflow("q-Pochhammer product list left the double-precision range")
+    if pref is None:
+        errors = np.full(pts.size, None, dtype=object)
+    else:  # the prefactor's failures, by the library's (scalar) rule
+        factor, errors = qseries._grid_prefactor(pref, pts, q)
     series, weighted, tail, series_errors = qseries._phi_core(spec.take(pts), policy)
     errors = np.where(np.equal(errors, None), series_errors, errors)
     err = qseries._series_error(series, weighted, tail)

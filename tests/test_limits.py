@@ -271,13 +271,20 @@ class TestSolutions:
             limit_solution(fam, z, 4, 3)
 
     def test_formal_series_terminates_at_reduced_parameter(self):
-        # A = q turns the divergent tail series into a terminating sum
-        fam = Wall(0.5, 0.5, 0.4)
-        value = limit_solution(fam, 2.31, 4, 3)
-        seq = solution_sequence(fam, 2.31, 4, 0, 8)
-        worst = max(recurrence.relative_residual(fam, 2.31, seq, n) for n in range(1, 8))
-        assert worst < 1e-11
-        assert value != 0
+        # A power of q in A (in a / z for q-bessel-order) turns the divergent
+        # tail series into a terminating sum; z = 5 lies off cont-q-hermite's
+        # cut (gamma = 3.65 there)
+        q = 0.5
+        cases = [(Wall(q, q, 0.4), 2.31, 4, 8), (LimitWall(q, q * q), 2.7, 3, 12),
+                 (ContQHermite(q, q * q, 0.6), 5.0, 2, 12),
+                 (ContBigQHermite(q, q * q, -0.7), 3.3, 3, 12),
+                 (QBesselOrder(q, 2.7 * q**3), 2.7, 3, 12)]
+        for fam, z, which, stop in cases:
+            value = limit_solution(fam, z, which, 3)
+            seq = solution_sequence(fam, z, which, 0, stop)
+            worst = max(recurrence.relative_residual(fam, z, seq, n) for n in range(1, stop))
+            assert worst < 1e-11, (fam.family_id, worst)
+            assert value != 0
 
     @pytest.mark.parametrize("n,x", [(1, 0.37), (4, 0.37), (6, 0.8)])
     def test_wall_reduction_to_classical_polynomials(self, n, x):

@@ -813,17 +813,21 @@ class TestTerminationOrder:
     def test_a_power_past_the_double_range_matches_no_parameter(self):
         # q^-1024 at q = 0.5 leaves the double range: no order, as on a grid,
         # so a scalar call and a one-point grid fail with the same error (the
-        # first term is past the double range)
+        # first term is past the double range; phi21's last candidate fails
+        # at the infinite product (1.7e308; q)_inf, before its list)
         assert qseries.termination_order(1.7e308, 0.5) is None
         with np.errstate(all="ignore"):
             assert qseries._termination_orders(np.array([1.7e308 + 0j]), 0.5, 5000) == [-1]
         calls = {Overflow: lambda p: phi(SeriesSpec((p,), (0.5,), 0.5, 0.1)),
                  NoConvergentRepresentation: lambda p: qseries.phi21(p, 0.3, 0.5, 0.1, 0.5)}
         for error, call in calls.items():
+            messages = []
             for p in (1.7e308, np.array([1.7e308])):
                 with pytest.raises(QdhError) as raised:
                     call(p)
                 assert type(raised.value) is error
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
                                    complex(-math.inf, 0.0)])

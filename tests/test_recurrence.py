@@ -5,7 +5,7 @@ import pytest
 
 from qdhahn import cdqhahn, limits, recurrence
 from qdhahn.errors import IndexOutOfWindow, Overflow, ZeroDenominator, ZeroDivisor
-from qdhahn.family import solution_sequence
+from qdhahn.family import poly_rows, solution_sequence
 from qdhahn.recurrence import (
     Scaled,
     SolutionSequence,
@@ -46,6 +46,12 @@ def bits(values):
     """The exact bytes of a run of complex (or real) values: equality
     that also tells -0.0 from 0.0."""
     return np.array(values).tobytes()
+
+
+def window(start, values):
+    """A window of plain values (log scale 0) from ``start`` on."""
+    values = [complex(v) for v in values]
+    return SolutionSequence(start, tuple(values), (0.0,) * len(values))
 
 
 def outcome(fn, *args):
@@ -158,7 +164,7 @@ class TestGridForwardEval:
     def test_columns_equal_scalar_runs(self, family, grid):
         z = Z_GRIDS[grid]
         seq = forward_eval(family, z, 0.0, 1.0, 120)
-        assert seq.window() == (-1, 120)
+        assert (seq.start_index, seq.stop_index) == (-1, 120)
         assert seq.mantissas.shape == seq.log_scales.shape == (122, z.size)
         assert np.any(seq.log_scales[-1] != 0)  # the renormalizations ran
         for j, zj in enumerate(z.tolist()):
@@ -206,7 +212,7 @@ class TestForwardEval:
 
     def test_window_bounds(self, cdqh):
         seq = forward_eval(cdqh, 2.0, 0.0, 1.0, 4)
-        assert seq.window() == (-1, 4)
+        assert (seq.start_index, seq.stop_index) == (-1, 4)
         with pytest.raises(IndexOutOfWindow):
             seq.value(5)
         with pytest.raises(IndexOutOfWindow):
@@ -243,9 +249,7 @@ class TestResidualAndCasoratian:
     def test_perturbed_sequence_fails(self, cdqh):
         z = 2.3
         seq = forward_eval(cdqh, z, 0.0, 1.0, 5)
-        bumped = SolutionSequence.from_values(
-            -1, [v + (1.0 if i == 3 else 0.0) for i, v in enumerate(seq.values())]
-        )
+        bumped = window(-1, [v + (1.0 if i == 3 else 0.0) for i, v in enumerate(seq.values())])
         assert abs(residual(cdqh, z, bumped, 2)) > 0.1
 
     def test_casoratian_antisymmetry_and_self(self, cdqh):
@@ -328,19 +332,19 @@ class TestContinuedFraction:
 class TestMinimalityRatio:
     def test_identical_sequences_give_ones(self, cdqh):
         run = forward_eval(cdqh, 2.3, 0.0, 1.0, 6)
-        seq = SolutionSequence.from_values(0, run.values()[1:])  # drop the zero seed
+        seq = window(0, run.values()[1:])  # drop the zero seed
         assert minimality_ratio(seq, seq) == pytest.approx([1.0] * 7)
 
     def test_zero_candidate_gives_zeros(self, cdqh):
         run = forward_eval(cdqh, 2.3, 0.0, 1.0, 6)
-        seq = SolutionSequence.from_values(0, run.values()[1:])
-        zero = SolutionSequence.from_values(0, [0.0] * 7)
+        seq = window(0, run.values()[1:])
+        zero = window(0, [0.0] * 7)
         assert minimality_ratio(zero, seq) == pytest.approx([0.0] * 7)
 
     def test_zero_dominant_raises(self, cdqh):
         run = forward_eval(cdqh, 2.3, 0.0, 1.0, 6)
-        seq = SolutionSequence.from_values(0, run.values()[1:])
-        zero = SolutionSequence.from_values(0, [0.0] * 7)
+        seq = window(0, run.values()[1:])
+        zero = window(0, [0.0] * 7)
         with pytest.raises(ZeroDivisor):
             minimality_ratio(seq, zero)
 
@@ -365,7 +369,7 @@ class TestCharacteristicRoots:
 
 class TestScaled:
     def test_round_trip(self):
-        s = Scaled.of(3.0 - 4.0j)
+        s = Scaled(3.0 - 4.0j)
         assert s.value == 3.0 - 4.0j
         assert s.normalized().value == pytest.approx(3.0 - 4.0j)
 
@@ -390,3 +394,108 @@ class TestScaled:
                     column_run.values()
             else:
                 assert column_run.values()[0, 0] == 1.0
+
+
+def former_first_out_of_range(rows):
+    """The overflow locator ``poly_rows`` used before it read the grid
+    rounding: (point index, n) of the first point with a cell whose
+    ``Scaled.value`` raises, and the least such n there, cell by cell."""
+    mantissas = np.reshape(rows.mantissas, (len(rows), -1))
+    scales = np.reshape(rows.log_scales, (len(rows), -1))
+    for j in range(mantissas.shape[1]):
+        for i in range(len(rows)):
+            try:
+                Scaled(complex(mantissas[i, j]), float(scales[i, j])).value
+            except Overflow:
+                return j, rows.start_index + i
+
+
+# runs that leave the double range in some of their cells: P_n of
+# q-bessel-order (a = -1) at z = 40 from n ~ 400 on, of fourth-limit at
+# z = 2.5 from n = 774 on
+PAST_THE_RANGE = [
+    (limits.QBesselOrder(0.5, -1.0), np.array([2.0, 40.0, -40.0, 30.0 + 20.0j]), 600),
+    (limits.FourthLimit(0.5), np.linspace(2.0, 2.6, 7), 780),
+]
+
+_MANTISSAS = [1.0, 1e20, -1e20j, 1e-10, 0.5 - 0.7j, 0.0, -0.0, complex(-0.0, 0.0),
+              complex(0.0, -0.0), math.nan, complex(math.nan, 1.0), complex(1.0, math.nan),
+              complex(1e308, 1e308), math.inf, complex(0.0, -math.inf)]
+_LOG_SCALES = [0.0, -0.0, 1.0, -745.0, 700.0, 700.0000001, 709.0, 709.8, 800.0, -800.0,
+               math.nan, math.inf, -math.inf]
+
+
+class TestOneRoundingRule:
+    """A grid window's ``values()`` gives every cell ``Scaled.value``'s
+    bits, and raises Overflow exactly where some cell's ``Scaled.value``
+    raises; ``poly_rows`` names the point and the least n the per-cell
+    rule names."""
+
+    @staticmethod
+    def check(seq):
+        m = np.reshape(seq.mantissas, (len(seq), -1))
+        s = np.reshape(seq.log_scales, (len(seq), -1))
+        cells = np.reshape(recurrence._cell_values(seq.mantissas, seq.log_scales), m.shape)
+        lost = False
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                try:
+                    value = Scaled(complex(m[i, j]), float(s[i, j])).value
+                except Overflow:
+                    lost = True
+                    assert not np.isfinite(cells[i, j]), (i, j)
+                else:
+                    assert bits([value]) == bits([cells[i, j]]), (i, j)
+        if not isinstance(seq.mantissas, np.ndarray):
+            return lost
+        if lost:
+            with pytest.raises(Overflow, match="scaled value exceeds the double range"):
+                seq.values()
+        else:
+            assert bits(seq.values()) == bits(cells)
+        return lost
+
+    @pytest.mark.parametrize("grid", list(Z_GRIDS), ids=list(Z_GRIDS))
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_forward_windows_in_range(self, family, grid):
+        assert not self.check(forward_eval(family, Z_GRIDS[grid], 0.0, 1.0, 120))
+
+    @pytest.mark.parametrize("family, z, n", PAST_THE_RANGE,
+                             ids=[f.family_id for f, _, _ in PAST_THE_RANGE])
+    def test_forward_windows_past_the_range(self, family, z, n):
+        assert self.check(forward_eval(family, z, 0.0, 1.0, n))
+        for zj in z.tolist():  # a scalar window through the same array routine
+            self.check(forward_eval(family, zj, 0.0, 1.0, n))
+
+    def test_crafted_windows(self):
+        m = np.array([[v] * len(_LOG_SCALES) for v in _MANTISSAS], dtype=complex)
+        s = np.array([_LOG_SCALES] * len(_MANTISSAS))
+        assert self.check(SolutionSequence(0, m, s))
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                self.check(SolutionSequence(0, m[i:i + 1, j:j + 1], s[i:i + 1, j:j + 1]))
+        # a mantissa of modulus at most 1 stays in range at log scale 700
+        keep = [v for v in _MANTISSAS if abs(v) <= 1.0]
+        assert not self.check(SolutionSequence(0, np.array([keep], dtype=complex).T,
+                                               np.full((len(keep), 1), 700.0)))
+
+    @pytest.mark.parametrize("family, z, n", PAST_THE_RANGE,
+                             ids=[f.family_id for f, _, _ in PAST_THE_RANGE])
+    def test_poly_rows_names_the_former_point_and_degree(self, family, z, n):
+        for points in (z, z[::-1], z[-1:], *z.tolist()):
+            seq = forward_eval(family, points, 0.0, 1.0, n)
+            for n_lo in (0, n - 200, n - 5):
+                rows = SolutionSequence(n_lo, seq.mantissas[n_lo + 1:], seq.log_scales[n_lo + 1:])
+                found = former_first_out_of_range(rows)
+                if found is None:
+                    assert len(poly_rows(family, points, n_lo, n)) == n - n_lo + 1
+                    continue
+                j, least = found
+                with pytest.raises(Overflow) as raised:
+                    poly_rows(family, points, n_lo, n)
+                point = complex(np.ravel(points)[j])
+                named = f"z={point.real if point.imag == 0 else point}"
+                if isinstance(points, np.ndarray):
+                    named += f" (grid point {j})"
+                assert str(raised.value) == \
+                    f"{family.family_id} P_{least} at {named} exceeds the double range"
