@@ -29,10 +29,8 @@ through the closed-form layer of ``family``, which every family shares.
 ``solution``, ``cf_stieltjes``, ``explicit_poly``, ``explicit_poly_ir``
 (the paper's double sums; P_n itself is ``family.poly``) and ``weight``
 here (like ``limits.limit_solution``, ``limit_cf``, ``limit_poly`` and
-``limit_weight``) are thin functions over that layer.
-They stay, with ``spectral_point``, because the benchmark under
-``qdhbench/`` calls them by these names and its tracer rebinds them to
-time each layer; once the library records its own spans they can go.
+``limit_weight``) are thin functions over that layer; README.md says
+why they stay.
 A bare float overflow or division by zero raises Overflow or
 ZeroDivisor, and a vanished denominator series of a form of 1/CF
 raises PoleHit.

@@ -224,7 +224,8 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
             values = evaluate(np.array(points))
         else:
             values = [evaluate(pt) for pt in points]
-    except ValueError as exc:  # the library's checks of its input, e.g. x off (-1, 1)
+    except (ValueError, UnknownFamily) as exc:
+        # the library's checks of its input (x off (-1, 1), say) and an unknown --which
         raise click.UsageError(str(exc))
     rows = []
     for pt, value in zip(points, map(complex, values)):

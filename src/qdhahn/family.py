@@ -70,6 +70,9 @@ class Family:
             object.__setattr__(self, name, value)
 
     def point_at(self, z, side=None, single_valued=False) -> complex:
+        """z itself: a family without a cut has no boundary side."""
+        if side in (ABOVE, BELOW):
+            raise ValueError(f"{self.family_id} has no cut, so no side {side!r} to take")
         return complex(z)
 
     def _comfort_drivers(self, z):

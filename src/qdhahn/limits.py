@@ -18,10 +18,8 @@ FormalOnly unless a parameter makes them terminate.
 ``limit_solution``, ``limit_poly``, ``limit_cf`` and ``limit_weight``
 evaluate through the one closed-form layer of ``family``, so they take
 the flagship ``cdqhahn.CDQHParams`` (at a number z or a SpectralPoint)
-as well as a limit family.  They are thin functions over that layer,
-kept because the benchmark under ``qdhbench/`` calls them by these
-names and its tracer rebinds them to time each layer; once the library
-records its own spans they can go.  ``limit_poly`` is the paper's
+as well as a limit family.  They are thin functions over that layer
+(README.md says why they stay).  ``limit_poly`` is the paper's
 double sum; the limit edges compare P_n itself, ``family.poly``.  The
 other closed forms have one name, in ``family``: ``poly_alt``,
 ``solution_sequence``, and a family's ``_solutions`` and ``_cf_forms``

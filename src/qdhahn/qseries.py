@@ -541,15 +541,13 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
             if size > big * weighted and k < quick_until:
                 small_run = 0
                 continue
-            # geometric tail-aware smallness, the tail factor clamped to
-            # [1, 1e3]; three consecutive small terms guard against
-            # alternating near-cancellation
+            # geometric tail-aware smallness, the tail factor in [1, 1e3]
+            # (below 0.999 the ratio gives under 1e3); three consecutive
+            # small terms guard against alternating near-cancellation
             ratio_mag = abs(factor)
             tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
             if 1.0 > tail_factor:
                 tail_factor = 1.0
-            if 1e3 < tail_factor:
-                tail_factor = 1e3
             floor = 1e-3 * largest
             magnitude = abs(total)
             if size * tail_factor < rel_tol * (floor if floor > magnitude else magnitude):
@@ -566,7 +564,7 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
         tail = 0.0
     else:
         tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
-        tail = abs(term) * min(max(tail_factor, 1.0), 1e3)
+        tail = abs(term) * max(tail_factor, 1.0)
     return total, weighted, tail, term, 0
 
 
@@ -664,10 +662,9 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
                 gone |= vanished
             if opens:
                 ratio_mag = np.abs(factor)
-                # clamped to [1, 1e3] by two ufuncs: np.clip's bits, a
-                # nan included, at less cost per pass
-                tail_factor = np.minimum(np.maximum(
-                    np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0), 1e3)
+                # in [1, 1e3] as in the scalar loop: np.where leaves no nan
+                tail_factor = np.maximum(
+                    np.where(ratio_mag < 0.999, ratio_mag / (1.0 - ratio_mag), 1e3), 1.0)
                 small = size_term * tail_factor < rel_tol * np.maximum(
                     np.abs(total), 1e-3 * largest
                 )
@@ -708,7 +705,7 @@ def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):
     return out_total, out_weighted, out_tail, errors
 
 
-def _series_error(value, weighted, tail) -> float:
+def _series_error(weighted, tail) -> float:
     """Absolute error estimate of a summed series.
 
     ``weighted`` is the (k+1)-weighted sum of term magnitudes, modelling
@@ -755,20 +752,17 @@ def _phi32_candidates(spec: SeriesSpec):
     """The representations of the balanced 3-phi-2 ``spec``, in trial
     order before ranking: (usable, series argument, kind, build), where
     build() returns the (prefactor or None, SeriesSpec) representation.
-    "direct" is the series itself; every nonzero numerator parameter
-    pivots both continuations."""
+    "direct" is the series itself; every numerator parameter (nonzero,
+    by ``_balanced_spec``) pivots both continuations."""
     nums, (d, e), w, q = spec.numerator, spec.denominator, spec.argument, spec.q
     candidates = [(abs(w) < 1.0 - 1e-12, w, "direct", lambda: (None, spec))]
     for i, p in enumerate(nums):
-        nonzero = p != 0
-        if not (nonzero.any() if spec.grid else nonzero):
-            continue
         rest = [nums[j] for j in range(3) if j != i]
         for dd, ee in ((d, e), (e, d)):
             arg = ee / p
-            candidates.append(((abs(arg) < 1.0 - 1e-12) & nonzero, arg, "pivot-up",
+            candidates.append((abs(arg) < 1.0 - 1e-12, arg, "pivot-up",
                                partial(_phi32_rep, "pivot-up", p, rest, dd, ee, w, arg, q)))
-        candidates.append(((abs(p) < 1.0 - 1e-12) & nonzero, p, "pivot-arg",
+        candidates.append((abs(p) < 1.0 - 1e-12, p, "pivot-arg",
                            partial(_phi32_rep, "pivot-arg", p, rest, d, e, w, p, q)))
     return candidates
 
@@ -793,9 +787,22 @@ def _phi21_pivot(p, other, c, z, q):
     return ([p, other * z], [c, z]), SeriesSpec((c / p, z), (other * z,), q, p)
 
 
+_VANISHED_PREFACTOR = "prefactor's denominator q-Pochhammer product vanished"
+
+
+def _prefactor(pref, q):
+    """The prefactor of a scalar representation from its parameter lists
+    (numerator, denominator): ZeroDivisor where the denominator's product
+    of infinite q-Pochhammer symbols is 0."""
+    numerator, denominator = qpoch_multi(pref[0], q), qpoch_multi(pref[1], q)
+    if denominator == 0:
+        raise ZeroDivisor(_VANISHED_PREFACTOR)
+    return numerator / denominator
+
+
 def _rep_value(pref, spec, policy):
     """Prefactor times summed series of a scalar representation."""
-    return qpoch_multi(pref[0], spec.q) / qpoch_multi(pref[1], spec.q) * phi(spec, policy)
+    return _prefactor(pref, spec.q) * phi(spec, policy)
 
 
 def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -884,13 +891,13 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
         try:
             pref, spec = build()
             if pref is not None:
-                pref = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
+                pref = _prefactor(pref, q)
             series, weighted, tail = _phi_core(spec, policy)
             value = series if pref is None else _assert_finite(pref * series, "representation")
         except (ZeroDivisor, Overflow, DivergentSeries, MaxTermsExceeded) as exc:
             last_error = exc
             continue
-        rel = _series_error(series, weighted, tail) / max(abs(series), 1e-300)
+        rel = _series_error(weighted, tail) / max(abs(series), 1e-300)
         if rel <= _TARGET_REL_ERROR:
             return value
         if best is None or rel < best[0]:
@@ -990,15 +997,15 @@ def _grid_candidate(pref, pts, summed, q):
     value = series if pref is None else factor * series
     errors[np.equal(errors, None) & ~np.isfinite(value)] = Overflow(
         "representation left the double-precision range")
-    rel = _series_error(series, weighted, tail) / np.maximum(np.abs(series), 1e-300)
+    rel = _series_error(weighted, tail) / np.maximum(np.abs(series), 1e-300)
     return value, rel, errors
 
 
 def _grid_prefactor(pref, pts, q):
     """Prefactor of a grid representation at ``pts``: (value, per-point
-    failures).  A point fails as the scalar ``qpoch_multi`` calls fail,
-    list by list: at a factor (a ``qpoch``) past the double range, else
-    at the list's product past it."""
+    failures).  A point fails as the scalar ``_prefactor`` fails, list by
+    list: at a factor (a ``qpoch``) past the double range, else at the
+    list's product past it; then where the denominator product is 0."""
     errors = np.full(pts.size, None, dtype=object)
     products = []
     for params in pref:
@@ -1014,8 +1021,7 @@ def _grid_prefactor(pref, pts, q):
             errors[failed & np.equal(errors, None)] = Overflow(
                 f"{context} left the double-precision range")
         products.append(product)
-    if (np.equal(errors, None) & (products[1] == 0)).any():
-        raise ZeroDivisionError("complex division by zero")
+    errors[np.equal(errors, None) & (products[1] == 0)] = ZeroDivisor(_VANISHED_PREFACTOR)
     return products[0] / products[1], errors
 
 

@@ -10,21 +10,31 @@ import click
 import mpmath
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdhahn import cdqhahn, cli, family, limits, recurrence
-from qdhahn.cli import main
 
 
-def invoke(*args, env=None):
-    runner = CliRunner()
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+@pytest.fixture
+def qdh(monkeypatch, capsys):
+    """``qdh`` in process, through its console entry point ``cli.run``:
+    qdh(*argv, **environment) gives (exit code, stdout, stderr)."""
+    def run(*argv, **env):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "argv", ["qdh", *argv])
+            for name, value in env.items():
+                patch.setenv(name, value)
+            try:
+                cli.run()
+            except SystemExit as exited:
+                return exited.code, *capsys.readouterr()
+        return 0, *capsys.readouterr()
+    return run
 
 
 def run_script(*args):
-    """Run through the console entry point to exercise exit codes."""
+    """``python -m qdhahn.cli`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "qdhahn.cli", *args],
         capture_output=True,
@@ -33,26 +43,26 @@ def run_script(*args):
 
 
 class TestEval:
-    def test_single_polynomial_row(self):
-        result = invoke(
+    def test_single_polynomial_row(self, qdh):
+        code, out, _ = qdh(
             "eval", "--family", "cdqh", "--what", "poly", "--n", "3",
             "--z", "2.0", "--A", ".3", "--B", ".3", "--C", ".3", "--D", ".3",
             "--q", ".5",
         )
-        assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
+        assert code == 0
+        lines = out.strip().splitlines()
         assert lines[0].startswith("# family=cdqh")
         assert lines[1] == "n_or_x,re,im"
         assert len(lines) == 3
 
-    def test_weight_grid_rows(self):
-        result = invoke(
+    def test_weight_grid_rows(self, qdh):
+        code, out, _ = qdh(
             "eval", "--family", "cdqh", "--what", "weight",
             "--grid", "-0.99:0.99:199",
             "--A", ".4", "--B", ".4", "--C", ".5", "--D", ".4", "--q", ".5",
         )
-        assert result.exit_code == 0
-        rows = [l for l in result.output.strip().splitlines() if not l.startswith("#")]
+        assert code == 0
+        rows = [l for l in out.strip().splitlines() if not l.startswith("#")]
         assert len(rows) == 200  # header + 199 points
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(v > 0 for v in values)
@@ -63,95 +73,43 @@ class TestEval:
         ("cont-q-hermite", "--A", ".35", "--delta", ".7"),
         ("cont-big-q-hermite", "--A", ".5", "--a", "1.6"),
     ])
-    def test_weight_grid_rows_match_single_points(self, family_args):
+    def test_weight_grid_rows_match_single_points(self, family_args, qdh):
         common = ("eval", "--family", *family_args, "--q", ".5", "--what", "weight")
-        result = invoke(*common, "--grid", "-0.98:0.98:9")
-        assert result.exit_code == 0
-        rows = [l.split(",") for l in result.output.splitlines()[2:]]
+        code, out, _ = qdh(*common, "--grid", "-0.98:0.98:9")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[2:]]
         assert len(rows) == 9
         for x, re_text, im_text in rows:
-            single = invoke(*common, "--x", x)
-            assert single.exit_code == 0
-            sx, s_re, s_im = single.output.splitlines()[2].split(",")
+            code, single, _ = qdh(*common, "--x", x)
+            assert code == 0
+            sx, s_re, s_im = single.splitlines()[2].split(",")
             assert float(sx) == float(x)
             assert abs(float(re_text) - float(s_re)) <= 1e-12 * abs(float(s_re))
             assert float(im_text) == float(s_im) == 0.0
 
-    def test_missing_parameter_exit_2(self):
-        proc = run_script(
-            "eval", "--family", "cdqh", "--what", "poly", "--n", "3",
-            "--z", "2.0", "--A", ".3", "--B", ".3", "--C", ".3", "--q", ".5",
-        )
-        assert proc.returncode == 2
-        assert "missing: D" in proc.stderr
-
-    def test_numeric_error_exit_3(self):
-        # on-cut evaluation of a branch-sensitive solution
-        proc = run_script(
-            "eval", "--family", "cdqh", "--what", "solution", "--which",
-            "minimal", "--n", "2", "--z", "2.0", "--A", ".3", "--B", ".3",
-            "--C", ".3", "--D", ".3", "--q", ".5",
-        )
-        assert proc.returncode == 3
-        assert "BranchAmbiguous" in proc.stderr
-
-    def test_limit_family_solution(self):
-        result = invoke(
+    def test_limit_family_solution(self, qdh):
+        code, _, _ = qdh(
             "eval", "--family", "wall", "--what", "solution", "--which", "1",
             "--n", "2", "--z", "2.4", "--A", ".3", "--B", ".4", "--q", ".5",
         )
-        assert result.exit_code == 0
+        assert code == 0
 
-    def test_unknown_family_exit_2(self):
-        proc = run_script(
-            "eval", "--family", "nope", "--what", "poly", "--z", "2.0", "--q", ".5"
-        )
-        assert proc.returncode == 2
-
-    def test_base_out_of_range_exit_2(self):
-        proc = run_script(
-            "eval", "--family", "fourth-limit", "--what", "poly", "--n", "2",
-            "--z", "2.0", "--q", "1.5",
-        )
-        assert proc.returncode == 2
-        assert "q" in proc.stderr
-
-    @pytest.mark.parametrize("what", ["poly", "poly-alt"])
-    def test_negative_degree_exit_2(self, what):
-        proc = run_script(
-            "eval", "--family", "cdqh", "--what", what, "--n", "-3", "--z", "2.5",
-            "--q", ".5", "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45",
-        )
-        assert proc.returncode == 2
-        assert "--n must be >= 0" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_polynomial_past_double_range_exit_3(self):
-        # the recurrence's P_1200 is about 10^477
-        proc = run_script(
-            "eval", "--family", "fourth-limit", "--what", "poly", "--n", "1200",
-            "--z", "2.5", "--q", ".5",
-        )
-        assert proc.returncode == 3
-        assert "Overflow" in proc.stderr
-        assert "nan" not in proc.stdout
-
-    def test_seventeen_significant_digits(self):
-        result = invoke(
+    def test_seventeen_significant_digits(self, qdh):
+        _, out, _ = qdh(
             "eval", "--family", "fourth-limit", "--what", "poly", "--n", "4",
             "--z", "2.31", "--q", ".5",
         )
-        row = [l for l in result.output.splitlines() if not l.startswith("#")][1]
+        row = [l for l in out.splitlines() if not l.startswith("#")][1]
         value = row.split(",")[1]
         assert float(value) == float(f"{float(value):.17g}")
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
-    def test_deterministic_output(self):
+    def test_deterministic_output(self, qdh):
         args = (
             "eval", "--family", "cdqh", "--what", "cf", "--z", "20.0",
             "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45", "--q", ".5",
         )
-        assert invoke(*args).output == invoke(*args).output
+        assert qdh(*args) == qdh(*args)
 
     def test_byte_identical_across_processes(self):
         args = (
@@ -163,103 +121,99 @@ class TestEval:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
-    def test_tolerance_env_override(self, monkeypatch):
+    def test_tolerance_env_override(self, qdh):
         args = (
             "eval", "--family", "cdqh", "--what", "cf", "--z", "20.0",
             "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45", "--q", ".5",
         )
-        tight = invoke(*args, env={"QDH_TOL": "1e-13"})
-        loose = invoke(*args, env={"QDH_TOL": "1e-3"})
-        assert tight.exit_code == 0 and loose.exit_code == 0
-        v_tight = float(tight.output.splitlines()[-1].split(",")[1])
-        v_loose = float(loose.output.splitlines()[-1].split(",")[1])
+        tight = qdh(*args, QDH_TOL="1e-13")
+        loose = qdh(*args, QDH_TOL="1e-3")
+        assert tight[0] == 0 and loose[0] == 0
+        v_tight = float(tight[1].splitlines()[-1].split(",")[1])
+        v_loose = float(loose[1].splitlines()[-1].split(",")[1])
         # the loose tolerance truncates the series visibly earlier
         assert abs(v_tight - v_loose) > 1e-12 * abs(v_tight)
 
 
 class TestVerify:
-    def test_single_check_passes(self):
-        result = invoke("verify", "--check", "symmetries", "--fast")
-        assert result.exit_code == 0
-        assert "PASS symmetries" in result.output
+    def test_single_check_passes(self, qdh):
+        code, out, _ = qdh("verify", "--check", "symmetries", "--fast")
+        assert code == 0
+        assert "PASS symmetries" in out
 
-    def test_fast_battery_passes(self):
+    def test_fast_battery_passes(self, qdh):
         # the --fast node count keeps the orthogonality drift inside its gate
-        result = invoke("verify", "--check", "all", "--fast")
-        assert result.exit_code == 0, result.output
-        assert "FAIL" not in result.output
+        code, out, err = qdh("verify", "--check", "all", "--fast")
+        assert code == 0, out + err
+        assert "FAIL" not in out
 
-    def test_unknown_check_exit_2(self):
-        proc = run_script("verify", "--check", "bogus")
-        assert proc.returncode == 2
-
-    def test_json_format(self):
-        result = invoke("verify", "--check", "limits", "--format", "json")
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+    def test_json_format(self, qdh):
+        code, out, _ = qdh("verify", "--check", "limits", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
         assert isinstance(payload, list)
         assert payload[0]["check_id"] == "limit-edges"
         assert payload[0]["pass"] is True
 
-    def test_orthogonality_json(self):
-        result = invoke("verify", "--check", "orthogonality", "--format", "json")
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+    def test_orthogonality_json(self, qdh):
+        code, out, _ = qdh("verify", "--check", "orthogonality", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
         assert [r["check_id"] for r in payload] == [
             "orthogonality/reduced", "orthogonality/associated",
         ]
         assert all(r["pass"] is True for r in payload)
         assert all(isinstance(r["max_rel_error"], float) for r in payload)
 
-    def test_seed_recorded(self):
-        result = invoke("verify", "--check", "limits", "--seed", "123")
-        assert "seed=123" in result.output
+    def test_seed_recorded(self, qdh):
+        _, out, _ = qdh("verify", "--check", "limits", "--seed", "123")
+        assert "seed=123" in out
 
 
 class TestZeros:
-    def test_negative_zeros_csv(self):
-        result = invoke("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5")
-        assert result.exit_code == 0
-        rows = result.output.strip().splitlines()
+    def test_negative_zeros_csv(self, qdh):
+        code, out, _ = qdh("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5")
+        assert code == 0
+        rows = out.strip().splitlines()
         assert rows[0] == "zero,bracket_lo,bracket_hi"
         zeros = [float(r.split(",")[0]) for r in rows[1:]]
         assert zeros and all(z < 0 for z in zeros)
 
-    def test_interlace_report(self):
-        result = invoke(
+    def test_interlace_report(self, qdh):
+        code, out, _ = qdh(
             "zeros", "--f", "fourth-limit", "--n", "0", "--q", "0.5",
             "--max-zeros", "6", "--interlace",
         )
-        assert result.exit_code == 0
-        assert "interlace n=0 vs n=1: pass" in result.output
+        assert code == 0
+        assert "interlace n=0 vs n=1: pass" in out
 
-    def test_positive_axis_scan_is_empty(self):
-        result = invoke(
+    def test_positive_axis_scan_is_empty(self, qdh):
+        _, out, _ = qdh(
             "zeros", "--f", "fourth-limit", "--n", "0", "--q", "0.5",
             "--scan-lo", "1e-4", "--scan-hi", "1e4",
         )
-        rows = result.output.strip().splitlines()
+        rows = out.strip().splitlines()
         assert rows == ["zero,bracket_lo,bracket_hi"]
 
 
 class TestTable:
-    def test_matrix_shape(self):
-        result = invoke(
+    def test_matrix_shape(self, qdh):
+        code, out, _ = qdh(
             "table", "--family", "cdqh", "--n-hi", "5", "--grid", "25:29:21",
             "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45", "--q", ".5",
         )
-        assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
+        assert code == 0
+        lines = out.strip().splitlines()
         assert lines[0].startswith("# family=cdqh q=0.5")
         assert lines[1] == "z,n0,n1,n2,n3,n4,n5"
         assert len(lines) == 2 + 21
 
-    def test_empty_degree_range_header_only(self):
-        result = invoke(
+    def test_empty_degree_range_header_only(self, qdh):
+        _, out, _ = qdh(
             "table", "--family", "fourth-limit", "--n-lo", "3", "--n-hi", "2",
             "--grid", "1:2:3", "--q", ".5",
         )
-        lines = result.output.strip().splitlines()
+        lines = out.strip().splitlines()
         assert lines[-1] == "z"
 
     @pytest.mark.parametrize("fam, args", [
@@ -268,12 +222,12 @@ class TestTable:
         (limits.FourthLimit(0.5), ("fourth-limit",)),
         (limits.QBesselOrder(0.5, -1.0), ("q-bessel-order", "--a", "-1.0")),
     ])
-    def test_rows_equal_per_point_reference(self, fam, args):
+    def test_rows_equal_per_point_reference(self, fam, args, qdh):
         # one grid recurrence must print what one scalar run per point
         # prints, byte for byte, across the renormalization at n = 50
-        result = invoke("table", "--family", *args, "--q", ".5", "--n-lo", "2",
-                        "--n-hi", "60", "--grid", "-3:3:25")
-        assert result.exit_code == 0
+        code, out, _ = qdh("table", "--family", *args, "--q", ".5", "--n-lo", "2",
+                           "--n-hi", "60", "--grid", "-3:3:25")
+        assert code == 0
         expected = []
         for i in range(25):
             z = -3.0 + i * 0.25
@@ -281,22 +235,14 @@ class TestTable:
             values = [seq.value(n) for n in range(2, 61)]
             assert all(v.imag == 0 for v in values)
             expected.append(",".join(f"{v:.17g}" for v in [z] + [v.real for v in values]))
-        assert result.output.splitlines()[2:] == expected
+        assert out.splitlines()[2:] == expected
 
-    def test_negative_degree_exit_2(self):
-        proc = run_script(
-            "table", "--family", "fourth-limit", "--n-lo", "-3", "--n-hi", "2",
-            "--grid", "1:2:3", "--q", ".5",
-        )
-        assert proc.returncode == 2
-        assert "--n-lo must be >= 0" in proc.stderr
-
-    def test_single_point_grid(self):
-        result = invoke(
+    def test_single_point_grid(self, qdh):
+        _, out, _ = qdh(
             "table", "--family", "fourth-limit", "--n-hi", "2",
             "--grid", "2:2:1", "--q", ".5",
         )
-        rows = [l for l in result.output.strip().splitlines() if not l.startswith("#")]
+        rows = [l for l in out.strip().splitlines() if not l.startswith("#")]
         assert len(rows) == 2
 
 
@@ -324,15 +270,37 @@ CUT_ARGS = {"cdqh": CDQH_ARGS, **{fid: ("--q", ".5", *LIMIT_ARGS[fid]) for fid i
 # stays in the double range
 FINITE_P1200 = {"cont-q-hermite": -1.56e226, "cont-big-q-hermite": -3.04e255}
 
-# (argv, environment, exit code): a double sum past the double range, and
-# a P_n past it, exit 3; malformed input exits 2
+# (argv, environment, exit code, fragments of stderr): a double sum past
+# the double range, and a P_n past it, exit 3; malformed input exits 2.
+# No row prints nan
 CONTRACT_CASES = [
     (("eval", "--family", "cdqh", "--what", "poly-alt", "--n", "200", "--x", "2", *CDQH_ARGS),
      {}, 3),
     (("eval", "--family", "cdqh", "--what", "poly", "--n", "1200", "--x", "2", *CDQH_ARGS),
      {}, 3),
+    # the recurrence's P_1200 of fourth-limit is about 10^477
     *[(("eval", "--family", fid, "--what", "poly", "--n", "1200", "--z", "2.5", "--q", ".5",
-        *args), {}, 0 if fid in FINITE_P1200 else 3) for fid, args in LIMIT_ARGS.items()],
+        *args), {}, *((0,) if fid in FINITE_P1200 else (3, "Overflow")))
+      for fid, args in LIMIT_ARGS.items()],
+    # a family needs every parameter it takes and q in (0, 1), and a degree is not negative
+    (("eval", "--family", "cdqh", "--what", "poly", "--n", "3", "--z", "2.0", "--A", ".3",
+      "--B", ".3", "--C", ".3", "--q", ".5"), {}, 2, "missing: D"),
+    (("eval", "--family", "fourth-limit", "--what", "poly", "--n", "2", "--z", "2.0",
+      "--q", "1.5"), {}, 2, "q"),
+    *[(("eval", "--family", "cdqh", "--what", what, "--n", "-3", "--z", "2.5", *CDQH_ARGS),
+       {}, 2, "--n must be >= 0") for what in ("poly", "poly-alt")],
+    (("table", "--family", "fourth-limit", "--n-lo", "-3", "--n-hi", "2", "--grid", "1:2:3",
+      "--q", ".5"), {}, 2, "--n-lo must be >= 0"),
+    # an unknown family, solution label or check
+    (("eval", "--family", "nope", "--what", "poly", "--z", "2.0", "--q", ".5"), {}, 2),
+    ((*WALL, "--what", "solution", "--which", "9", "--z", "2"), {}, 2, "not 9"),
+    (("eval", "--family", "cdqh", "--what", "solution", "--which", "nope", "--x", "2",
+      *CDQH_ARGS), {}, 2, "not 'nope'"),
+    (("verify", "--check", "bogus"), {}, 2),
+    # a family without a cut has no boundary side
+    *[(("eval", "--family", fid, "--what", "poly", "--n", "3", "--z", "2.5", "--q", ".5", *args,
+        "--side", "below"), {}, 2, "has no cut") for fid, args in LIMIT_ARGS.items()
+      if fid not in CUT_ARGS],
     ((*WALL, "--what", "poly", "--n", "3", "--grid", "a:b:3"), {}, 2),
     # a number that is not finite is a usage error, whatever it feeds
     (("eval", "--family", "wall", "--what", "poly", "--n", "3", "--z", "2", "--q", ".5",
@@ -393,6 +361,12 @@ CONTRACT_CASES = [
     # a solution or a 1/CF there needs a side
     *[(("eval", "--family", fid, "--x", "0.4", "--what", what, *args), {}, 3)
       for fid, args in CUT_ARGS.items() for what in ("solution", "cf")],
+    *[(("eval", "--family", fid, "--z", "2.5", *args, "--what", "solution"), {}, 3)
+      for fid, args in CUT_ARGS.items()],
+    # z = 2 lies on the cut at A = B = C = D = 0.3
+    (("eval", "--family", "cdqh", "--what", "solution", "--which", "minimal", "--n", "2",
+      "--z", "2.0", "--A", ".3", "--B", ".3", "--C", ".3", "--D", ".3", "--q", ".5"),
+     {}, 3, "BranchAmbiguous"),
     # except the truncated J-fraction, whose poles lie on the cut
     *[(("eval", "--family", fid, *point, "--what", "cf-trunc", *args), {}, 3)
       for fid, args in CUT_ARGS.items()
@@ -448,13 +422,11 @@ CONTRACT_CASES = [
 ]
 
 
-
-
 def _case_id(case):
-    argv, env, _ = case
+    argv, env, *_ = case
     named = [f"{k}={v}" for k, v in env.items()]
     for option in ("--family", "--f", "--what", "--n", "--x", "--grid", "--which", "--side",
-                   "--tol", "--cf-form", "--delta", "--max-zeros"):
+                   "--tol", "--cf-form", "--delta", "--max-zeros", "--check"):
         if option in argv:
             named.append(f"{option.lstrip('-')}={argv[argv.index(option) + 1]}")
     # a value that is not finite names its option too
@@ -463,22 +435,15 @@ def _case_id(case):
     return "-".join([argv[0], *named])
 
 
-@pytest.mark.parametrize("argv, env, code", CONTRACT_CASES, ids=map(_case_id, CONTRACT_CASES))
-def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["qdh", *argv])
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    try:
-        cli.run()
-    except SystemExit as exited:
-        exit_code = exited.code
-    else:
-        exit_code = 0
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("case", CONTRACT_CASES, ids=map(_case_id, CONTRACT_CASES))
+def test_exit_code_contract(case, qdh):
+    argv, env, code, *fragments = case
+    exit_code, out, err = qdh(*argv, **env)
     assert exit_code == code
     assert err.startswith("error:") if code else err == ""
     assert "Traceback" not in err
-
+    assert all(fragment in err for fragment in fragments)
+    assert "nan" not in out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -488,71 +453,61 @@ def test_exit_code_contract(argv, env, code, monkeypatch, capsys):
     (("table", "--n-lo", "770", "--n-hi", "776", "--grid", "2.0:2.5:3"),
      "P_774 at z=2.5 (grid point 2) exceeds"),
 ])
-def test_an_overflowing_polynomial_names_its_family_degree_and_point(argv, message,
-                                                                      monkeypatch, capsys):
+def test_an_overflowing_polynomial_names_its_family_degree_and_point(argv, message, qdh):
     # at q = 0.5, fourth-limit's P_n at z = 2.5 leaves the double range
     # from n = 774 on; at z <= 2.25 it stays inside up to n = 776, and at
     # z = 2.4 up to n = 775
-    monkeypatch.setattr(sys, "argv", ["qdh", *argv, "--family", "fourth-limit", "--q", ".5"])
-    with pytest.raises(SystemExit) as exited:
-        cli.run()
-    assert exited.value.code == 3
-    assert capsys.readouterr().err == f"error: Overflow: fourth-limit {message} the double range\n"
-
-def _run(argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["qdh", *argv])
-    try:
-        cli.run()
-    except SystemExit as exited:
-        return exited.code, capsys.readouterr().out.splitlines()
-    return 0, capsys.readouterr().out.splitlines()
+    code, _, err = qdh(*argv, "--family", "fourth-limit", "--q", ".5")
+    assert code == 3
+    assert err == f"error: Overflow: fourth-limit {message} the double range\n"
 
 
-def test_zero_scans_up_to_the_subnormal_eighth_zero_find_eight_zeros_or_exit_3(monkeypatch,
-                                                                                 capsys):
+def _lines(ran):
+    """(exit code, stdout lines) of a ``qdh`` run."""
+    return ran[0], ran[1].splitlines()
+
+
+def test_zero_scans_up_to_the_subnormal_eighth_zero_find_eight_zeros_or_exit_3(qdh):
     # from n = 504 at q = 0.5 the eighth zero is subnormal, where a scan
     # used to print fewer zeros with exit 0; the interlacing report of n
     # also scans n + 1
     for n in range(480, 527):
-        code, rows = _run(("zeros", "--f", "fourth-limit", "--n", str(n), "--q", "0.5",
-                           "--interlace"), monkeypatch, capsys)
+        code, rows = _lines(qdh("zeros", "--f", "fourth-limit", "--n", str(n), "--q", "0.5",
+                                "--interlace"))
         if n < 503:
             assert code == 0 and len(rows) == 10 and rows[-1].endswith("pass"), n
         else:
             assert code == 3, n
 
 
-def test_zero_scans_with_a_clamped_window_find_eight_zeros(monkeypatch, capsys):
+def test_zero_scans_with_a_clamped_window_find_eight_zeros(qdh):
     # the window's inner end is subnormal from n = 501; the eighth zero
     # stays normal up to n = 503
     for n in (501, 502, 503):
-        code, rows = _run(("zeros", "--f", "fourth-limit", "--n", str(n), "--q", "0.5"),
-                          monkeypatch, capsys)
+        code, rows = _lines(qdh("zeros", "--f", "fourth-limit", "--n", str(n), "--q", "0.5"))
         assert code == 0 and len(rows) == 9, n
         assert abs(float(rows[-1].split(",")[0])) > sys.float_info.min
-    code, rows = _run(("zeros", "--f", "fourth-limit", "--n", "504", "--q", "0.5"),
-                      monkeypatch, capsys)
+    code, rows = _lines(qdh("zeros", "--f", "fourth-limit", "--n", "504", "--q", "0.5"))
     assert code == 3 and rows == []
 
 
-def test_default_window_scans_that_find_too_few_zeros_exit_3(monkeypatch, capsys):
+def test_default_window_scans_that_find_too_few_zeros_exit_3(qdh):
     # the default window holds eight zeros; from q ~ 0.92 the scan finds
     # fewer (6 at q = 0.93, 3 at 0.95 for n = 3), which printed with exit 0
     scan = ("zeros", "--f", "fourth-limit", "--n", "3")
     for q in ("0.93", "0.95"):
-        code, rows = _run((*scan, "--q", q), monkeypatch, capsys)
+        code, rows = _lines(qdh(*scan, "--q", q))
         assert code == 3 and rows == [], q
-    code, rows = _run((*scan, "--q", "0.9"), monkeypatch, capsys)
+    code, rows = _lines(qdh(*scan, "--q", "0.9"))
     assert code == 0 and len(rows) == 9
     # the interlacing report's scan of n + 1 too: at q = 0.924, n = -1
     # finds its eight zeros and n = 0 does not
-    code, rows = _run(("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.924",
-                       "--interlace"), monkeypatch, capsys)
+    code, rows = _lines(qdh("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.924",
+                            "--interlace"))
     assert code == 3 and rows == []
     # a window given by hand is scanned as it is, however many zeros it holds
     lo, hi = limits.fourth_limit_zero_window(0.95, 3, 8)
-    code, rows = _run((*scan, "--q", "0.95", "--scan-lo", repr(lo), "--scan-hi", repr(hi)),
-                      monkeypatch, capsys)
+    code, rows = _lines(qdh(*scan, "--q", "0.95", "--scan-lo", repr(lo), "--scan-hi", repr(hi)))
     assert code == 0 and 1 < len(rows) < 9
 
 
@@ -572,7 +527,7 @@ INTERLACE_PRINTED = (
 )
 
 
-def test_interlace_errors_print_no_rows(monkeypatch, capsys):
+def test_interlace_errors_print_no_rows(qdh):
     # the usage check and both scans run before any row is printed: an
     # error exit leaves stdout empty
     for argv, code in [
@@ -582,13 +537,10 @@ def test_interlace_errors_print_no_rows(monkeypatch, capsys):
         (("zeros", "--f", "al-salam-carlitz1:num", "--q", ".5", "--delta", ".4", "--a", "-.8",
           "--scan-lo", ".1", "--scan-hi", "5", "--interlace"), 2),
     ]:
-        monkeypatch.setattr(sys, "argv", ["qdh", *argv])
-        with pytest.raises(SystemExit) as exited:
-            cli.run()
-        out, err = capsys.readouterr()
-        assert exited.value.code == code and out == "" and err.startswith("error:"), argv
-    result = invoke("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--interlace")
-    assert result.exit_code == 0 and result.stdout_bytes == INTERLACE_PRINTED.encode()
+        exit_code, out, err = qdh(*argv)
+        assert exit_code == code and out == "" and err.startswith("error:"), argv
+    assert qdh("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--interlace") == (
+        0, INTERLACE_PRINTED, "")
 
 
 def test_eval_and_table_declare_the_same_family_options():
@@ -600,48 +552,48 @@ def test_eval_and_table_declare_the_same_family_options():
         assert params[start:start + len(names)] == [(name, [f"--{name}"]) for name in names]
 
 
-def test_accepted_cf_forms_evaluate():
+def test_accepted_cf_forms_evaluate(qdh):
     for form in ("default", "series-ratio", "confluent"):
-        result = invoke(
+        code, _, _ = qdh(
             "eval", "--family", "limit-wall", "--what", "cf", "--z", "2.5", "--q", ".5",
             "--A", ".3", "--cf-form", form,
         )
-        assert result.exit_code == 0
+        assert code == 0
 
 
 @pytest.mark.parametrize("what", ["solution", "cf", "poly"])
 @pytest.mark.parametrize("family", sorted(["cdqh", *limits.FAMILIES]))
-def test_every_family_evaluates_through_one_path(family, what):
+def test_every_family_evaluates_through_one_path(family, what, qdh):
     # a cut family's point is off its cut
     point = ("--x", "2", *CUT_ARGS[family]) if family in CUT_ARGS else (
         "--z", "2.5", "--q", ".5", *LIMIT_ARGS[family])
-    result = invoke("eval", "--family", family, "--what", what, *point)
-    assert result.exit_code == 0, result.output
-    assert len(result.output.strip().splitlines()) == 3
+    code, out, err = qdh("eval", "--family", family, "--what", what, *point)
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 3
 
 
 @pytest.mark.parametrize("family", sorted(CUT_ARGS))
-def test_flagship_polynomial_on_the_cut_takes_the_side_above(family):
-    # polynomials are single valued across the cut; solutions are not
+def test_flagship_polynomial_on_the_cut_takes_the_side_above(family, qdh):
+    # polynomials are single valued across the cut; solutions are not (a
+    # contract row: they exit 3 there without a side)
     on_cut = ("eval", "--family", family, "--z", "2.5", *CUT_ARGS[family])
-    above = invoke(*on_cut, "--what", "poly", "--n", "3", "--side", "above")
-    assert above.exit_code == 0
-    assert invoke(*on_cut, "--what", "poly", "--n", "3").output == above.output
-    assert run_script(*on_cut, "--what", "solution").returncode == 3
+    above = qdh(*on_cut, "--what", "poly", "--n", "3", "--side", "above")
+    assert above[0] == 0
+    assert qdh(*on_cut, "--what", "poly", "--n", "3") == above
 
 
 @pytest.mark.parametrize("family, what", [
     (family, what) for family in sorted(CUT_ARGS)
     for what in ("poly", "poly-alt", "solution", "cf") if what != "poly-alt" or family == "cdqh"])
-def test_the_side_on_the_cut_picks_the_boundary_value(family, what):
+def test_the_side_on_the_cut_picks_the_boundary_value(family, what, qdh):
     # the two sides give complex conjugate values for real parameters
     on_cut = ("eval", "--family", family, "--x", "0.4", "--what", what, "--n", "3",
               *CUT_ARGS[family])
     rows = {}
     for side in ("above", "below"):
-        result = invoke(*on_cut, "--side", side)
-        assert result.exit_code == 0
-        rows[side] = [float(v) for v in result.output.strip().splitlines()[-1].split(",")]
+        code, out, _ = qdh(*on_cut, "--side", side)
+        assert code == 0
+        rows[side] = [float(v) for v in out.strip().splitlines()[-1].split(",")]
     (x, re_a, im_a), (_, re_b, im_b) = rows["above"], rows["below"]
     args = CUT_ARGS[family]
     fam = limits.family_from_id(family, **{k.lstrip("-"): float(v) for k, v in
@@ -654,13 +606,15 @@ def test_the_side_on_the_cut_picks_the_boundary_value(family, what):
 POLY_ARGS = {"cdqh": CDQH_ARGS, **{fid: ("--q", ".5", *args) for fid, args in LIMIT_ARGS.items()}}
 
 
-def _rows(result):
-    assert result.exit_code == 0, result.output
-    return [line.split(",") for line in result.output.splitlines()[2:]]
+def _rows(ran):
+    """The data rows of a ``qdh`` run that exits 0, split into cells."""
+    code, out, err = ran
+    assert code == 0, err
+    return [line.split(",") for line in out.splitlines()[2:]]
 
 
 @pytest.mark.parametrize("family", sorted(POLY_ARGS))
-def test_eval_poly_prints_the_bits_table_prints(family):
+def test_eval_poly_prints_the_bits_table_prints(family, qdh):
     # one path for P_n: z = 12 lies off every cut, the grid crosses the
     # cuts, and z = 2.5 lies on each (a side picks no other value)
     cases = [(("--z", "12"), "12:12:1"), (("--grid", "-3:3.5:5"), "-3:3.5:5")]
@@ -668,20 +622,20 @@ def test_eval_poly_prints_the_bits_table_prints(family):
         cases += [(("--z", "2.5", *side), "2.5:2.5:1")
                   for side in ((), ("--side", "above"), ("--side", "below"))]
     for point, grid in cases:
-        table = _rows(invoke("table", "--family", family, "--n-lo", "12", "--n-hi", "12",
-                             "--grid", grid, *POLY_ARGS[family]))
-        evaluated = _rows(invoke("eval", "--family", family, "--what", "poly", "--n", "12",
-                                 *point, *POLY_ARGS[family]))
+        table = _rows(qdh("table", "--family", family, "--n-lo", "12", "--n-hi", "12",
+                          "--grid", grid, *POLY_ARGS[family]))
+        evaluated = _rows(qdh("eval", "--family", family, "--what", "poly", "--n", "12",
+                              *point, *POLY_ARGS[family]))
         assert [row[:2] for row in evaluated] == table, point
         assert all(float(row[2]) == 0 for row in evaluated)
 
 
-def test_big_q_laguerre_p40_is_the_recurrence_in_mpmath():
+def test_big_q_laguerre_p40_is_the_recurrence_in_mpmath(qdh):
     # the double sum printed -1.2825e+21 here; P_40 is -3.3921e+12
     params = {"q": 0.48569, "A": 0.27416, "B": 0.20900, "C": 0.52438}
     flags = [text for name, value in params.items() for text in (f"--{name}", repr(value))]
-    (row,) = _rows(invoke("eval", "--family", "big-q-laguerre", "--what", "poly", "--n", "40",
-                          "--z", "2.31957", *flags))
+    (row,) = _rows(qdh("eval", "--family", "big-q-laguerre", "--what", "poly", "--n", "40",
+                       "--z", "2.31957", *flags))
     fam = limits.family_from_id("big-q-laguerre", **params)
     with mpmath.workdps(50):
         z, prev, cur = mpmath.mpf(2.31957), mpmath.mpf(0), mpmath.mpf(1)
@@ -692,9 +646,9 @@ def test_big_q_laguerre_p40_is_the_recurrence_in_mpmath():
 
 
 @pytest.mark.parametrize("family", sorted(FINITE_P1200))
-def test_p1200_on_the_cut_is_finite(family):
-    (row,) = _rows(invoke("eval", "--family", family, "--what", "poly", "--n", "1200",
-                          "--z", "2.5", *POLY_ARGS[family]))
+def test_p1200_on_the_cut_is_finite(family, qdh):
+    (row,) = _rows(qdh("eval", "--family", family, "--what", "poly", "--n", "1200",
+                       "--z", "2.5", *POLY_ARGS[family]))
     assert float(row[1]) == pytest.approx(FINITE_P1200[family], rel=5e-3)
     assert float(row[2]) == 0
 
@@ -711,11 +665,11 @@ def _scalar_scan(f, grid, safe_f):
     ("zeros", "--f", "q-bessel-order:num", "--q", ".5", "--a", "-.8",
      "--scan-lo", ".02", "--scan-hi", "1.8", "--format", "text"),
 ])
-def test_zero_scans_print_what_the_pointwise_scan_prints(argv, monkeypatch):
-    grid = invoke(*argv)
-    assert grid.exit_code == 0
+def test_zero_scans_print_what_the_pointwise_scan_prints(argv, monkeypatch, qdh):
+    grid = qdh(*argv)
+    assert grid[0] == 0
     monkeypatch.setattr(limits, "_scan_values", _scalar_scan)
-    assert invoke(*argv).output == grid.output
+    assert qdh(*argv) == grid
 
 
 def _former_emit_rows(rows, header, fmt, params_comment=None):
@@ -802,20 +756,20 @@ def _command_id(argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 @pytest.mark.parametrize("argv", FORMAT_CASES, ids=map(_command_id, FORMAT_CASES))
-def test_commands_print_what_the_former_emitter_printed(argv, fmt, monkeypatch):
-    printed = invoke(*argv, "--format", fmt)
-    assert printed.exit_code == 0
+def test_commands_print_what_the_former_emitter_printed(argv, fmt, monkeypatch, qdh):
+    printed = qdh(*argv, "--format", fmt)
+    assert printed[0] == 0
     monkeypatch.setattr(cli, "_emit_rows", _former_emit_rows)
-    assert invoke(*argv, "--format", fmt).output == printed.output
+    assert qdh(*argv, "--format", fmt) == printed
 
 
 @pytest.mark.parametrize("argv", [TABLE_CASES[0], EVAL_CASES[0], ZERO_CASES[0]],
                          ids=["table", "eval", "zeros"])
-def test_commands_emit_through_the_module_global(argv, monkeypatch):
+def test_commands_emit_through_the_module_global(argv, monkeypatch, qdh):
     # a tracer wraps cli._emit_rows by name and reads the row count
     calls = []
     monkeypatch.setattr(cli, "_emit_rows", lambda rows, *rest: calls.append(len(rows)))
-    assert invoke(*argv).exit_code == 0
+    assert qdh(*argv)[0] == 0
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -841,22 +795,22 @@ def _crafted_table(n_rows, n_points):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-def test_table_cells_are_the_former_per_cell_builders(fmt, monkeypatch):
+def test_table_cells_are_the_former_per_cell_builders(fmt, monkeypatch, qdh):
     table = _crafted_table(9, 11)
     monkeypatch.setattr(family, "poly_rows", lambda fam, z, n_lo, n_hi: table)
     argv = ("table", "--family", "wall", "--n-lo", "2", "--n-hi", "10", "--grid", "1:2:11",
             "--q", ".5", *LIMIT_ARGS["wall"], "--format", fmt)
-    printed = invoke(*argv)
-    assert printed.exit_code == 0
+    printed = qdh(*argv)
+    assert printed[0] == 0
     points = cli._parse_grid("1:2:11")
 
     def former(rows, header, fmt, params_comment=None):
         _former_emit_rows(_former_table_rows(points, table), header, fmt, params_comment)
 
     monkeypatch.setattr(cli, "_emit_rows", former)
-    assert invoke(*argv).output == printed.output
+    assert qdh(*argv) == printed
     # the crafted cells print both ways: as a real part and as complex
-    assert all(text in printed.output
+    assert all(text in printed[1]
                for text in ("-2.5000000000000171e-310", "(0.5+1e-300j)", "(nan+infj)"))
 
 

@@ -190,7 +190,7 @@ def former_grid_candidate(rep, pts, q, policy, series_relative):
         factor, errors = qseries._grid_prefactor(pref, pts, q)
     series, weighted, tail, series_errors = qseries._phi_core(spec.take(pts), policy)
     errors = np.where(np.equal(errors, None), series_errors, errors)
-    err = qseries._series_error(series, weighted, tail)
+    err = qseries._series_error(weighted, tail)
     value = series if pref is None else factor * series
     if series_relative:
         errors[np.equal(errors, None) & ~np.isfinite(value)] = Overflow(

@@ -369,7 +369,7 @@ def ranked_phi32(a, b, c, d, e, q, policy=qseries.DEFAULT_POLICY):
                 prefactor = qpoch_multi(pref[0], q) / qpoch_multi(pref[1], q)
             series, weighted, tail = qseries._phi_core(series_spec, policy)
             value = qseries._assert_finite(prefactor * series, "continued balanced series")
-            err = qseries._series_error(series, weighted, tail) / max(abs(series), 1e-300)
+            err = qseries._series_error(weighted, tail) / max(abs(series), 1e-300)
             if err <= 5e-13:
                 return value
             if best is None or err < best[0]:
@@ -874,6 +874,16 @@ class TestOneRankingRule:
             point_keys = keys and [k[point] for k in keys]
             assert values[point] == qseries._best_of(
                 self.candidates(complex(z[point])), 0.5, qseries.DEFAULT_POLICY, keys=point_keys)
+
+    @pytest.mark.parametrize("c", [2.0, np.array([2.0]), np.array([0.7, 2.0])],
+                             ids=["scalar", "one-point", "two-point"])
+    def test_a_vanished_prefactor_fails_its_candidate_by_name(self, c):
+        # at c = 1/q the direct 1-phi-1 divides by zero at its first term,
+        # and the swap's prefactor (z; q)_inf / (c; q)_inf by (2; 0.5)_inf = 0
+        with pytest.raises(NoConvergentRepresentation) as failed:
+            qseries.phi11(0.3, c, 0.5, 0.5)
+        assert str(failed.value) == ("no usable representation found (last failure: "
+                                     "prefactor's denominator q-Pochhammer product vanished)")
 
 
 class TestTransformRegistry:
