@@ -72,17 +72,15 @@ class CDQHParams(CutFamily):
     family_id = "cdqh"
     param_names = ("A", "B", "C", "D")
 
-    def a_coeff(self, n: int) -> complex:
-        q = self.q
-        s = 1 / self.A + 1 / self.B + 1 / self.C + 1 / self.D
-        return s * q**n - (1 + q) * q ** (2 * n - 1)
-
-    def b_sq_coeff(self, n: int) -> complex:
-        q = self.q
-        prod = 1.0 + 0.0j
-        for p in (self.A, self.B, self.C, self.D):
-            prod *= 1 - p * q ** (n - 1)
-        return q / (self.A * self.B * self.C * self.D) * prod
+    def _coeff_rows(self, lo: int, n: int):
+        q, A, B, C, D = self.q, self.A, self.B, self.C, self.D
+        s, c, g = 1 / A + 1 / B + 1 / C + 1 / D, 1 + q, q / (A * B * C * D)
+        a, b_sq = [], []
+        for k in range(lo, n):
+            a.append(s * q**k - c * q ** (2 * k - 1))
+            t = q ** (k - 1)
+            b_sq.append(g * ((1.0 + 0.0j) * (1 - A * t) * (1 - B * t) * (1 - C * t) * (1 - D * t)))
+        return a, b_sq
 
     @property
     def alpha(self) -> complex:

@@ -174,10 +174,13 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
     policy = _policy(tol)
     if what == "poly-alt" and not hasattr(fam, "_poly_alt"):
         raise click.UsageError(f"poly-alt is not defined for {family}")
+    for option, value, applies in (("--which", which, "solution"), ("--cf-form", cf_form, "cf")):
+        if value is not None and what != applies:
+            raise click.UsageError(f"{option} applies only to --what {applies}, not {what}")
     # the family's solution labels (names or indices, --which is read as
     # the default's type) and forms of 1/CF, the default first
     label, forms = next(iter(fam._solutions)), tuple(fam._cf_forms)
-    if which and what == "solution":
+    if which:
         label = _parse_number(which, "--which", type(label))
     if what == "cf" and cf_form not in (None, *forms):
         raise click.UsageError(

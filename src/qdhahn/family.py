@@ -1,9 +1,13 @@
 """The closed-form layer shared by all twelve families.
 
 Every family, the flagship ``cdqhahn.CDQHParams`` and the eleven of
-``limits``, is a frozen dataclass on ``Family`` that declares its closed
-forms once, as class members:
+``limits``, is a frozen dataclass on ``Family`` that declares its
+recurrence coefficients and its closed forms once, as class members:
 
+    _coeff_rows    (lo, n) -> the lists a_lo..a_{n-1} and
+                   b_lo^2..b_{n-1}^2 of the recurrence (see
+                   ``recurrence``); ``a_coeff(n)`` and ``b_sq_coeff(n)``
+                   read it at one index
     _solutions     label -> evaluator(family, point, n, policy) -> Scaled,
                    the minimal solution first
     _poly_terms    (point, n) -> (prefactor, outer, inner) of the paper's
@@ -55,9 +59,24 @@ BELOW = "below"
 
 
 class Family:
-    """Parameter checks and point conversion shared by the families."""
+    """Parameter checks, point conversion and coefficient access shared
+    by the families."""
 
     z_at = None  # z from a rescaled argument x; only a cut family has one
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each family holds its own one-index readers: the benchmark's
+        # tracer (qdhbench/tracer.py) wraps them class by class
+        cls.a_coeff, cls.b_sq_coeff = Family.a_coeff, Family.b_sq_coeff
+
+    def a_coeff(self, n: int):
+        """a_n, from the family's one declaration ``_coeff_rows``."""
+        return self._coeff_rows(n, n + 1)[0][0]
+
+    def b_sq_coeff(self, n: int):
+        """b_n^2, from the family's one declaration ``_coeff_rows``."""
+        return self._coeff_rows(n, n + 1)[1][0]
 
     def __post_init__(self):
         object.__setattr__(self, "q", _check_q(self.q))

@@ -1,13 +1,14 @@
 """The eleven limit families of the four-parameter recurrence.
 
-Each family is a frozen dataclass exposing the recurrence coefficients
-``a_coeff(n)`` / ``b_sq_coeff(n)`` and declaring its closed forms once,
-as the members ``family`` describes: ``_solutions`` (index -> evaluator;
-1 is always the subdominant/minimal one), ``_poly_terms`` (the (nums,
-dens, step, power) factors of the double sum's term ratios, see
-``qseries.term_ratio``) and ``_cf_forms``.  The three families with a
-spectral cut (al-salam-chihara, cont-q-hermite and cont-big-q-hermite)
-are ``family.CutFamily``s like the flagship: they declare
+Each family is a frozen dataclass declaring its recurrence coefficients
+and its closed forms once, as the members ``family`` describes:
+``_coeff_rows`` (the coefficient lists over an index range),
+``_solutions`` (index -> evaluator; 1 is always the subdominant/minimal
+one), ``_poly_terms`` (the (nums, dens, step, power) factors of the
+double sum's term ratios, see ``qseries.term_ratio``) and
+``_cf_forms``.  The three families with a spectral cut
+(al-salam-chihara, cont-q-hermite and cont-big-q-hermite) are
+``family.CutFamily``s like the flagship: they declare
 ``_growth_product`` and ``_weight_parts``, and their members take the
 flagship's ``SpectralPoint`` (with a side on the cut) where the other
 eight take z itself.  The four scan families also declare
@@ -111,21 +112,15 @@ class BigQLaguerre(Family):
     family_id = "big-q-laguerre"
     param_names = ("A", "B", "C")
 
-    def a_coeff(self, n):
-        q = self.q
-        return (1 / self.A + 1 / self.B + 1 / self.C) * q**n - (1 + q) * q ** (
-            2 * n - 1
-        )
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return (
-            -(q**n)
-            / (self.A * self.B * self.C)
-            * (1 - self.A * q ** (n - 1))
-            * (1 - self.B * q ** (n - 1))
-            * (1 - self.C * q ** (n - 1))
-        )
+    def _coeff_rows(self, lo, n):
+        q, A, B, C = self.q, self.A, self.B, self.C
+        s, c, abc = 1 / A + 1 / B + 1 / C, 1 + q, A * B * C
+        a, b_sq = [], []
+        for k in range(lo, n):
+            p, t = q**k, q ** (k - 1)
+            a.append(s * p - c * q ** (2 * k - 1))
+            b_sq.append(-p / abc * (1 - A * t) * (1 - B * t) * (1 - C * t))
+        return a, b_sq
 
     def _solution_1(self, z, n, policy):
         q, A, B, C = self.q, self.A, self.B, self.C
@@ -199,18 +194,16 @@ class Wall(Family):
     family_id = "wall"
     param_names = ("A", "B")
 
-    def a_coeff(self, n):
-        q = self.q
-        return (1 / self.A + 1 / self.B) * q**n - (1 + q) * q ** (2 * n - 1)
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return (
-            q ** (2 * n - 1)
-            / (self.A * self.B)
-            * (1 - self.A * q ** (n - 1))
-            * (1 - self.B * q ** (n - 1))
-        )
+    def _coeff_rows(self, lo, n):
+        q, A, B = self.q, self.A, self.B
+        s, c, ab = 1 / A + 1 / B, 1 + q, A * B
+        a, b_sq = [], []
+        for k in range(lo, n):
+            p = q ** (2 * k - 1)
+            a.append(s * q**k - c * p)
+            t = q ** (k - 1)
+            b_sq.append(p / ab * (1 - A * t) * (1 - B * t))
+        return a, b_sq
 
     def _solution_1(self, z, n, policy):
         q, A, B = self.q, self.A, self.B
@@ -272,13 +265,14 @@ class LimitWall(Family):
     family_id = "limit-wall"
     param_names = ("A",)
 
-    def a_coeff(self, n):
-        q = self.q
-        return q**n / self.A - (1 + q) * q ** (2 * n - 1)
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return -(q ** (3 * n - 2)) / self.A * (1 - self.A * q ** (n - 1))
+    def _coeff_rows(self, lo, n):
+        q, A = self.q, self.A
+        c = 1 + q
+        a, b_sq = [], []
+        for k in range(lo, n):
+            a.append(q**k / A - c * q ** (2 * k - 1))
+            b_sq.append(-(q ** (3 * k - 2)) / A * (1 - A * q ** (k - 1)))
+        return a, b_sq
 
     def _solution_1(self, z, n, policy):
         q, A = self.q, self.A
@@ -338,12 +332,11 @@ class FourthLimit(Family):
     family_id = "fourth-limit"
     param_names = ()
 
-    def a_coeff(self, n):
+    def _coeff_rows(self, lo, n):
         q = self.q
-        return -(1 + q) * q ** (2 * n - 1)
-
-    def b_sq_coeff(self, n):
-        return self.q ** (4 * n - 3)
+        c = -(1 + q)
+        return ([c * q ** (2 * k - 1) for k in range(lo, n)],
+                [q ** (4 * k - 3) for k in range(lo, n)])
 
     def _solution_1(self, z, n, policy):
         q = self.q
@@ -383,17 +376,11 @@ class AlSalamChihara(CutFamily):
     family_id = "al-salam-chihara"
     param_names = ("A", "B", "delta")
 
-    def a_coeff(self, n):
-        return (1 + 1 / self.delta) * self.q**n
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return (
-            q
-            / (self.A * self.B * self.delta)
-            * (1 - self.A * q ** (n - 1))
-            * (1 - self.B * q ** (n - 1))
-        )
+    def _coeff_rows(self, lo, n):
+        q, A, B = self.q, self.A, self.B
+        s, g = 1 + 1 / self.delta, q / (A * B * self.delta)
+        return ([s * q**k for k in range(lo, n)],
+                [g * (1 - A * t) * (1 - B * t) for t in [q ** (k - 1) for k in range(lo, n)]])
 
     def _growth_product(self):
         return self.q / (self.A * self.B * self.delta)
@@ -496,12 +483,15 @@ class AlSalamCarlitz1(Family):
     family_id = "al-salam-carlitz1"
     param_names = ("A", "delta")
 
-    def a_coeff(self, n):
-        return (1 + 1 / self.delta) * self.q**n
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return -(q**n) / (self.A * self.delta) * (1 - self.A * q ** (n - 1))
+    def _coeff_rows(self, lo, n):
+        q, A = self.q, self.A
+        s, ad = 1 + 1 / self.delta, A * self.delta
+        a, b_sq = [], []
+        for k in range(lo, n):
+            p = q**k
+            a.append(s * p)
+            b_sq.append(-p / ad * (1 - A * q ** (k - 1)))
+        return a, b_sq
 
     def _solution_1(self, z, n, policy):
         q, A, d = self.q, self.A, self.delta
@@ -563,11 +553,11 @@ class LimitASC1(Family):
     family_id = "limit-asc1"
     param_names = ("delta",)
 
-    def a_coeff(self, n):
-        return (1 + 1 / self.delta) * self.q**n
-
-    def b_sq_coeff(self, n):
-        return self.q ** (2 * n - 1) / self.delta
+    def _coeff_rows(self, lo, n):
+        q, d = self.q, self.delta
+        s = 1 + 1 / d
+        return ([s * q**k for k in range(lo, n)],
+                [q ** (2 * k - 1) / d for k in range(lo, n)])
 
     def _solution_1(self, z, n, policy):
         q, d = self.q, self.delta
@@ -631,12 +621,11 @@ class ContQHermite(CutFamily):
     family_id = "cont-q-hermite"
     param_names = ("A", "delta")
 
-    def a_coeff(self, n):
-        return 0.0 + 0.0j
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return q / (self.A * self.delta) * (1 - self.A * q ** (n - 1))
+    def _coeff_rows(self, lo, n):
+        q, A = self.q, self.A
+        g = q / (A * self.delta)
+        return ([0.0 + 0.0j] * (n - lo),
+                [g * (1 - A * q ** (k - 1)) for k in range(lo, n)])
 
     def _growth_product(self):
         return self.q / (self.A * self.delta)
@@ -696,11 +685,9 @@ class LimitQHermite(Family):
     family_id = "limit-q-hermite"
     param_names = ("delta",)
 
-    def a_coeff(self, n):
-        return 0.0 + 0.0j
-
-    def b_sq_coeff(self, n):
-        return -(self.q**n) / self.delta
+    def _coeff_rows(self, lo, n):
+        q, d = self.q, self.delta
+        return [0.0 + 0.0j] * (n - lo), [-(q**k) / d for k in range(lo, n)]
 
     def _solution_1(self, z, n, policy):
         q, d = self.q, self.delta
@@ -736,12 +723,11 @@ class ContBigQHermite(CutFamily):
     family_id = "cont-big-q-hermite"
     param_names = ("A", "a")
 
-    def a_coeff(self, n):
-        return self.q**n + 0.0j
-
-    def b_sq_coeff(self, n):
-        q = self.q
-        return self.a * q / self.A * (1 - self.A * q ** (n - 1))
+    def _coeff_rows(self, lo, n):
+        q, A = self.q, self.A
+        g = self.a * q / A
+        return ([q**k + 0.0j for k in range(lo, n)],
+                [g * (1 - A * q ** (k - 1)) for k in range(lo, n)])
 
     def _growth_product(self):
         return self.a * self.q / self.A
@@ -811,11 +797,10 @@ class QBesselOrder(Family):
     family_id = "q-bessel-order"
     param_names = ("a",)
 
-    def a_coeff(self, n):
-        return self.q**n + 0.0j
-
-    def b_sq_coeff(self, n):
-        return -self.a * self.q**n
+    def _coeff_rows(self, lo, n):
+        q, m = self.q, -self.a
+        return ([q**k + 0.0j for k in range(lo, n)],
+                [m * q**k for k in range(lo, n)])
 
     def _solution_1(self, z, n, policy):
         q, a = self.q, self.a

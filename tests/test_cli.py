@@ -317,6 +317,11 @@ CONTRACT_CASES = [
      {}, 2),
     *[(("eval", "--family", fid, "--what", "cf", "--z", "2.5", "--q", ".5", "--cf-form", "bogus",
         *args), {}, 2) for fid, args in LIMIT_ARGS.items()],
+    # --which and --cf-form only apply to --what solution and --what cf
+    (("eval", "--family", "wall", "--what", "cf", "--which", "9", "--z", "2.5", "--q", ".5",
+      "--A", ".3", "--B", ".4"), {}, 2, "--which applies only to --what solution"),
+    (("eval", "--family", "cdqh", "--what", "poly", "--cf-form", "bogus", "--x", "2",
+      *CDQH_ARGS), {}, 2, "--cf-form applies only to --what cf"),
     (("eval", "--family", "cont-q-hermite", "--what", "weight", "--x", "1.7", "--q", ".5",
       *LIMIT_ARGS["cont-q-hermite"]), {}, 2),
     (("eval", "--family", "cdqh", "--what", "cf", "--z", "50", "--side", "above", *CDQH_ARGS), {}, 2),
