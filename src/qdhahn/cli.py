@@ -22,7 +22,7 @@ import numpy as np
 from . import family as closed_forms
 from . import limits, recurrence, verify
 from .cdqhahn import CDQHParams
-from .errors import BranchAmbiguous, QdhError, UnknownFamily
+from .errors import BranchAmbiguous, QdhError, UnknownFamily, UnsupportedFamily
 from .qseries import TruncationPolicy
 
 CONFIG_ERROR = 2
@@ -83,7 +83,7 @@ def _build_family(family, q, params):
         raise click.UsageError("missing: q")
     try:
         return limits.family_from_id(family, q, **params)
-    except (UnknownFamily, ValueError, TypeError) as exc:
+    except TypeError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -172,8 +172,6 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
     if what in ("poly", "poly-alt") and n_index < 0:
         raise click.UsageError("--n must be >= 0: degrees are not negative")
     policy = _policy(tol)
-    if what == "poly-alt" and not hasattr(fam, "_poly_alt"):
-        raise click.UsageError(f"poly-alt is not defined for {family}")
     for option, value, applies in (("--which", which, "solution"), ("--cf-form", cf_form, "cf")):
         if value is not None and what != applies:
             raise click.UsageError(f"{option} applies only to --what {applies}, not {what}")
@@ -218,18 +216,14 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
             return closed_forms.solution_value(fam, point, label, n_index, policy)
         return closed_forms.cf(fam, point, cf_form, policy)
 
-    try:
-        if side is not None and what != "weight":
-            for z in points:  # a side given at a point off the cut is a usage error
-                fam.point_at(z, side)
-        if what in ("poly", "weight") and grid is not None:
-            # one grid call: the recurrence or the series kernels take every point at once
-            values = evaluate(np.array(points))
-        else:
-            values = [evaluate(pt) for pt in points]
-    except (ValueError, UnknownFamily) as exc:
-        # the library's checks of its input (x off (-1, 1), say) and an unknown --which
-        raise click.UsageError(str(exc))
+    if side is not None and what != "weight":
+        for z in points:  # a side given at a point off the cut is a usage error
+            fam.point_at(z, side)
+    if what in ("poly", "weight") and grid is not None:
+        # one grid call: the recurrence or the series kernels take every point at once
+        values = evaluate(np.array(points))
+    else:
+        values = [evaluate(pt) for pt in points]
     rows = []
     for pt, value in zip(points, map(complex, values)):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt
@@ -302,10 +296,7 @@ def cmd_zeros(f_name, n_index, q, delta, a, scan_lo, scan_hi, max_zeros, interla
         lo = scan_lo
     if scan_hi is not None:
         hi = scan_hi
-    try:
-        zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros, expect=expect)
-    except ValueError as exc:  # the library's check of the window: endpoints of one sign
-        raise click.UsageError(str(exc))
+    zl = limits.find_zeros(handle, lo, hi, max_zeros=max_zeros, expect=expect)
     if interlace:  # both scans run before anything prints
         next_handle = limits.fourth_limit_series(fam, n_index + 1)
         next_lo, next_hi = limits.fourth_limit_zero_window(q, n_index + 1, max_zeros)
@@ -362,6 +353,10 @@ def run():
         exc.show()
         sys.exit(CONFIG_ERROR)
     except click.exceptions.Abort:
+        sys.exit(CONFIG_ERROR)
+    except (ValueError, UnknownFamily, UnsupportedFamily) as exc:
+        # the library's checks of its input, and a family, label or form it lacks
+        click.echo(f"error: {exc}", err=True)
         sys.exit(CONFIG_ERROR)
     except QdhError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)

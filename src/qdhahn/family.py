@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchAmbiguous, Overflow, PoleHit, UnknownFamily, UnsupportedFamily,
-                     ZeroDivisor)
+from .errors import (BranchAmbiguous, DivergentSeries, FormalOnly, Overflow, PoleHit,
+                     UnknownFamily, UnsupportedFamily, ZeroDivisor)
 from .qseries import (DEFAULT_POLICY, _check_q, double_sum, sqrt,
                       support_points, weight_density)
 from .recurrence import (Scaled, SolutionSequence, _cell_values, characteristic_roots,
@@ -267,11 +267,16 @@ def cf_denominator(den):
 
 
 def solution_scaled(family, point, which, n: int, policy):
-    """The named closed-form solution at index n, as a Scaled value."""
+    """The named closed-form solution at index n, as a Scaled value;
+    FormalOnly where its series diverges, so exists only formally."""
     table = family._solutions
     if which not in table:
         raise UnknownFamily(f"{family.family_id} has solutions {list(table)}, not {which!r}")
-    return guarded("solution", table[which], family, family.point_at(point), n, policy)
+    try:
+        return guarded("solution", table[which], family, family.point_at(point), n, policy)
+    except DivergentSeries:  # raised after the handler, as in ``guarded``
+        pass
+    raise FormalOnly(f"{family.family_id} solution {which} at n = {n} is a divergent formal series")
 
 
 def solution_value(family, point, which, n: int, policy):

@@ -13,8 +13,8 @@ double sum's term ratios, see ``qseries.term_ratio``) and
 flagship's ``SpectralPoint`` (with a side on the cut) where the other
 eight take z itself.  The four scan families also declare
 ``_scan_series``, the (numerator, denominator) pair their 1/CF divides
-and zero scans use.  Divergent series that only exist formally raise
-FormalOnly unless a parameter makes them terminate.
+and zero scans use.  A solution whose series diverges exists only
+formally, and raises FormalOnly (see ``family.solution_scaled``).
 
 ``limit_solution``, ``limit_poly``, ``limit_cf`` and ``limit_weight``
 evaluate through the one closed-form layer of ``family``, so they take
@@ -53,6 +53,7 @@ from . import qseries
 from .cdqhahn import CDQHParams
 from .errors import (
     FormalOnly,
+    MaxTermsExceeded,
     Overflow,
     ScanTooCoarse,
     UnknownFamily,
@@ -83,7 +84,6 @@ from .qseries import (
     phi_r0_terminating,
     qpoch,
     qpoch_multi,
-    termination_order,
 )
 from .recurrence import Scaled
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
@@ -91,10 +91,6 @@ from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 def _sign(n: int) -> complex:
     return -1.0 + 0.0j if n % 2 else 1.0 + 0.0j
-
-
-def _terminates(p, q) -> bool:
-    return termination_order(p, q) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +217,6 @@ class Wall(Family):
 
     def _solution_4(self, z, n, policy):
         q, A, B = self.q, self.A, self.B
-        if not (_terminates(q ** (1 - n) / A, q) or _terminates(q ** (1 - n) / B, q)):
-            raise FormalOnly(
-                "this solution is a formal divergent series unless A or B is a power of q"
-            )
         series = phi_r0_terminating(
             (q ** (1 - n) / A, q ** (1 - n) / B), q ** (2 * n - 1) / z, q, policy
         )
@@ -295,8 +287,6 @@ class LimitWall(Family):
 
     def _solution_3(self, z, n, policy):
         q, A = self.q, self.A
-        if not _terminates(q ** (1 - n) / A, q):
-            raise FormalOnly("formal series unless A is a power of q")
         series = phi_r0_terminating((q ** (1 - n) / A, 0.0), q ** (2 * n - 1) / z, q, policy)
         return _power(z, n) * series
 
@@ -639,8 +629,6 @@ class ContQHermite(CutFamily):
     def _solution_2(self, pt, n, policy):
         q, A, d = self.q, self.A, self.delta
         small = pt.lam_minus
-        if not _terminates(q ** (1 - n) / A, q):
-            raise FormalOnly("formal series unless A is a power of q")
         series = phi_r0_terminating(
             (q ** (1 - n) / A, 0.0), q**n / (d * small * small), q, policy
         )
@@ -748,8 +736,6 @@ class ContBigQHermite(CutFamily):
     def _solution_3(self, pt, n, policy):
         q, A, a = self.q, self.A, self.a
         small, large = pt.lam_minus, pt.lam_plus
-        if not _terminates(q ** (1 - n) / A, q):
-            raise FormalOnly("formal series unless A is a power of q")
         series = phi_r0_terminating(
             (q ** (1 - n) / A, large / a), A * A * small * small * q ** (n - 2) / a, q, policy
         )
@@ -815,8 +801,6 @@ class QBesselOrder(Family):
 
     def _solution_3(self, z, n, policy):
         q, a = self.q, self.a
-        if not _terminates(z / a, q):
-            raise FormalOnly("formal series at generic z")
         series = phi_r0_terminating((0.0, z / a), a * q**n / (z * z), q, policy)
         return _power(z, n) * series
 
@@ -884,8 +868,7 @@ def family_from_id(family_id: str, q, **params):
 
 
 def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
-    """Closed-form solution value; raises FormalOnly for the divergent
-    formal series and DivergentSeries when outside the domain."""
+    """Closed-form solution value; FormalOnly where its series diverges."""
     return solution_value(family, z, which, n, policy)
 
 
@@ -930,12 +913,19 @@ def fourth_limit_series(family: FourthLimit, n: int):
     """The entire function whose ratios build the parameter-free
     J-fraction: f_n(z) = sum_k q^(k(k-1)) (q^(2n+1)/z)^k / (q; q)_k.
     A one-dimensional real array of z gives the real f_n at every point,
-    equal bit for bit to the scalar handle's value there."""
+    equal bit for bit to the scalar handle's value there.  A sum past the
+    double range, or not settled in 500 terms, raises (a grid: the error
+    of its first failing point)."""
     q = family.q
 
     def f(z):
         if isinstance(z, np.ndarray):
-            return _fourth_limit_grid(q, n, z)
+            values = _fourth_limit_grid(q, n, z)
+            failed = np.flatnonzero(~np.isfinite(values))
+            if not failed.size:
+                return values
+            # the scalar sum repeats the grid's bit for bit, and raises its error
+            z = z[failed[0]]
         z = complex(z)
         if z == 0:
             raise ZeroDivisor("series handle undefined at z = 0")
@@ -946,8 +936,12 @@ def fourth_limit_series(family: FourthLimit, n: int):
             k += 1
             term *= q ** (2 * (k - 1)) * q ** (2 * n + 1) / ((1 - q**k) * z)
             total += term
-            if abs(term) <= 1e-18 * max(abs(total), 1e-280) or k > 500:
+            if abs(term) <= 1e-18 * max(abs(total), 1e-280):
                 break
+            if k > 500:
+                raise MaxTermsExceeded(f"fourth-limit f_{n} did not settle in 500 terms at {z}")
+        if not abs(total) < math.inf:  # a term or sum past the range ends the loop at inf
+            raise Overflow(f"fourth-limit f_{n} left the double range at {z}")
         return total.real if abs(total.imag) <= 1e-14 * abs(total) else total
 
     return f
@@ -959,7 +953,8 @@ def _fourth_limit_grid(q, n, x):
     Each point advances one term per pass and leaves the pass by the
     scalar stopping rule.  For real z the scalar handle's complex
     quotient and product reduce to exactly these float operations (the
-    imaginary parts stay zero), so the values are the scalar ones.
+    imaginary parts stay zero), so the values are the scalar ones; nan
+    where the term budget ran out.
     """
     if np.iscomplexobj(x):
         raise TypeError("the grid handle takes real points")
@@ -972,14 +967,15 @@ def _fourth_limit_grid(q, n, x):
     total = np.ones(x.size)
     k = 0
     with np.errstate(all="ignore"):
-        while idx.size:
+        while idx.size and k <= 500:
             k += 1
             term = term * (q ** (2 * (k - 1)) * q ** (2 * n + 1) / ((1 - q**k) * x))
             total = total + term
-            done = (np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-280)) | (k > 500)
+            done = np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-280)
             out[idx[done]] = total[done]
             keep = ~done
             idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+    out[idx] = np.nan
     return out
 
 
@@ -1049,8 +1045,9 @@ def find_zeros(
 
     The grid is evaluated in one call of f on its array when f takes
     one (see ``_scan_values``); bisection calls f on single points.
-    Sign changes caused by simple poles are discarded (the function
-    blows up rather than vanishes at the located point).  With
+    Sign changes caused by simple poles, or at a point where f is not
+    finite, are discarded (the function blows up rather than vanishes
+    at the located point).  With
     ``expect`` set, a scan that resolves fewer zeros raises
     ScanTooCoarse.
     """
@@ -1067,11 +1064,11 @@ def find_zeros(
     for (x0, y0), (x1, y1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if len(zeros) >= max_zeros:
             break
-        if math.isnan(y0) or math.isnan(y1):
-            continue
         if y0 == 0:
             zeros.append(x0)
             brackets.append((x0, x0))
+            continue
+        if not (math.isfinite(y0) and math.isfinite(y1)):  # a pole's jump, or a failed point
             continue
         if y0 * y1 < 0:
             a, b, fa = x0, x1, y0
@@ -1080,7 +1077,7 @@ def find_zeros(
                 if mid == a or mid == b:  # a and b are adjacent doubles
                     break
                 fm = safe_f(mid)
-                if math.isnan(fm):
+                if not math.isfinite(fm):
                     break
                 if fm == 0:
                     a = b = mid

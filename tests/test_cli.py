@@ -377,9 +377,15 @@ CONTRACT_CASES = [
       for fid, args in CUT_ARGS.items()
       for point in (("--x", "0.4", "--side", "above"), ("--x", "0.4", "--side", "below"),
                     ("--z", "2.5"))],
-    # a truncated J-fraction that leaves the double range
+    # a truncated J-fraction of a cut family whose cut leaves the double
+    # range (gamma = inf): the cut check exits 3 before the fraction runs
     (("eval", "--family", "cont-big-q-hermite", "--q", "0.45345304972429223", "--A", "1e-200",
       "--a", "1e200", "--what", "cf-trunc", "--z", "0.5"), {}, 3),
+    # a truncated J-fraction that leaves the double range (--n 0, the
+    # default and unused here, keeps the row's id apart from wall's above)
+    (("eval", "--family", "wall", "--what", "cf-trunc", "--z", "-1e308", "--q", ".5", "--A",
+      "1e-308", "--B", "1e308", "--n", "0"), {}, 3,
+     "Overflow: truncated J-fraction at depth 400 left the double range"),
     # a cut whose growth product overflows (gamma = inf) or underflows (gamma = 0)
     *[(("eval", "--family", fid, "--what", "cf", *point, "--q", ".5", *args), {}, 3)
       for fid, args in (("cont-big-q-hermite", ("--A", "1e-200", "--a", "1e200")),
@@ -412,6 +418,13 @@ CONTRACT_CASES = [
     (("eval", "--family", "limit-wall", "--what", "solution", "--which", "1", "--n", "25",
       "--z", "2.426627338843389", "--q", "0.45267364450866543", "--A", "0.5753877893352477"),
      {}, 3),
+    # a solution whose series diverges exists only formally; it evaluates
+    # where any numerator parameter makes the series terminate (here
+    # lambda_+ / a = 2 = 1/q, with A no power of q)
+    ((*WALL, "--what", "solution", "--which", "4", "--n", "3", "--z", "2.5"), {}, 3,
+     "FormalOnly: wall solution 4 at n = 3"),
+    (("eval", "--family", "cont-big-q-hermite", "--what", "solution", "--which", "3", "--n", "3",
+      "--z", "-0.5666666666666664", "--q", ".5", "--A", ".3", "--a", "-.7"), {}, 0),
     # a grid needs lo:hi:count with a positive count, and a span in the double range
     *[((*WALL, "--what", "poly", "--n", "3", "--grid", grid), {}, 2)
       for grid in ("1:2", "1:2:0", "-1e308:1e308:3")],
@@ -420,10 +433,23 @@ CONTRACT_CASES = [
      {}, 2),
     ((*WALL, "--what", "poly-alt", "--n", "3", "--z", "2"), {}, 2),
     ((*WALL, "--what", "poly", "--n", "3"), {}, 2),
+    ((*WALL, "--what", "poly-alt", "--n", "5", "--z", "2.5"), {}, 2,
+     "wall has no second polynomial form"),
+    ((*WALL, "--what", "weight", "--x", "0.3"), {}, 2,
+     "wall carries no absolutely continuous weight"),
     # a zero scan needs a known function, and a window where it has no default
     (("zeros", "--f", "al-salam-carlitz1:foo", "--q", ".5", "--delta", ".7"), {}, 2),
     (("zeros", "--f", "limit-asc1:num", "--q", ".5", "--delta", ".7"), {}, 2),
     (("zeros", "--f", "nope", "--q", ".5"), {}, 2),
+    # a family without scan series has no cf part to scan
+    (("zeros", "--f", "cont-q-hermite:num", "--q", ".5", "--delta", ".5", "--scan-lo", ".1",
+      "--scan-hi", "1"), {}, 2, "no scan-ready series pair"),
+    # a window where the fourth-limit handle leaves the double range exits 3,
+    # where it printed the jumps between +inf and -inf as zeros (--max-zeros
+    # 8, the default, keeps the row's id apart from the --q 2 row)
+    (("zeros", "--f", "fourth-limit", "--q", "0.99", "--n", "0", "--scan-lo", "-1e-2",
+      "--scan-hi", "-1e-6", "--max-zeros", "8"), {}, 3,
+     "Overflow: fourth-limit f_0 left the double range"),
 ]
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qdhahn import cdqhahn, limits, qseries, recurrence, verify
-from qdhahn.errors import NoConvergentRepresentation, NonRealResult, ZeroDivisor
+from qdhahn.errors import (MaxTermsExceeded, NoConvergentRepresentation, NonRealResult, Overflow,
+                           ZeroDivisor)
 from qdhahn.family import ABOVE, BELOW
 
 GRID_REL_TOL = 1e-12
@@ -300,6 +301,17 @@ class TestScanGrids:
             limits.fourth_limit_series(limits.FourthLimit(0.5), 0)(x)
         with pytest.raises(ZeroDivisor):
             limits.limit_cf_parts(limits.LimitASC1(0.5, 0.8), x)
+
+    @pytest.mark.parametrize("q, z, error", [(0.99, -1e-3, Overflow),
+                                             (0.999, -1.0, MaxTermsExceeded)])
+    def test_fourth_limit_handle_past_the_range_or_the_term_budget_raises(self, q, z, error):
+        # a grid raises the scalar handle's error at its first failing point
+        f = limits.fourth_limit_series(limits.FourthLimit(q), 0)
+        with pytest.raises(error) as scalar:
+            f(z)
+        with pytest.raises(error) as grid:
+            f(np.array([-1e3, z, 2 * z]))
+        assert str(grid.value) == str(scalar.value)
 
     def test_fourth_limit_grid_takes_real_points(self):
         with pytest.raises(TypeError):

@@ -278,6 +278,8 @@ class TestSolutions:
         cases = [(Wall(q, q, 0.4), 2.31, 4, 8), (LimitWall(q, q * q), 2.7, 3, 12),
                  (ContQHermite(q, q * q, 0.6), 5.0, 2, 12),
                  (ContBigQHermite(q, q * q, -0.7), 3.3, 3, 12),
+                 # lambda_+ / a = 2 = 1/q, with A no power of q
+                 (ContBigQHermite(q, 0.3, -0.7), -0.5666666666666664, 3, 12),
                  (QBesselOrder(q, 2.7 * q**3), 2.7, 3, 12)]
         for fam, z, which, stop in cases:
             value = limit_solution(fam, z, which, 3)
@@ -577,6 +579,9 @@ class TestZeros:
 
     def test_pole_rejection(self):
         zl = find_zeros(lambda x: 1.0 / (x - 2.0), 1.0, 3.0, log_spaced=False)
+        assert len(zl) == 0
+        # a jump between +inf and -inf is no zero either
+        zl = find_zeros(lambda x: math.inf if x < 2 else -math.inf, 1.0, 3.0, log_spaced=False)
         assert len(zl) == 0
 
     def test_pole_on_a_grid_node(self):
