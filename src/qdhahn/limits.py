@@ -1070,7 +1070,8 @@ def find_zeros(
             continue
         if not (math.isfinite(y0) and math.isfinite(y1)):  # a pole's jump, or a failed point
             continue
-        if y0 * y1 < 0:
+        # signs compared, not a product, which underflows for tiny values
+        if y0 < 0 < y1 or y1 < 0 < y0:
             a, b, fa = x0, x1, y0
             while abs(b - a) > 1e-12 * min(1.0, abs(a) + abs(b)) and abs(b - a) > 5e-324:
                 mid = 0.5 * (a + b)
@@ -1082,7 +1083,7 @@ def find_zeros(
                 if fm == 0:
                     a = b = mid
                     break
-                if fa * fm < 0:
+                if (fa < 0) != (fm < 0):
                     b = mid
                 else:
                     a, fa = mid, fm

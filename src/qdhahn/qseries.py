@@ -36,7 +36,9 @@ pass alive for all of them.
 
 The scalar kernels (``_phi_core`` and the infinite ``qpoch``) sum finite
 real inputs in float arithmetic, with the same bits as the complex loop;
-complex, nan and inf inputs use complex arithmetic.
+complex, nan and inf inputs use complex arithmetic.  ``_phi_core``
+compiles its summing loop on first use, once per series shape, from one
+loop text with the products unrolled, and sums with unchanged bits.
 
 A nonterminating series whose term is inf or nan can never settle: it
 raises Overflow naming that term, scalar and grid alike.
@@ -47,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -460,6 +462,7 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
                 "argument modulus >= 1 with r = s+1; use a continuation"
             )
     summed = None
+    r, s, terminating = spec.r, spec.s, stop is not None
     reals = _finite_reals((*numerator, *denominator, z))
     if reals is not None:
         # floats keep the complex loop's bits while every term is finite
@@ -468,14 +471,15 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
         # nan, so such a sum is summed again by the complex loop, which
         # names its own first term past the range
         try:
-            summed = _phi_terms(reals[:spec.r], reals[spec.r:-1], reals[-1], q, stop, policy)
+            summed = _phi_loop(r, s, True, terminating)(
+                reals[:r], reals[r:-1], reals[-1], q, stop, policy)
         except Overflow:
             pass
         else:
             if not 0.0 < abs(summed[3]) < INFINITY:
                 summed = None
     if summed is None:
-        summed = _phi_terms(numerator, denominator, z, q, stop, policy)
+        summed = _phi_loop(r, s, False, terminating)(numerator, denominator, z, q, stop, policy)
     total, weighted, tail, _, exceeded = summed
     if exceeded:
         raise MaxTermsExceeded("series did not settle within %d terms" % exceeded)
@@ -491,17 +495,51 @@ def _finite_reals(values):
     return [v.real for v in values]
 
 
-def _phi_terms(numerator, denominator, z, q, stop, policy):
-    """The summing loop of ``_phi_core``, in the arithmetic of the
-    parameters and the argument: floats or complex numbers.  Returns
-    (sum, weighted term total, tail bound, last term, k), where k is the
-    term count at which the budget ran out, or 0."""
-    rel_tol, max_terms = policy.rel_tol, policy.max_terms
-    extra = 1 + len(denominator) - len(numerator)
+# The summing loop of ``_phi_core``, one text for every series shape.
+# ``_phi_loop`` fills it in per key: the numerator and denominator
+# products unrolled, the weight (-q^k)^extra written in or left out, and
+# the stopping block of an open series kept or dropped.  The operations
+# and their order are those of a loop over the parameters.
+_LOOP = """\
+def phi_terms(numerator, denominator, z, q, stop, policy):
+    ({a}) = numerator
+    ({b}) = denominator
     # a complex operand takes 1.0 as 1 + 0j: complex sums keep their bits
     term = total = 1.0
     largest = 1.0
     weighted = 1.0  # sum of (k+1) |T_k|, driving the rounding estimate
+    qk = 1.0  # q^k
+    k = 0
+    k2 = 2.0  # k + 2 as a float, exact below 2^53
+{open_setup}\
+    # comparisons stand in for max and min below: they pick the same
+    # operand, a nan included, without a builtin call per term
+    while {condition}:
+        num = {num}
+        den = {den}  # the (q; q)_k factor advanced to k+1
+        if den == 0:
+            raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
+        factor = num / den * z
+{weight}\
+        term *= factor
+        total += term
+        size = abs(term)
+        if size > largest:
+            largest = size
+        weighted += k2 * size
+        k += 1
+        k2 += 1.0
+        qk *= q
+{exit}\
+"""
+_LOOP_WEIGHT = """\
+        try:  # a q^k near 0 to a negative power leaves the double range
+            factor *= (-qk)**{extra}
+        except (ZeroDivisionError, OverflowError):
+            raise Overflow("q^k underflow with negative exponent weight") from None
+"""
+_LOOP_OPEN_SETUP = """\
+    rel_tol, max_terms = policy.rel_tol, policy.max_terms
     small_run = 0
     ratio_mag = 0.0
     # |total| <= weighted, 1e-3 largest <= weighted and the tail factor is
@@ -510,62 +548,62 @@ def _phi_terms(numerator, denominator, z, q, stop, policy):
     # inf or nan fails the comparison and meets the full test's range check
     big = 2.0 * rel_tol
     quick_until = min(800, max_terms)
-    qk = 1.0  # q^k
-    k = 0
-    # comparisons stand in for max and min below: they pick the same
-    # operand, a nan included, without a builtin call per term
-    while stop is None or k < stop:
-        num = 1.0
-        for a in numerator:
-            num *= 1.0 - a * qk
-        den = 1.0 - q * qk  # the (q; q)_k factor advanced to k+1
-        for b in denominator:
-            den *= 1.0 - b * qk
-        if den == 0:
-            raise ZeroDivisor("series denominator vanished at term %d" % (k + 1))
-        factor = num / den * z
-        if extra:
-            try:  # a q^k near 0 to a negative power leaves the double range
-                factor *= (-qk)**extra
-            except (ZeroDivisionError, OverflowError):
-                raise Overflow("q^k underflow with negative exponent weight") from None
-        term *= factor
-        total += term
-        size = abs(term)
-        if size > largest:
-            largest = size
-        weighted += (k + 2.0) * size
-        k += 1
-        qk *= q
-        if stop is None:
-            if size > big * weighted and k < quick_until:
-                small_run = 0
-                continue
-            # geometric tail-aware smallness, the tail factor in [1, 1e3]
-            # (below 0.999 the ratio gives under 1e3); three consecutive
-            # small terms guard against alternating near-cancellation
-            ratio_mag = abs(factor)
-            tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
-            if 1.0 > tail_factor:
-                tail_factor = 1.0
-            floor = 1e-3 * largest
-            magnitude = abs(total)
-            if size * tail_factor < rel_tol * (floor if floor > magnitude else magnitude):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-                if not size < INFINITY:  # inf or nan: the sum can never settle
-                    raise Overflow("series term %d left the double-precision range" % k)
-            if k >= max_terms or (k > 800 and ratio_mag > 0.995):
-                return total, weighted, None, term, min(k, max_terms)
-    if stop is not None:
-        tail = 0.0
-    else:
+"""
+_LOOP_OPEN_EXIT = """\
+        if size > big * weighted and k < quick_until:
+            small_run = 0
+            continue
+        # geometric tail-aware smallness, the tail factor in [1, 1e3]
+        # (below 0.999 the ratio gives under 1e3); three consecutive
+        # small terms guard against alternating near-cancellation
+        ratio_mag = abs(factor)
         tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
-        tail = abs(term) * max(tail_factor, 1.0)
-    return total, weighted, tail, term, 0
+        if 1.0 > tail_factor:
+            tail_factor = 1.0
+        floor = 1e-3 * largest
+        magnitude = abs(total)
+        if size * tail_factor < rel_tol * (floor if floor > magnitude else magnitude):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+            if not size < INFINITY:  # inf or nan: the sum can never settle
+                raise Overflow("series term %d left the double-precision range" % k)
+        if k >= max_terms or (k > 800 and ratio_mag > 0.995):
+            return total, weighted, None, term, min(k, max_terms)
+    tail_factor = ratio_mag / (1.0 - ratio_mag) if ratio_mag < 0.999 else 1e3
+    return total, weighted, abs(term) * max(tail_factor, 1.0), term, 0
+"""
+
+
+@cache
+def _phi_loop(r: int, s: int, real: bool, terminating: bool):
+    """The summing loop of ``_phi_core`` for an r-phi-s series that ends
+    at a known index if ``terminating``, compiled on first use; in float
+    arithmetic if ``real``, else in complex arithmetic.  It takes
+    (numerator, denominator, argument, q, termination index or None,
+    policy) and returns (sum, weighted term total, tail bound, last term,
+    k), where k is the term count at which the budget ran out, or 0."""
+    factors = ["(1.0 - a%d * qk)" % i for i in range(r)]
+    if factors and not real:  # a float times a complex number is a full complex product
+        factors[0] = "1.0 * " + factors[0]
+    extra = 1 + s - r
+    source = _LOOP.format(
+        a="".join("a%d, " % i for i in range(r)),
+        b="".join("b%d, " % i for i in range(s)),
+        open_setup="" if terminating else _LOOP_OPEN_SETUP,
+        condition="k < stop" if terminating else "True",
+        num=" * ".join(factors) or "1.0",
+        den=" * ".join(["(1.0 - q * qk)"] + ["(1.0 - b%d * qk)" % i for i in range(s)]),
+        weight=_LOOP_WEIGHT.format(extra=extra) if extra else "",
+        exit="    return total, weighted, 0.0, term, 0\n" if terminating else _LOOP_OPEN_EXIT,
+    )
+    filename = "<phi loop r=%d s=%d %s %s>" % (
+        r, s, "float" if real else "complex", "terminating" if terminating else "open")
+    namespace = {"INFINITY": INFINITY, "Overflow": Overflow, "ZeroDivisor": ZeroDivisor}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["phi_terms"]
 
 
 def _phi_core_grid(spec: SeriesSpec, policy: TruncationPolicy):

@@ -381,10 +381,9 @@ CONTRACT_CASES = [
     # range (gamma = inf): the cut check exits 3 before the fraction runs
     (("eval", "--family", "cont-big-q-hermite", "--q", "0.45345304972429223", "--A", "1e-200",
       "--a", "1e200", "--what", "cf-trunc", "--z", "0.5"), {}, 3),
-    # a truncated J-fraction that leaves the double range (--n 0, the
-    # default and unused here, keeps the row's id apart from wall's above)
+    # a truncated J-fraction that leaves the double range
     (("eval", "--family", "wall", "--what", "cf-trunc", "--z", "-1e308", "--q", ".5", "--A",
-      "1e-308", "--B", "1e308", "--n", "0"), {}, 3,
+      "1e-308", "--B", "1e308"), {}, 3,
      "Overflow: truncated J-fraction at depth 400 left the double range"),
     # a cut whose growth product overflows (gamma = inf) or underflows (gamma = 0)
     *[(("eval", "--family", fid, "--what", "cf", *point, "--q", ".5", *args), {}, 3)
@@ -445,25 +444,29 @@ CONTRACT_CASES = [
     (("zeros", "--f", "cont-q-hermite:num", "--q", ".5", "--delta", ".5", "--scan-lo", ".1",
       "--scan-hi", "1"), {}, 2, "no scan-ready series pair"),
     # a window where the fourth-limit handle leaves the double range exits 3,
-    # where it printed the jumps between +inf and -inf as zeros (--max-zeros
-    # 8, the default, keeps the row's id apart from the --q 2 row)
+    # where it printed the jumps between +inf and -inf as zeros
     (("zeros", "--f", "fourth-limit", "--q", "0.99", "--n", "0", "--scan-lo", "-1e-2",
-      "--scan-hi", "-1e-6", "--max-zeros", "8"), {}, 3,
+      "--scan-hi", "-1e-6"), {}, 3,
      "Overflow: fourth-limit f_0 left the double range"),
 ]
 
 
 def _case_id(case):
+    """The command, the environment and every option the row sets, with
+    its value, in argv order: rows that differ anywhere get distinct ids."""
     argv, env, *_ = case
     named = [f"{k}={v}" for k, v in env.items()]
-    for option in ("--family", "--f", "--what", "--n", "--x", "--grid", "--which", "--side",
-                   "--tol", "--cf-form", "--delta", "--max-zeros", "--check"):
-        if option in argv:
-            named.append(f"{option.lstrip('-')}={argv[argv.index(option) + 1]}")
-    # a value that is not finite names its option too
-    named += [f"{option.lstrip('-')}={value}" for option, value in zip(argv, argv[1:])
-              if value in ("nan", "inf")]
+    for i, option in enumerate(argv):
+        if option.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) else "--"
+            named.append(option[2:] if value.startswith("--") else f"{option[2:]}={value}")
     return "-".join([argv[0], *named])
+
+
+def test_case_ids_are_unique():
+    for ids in ([_case_id(case) for case in CONTRACT_CASES],
+                [_command_id(argv) for argv in FORMAT_CASES]):
+        assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("case", CONTRACT_CASES, ids=map(_case_id, CONTRACT_CASES))

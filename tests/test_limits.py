@@ -577,6 +577,16 @@ class TestZeros:
         zl = find_zeros(math.sin, 1.0, 10.0, log_spaced=False, samples=500)
         assert zl.zeros == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, -1e-200])
+    def test_tiny_values_of_opposite_sign_bracket_a_zero(self, scale):
+        # their product underflows to -0.0; their signs still differ
+        zl = find_zeros(lambda x: (x - 2.0) * scale, 1.0, 3.0, log_spaced=False)
+        assert zl.zeros == (2.0,)
+
+    def test_a_zero_on_a_grid_node_is_found_once(self):
+        zl = find_zeros(lambda x: x - 2.0, 1.0, 3.0, log_spaced=False, samples=5)
+        assert zl.zeros == (2.0,) and zl.brackets == ((2.0, 2.0),)
+
     def test_pole_rejection(self):
         zl = find_zeros(lambda x: 1.0 / (x - 2.0), 1.0, 3.0, log_spaced=False)
         assert len(zl) == 0

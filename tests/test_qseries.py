@@ -785,6 +785,68 @@ class TestPhiCoreLoop:
             assert list(errors[1:]) == [None] * len(others)
 
 
+# every key of the compiled summing loop with r <= 3 and s <= 2: a
+# terminating series has a numerator parameter, and an open one r <= s + 1
+LOOP_KEYS = {(r, s, real, terminating) for r in range(4) for s in range(3)
+             for real in (True, False) for terminating in (True, False)
+             if (r > 0 if terminating else r <= s + 1)}
+
+
+def loop_filename(r, s, real, terminating):
+    return "<phi loop r=%d s=%d %s %s>" % (
+        r, s, "float" if real else "complex", "terminating" if terminating else "open")
+
+
+def loop_corpus():
+    """The scalar loop's corpus: ``phi_core_corpus`` and the shaped specs
+    of ``test_every_shape_matches_the_former_loop`` under its policies."""
+    cases = phi_core_corpus(random.Random(17), 1500)
+    for r in range(4):
+        for s in range(3):
+            rng = random.Random(10 * r + s)
+            specs = [spec for q in (0.1, 0.5, 0.9) for spec in shaped_specs(rng, r, s, q)]
+            specs += [spec for q in (0.05, 0.5, 0.95) for spec in real_shaped_specs(rng, r, s, q)]
+            cases += [(spec, policy) for spec in specs
+                      for policy in (qseries.DEFAULT_POLICY, TruncationPolicy(max_terms=60),
+                                     TruncationPolicy(rel_tol=1e-15))]
+    return cases
+
+
+class TestPhiLoops:
+    def test_every_loop_sums_as_the_former_loop_and_compiles_once(self, monkeypatch):
+        loops = qseries._phi_loop
+        loops.cache_clear()
+        keys, compiled = [], []
+
+        def recorded_compile(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(qseries, "compile", recorded_compile, raising=False)
+        monkeypatch.setattr(qseries, "_phi_loop", lambda *key: keys.append(key) or loops(*key))
+        summed_by, reached = set(), set()
+        for spec, policy in loop_corpus():
+            keys.clear()
+            outcome = core_outcome(qseries._phi_core, spec, policy)
+            assert outcome == core_outcome(former_phi_core, spec, policy)
+            reached.update(keys)
+            if len(outcome) == 4:  # the last loop called summed it
+                summed_by.add(keys[-1])
+        assert LOOP_KEYS <= summed_by
+        # one compilation per key, under a filename that names the key
+        assert sorted(compiled) == sorted(loop_filename(*key) for key in reached)
+
+    @pytest.mark.parametrize("a, filename", [
+        (0.3, "<phi loop r=2 s=1 float open>"),
+        (0.3 + 0.1j, "<phi loop r=2 s=1 complex open>"),
+    ])
+    def test_a_traceback_names_its_loop(self, a, filename):
+        with pytest.raises(ZeroDivisor, match="^series denominator vanished at term 3$") as raised:
+            qseries._phi_core(SeriesSpec((a, 0.4), (0.5 ** -2,), 0.5, 0.3),
+                              qseries.DEFAULT_POLICY)
+        assert raised.traceback[-1].path == filename
+
+
 def termination_points(q):
     """Parameters at, near and away from q^-m, 1 and the early-exit floor
     1 - 2e-13, real and complex."""
