@@ -343,9 +343,8 @@ def cmd_table(family, n_lo, n_hi, grid, q, fmt, **params):
 def run():
     """Console entry point with the documented exit-code contract."""
     try:
-        main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
+        # outside standalone mode click returns an Exit's code (--help's 0)
+        code = main(standalone_mode=False)
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(CONFIG_ERROR)
@@ -361,6 +360,8 @@ def run():
     except QdhError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(NUMERIC_ERROR)
+    if isinstance(code, int) and code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -586,8 +586,6 @@ def _phi_loop(r: int, s: int, real: bool, terminating: bool):
     policy) and returns (sum, weighted term total, tail bound, last term,
     k), where k is the term count at which the budget ran out, or 0."""
     factors = ["(1.0 - a%d * qk)" % i for i in range(r)]
-    if factors and not real:  # a float times a complex number is a full complex product
-        factors[0] = "1.0 * " + factors[0]
     extra = 1 + s - r
     source = _LOOP.format(
         a="".join("a%d, " % i for i in range(r)),

@@ -1,19 +1,18 @@
 import contextlib
-import csv
 import io
 import json
-import math
 import subprocess
 import sys
 
-import click
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdhahn import cdqhahn, cli, family, limits, recurrence
+from qdhahn import cdqhahn, cli, limits, recurrence, verify
+
+from bits import CDQH_ARGS, EVAL_CASES, LIMIT_ARGS, TABLE_CASES, ZERO_CASES
 
 
 @pytest.fixture
@@ -169,6 +168,12 @@ class TestVerify:
         _, out, _ = qdh("verify", "--check", "limits", "--seed", "123")
         assert "seed=123" in out
 
+    def test_a_report_over_its_threshold_prints_fail_and_exits_1(self, monkeypatch, qdh):
+        monkeypatch.setitem(verify.CHECKS, "symmetries", lambda seed, fast: [
+            verify.CheckReport("symmetries", seed, 3, 2e-9, 1e-9)])
+        assert qdh("verify", "--check", "symmetries", "--seed", "7") == (1, (
+            "FAIL symmetries: points=3 max_rel_error=2.000e-09 threshold=1.0e-09 seed=7\n"), "")
+
 
 class TestZeros:
     def test_negative_zeros_csv(self, qdh):
@@ -186,6 +191,17 @@ class TestZeros:
         )
         assert code == 0
         assert "interlace n=0 vs n=1: pass" in out
+
+    def test_zeros_that_do_not_interlace_fail_after_the_rows(self, monkeypatch, qdh):
+        # order 1's one zero lies in the first gap of order 0's, none in the second
+        brackets = ((-3.5, -2.5), (-2.5, -1.5), (-1.5, -0.5))
+        lists = iter([limits.ZeroList((-3.0, -2.0, -1.0), brackets),
+                      limits.ZeroList((-2.5,), brackets[:1])])
+        monkeypatch.setattr(limits, "find_zeros", lambda *args, **kwargs: next(lists))
+        code, out, err = qdh("zeros", "--f", "fourth-limit", "--q", "0.5", "--interlace",
+                             "--format", "text")
+        assert (code, err) == (1, "")
+        assert out == "-3 -3.5 -2.5\n-2 -2.5 -1.5\n-1 -1.5 -0.5\ninterlace n=0 vs n=1: fail\n"
 
     def test_positive_axis_scan_is_empty(self, qdh):
         _, out, _ = qdh(
@@ -246,20 +262,6 @@ class TestTable:
         assert len(rows) == 2
 
 
-CDQH_ARGS = ("--q", ".5", "--A", ".3", "--B", ".4", "--C", ".35", "--D", ".45")
-LIMIT_ARGS = {
-    "big-q-laguerre": ("--A", ".3", "--B", ".4", "--C", ".35"),
-    "wall": ("--A", ".3", "--B", ".4"),
-    "limit-wall": ("--A", ".3"),
-    "fourth-limit": (),
-    "al-salam-chihara": ("--A", ".3", "--B", ".4", "--delta", ".7"),
-    "al-salam-carlitz1": ("--A", ".3", "--delta", ".7"),
-    "limit-asc1": ("--delta", ".7"),
-    "cont-q-hermite": ("--A", ".3", "--delta", ".7"),
-    "limit-q-hermite": ("--delta", ".7"),
-    "cont-big-q-hermite": ("--A", ".3", "--a", "1.6"),
-    "q-bessel-order": ("--a", "-1"),
-}
 WALL = ("eval", "--family", "wall", "--q", ".5", "--A", ".3", "--B", ".4")
 # the families with a spectral cut and their parameters; z = 2.5 lies on
 # each cut, at x = 0.24 (cdqh), 0.51, 0.81 and 0.77
@@ -448,6 +450,10 @@ CONTRACT_CASES = [
     (("zeros", "--f", "fourth-limit", "--q", "0.99", "--n", "0", "--scan-lo", "-1e-2",
       "--scan-hi", "-1e-6"), {}, 3,
      "Overflow: fourth-limit f_0 left the double range"),
+    # help exits 0; no command is a usage error
+    (("--help",), {}, 0),
+    (("eval", "--help"), {}, 0),
+    ((), {}, 2, "Usage:"),
 ]
 
 
@@ -460,13 +466,13 @@ def _case_id(case):
         if option.startswith("--"):
             value = argv[i + 1] if i + 1 < len(argv) else "--"
             named.append(option[2:] if value.startswith("--") else f"{option[2:]}={value}")
-    return "-".join([argv[0], *named])
+    command = argv[0] if argv and not argv[0].startswith("--") else "qdh"
+    return "-".join([command, *named])
 
 
 def test_case_ids_are_unique():
-    for ids in ([_case_id(case) for case in CONTRACT_CASES],
-                [_command_id(argv) for argv in FORMAT_CASES]):
-        assert len(set(ids)) == len(ids)
+    ids = [_case_id(case) for case in CONTRACT_CASES]
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("case", CONTRACT_CASES, ids=map(_case_id, CONTRACT_CASES))
@@ -478,6 +484,13 @@ def test_exit_code_contract(case, qdh):
     assert "Traceback" not in err
     assert all(fragment in err for fragment in fragments)
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("returned, code", [(None, 0), (0, 0), (4, 4)])
+def test_a_code_click_returns_is_the_exit_code(returned, code, monkeypatch, qdh):
+    # outside standalone mode click's main returns an Exit's code, not raises it
+    monkeypatch.setattr(cli, "main", lambda standalone_mode: returned)
+    assert qdh() == (code, "", "")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -706,97 +719,6 @@ def test_zero_scans_print_what_the_pointwise_scan_prints(argv, monkeypatch, qdh)
     assert qdh(*argv) == grid
 
 
-def _former_emit_rows(rows, header, fmt, params_comment=None):
-    """The emitter as it was with csv.writer, kept to check that the
-    output did not change; its callers passed a complex value as its
-    str, which it does first."""
-    rows = [[str(v) if isinstance(v, complex) else v for v in row] for row in rows]
-
-    def fmt_value(v):
-        return f"{v:.17g}"
-
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        if params_comment:
-            buffer.write(f"# {params_comment}\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) if isinstance(v, float) else v for v in row])
-        click.echo(buffer.getvalue(), nl=False)
-    elif fmt == "json":
-        click.echo(json.dumps(
-            {"header": list(header),
-             "rows": [[fmt_value(v) if isinstance(v, float) else v for v in row] for row in rows]},
-            sort_keys=True))
-    else:
-        if params_comment:
-            click.echo(f"# {params_comment}")
-        for row in rows:
-            click.echo(" ".join(fmt_value(v) if isinstance(v, float) else str(v) for v in row))
-
-
-EDGE_ROWS = [
-    [float("nan"), float("inf"), -float("inf")],
-    [-0.0, 5e-324, 1e300],
-    [np.float64(0.1), np.float64(-2.5e-310), 1 / 3],
-    [2 + 1j, 0.5, -0.25],
-    ["(2-3j)", complex(-1.5, 1e-300), complex(float("nan"), 0)],
-]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-@pytest.mark.parametrize("comment", [None, "family=wall q=0.5 A=0.29999999999999999 B=-0+1i"])
-@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge-values", "empty"])
-def test_cells_print_as_the_former_csv_writer_printed_them(rows, fmt, comment, capsys):
-    header = ("n_or_x", "re", "im")
-    cli._emit_rows(rows, header, fmt, comment)
-    printed = capsys.readouterr().out
-    _former_emit_rows(rows, header, fmt, comment)
-    assert printed == capsys.readouterr().out
-    if fmt == "csv":
-        assert printed.endswith("\r\n") and "\n" not in printed.replace("\r\n", "")
-
-
-TABLE_CASES = [
-    *[("table", "--family", fid, "--n-lo", "1", "--n-hi", "12", "--grid", "-3:3.5:17", *args)
-      for fid, args in [("cdqh", CDQH_ARGS),
-                        *[(fid, ("--q", ".5", *a)) for fid, a in LIMIT_ARGS.items()]]],
-    ("table", "--family", "wall", "--n-lo", "3", "--n-hi", "2", "--grid", "1:2:3", "--q", ".5",
-     *LIMIT_ARGS["wall"]),
-]
-EVAL_CASES = [
-    ("eval", "--family", "cdqh", "--what", "weight", "--grid", "-0.99:0.99:9", *CDQH_ARGS),
-    ("eval", "--family", "fourth-limit", "--what", "cf", "--cf-form", "power-sums",
-     "--grid", "-2.5:3:6", "--q", ".5"),
-    ("eval", "--family", "wall", "--what", "poly", "--n", "4", "--z", "2+0.5i",
-     "--q", ".5", *LIMIT_ARGS["wall"]),
-    ("eval", "--family", "al-salam-chihara", "--what", "cf", "--x", "0.3", "--side", "above",
-     "--q", ".5", *LIMIT_ARGS["al-salam-chihara"]),
-]
-ZERO_CASES = [
-    ("zeros", "--f", "fourth-limit", "--n", "-1", "--q", "0.5", "--interlace"),
-    ("zeros", "--f", "fourth-limit", "--n", "0", "--q", "0.5", "--scan-lo", "1e-4",
-     "--scan-hi", "1e4"),
-    ("zeros", "--f", "q-bessel-order:num", "--q", ".5", "--a", "-.8", "--scan-lo", ".02",
-     "--scan-hi", "1.8"),
-]
-FORMAT_CASES = TABLE_CASES + EVAL_CASES + ZERO_CASES
-
-
-def _command_id(argv):
-    return _case_id((argv, {}, 0))
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-@pytest.mark.parametrize("argv", FORMAT_CASES, ids=map(_command_id, FORMAT_CASES))
-def test_commands_print_what_the_former_emitter_printed(argv, fmt, monkeypatch, qdh):
-    printed = qdh(*argv, "--format", fmt)
-    assert printed[0] == 0
-    monkeypatch.setattr(cli, "_emit_rows", _former_emit_rows)
-    assert qdh(*argv, "--format", fmt) == printed
-
-
 @pytest.mark.parametrize("argv", [TABLE_CASES[0], EVAL_CASES[0], ZERO_CASES[0]],
                          ids=["table", "eval", "zeros"])
 def test_commands_emit_through_the_module_global(argv, monkeypatch, qdh):
@@ -807,53 +729,12 @@ def test_commands_emit_through_the_module_global(argv, monkeypatch, qdh):
     assert len(calls) == 1 and calls[0] > 0
 
 
-def _former_table_rows(points, table):
-    """``qdh table``'s former per-cell row builder, kept to check that its
-    one array pass builds the same cells."""
-    rows = []
-    for z, values in zip(points, table.T):
-        rows.append([z] + [v.real if abs(v.imag) < 1e-300 else v for v in values.tolist()])
-    return rows
-
-
-def _crafted_table(n_rows, n_points):
-    """P_n values with every kind of cell the row builder tells apart: an
-    imaginary part below 1e-300 (0, -0.0, +-1e-301) prints the real part,
-    one at 1e-300 or above, nan or inf prints the complex value; real
-    parts include nan and inf."""
-    imags = [0.0, -0.0, 1e-301, -1e-301, 1e-300, 1e-299, -1e-299, math.nan, math.inf, -math.inf]
-    reals = [0.5, -2.5e-310, 1 / 3, -7.25e12, math.nan, math.inf, -math.inf]
-    cells = [complex(re, im) for im in imags for re in reals]
-    count = n_rows * n_points
-    return np.array((cells * (count // len(cells) + 1))[:count]).reshape(n_rows, n_points)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-def test_table_cells_are_the_former_per_cell_builders(fmt, monkeypatch, qdh):
-    table = _crafted_table(9, 11)
-    monkeypatch.setattr(family, "poly_rows", lambda fam, z, n_lo, n_hi: table)
-    argv = ("table", "--family", "wall", "--n-lo", "2", "--n-hi", "10", "--grid", "1:2:11",
-            "--q", ".5", *LIMIT_ARGS["wall"], "--format", fmt)
-    printed = qdh(*argv)
-    assert printed[0] == 0
-    points = cli._parse_grid("1:2:11")
-
-    def former(rows, header, fmt, params_comment=None):
-        _former_emit_rows(_former_table_rows(points, table), header, fmt, params_comment)
-
-    monkeypatch.setattr(cli, "_emit_rows", former)
-    assert qdh(*argv) == printed
-    # the crafted cells print both ways: as a real part and as complex
-    assert all(text in printed[1]
-               for text in ("-2.5000000000000171e-310", "(0.5+1e-300j)", "(nan+infj)"))
-
-
 _CELLS = st.one_of(
     st.floats(),
     st.floats().map(np.float64),
     st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.integers(-10**20, 10**20),
-    # no separator or quote, which the former csv writer quoted
+    # no separator or quote, which would make a csv cell ambiguous
     st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=',"'),
             min_size=1, max_size=6),
 )
@@ -885,4 +766,3 @@ def test_rows_print_each_cells_text(rows, more):
         if fmt == "csv":
             lines.insert(0, sep.join(header))
         assert printed == end.join(lines) + end
-        assert printed == _echoed(_former_emit_rows, rows, header, fmt)

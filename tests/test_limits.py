@@ -573,6 +573,17 @@ class TestZeros:
         for n in (-1, 0, 1, 2):
             assert interlaces(lists[n], lists[n + 1])
 
+    def test_interlacing_of_hand_made_lists(self):
+        # fewer than two zeros, or none to place, leave no gap to test
+        assert interlaces([], [1.0]) and interlaces([1.0], [0.5, 2.0])
+        assert interlaces([1.0, 2.0], [])
+        assert interlaces([1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5])
+        # a gap with no zero, or with two
+        assert not interlaces([1.0, 2.0, 3.0], [1.5])
+        assert not interlaces([1.0, 2.0], [1.2, 1.8])
+        # zeros on the ends of a gap lie outside it
+        assert not interlaces([1.0, 2.0], [1.0, 2.0])
+
     def test_known_function_zeros(self):
         zl = find_zeros(math.sin, 1.0, 10.0, log_spaced=False, samples=500)
         assert zl.zeros == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from qdhahn import cdqhahn, limits, recurrence
 from qdhahn.errors import IndexOutOfWindow, Overflow, ZeroDenominator, ZeroDivisor
-from qdhahn.family import poly_rows, solution_sequence
+from qdhahn.family import solution_sequence
 from qdhahn.recurrence import (
     Scaled,
     SolutionSequence,
@@ -21,6 +20,8 @@ from qdhahn.recurrence import (
     relative_residual,
     residual,
 )
+
+from bits import PAST_THE_RANGE
 
 
 @pytest.fixture
@@ -135,134 +136,12 @@ class TestCoefficients:
         assert rates.lambda_n == pytest.approx((1 - q) ** 2 / q**2)
 
 
-# coeff_table(f, 2048) of every family, grown in steps as cf_adaptive
-# grows it, for real, complex and signed parameters and for two q whose
-# low powers leave the double range: the SHA-256 of every entry's type
-# and float.hex pair, or the exception raised.  Recorded from the
-# per-index a_coeff/b_sq_coeff methods that _coeff_rows replaced.
-_PIN_SIZES = (32, 33, 36, 64, 71, 128, 135, 256, 263, 512, 519, 1024, 1031, 2048)
-_PIN_SETS = {
-    "real": (0.5, {"A": 0.35, "B": 0.45, "C": 0.3, "D": 0.4, "delta": 0.7, "a": 1.6}),
-    "complex": (0.83, {"A": 0.3 + 0.2j, "B": 0.3 - 0.2j, "C": -0.6 + 0.1j,
-                       "D": 0.45 - 0.05j, "delta": 0.5 - 0.9j, "a": -1.2 + 0.4j}),
-    "signed": (0.97, {"A": -1.7, "B": 2.5, "C": 0.97**-3, "D": -0.2, "delta": -0.3, "a": -0.8}),
-    "tiny-q": (1e-200, {"A": 0.35, "B": 0.45, "C": 0.3, "D": 0.4, "delta": 0.7, "a": 1.6}),
-    "subnormal-q": (1e-310, {"A": 0.35, "B": 0.45, "C": 0.3, "D": 0.4, "delta": 0.7, "a": 1.6}),
-}
-_PINNED = {
-    "cdqh": {
-        "real": "43a00c08c0061d85494db0c488a74b9d71c303f91c0546d301f54b5bf9a9dff4",
-        "complex": "936f0c09d2067f19f3aba2f9d099a893323e00250202365dc5c02bff75936f1e",
-        "signed": "0a53efd0997c9578519087449e5b2d77ad7a6e0ef2c13aa8560b733b9faef19d",
-        "tiny-q": "0ce7c6283619b3347d9a1b1f170aee7d9797b416fe295735c07edd98a156e9a8",
-        "subnormal-q": "OverflowError",
-    },
-    "big-q-laguerre": {
-        "real": "15c7d79803e5051e5619bde5a358741652e3f688e934ac72c57c046b8f5442bb",
-        "complex": "6744ce5eb86160b49ee1c85b73b45bef9a693a4bdea8ff4e3c817d3b747ebaa3",
-        "signed": "6f6abf7065d620107098ede28fc474ad90d5d30d7e766a143ead553d690bdbfd",
-        "tiny-q": "8ed659a8225a7d5fe3ef46e3781a2bf74b40d3eeddd1042946974bf5e9d87b27",
-        "subnormal-q": "OverflowError",
-    },
-    "wall": {
-        "real": "98b3c80244f1fae233f3adacb48e742036151e61140f44dc7c5c6c5f9fb38cdb",
-        "complex": "d243a1b68432df2ad11c9ab9b203afc1632f6a2b2014a85daa580f3573c1b00b",
-        "signed": "303a21ca3ea73fce8b1131161f276cb78314e2c6748f03a134f920046f3e89e0",
-        "tiny-q": "fd63841c5b21c6ae01fc5862105631f0ac6d87adc8158212795d5e9b3a26740c",
-        "subnormal-q": "OverflowError",
-    },
-    "limit-wall": {
-        "real": "595afde422d144e59bee657be018d8d2d8f1e8017a7cfa18d66ac9a166310326",
-        "complex": "cc64fb33cb632226575d9c8a06d6999d4fbabc3bae29cc6bfa7f3038708887b6",
-        "signed": "3bb8c2b0bc19ecc5067ff2204f2801cdbcc7334ff3fb6b91f040424b1c96e189",
-        "tiny-q": "OverflowError",
-        "subnormal-q": "OverflowError",
-    },
-    "fourth-limit": {
-        "real": "7b151ac074556139b8ca9663d65e6b1286fe7783e0a782dbcfa614d2b22ba0ed",
-        "complex": "0ef4114dc21677bacbf6d4df4846b6e0e8833caa861161be020683edd0eb0d53",
-        "signed": "8e2f09a8c6c517fded1bf87d5894d59ff5620cf11c98f37d6b221ef1d28ee2b5",
-        "tiny-q": "OverflowError",
-        "subnormal-q": "OverflowError",
-    },
-    "al-salam-chihara": {
-        "real": "58e5b28ca1043056dce856fe6c5762042a777572f0b3afbea720f6fd82deb611",
-        "complex": "0c0eaf392c737d492d59f7eb75f3dd7693ad36df53d241742c16077fc7f3cf05",
-        "signed": "4fe386ea591405287dcc2d43182590cdd39a3b8aef8a80f9f408db1645cc77ed",
-        "tiny-q": "e41096860942aa7c09b0b000d8ec83023b96cad2e5856920771f9de281422321",
-        "subnormal-q": "OverflowError",
-    },
-    "al-salam-carlitz1": {
-        "real": "c7f6a65304a4a71b9b758a6561c0fa8633d4fde792fd46284cbee7479f720355",
-        "complex": "907ca859cc5254bb5f9abf7ac3213f20a014dea016a8135d04dff978f8e9e360",
-        "signed": "3bdb62fc2c68b1a46ed21968b8d995c984129d7bbf726447d417524133f5ff00",
-        "tiny-q": "cdd909c969e36df896bbf99861a2a948a29fef8954816441f494cd7ad70b45a4",
-        "subnormal-q": "OverflowError",
-    },
-    "limit-asc1": {
-        "real": "4facc95a07539154c38cb3c6141e8507a5ac1b6bb0eace6d76f037a4a40b5ec5",
-        "complex": "002b81b7901c7461fb165f17fa5cfaa99131d23b3f3b98e94b143182d9529f53",
-        "signed": "47fbb4d770a17036d559647ec513ec16daae3dae7f7233044eee317f91054485",
-        "tiny-q": "6164041015cd7d1e1ea346065d04ab532d044371ebe76f9d6ee00a47bf0b0953",
-        "subnormal-q": "OverflowError",
-    },
-    "cont-q-hermite": {
-        "real": "56e372266b974f60ce5369e4feeec14829899c728815dbde470de9de48e2d70c",
-        "complex": "efc16cceacc25938d0d47937765b0e2257356ae123578e9de54632b457a5af83",
-        "signed": "086a1a1559f54acb0a6b9be9d853d776418662e391fa0263f7475694af5a8c6f",
-        "tiny-q": "9937d51fb193c5b1ad7158cc76450e809d87a5139c8c191900a11f8f1b67461a",
-        "subnormal-q": "OverflowError",
-    },
-    "limit-q-hermite": {
-        "real": "6b358c6a60bf43ed555592b9ff9efaf16c4a1879e4c90d09b5f6a622b2dca628",
-        "complex": "e7ebdfc8949332fcb75d4ebf885271b4be25ad6c68f5154f7e4f2c9abef0d8c2",
-        "signed": "0bf348087e7cc115da9daea2eead0729adfaaec1d11f4deb2ba8e8f2b1f51751",
-        "tiny-q": "f8b21baee1783508d1e7b5de7d1abba189a7389713e5e73088758567687e80cd",
-        "subnormal-q": "1acbc90b872b1c70122a25155a9b67b8a1eb5448a5e6b9ee2b3c635fff102385",
-    },
-    "cont-big-q-hermite": {
-        "real": "c48d85147845e2640926049aa4b265222eaf59c96a7f359340d4a8665cd7d479",
-        "complex": "4c4c85965fc94a10e6a072354adfbbb878e17b750e9be418ee567f4076cf9fcc",
-        "signed": "861d3d76cf948bbbd4a5862ee0a0f3fb58642dc1f291a508de3b2418b904cab6",
-        "tiny-q": "e79b1947e39f4d8ce3683e13b26fa9abab40e8206b672e019e13be87dfeb8bc7",
-        "subnormal-q": "OverflowError",
-    },
-    "q-bessel-order": {
-        "real": "18d011adfeb71a591cea198473ebaf931bc9b1b0ddeeafe1e6e53f03a66b6fe6",
-        "complex": "e63148e1fbf7f8a2547d4c1eb71a8b3e3b4758c4534f4fa5e28bbb0a11c3c9b6",
-        "signed": "ba45af38ac7fc83c0339afdb241fa6a19cd40e9d5107bf2715f7627ab6b71895",
-        "tiny-q": "b4f9a74c2b176dd88390904ce84a157fac14a034ab62105ed1858d685ba55af1",
-        "subnormal-q": "9e10feea63a562fddfa215a0a58c3f5e857d8247ef44e28a061035d0d42a22fc",
-    },
-}
-
-
-def _pinned_outcome(cls, q, params):
-    fam = cls(q, **{name: params[name] for name in cls.param_names})
-    table = ([], [])
-    try:
-        for size in _PIN_SIZES:
-            coeff_table(fam, size, table)
-    except ArithmeticError as exc:
-        return type(exc).__name__
-    digest = hashlib.sha256()
-    for v in table[0] + table[1]:
-        digest.update(f"{type(v).__name__}:{complex(v).real.hex()}:{complex(v).imag.hex()};".encode())
-    return digest.hexdigest()
-
-
 class TestCoefficientTable:
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     def test_entries_are_the_scalar_coefficients(self, family):
         a, b_sq = coeff_table(family, 40)
         assert bits(a) == bits([family.a_coeff(k) for k in range(40)])
         assert bits(b_sq) == bits([family.b_sq_coeff(k) for k in range(40)])
-
-    @pytest.mark.parametrize("cls", [cdqhahn.CDQHParams, *limits.FAMILIES.values()],
-                             ids=lambda cls: cls.family_id)
-    def test_tables_keep_their_recorded_bits(self, cls):
-        outcomes = {key: _pinned_outcome(cls, q, params) for key, (q, params) in _PIN_SETS.items()}
-        assert outcomes == _PINNED[cls.family_id]
 
     def test_extends_in_place(self, cdqh):
         table = coeff_table(cdqh, 5)
@@ -516,28 +395,6 @@ class TestScaled:
                 assert column_run.values()[0, 0] == 1.0
 
 
-def former_first_out_of_range(rows):
-    """The overflow locator ``poly_rows`` used before it read the grid
-    rounding: (point index, n) of the first point with a cell whose
-    ``Scaled.value`` raises, and the least such n there, cell by cell."""
-    mantissas = np.reshape(rows.mantissas, (len(rows), -1))
-    scales = np.reshape(rows.log_scales, (len(rows), -1))
-    for j in range(mantissas.shape[1]):
-        for i in range(len(rows)):
-            try:
-                Scaled(complex(mantissas[i, j]), float(scales[i, j])).value
-            except Overflow:
-                return j, rows.start_index + i
-
-
-# runs that leave the double range in some of their cells: P_n of
-# q-bessel-order (a = -1) at z = 40 from n ~ 400 on, of fourth-limit at
-# z = 2.5 from n = 774 on
-PAST_THE_RANGE = [
-    (limits.QBesselOrder(0.5, -1.0), np.array([2.0, 40.0, -40.0, 30.0 + 20.0j]), 600),
-    (limits.FourthLimit(0.5), np.linspace(2.0, 2.6, 7), 780),
-]
-
 _MANTISSAS = [1.0, 1e20, -1e20j, 1e-10, 0.5 - 0.7j, 0.0, -0.0, complex(-0.0, 0.0),
               complex(0.0, -0.0), math.nan, complex(math.nan, 1.0), complex(1.0, math.nan),
               complex(1e308, 1e308), math.inf, complex(0.0, -math.inf)]
@@ -548,8 +405,7 @@ _LOG_SCALES = [0.0, -0.0, 1.0, -745.0, 700.0, 700.0000001, 709.0, 709.8, 800.0, 
 class TestOneRoundingRule:
     """A grid window's ``values()`` gives every cell ``Scaled.value``'s
     bits, and raises Overflow exactly where some cell's ``Scaled.value``
-    raises; ``poly_rows`` names the point and the least n the per-cell
-    rule names."""
+    raises."""
 
     @staticmethod
     def check(seq):
@@ -598,24 +454,3 @@ class TestOneRoundingRule:
         keep = [v for v in _MANTISSAS if abs(v) <= 1.0]
         assert not self.check(SolutionSequence(0, np.array([keep], dtype=complex).T,
                                                np.full((len(keep), 1), 700.0)))
-
-    @pytest.mark.parametrize("family, z, n", PAST_THE_RANGE,
-                             ids=[f.family_id for f, _, _ in PAST_THE_RANGE])
-    def test_poly_rows_names_the_former_point_and_degree(self, family, z, n):
-        for points in (z, z[::-1], z[-1:], *z.tolist()):
-            seq = forward_eval(family, points, 0.0, 1.0, n)
-            for n_lo in (0, n - 200, n - 5):
-                rows = SolutionSequence(n_lo, seq.mantissas[n_lo + 1:], seq.log_scales[n_lo + 1:])
-                found = former_first_out_of_range(rows)
-                if found is None:
-                    assert len(poly_rows(family, points, n_lo, n)) == n - n_lo + 1
-                    continue
-                j, least = found
-                with pytest.raises(Overflow) as raised:
-                    poly_rows(family, points, n_lo, n)
-                point = complex(np.ravel(points)[j])
-                named = f"z={point.real if point.imag == 0 else point}"
-                if isinstance(points, np.ndarray):
-                    named += f" (grid point {j})"
-                assert str(raised.value) == \
-                    f"{family.family_id} P_{least} at {named} exceeds the double range"

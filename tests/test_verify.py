@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qdhahn import cdqhahn, limits, qseries, verify
+from qdhahn import limits, verify
 from qdhahn.errors import QdhError
 
 
@@ -212,99 +212,6 @@ class TestChecks:
 
         clean = cdqhahn.CDQHParams(0.5, 0.4, 0.4, 0.7, 0.4)
         assert verify.transform_pole_free(clean)
-
-
-# The three sampled checks as each wrote its own draw/reject/record loop
-# before they shared verify._sampled.
-
-
-def _former_three_term(sample_count, seed):
-    rng = random.Random(seed)
-    report = verify.CheckReport("three-term-transform", seed, 0, 0.0, 1e-8)
-    while report.points_tested < sample_count:
-        params, point = verify.draw_cdqh(rng)
-        if abs(params.A - params.C) < 5e-3:
-            continue
-        try:
-            c1, c4, c2 = cdqhahn.three_term_coeffs(params, point)
-            n = rng.randrange(0, 8)
-            lhs = c1 * cdqhahn.solution(params, point, "dominant", n) - c4 * cdqhahn.solution(
-                params, point, "lead-c", n
-            )
-            rhs = c2 * cdqhahn.solution(params, point, "lead-a", n)
-        except QdhError:
-            continue
-        err = verify._rel(lhs, rhs)
-        report.record(
-            err,
-            {"q": params.q, "A": params.A.real, "B": params.B.real,
-             "C": params.C.real, "D": params.D.real, "x": point.x, "n": n},
-            lhs,
-            rhs,
-        )
-    return report
-
-
-def _former_c_eq_q(sample_count, seed):
-    rng = random.Random(seed)
-    report = verify.CheckReport("c-eq-q-reduction", seed, 0, 0.0, 1e-9)
-    while report.points_tested < sample_count:
-        params, point = verify.draw_cdqh(rng)
-        n = rng.randrange(0, 6)
-        try:
-            lhs = cdqhahn.solution(params, point, "lead-a", n)
-            rhs = verify._lead_a_two_series(params, point, n)
-        except QdhError:
-            continue
-        report.record(verify._rel(lhs, rhs), {"stage": "two-series", "n": n, "q": params.q},
-                      lhs, rhs)
-        reduced = cdqhahn.CDQHParams(params.q, params.A, params.B, params.q, params.D)
-        rpoint = cdqhahn.spectral_point(reduced, x=point.x.real)
-        try:
-            lead_a = [cdqhahn.solution(reduced, rpoint, "lead-a", m) for m in (0, 1, n)]
-            terminating = [
-                cdqhahn.dual_qhahn_reduction(reduced, rpoint, m) for m in (0, 1, n)
-            ]
-        except QdhError:
-            continue
-        ratios = [va / vb for va, vb in zip(lead_a, terminating)]
-        err = max(verify._rel(r, ratios[0]) for r in ratios)
-        report.record(err, {"stage": "reduction-ratio", "n": n, "q": params.q},
-                      ratios[-1], ratios[0])
-        const = qseries.qpoch_multi(
-            [reduced.A * params.q * rpoint.lam_minus, reduced.A * params.q * rpoint.lam_plus],
-            params.q,
-        ) / qseries.qpoch_multi([reduced.A * params.q / reduced.D, params.q / reduced.B], params.q)
-        report.record(verify._rel(ratios[0], const),
-                      {"stage": "reduction-constant", "q": params.q}, ratios[0], const)
-    return report
-
-
-def _former_transforms(sample_count, seed):
-    reports = []
-    for tid in qseries.transform_ids():
-        rng = random.Random(seed)
-        report = verify.CheckReport(f"transform/{tid}", seed, 0, 0.0, 1e-10)
-        while report.points_tested < sample_count:
-            q = rng.uniform(0.3, 0.7)
-            inputs = qseries.sample_transform_inputs(tid, rng, q)
-            try:
-                lhs, rhs = qseries.transform_check(tid, q, **inputs)
-            except QdhError:
-                continue
-            report.record(verify._rel(lhs, rhs, max(abs(lhs), 1.0)), {"q": q, **inputs}, lhs, rhs)
-        reports.append(report)
-    return reports
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sampled_checks_equal_their_former_loops(seed):
-    assert (verify.check_three_term_transform(seed=seed).to_dict()
-            == _former_three_term(50, seed).to_dict())
-    assert (verify.check_c_eq_q_reduction(seed=seed).to_dict()
-            == _former_c_eq_q(20, seed).to_dict())
-    assert ([report.to_dict() for report in verify.check_transforms(seed=seed)]
-            == [report.to_dict() for report in _former_transforms(100, seed)])
 
 
 def test_sampled_keeps_the_records_of_a_trial_before_it_raises():
