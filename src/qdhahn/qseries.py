@@ -35,10 +35,10 @@ whichever candidates they take, and a few slow points still keep that
 pass alive for all of them.
 
 The scalar kernels (``_phi_core`` and the infinite ``qpoch``) sum finite
-real inputs in float arithmetic, with the same bits as the complex loop;
+real inputs in float arithmetic, with the same bits as complex arithmetic;
 complex, nan and inf inputs use complex arithmetic.  ``_phi_core``
-compiles its summing loop on first use, once per series shape, from one
-loop text with the products unrolled, and sums with unchanged bits.
+compiles one summing loop per series shape and ending on first use, from
+one loop text with the products unrolled, for floats and complexes alike.
 
 A nonterminating series whose term is inf or nan can never settle: it
 raises Overflow naming that term, scalar and grid alike.
@@ -50,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -202,43 +203,43 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Full description of an r-phi-s basic hypergeometric series."""
+class SeriesSpec(tuple):
+    """Full description of an r-phi-s basic hypergeometric series: the
+    immutable tuple (numerator, denominator, q, argument, grid), built
+    from the first four.  ``grid`` is set on a spec built from arrays of
+    points."""
 
-    # set on a spec built from arrays of points
-    grid = False
+    __slots__ = ()
+    numerator, denominator, q, argument, grid = map(property, map(itemgetter, range(5)))
 
-    numerator: tuple
-    denominator: tuple
-    q: float
-    argument: complex
-
-    def __post_init__(self):
+    def __new__(cls, numerator, denominator, q, argument):
         try:
-            numerator = tuple(complex(a) for a in self.numerator)
-            denominator = tuple(complex(b) for b in self.denominator)
-            argument = complex(self.argument)
+            numerator = tuple(map(complex, numerator))
+            denominator = tuple(map(complex, denominator))
+            argument, grid = complex(argument), False
         except TypeError:
             # complex() takes no array of points: a grid, held as one
             # complex array per slot, all of the same one-dimensional shape
-            fields = (*self.numerator, *self.denominator, self.argument)
+            fields = (*numerator, *denominator, argument)
             arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in fields))
-            r, s = len(self.numerator), len(self.denominator)
+            r, s = len(numerator), len(denominator)
             numerator, denominator, argument = tuple(arrays[:r]), tuple(arrays[r:r + s]), arrays[-1]
-            object.__setattr__(self, "grid", True)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "q", _check_q(self.q))
-        object.__setattr__(self, "argument", argument)
+            grid = True
+        return tuple.__new__(cls, (numerator, denominator, _check_q(q), argument, grid))
+
+    def __getnewargs__(self):
+        return self[:4]
+
+    def __repr__(self):
+        return "SeriesSpec(numerator=%r, denominator=%r, q=%r, argument=%r)" % self[:4]
 
     @property
     def r(self) -> int:
-        return len(self.numerator)
+        return len(self[0])
 
     @property
     def s(self) -> int:
-        return len(self.denominator)
+        return len(self[1])
 
     def take(self, idx) -> "SeriesSpec":
         """The grid spec restricted to the points ``idx``."""
@@ -268,7 +269,8 @@ def _qpoch_log_tail(x, q: float):
 
 
 def qpoch(a, q, n=INFINITY) -> complex:
-    """(a; q)_n for integer n (of either sign) or n = math.inf.
+    """(a; q)_n for integer n (of either sign) or n = math.inf; any other
+    order is a ValueError.
 
     The infinite product multiplies its factors 1 - a q^j while
     |a q^j| >= x* (``_qpoch_cutoff``) and ends in a third-order
@@ -286,15 +288,28 @@ def qpoch(a, q, n=INFINITY) -> complex:
     if n == INFINITY:
         cutoff = _qpoch_cutoff(q)
         if not a.imag and math.isfinite(a.real):
-            product, factor, last = _qpoch_factors(a.real, q, cutoff)
+            # the factors 1 - a q^j while |a q^j| >= cutoff, in float arithmetic
+            product = last = 1.0
+            factor = a.real  # a q^(j-1), starting at j = 1
+            while factor >= cutoff or factor <= -cutoff:  # |factor| >= cutoff
+                last = 1.0 - factor
+                product *= last
+                factor *= q
             # the complex loop's zero parts take signs of their own where a
             # factor vanished or the last one multiplied in was negative
             if product and last > 0.0:
                 product *= math.exp(_qpoch_log_tail(factor, q))
-                return _assert_finite(complex(product), "infinite q-Pochhammer product")
-        product, factor, _ = _qpoch_factors(a, q, cutoff)
+                if math.isfinite(product):
+                    return complex(product)
+                raise Overflow("infinite q-Pochhammer product left the double-precision range")
+        product, factor = 1.0, a
+        while abs(factor) >= cutoff:
+            product *= 1.0 - factor
+            factor *= q
         product *= cmath.exp(_qpoch_log_tail(factor, q))
         return _assert_finite(product, "infinite q-Pochhammer product")
+    if n % 1:  # a fraction, nan or -inf
+        raise ValueError(f"q-Pochhammer order must be an integer or math.inf, got {n!r}")
     n = int(n)
     if n >= 0:
         product = 1.0 + 0.0j
@@ -311,19 +326,6 @@ def qpoch(a, q, n=INFINITY) -> complex:
             raise ZeroDivisor(f"(a; q)_{n} hits the zero factor 1 - a q^-{j}")
         product *= factor
     return _assert_finite(1.0 / product, "negative-order q-Pochhammer")
-
-
-def _qpoch_factors(a, q, cutoff):
-    """The factors 1 - a q^j of (a; q)_inf multiplied while |a q^j| >=
-    cutoff, in the arithmetic of a, a float or a complex number: (their
-    product, the first a q^j left out, the last factor multiplied in)."""
-    product = last = 1.0
-    factor = a  # a * q^(j-1), starting at j = 1
-    while abs(factor) >= cutoff:
-        last = 1.0 - factor
-        product *= last
-        factor *= q
-    return product, factor, last
 
 
 def _qpoch_inf_grid(a, q):
@@ -419,9 +421,12 @@ def series_termination(spec: SeriesSpec, max_order: int = 5000):
                 m = _termination_orders(p, spec.q, max_order)
                 stop = np.where((m >= 0) & ((stop < 0) | (m < stop)), m, stop)
         return stop
-    orders = [termination_order(p, spec.q, max_order) for p in spec.numerator]
-    orders = [m for m in orders if m is not None]
-    return min(orders) if orders else None
+    stop = None
+    for p in spec.numerator:
+        m = termination_order(p, spec.q, max_order)
+        if m is not None and (stop is None or m < stop):
+            stop = m
+    return stop
 
 
 def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
@@ -436,12 +441,11 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
     holds each point's failure (None where the point summed), so that
     one failing point does not stop its neighbours.
     """
-    if spec.grid:
+    numerator, denominator, q, z, grid = spec
+    if grid:
         with np.errstate(all="ignore"):
             return _phi_core_grid(spec, policy)
-    q = spec.q
-    z = spec.argument
-    numerator, denominator = spec.numerator, spec.denominator
+    r, s = len(numerator), len(denominator)
     max_terms = policy.max_terms
     # at most max_terms: a terminating series ends within the term budget
     stop = series_termination(spec, max_terms)
@@ -452,34 +456,33 @@ def _phi_core(spec: SeriesSpec, policy: TruncationPolicy):
                 raise ZeroDivisor(
                     "denominator parameter equals q^-%d before the series terminates" % m
                 )
-    else:
-        if spec.r > spec.s + 1:
-            raise DivergentSeries(
-                "nonterminating series with r > s+1 diverges for every argument"
-            )
-        if spec.r == spec.s + 1 and abs(z) >= 1.0:
-            raise DivergentSeries(
-                "argument modulus >= 1 with r = s+1; use a continuation"
-            )
+    elif r > s + 1:
+        raise DivergentSeries(
+            "nonterminating series with r > s+1 diverges for every argument"
+        )
+    elif r == s + 1 and abs(z) >= 1.0:
+        raise DivergentSeries(
+            "argument modulus >= 1 with r = s+1; use a continuation"
+        )
+    loop = _phi_loop(r, s, stop is not None)
+    values = (*numerator, *denominator, z)
     summed = None
-    r, s, terminating = spec.r, spec.s, stop is not None
-    reals = _finite_reals((*numerator, *denominator, z))
+    reals = _finite_reals(values)
     if reals is not None:
-        # floats keep the complex loop's bits while every term is finite
+        # floats keep the complex sum's bits while every term is finite
         # and nonzero; a term of 0, inf or nan may come from a product past
-        # the double range, where that loop's zero imaginary parts turn to
-        # nan, so such a sum is summed again by the complex loop, which
-        # names its own first term past the range
+        # the double range, where the complex sum's zero imaginary parts
+        # turn to nan, so such a sum is summed again in complex arithmetic,
+        # which names its own first term past the range
         try:
-            summed = _phi_loop(r, s, True, terminating)(
-                reals[:r], reals[r:-1], reals[-1], q, stop, policy)
+            summed = loop(reals, q, stop, policy)
         except Overflow:
             pass
         else:
             if not 0.0 < abs(summed[3]) < INFINITY:
                 summed = None
     if summed is None:
-        summed = _phi_loop(r, s, False, terminating)(numerator, denominator, z, q, stop, policy)
+        summed = loop(values, q, stop, policy)
     total, weighted, tail, _, exceeded = summed
     if exceeded:
         raise MaxTermsExceeded("series did not settle within %d terms" % exceeded)
@@ -501,9 +504,8 @@ def _finite_reals(values):
 # the stopping block of an open series kept or dropped.  The operations
 # and their order are those of a loop over the parameters.
 _LOOP = """\
-def phi_terms(numerator, denominator, z, q, stop, policy):
-    ({a}) = numerator
-    ({b}) = denominator
+def phi_terms(values, q, stop, policy):
+    [{a}{b}z] = values
     # a complex operand takes 1.0 as 1 + 0j: complex sums keep their bits
     term = total = 1.0
     largest = 1.0
@@ -578,13 +580,14 @@ _LOOP_OPEN_EXIT = """\
 
 
 @cache
-def _phi_loop(r: int, s: int, real: bool, terminating: bool):
+def _phi_loop(r: int, s: int, terminating: bool):
     """The summing loop of ``_phi_core`` for an r-phi-s series that ends
-    at a known index if ``terminating``, compiled on first use; in float
-    arithmetic if ``real``, else in complex arithmetic.  It takes
-    (numerator, denominator, argument, q, termination index or None,
-    policy) and returns (sum, weighted term total, tail bound, last term,
-    k), where k is the term count at which the budget ran out, or 0."""
+    at a known index if ``terminating``, compiled on first use; it sums in
+    the arithmetic of its inputs, floats or complex numbers.  It takes
+    (the numerator parameters, the denominator parameters and the argument
+    in one sequence, q, termination index or None, policy) and returns
+    (sum, weighted term total, tail bound, last term, k), where k is the
+    term count at which the budget ran out, or 0."""
     factors = ["(1.0 - a%d * qk)" % i for i in range(r)]
     extra = 1 + s - r
     source = _LOOP.format(
@@ -597,8 +600,7 @@ def _phi_loop(r: int, s: int, real: bool, terminating: bool):
         weight=_LOOP_WEIGHT.format(extra=extra) if extra else "",
         exit="    return total, weighted, 0.0, term, 0\n" if terminating else _LOOP_OPEN_EXIT,
     )
-    filename = "<phi loop r=%d s=%d %s %s>" % (
-        r, s, "float" if real else "complex", "terminating" if terminating else "open")
+    filename = "<phi loop r=%d s=%d %s>" % (r, s, "terminating" if terminating else "open")
     namespace = {"INFINITY": INFINITY, "Overflow": Overflow, "ZeroDivisor": ZeroDivisor}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["phi_terms"]
@@ -784,23 +786,36 @@ def _balanced_spec(a, b, c, d, e, q) -> SeriesSpec:
 # ---------------------------------------------------------------------------
 
 
+# The representations of the balanced 3-phi-2 before ranking: the series
+# itself ("direct"), then for each numerator parameter p (nonzero, by
+# ``_balanced_spec``) "pivot-up" of argument e/p and d/p, "pivot-arg" of p.
+_PHI32_KINDS = ("direct",) + ("pivot-up", "pivot-up", "pivot-arg") * 3
+
+
+def _phi32_arguments(spec: SeriesSpec):
+    """The series argument of each representation of the balanced 3-phi-2
+    ``spec``, in the order of ``_PHI32_KINDS``."""
+    (d, e), w = spec.denominator, spec.argument
+    return [w, *(arg for p in spec.numerator for arg in (e / p, d / p, p))]
+
+
+def _phi32_build(spec: SeriesSpec, n: int, arg):
+    """The (prefactor or None, SeriesSpec) representation n of the
+    balanced 3-phi-2 ``spec``, whose series argument is ``arg``."""
+    if not n:
+        return None, spec
+    (i, j), nums, (d, e) = divmod(n - 1, 3), spec.numerator, spec.denominator
+    dd, ee = (e, d) if j == 1 else (d, e)
+    return _phi32_rep(_PHI32_KINDS[n], nums[i], nums[:i] + nums[i + 1:], dd, ee,
+                      spec.argument, arg, spec.q)
+
+
 def _phi32_candidates(spec: SeriesSpec):
     """The representations of the balanced 3-phi-2 ``spec``, in trial
     order before ranking: (usable, series argument, kind, build), where
-    build() returns the (prefactor or None, SeriesSpec) representation.
-    "direct" is the series itself; every numerator parameter (nonzero,
-    by ``_balanced_spec``) pivots both continuations."""
-    nums, (d, e), w, q = spec.numerator, spec.denominator, spec.argument, spec.q
-    candidates = [(abs(w) < 1.0 - 1e-12, w, "direct", lambda: (None, spec))]
-    for i, p in enumerate(nums):
-        rest = [nums[j] for j in range(3) if j != i]
-        for dd, ee in ((d, e), (e, d)):
-            arg = ee / p
-            candidates.append((abs(arg) < 1.0 - 1e-12, arg, "pivot-up",
-                               partial(_phi32_rep, "pivot-up", p, rest, dd, ee, w, arg, q)))
-        candidates.append((abs(p) < 1.0 - 1e-12, p, "pivot-arg",
-                           partial(_phi32_rep, "pivot-arg", p, rest, d, e, w, p, q)))
-    return candidates
+    build() returns the (prefactor or None, SeriesSpec) representation."""
+    return [(abs(arg) < 1.0 - 1e-12, arg, kind, partial(_phi32_build, spec, n, arg))
+            for n, (arg, kind) in enumerate(zip(_phi32_arguments(spec), _PHI32_KINDS))]
 
 
 def _phi32_rep(kind, p, rest, d, e, w, arg, q):
@@ -860,7 +875,11 @@ def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
     if not spec.grid:
         if stop is not None:
             return phi(spec, policy)
-        candidates, size = _phi32_candidates(spec), None
+        # ranked by key first (stable): only the candidates tried are built
+        args = _phi32_arguments(spec)
+        ranked = sorted((key, n) for n, key in enumerate(map(abs, args)) if key < 1.0 - 1e-12)
+        candidates = ((True, partial(_phi32_build, spec, n, args[n])) for _, n in ranked)
+        keys = size = None
     else:
         values = np.empty(stop.size, dtype=complex)
         ends, ranked = np.flatnonzero(stop >= 0), np.flatnonzero(stop < 0)
@@ -871,10 +890,11 @@ def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
         spec, size = spec.take(ranked), ranked.size
         with np.errstate(all="ignore"):
             candidates = _phi32_candidates(spec)
+        keys = [abs(arg) for _, arg, _, _ in candidates]
+        candidates = [(usable, build) for usable, _, _, build in candidates]
     w = spec.argument
     found = _best_of(
-        [(usable, build) for usable, _, _, build in candidates], spec.q, policy, size,
-        keys=[abs(arg) for _, arg, _, _ in candidates],
+        candidates, spec.q, policy, size, keys=keys,
         failure=lambda at: "no convergent representation of the balanced series at argument "
         f"{complex(w if at is None else w[at])!r}",
     )

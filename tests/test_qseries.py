@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -61,6 +63,19 @@ class TestQPochhammer:
     def test_two_factor_product(self):
         # (1 - 0.5)(1 - 0.25)
         assert qpoch(0.5, 0.5, 2) == pytest.approx(0.375)
+
+    @pytest.mark.parametrize("n", [2.5, -math.inf, math.nan])
+    @pytest.mark.parametrize("call", [qpoch, lambda a, q, n: qpoch_multi([a], q, n)],
+                             ids=["qpoch", "qpoch_multi"])
+    def test_an_order_neither_integral_nor_inf_is_a_value_error(self, call, n):
+        with pytest.raises(ValueError, match="^q-Pochhammer order must be an integer or "
+                                             f"math.inf, got {n!r}$"):
+            call(0.5, 0.5, n)
+
+    @pytest.mark.parametrize("call", [qpoch, lambda a, q, n: qpoch_multi([a], q, n)],
+                             ids=["qpoch", "qpoch_multi"])
+    def test_an_integral_float_order_is_that_order(self, call):
+        assert call(0.5, 0.5, 2.0) == call(0.5, 0.5, 2) == 0.375
 
     def test_infinite_product_matches_long_partial_product(self):
         value = qpoch(0.5, 0.5, math.inf)
@@ -343,53 +358,107 @@ class TestPhiCoreLoop:
             assert list(errors[1:]) == [None] * len(others)
 
 
+class TestSeriesSpec:
+    """The public contract of the exported spec type."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        spec = SeriesSpec((0.3, 0.4), (0.6,), 0.5, 0.2)
+        assert spec == SeriesSpec(numerator=(0.3, 0.4), denominator=[0.6], q=0.5, argument=0.2)
+        assert hash(spec) == hash(SeriesSpec((0.3, 0.4), (0.6,), 0.5, 0.2))
+        assert spec != SeriesSpec((0.3, 0.4), (0.6,), 0.5, 0.25)
+        assert repr(spec) == ("SeriesSpec(numerator=((0.3+0j), (0.4+0j)), "
+                              "denominator=((0.6+0j),), q=0.5, argument=(0.2+0j))")
+        assert pickle.loads(pickle.dumps(spec)) == copy.copy(spec) == spec
+
+    def test_the_fields_of_a_scalar_spec(self):
+        spec = SeriesSpec([0.3, 1], (), np.float64(0.5), 2)
+        assert spec.numerator == (0.3 + 0j, 1 + 0j)
+        assert all(type(a) is complex for a in spec.numerator)
+        assert spec.denominator == ()
+        assert type(spec.q) is float and spec.q == 0.5
+        assert type(spec.argument) is complex and spec.argument == 2
+        assert (spec.grid, spec.r, spec.s) == (False, 2, 0)
+
+    def test_the_fields_of_a_grid_spec_and_take(self):
+        spec = SeriesSpec((np.array([0.3, 0.2, 0.1]), 0.4), (0.6,), 0.5, 0.2)
+        assert (spec.grid, spec.r, spec.s) == (True, 2, 1)
+        for field in (*spec.numerator, *spec.denominator, spec.argument):
+            assert field.dtype == complex and field.shape == (3,)
+        assert list(spec.numerator[1]) == [0.4] * 3
+        part = spec.take(np.array([2, 0]))
+        assert part.grid and list(part.numerator[0]) == [0.1, 0.3]
+        assert list(part.argument) == [0.2, 0.2] and part.q == 0.5
+
+    @pytest.mark.parametrize("q, message", [
+        (0.5 + 0j, "^base q must be real; complex bases are rejected$"),
+        (1.0, r"^base q must lie strictly inside \(0, 1\), got 1.0$"),
+        (0.0, r"^base q must lie strictly inside \(0, 1\), got 0.0$"),
+    ])
+    @pytest.mark.parametrize("argument", [0.2, np.array([0.2, 0.3])], ids=["scalar", "grid"])
+    def test_a_base_outside_the_range_is_a_value_error(self, q, message, argument):
+        with pytest.raises(ValueError, match=message):
+            SeriesSpec((0.3,), (), q, argument)
+
+    @pytest.mark.parametrize("name", ["numerator", "denominator", "q", "argument", "grid",
+                                      "extra"])
+    def test_a_spec_is_immutable(self, name):
+        spec = SeriesSpec((0.3,), (0.6,), 0.5, 0.2)
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 0.7)
+        assert spec == SeriesSpec((0.3,), (0.6,), 0.5, 0.2)
+
+
 # every key of the compiled summing loop with r <= 3 and s <= 2: a
 # terminating series has a numerator parameter, and an open one r <= s + 1
-LOOP_KEYS = {(r, s, real, terminating) for r in range(4) for s in range(3)
-             for real in (True, False) for terminating in (True, False)
-             if (r > 0 if terminating else r <= s + 1)}
+LOOP_KEYS = {(r, s, terminating) for r in range(4) for s in range(3)
+             for terminating in (True, False) if (r > 0 if terminating else r <= s + 1)}
 
 
-def loop_filename(r, s, real, terminating):
-    return "<phi loop r=%d s=%d %s %s>" % (
-        r, s, "float" if real else "complex", "terminating" if terminating else "open")
+def loop_filename(r, s, terminating):
+    return "<phi loop r=%d s=%d %s>" % (r, s, "terminating" if terminating else "open")
 
 
 class TestPhiLoops:
     def test_every_loop_sums_and_compiles_once(self, monkeypatch):
         loops = qseries._phi_loop
         loops.cache_clear()
-        keys, compiled = [], []
+        calls, compiled = [], []
 
         def recorded_compile(source, filename, mode):
             compiled.append(filename)
             return compile(source, filename, mode)
 
+        def recorded_loop(*key):
+            # each call of the loop notes its key and whether it sums floats
+            def loop(values, *rest):
+                calls.append((*key, type(values[-1]) is float))
+                return loops(*key)(values, *rest)
+            return loop
+
         monkeypatch.setattr(qseries, "compile", recorded_compile, raising=False)
-        monkeypatch.setattr(qseries, "_phi_loop", lambda *key: keys.append(key) or loops(*key))
+        monkeypatch.setattr(qseries, "_phi_loop", recorded_loop)
         summed_by, reached = set(), set()
         for spec, policy in loop_corpus():
-            keys.clear()
+            calls.clear()
             try:
                 qseries._phi_core(spec, policy)
             except QdhError:
                 pass
             else:  # the last loop called summed it
-                summed_by.add(keys[-1])
-            reached.update(keys)
-        assert LOOP_KEYS <= summed_by
+                summed_by.add(calls[-1])
+            reached.update(call[:3] for call in calls)
+        # every key sums in float arithmetic and in complex arithmetic
+        assert {(*key, real) for key in LOOP_KEYS for real in (True, False)} <= summed_by
         # one compilation per key, under a filename that names the key
         assert sorted(compiled) == sorted(loop_filename(*key) for key in reached)
 
-    @pytest.mark.parametrize("a, filename", [
-        (0.3, "<phi loop r=2 s=1 float open>"),
-        (0.3 + 0.1j, "<phi loop r=2 s=1 complex open>"),
-    ])
-    def test_a_traceback_names_its_loop(self, a, filename):
+    @pytest.mark.parametrize("a", [0.3, 0.3 + 0.1j])
+    def test_a_traceback_names_its_loop(self, a):
+        # float and complex sums run the one loop of their shape
         with pytest.raises(ZeroDivisor, match="^series denominator vanished at term 3$") as raised:
             qseries._phi_core(SeriesSpec((a, 0.4), (0.5 ** -2,), 0.5, 0.3),
                               qseries.DEFAULT_POLICY)
-        assert raised.traceback[-1].path == filename
+        assert raised.traceback[-1].path == "<phi loop r=2 s=1 open>"
 
 
 class TestTerminationOrder:
