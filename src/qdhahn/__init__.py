@@ -50,6 +50,7 @@ from .qseries import (
     qpoch_multi,
     transform_check,
     transform_ids,
+    truncation,
 )
 from .recurrence import (
     SolutionSequence,
@@ -104,6 +105,7 @@ __all__ = [
     "spectral_point",
     "transform_check",
     "transform_ids",
+    "truncation",
     "weight",
     "weight_reduced",
 ]

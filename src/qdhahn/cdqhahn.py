@@ -46,7 +46,6 @@ from .errors import ZeroDivisor
 from .family import (ABOVE, CutFamily, SpectralPoint, cf_denominator, solution_scaled,
                      solution_value, spectral_point)
 from .qseries import (
-    DEFAULT_POLICY,
     phi32,
     qpoch,
     qpoch_multi,
@@ -96,7 +95,7 @@ class CDQHParams(CutFamily):
     def _growth_product(self):
         return self.q / (self.A * self.B * self.C * self.D)
 
-    def _growth_series(self, lam, n, policy) -> Scaled:
+    def _growth_series(self, lam, n) -> Scaled:
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
         qn = q**n
@@ -110,11 +109,10 @@ class CDQHParams(CutFamily):
             B * C * D * lam * qn,
             A * B * C * lam * qn,
             q,
-            policy,
         )
         return _power(lam, n) * (pref * series)
 
-    def _pair_series(self, point, n, policy, lead, mate, other1, other2) -> Scaled:
+    def _pair_series(self, point, n, lead, mate, other1, other2) -> Scaled:
         """Common shape of the lead-* solutions: prefactor (lead, mate)_n /
         (lead*mate)^n times a balanced series led by lead*q^n."""
         q = self.q
@@ -127,11 +125,10 @@ class CDQHParams(CutFamily):
             lead * q / other1,
             lead * q / other2,
             q,
-            policy,
         )
         return _power(lead * mate, -n) * (pref * series)
 
-    def _inverted(self, point, n, policy) -> Scaled:
+    def _inverted(self, point, n) -> Scaled:
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
         lam_p, lam_m = point.lam_plus, point.lam_minus
@@ -143,7 +140,6 @@ class CDQHParams(CutFamily):
             C * lam_p * q ** (1 - n),
             C * lam_m * q ** (1 - n),
             q,
-            policy,
         )
         sign = Scaled((-1.0 + 0.0j) ** n, 0.0)
         return (
@@ -154,61 +150,58 @@ class CDQHParams(CutFamily):
         )
 
     _solutions = {
-        "minimal": lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
-        "dominant": lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
-        "lead-a": lambda f, pt, n, p: f._pair_series(pt, n, p, f.A, f.B, f.C, f.D),
-        "lead-b": lambda f, pt, n, p: f._pair_series(pt, n, p, f.B, f.A, f.C, f.D),
-        "lead-c": lambda f, pt, n, p: f._pair_series(pt, n, p, f.C, f.B, f.A, f.D),
-        "lead-d": lambda f, pt, n, p: f._pair_series(pt, n, p, f.D, f.B, f.C, f.A),
+        "minimal": lambda f, pt, n: f._growth_series(pt.lam_minus, n),
+        "dominant": lambda f, pt, n: f._growth_series(pt.lam_plus, n),
+        "lead-a": lambda f, pt, n: f._pair_series(pt, n, f.A, f.B, f.C, f.D),
+        "lead-b": lambda f, pt, n: f._pair_series(pt, n, f.B, f.A, f.C, f.D),
+        "lead-c": lambda f, pt, n: f._pair_series(pt, n, f.C, f.B, f.A, f.D),
+        "lead-d": lambda f, pt, n: f._pair_series(pt, n, f.D, f.B, f.C, f.A),
         "inverted": _inverted,
     }
 
-    def _ratio_denominator(self, lam, policy=DEFAULT_POLICY):
+    def _ratio_denominator(self, lam):
         """phi32(BC lam, B/q, C/q, BCD lam/q, ABC lam/q) (at every point of
         an array of lam): the ratio form's denominator at lam = lambda_-,
         whose sign changes off the cut are poles of the transform, and at
         the two boundary roots the factors of the weight's bracket."""
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
-        return phi32(B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q,
-                     policy)
+        return phi32(B * C * lam, B / q, C / q, B * C * D * lam / q, A * B * C * lam / q, q)
 
-    def _cf_ratio(self, point, policy):
+    def _cf_ratio(self, point):
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
         lam = point.lam_minus
         pref = (A * B * C * D * lam / q) / (
             (1 - B * C * D * lam / q) * (1 - A * B * C * lam / q)
         )
-        num = phi32(B * C * lam, B, C, B * C * D * lam, A * B * C * lam, q, policy)
-        return pref * num / cf_denominator(self._ratio_denominator(lam, policy))
+        num = phi32(B * C * lam, B, C, B * C * D * lam, A * B * C * lam, q)
+        return pref * num / cf_denominator(self._ratio_denominator(lam))
 
-    def _cf_ratio_alt(self, point, policy):
+    def _cf_ratio_alt(self, point):
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
         lam, lam_p = point.lam_minus, point.lam_plus
         pref = 1.0 / (lam_p * (1 - 1 / (A * lam_p)) * (1 - 1 / (D * lam_p)))
-        num = phi32(B * C * lam, B, C, q / (A * lam_p), q / (D * lam_p), q, policy)
-        den = phi32(
-            B * C * lam, B / q, C / q, 1 / (A * lam_p), 1 / (D * lam_p), q, policy
-        )
+        num = phi32(B * C * lam, B, C, q / (A * lam_p), q / (D * lam_p), q)
+        den = phi32(B * C * lam, B / q, C / q, 1 / (A * lam_p), 1 / (D * lam_p), q)
         return pref * num / cf_denominator(den)
 
-    def _cf_pincherle(self, point, policy):
-        x0 = solution_scaled(self, point, "minimal", 0, policy)
-        xm1 = solution_scaled(self, point, "minimal", -1, policy)
+    def _cf_pincherle(self, point):
+        x0 = solution_scaled(self, point, "minimal", 0)
+        xm1 = solution_scaled(self, point, "minimal", -1)
         return x0.ratio(xm1) / self.b_sq_coeff(0)
 
-    def _cf_reduced(self, point, policy):
+    def _cf_reduced(self, point):
         _require_reduced(self)
         q = self.q
         A, B, D = self.A, self.B, self.D
         lam = point.lam_minus
         pref = (A * B * D * lam) / ((1 - B * D * lam) * (1 - A * B * lam))
-        num = phi32(B * q * lam, B, q, D * B * q * lam, A * B * q * lam, q, policy)
+        num = phi32(B * q * lam, B, q, D * B * q * lam, A * B * q * lam, q)
         return pref * num
 
-    def _cf_reduced_product(self, point, policy):
+    def _cf_reduced_product(self, point):
         _require_reduced(self)
         q = self.q
         A, B, D = self.A, self.B, self.D
@@ -228,7 +221,6 @@ class CDQHParams(CutFamily):
             A * B * D * lam,
             A * B * D * q * lam * lam,
             q,
-            policy,
         )
         return pref * series
 
@@ -273,7 +265,7 @@ class CDQHParams(CutFamily):
             total += outer_t * inner_total
         return pref * total
 
-    def _weight_parts(self, x, policy):
+    def _weight_parts(self, x):
         _require_real_params(self)
         q = self.q
         A, B, C, D = self.A, self.B, self.C, self.D
@@ -292,7 +284,7 @@ class CDQHParams(CutFamily):
             ],
             q,
         )
-        bracket = family.cut_bracket(self, point, lambda lam: self._ratio_denominator(lam, policy))
+        bracket = family.cut_bracket(self, point, self._ratio_denominator)
         return numerator, denominator, bracket
 
 
@@ -321,10 +313,10 @@ def birth_death_rates(params: CDQHParams, n: int) -> BirthDeathRates:
 # ---------------------------------------------------------------------------
 
 
-def solution(params, point, which: str, n: int, policy=DEFAULT_POLICY) -> complex:
+def solution(params, point, which: str, n: int) -> complex:
     """Value of the named closed-form solution at index n, at a
     SpectralPoint or a number z off the cut."""
-    return solution_value(params, point, which, n, policy)
+    return solution_value(params, point, which, n)
 
 
 def three_term_coeffs(params: CDQHParams, point: SpectralPoint):
@@ -352,8 +344,7 @@ def _require_reduced(params: CDQHParams):
         raise ValueError("this form requires C = q")
 
 
-def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str | None = None,
-                 policy=DEFAULT_POLICY) -> complex:
+def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str | None = None) -> complex:
     """1/CF(z) for the J-fraction attached to the recurrence, at a
     SpectralPoint or a number z off the cut.
 
@@ -364,7 +355,7 @@ def cf_stieltjes(params: CDQHParams, point: SpectralPoint, form: str | None = No
     "reduced-product" (explicit infinite-product numerator over the
     pole-carrying products).
     """
-    return family.cf(params, point, form, policy)
+    return family.cf(params, point, form)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +371,11 @@ def _require_real_params(params: CDQHParams):
         raise ValueError("the weight needs real positive ABCD/q")
 
 
-def weight(params: CDQHParams, x: float, policy=DEFAULT_POLICY) -> float:
+def weight(params: CDQHParams, x: float) -> float:
     """Density of the absolutely continuous spectral part at x in (-1, 1),
     of mass 1 when there are no mass points.  A one-dimensional array of
     x gives the density at every point, in one pass of each series kernel."""
-    return family.weight(params, x, policy)
+    return family.weight(params, x)
 
 
 def weight_reduced(params: CDQHParams, x: float) -> float:
@@ -464,8 +455,7 @@ def genfun_coeffs(params: CDQHParams, point: SpectralPoint, n_max: int):
     ]
 
 
-def dual_qhahn_reduction(params: CDQHParams, point: SpectralPoint, n: int,
-                         policy=DEFAULT_POLICY) -> complex:
+def dual_qhahn_reduction(params: CDQHParams, point: SpectralPoint, n: int) -> complex:
     """C = q specialization: terminating balanced series that matches the
     classical (non-associated) polynomials up to a power of 2 alpha."""
     _require_reduced(params)
@@ -476,11 +466,5 @@ def dual_qhahn_reduction(params: CDQHParams, point: SpectralPoint, n: int,
     u = point.u
     ta = 2 * point.alpha
     pref = qpoch_multi([A, B], q, n) / (A * B) ** n
-    series = qseries._phi(
-        (q ** (-n), A * B * u / ta, A * B / (ta * u)),
-        (A, B),
-        q,
-        q,
-        policy,
-    )
+    series = qseries._phi((q ** (-n), A * B * u / ta, A * B / (ta * u)), (A, B), q, q)
     return pref * series

@@ -23,7 +23,7 @@ from . import family as closed_forms
 from . import limits, recurrence, verify
 from .cdqhahn import CDQHParams
 from .errors import BranchAmbiguous, QdhError, UnknownFamily, UnsupportedFamily
-from .qseries import TruncationPolicy
+from .qseries import DEFAULT_POLICY, TruncationPolicy, truncation
 
 CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
@@ -68,7 +68,9 @@ def _parse_number(text: str, source: str, kind=float):
 
 def _policy(tol):
     env = os.environ.get("QDH_TOL")
-    rel_tol = tol if tol is not None else (_parse_number(env, "QDH_TOL") if env else 1e-12)
+    if tol is None and not env:
+        return DEFAULT_POLICY
+    rel_tol = tol if tol is not None else _parse_number(env, "QDH_TOL")
     try:
         return TruncationPolicy(rel_tol=rel_tol)
     except ValueError as exc:
@@ -197,7 +199,7 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
 
     def evaluate(z):  # one point, or the whole grid as an array (poly, weight)
         if what == "weight":
-            return closed_forms.weight(fam, z.real, policy)
+            return closed_forms.weight(fam, z.real)
         if what == "cf-trunc":
             # the J-fraction has its poles on the cut, so no boundary values
             try:
@@ -213,17 +215,18 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
         if what == "poly-alt":
             return closed_forms.poly_alt(fam, point, n_index)
         if what == "solution":
-            return closed_forms.solution_value(fam, point, label, n_index, policy)
-        return closed_forms.cf(fam, point, cf_form, policy)
+            return closed_forms.solution_value(fam, point, label, n_index)
+        return closed_forms.cf(fam, point, cf_form)
 
     if side is not None and what != "weight":
         for z in points:  # a side given at a point off the cut is a usage error
             fam.point_at(z, side)
-    if what in ("poly", "weight") and grid is not None:
-        # one grid call: the recurrence or the series kernels take every point at once
-        values = evaluate(np.array(points))
-    else:
-        values = [evaluate(pt) for pt in points]
+    with truncation(policy):
+        if what in ("poly", "weight") and grid is not None:
+            # one grid call: the recurrence or the series kernels take every point at once
+            values = evaluate(np.array(points))
+        else:
+            values = [evaluate(pt) for pt in points]
     rows = []
     for pt, value in zip(points, map(complex, values)):
         coord = pt.real if isinstance(pt, complex) and pt.imag == 0 else pt

@@ -8,17 +8,16 @@ recurrence coefficients and its closed forms once, as class members:
                    b_lo^2..b_{n-1}^2 of the recurrence (see
                    ``recurrence``); ``a_coeff(n)`` and ``b_sq_coeff(n)``
                    read it at one index
-    _solutions     label -> evaluator(family, point, n, policy) -> Scaled,
-                   the minimal solution first
+    _solutions     label -> evaluator(family, point, n) -> Scaled, the
+                   minimal solution first
     _poly_terms    (point, n) -> (prefactor, outer, inner) of the paper's
                    explicit double sum for P_n (see ``qseries.double_sum``)
     _poly_alt      (point, n) -> a second closed form of P_n, where a
                    family has one (cdqh and limit-asc1)
-    _cf_forms      form -> evaluator(family, point, policy) -> 1/CF, the
-                   default form first
-    _weight_parts  (x, policy) -> numerator, denominator and bracket of
-                   the weight on the cut (families with a cut; see
-                   ``cut_bracket``)
+    _cf_forms      form -> evaluator(family, point) -> 1/CF, the default
+                   form first
+    _weight_parts  x -> numerator, denominator and bracket of the weight
+                   on the cut (families with a cut; see ``cut_bracket``)
 
 The four families with a spectral cut (cdqh, al-salam-chihara,
 cont-q-hermite and cont-big-q-hermite) derive from ``CutFamily``.  Each
@@ -33,7 +32,9 @@ SpectralPoint as it is).  The functions below are the one way to
 evaluate the members: each looks the member up, evaluates it at its
 point and raises Python's bare OverflowError and ZeroDivisionError as
 Overflow and ZeroDivisor (a vanished denominator of 1/CF is PoleHit, see
-``cf_denominator``).  P_n itself is ``poly``, by its recurrence.
+``cf_denominator``).  P_n itself is ``poly``, by its recurrence.  The
+series these members sum stop where the caller's ``qseries.truncation``
+block says.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ import numpy as np
 
 from .errors import (BranchAmbiguous, DivergentSeries, FormalOnly, Overflow, PoleHit,
                      UnknownFamily, UnsupportedFamily, ZeroDivisor)
-from .qseries import (DEFAULT_POLICY, _check_q, double_sum, sqrt,
-                      support_points, weight_density)
+from .qseries import _check_q, double_sum, sqrt, support_points, weight_density
 from .recurrence import (Scaled, SolutionSequence, _cell_values, characteristic_roots,
                          forward_eval)
 
@@ -266,24 +266,24 @@ def cf_denominator(den):
     return den
 
 
-def solution_scaled(family, point, which, n: int, policy):
+def solution_scaled(family, point, which, n: int):
     """The named closed-form solution at index n, as a Scaled value;
     FormalOnly where its series diverges, so exists only formally."""
     table = family._solutions
     if which not in table:
         raise UnknownFamily(f"{family.family_id} has solutions {list(table)}, not {which!r}")
     try:
-        return guarded("solution", table[which], family, family.point_at(point), n, policy)
+        return guarded("solution", table[which], family, family.point_at(point), n)
     except DivergentSeries:  # raised after the handler, as in ``guarded``
         pass
     raise FormalOnly(f"{family.family_id} solution {which} at n = {n} is a divergent formal series")
 
 
-def solution_value(family, point, which, n: int, policy):
+def solution_value(family, point, which, n: int):
     """The named closed-form solution at index n as a number.  Overflow
     where the value is nonzero but falls below the normal double range:
     a subnormal (or a zero) keeps too few of its bits to vouch for."""
-    scaled = solution_scaled(family, point, which, n, policy)
+    scaled = solution_scaled(family, point, which, n)
     value = scaled.value
     if scaled.mantissa != 0 and abs(value) < sys.float_info.min:
         raise Overflow(f"{family.family_id} solution {which} at n = {n} falls below the "
@@ -291,11 +291,11 @@ def solution_value(family, point, which, n: int, policy):
     return value
 
 
-def solution_sequence(family, point, which, start: int, stop: int, policy=DEFAULT_POLICY):
+def solution_sequence(family, point, which, start: int, stop: int):
     """Closed-form values over [start, stop], evaluated independently at
     each index (never by running the recurrence)."""
     at = family.point_at(point)
-    cells = [solution_scaled(family, at, which, n, policy).normalized()
+    cells = [solution_scaled(family, at, which, n).normalized()
              for n in range(start, stop + 1)]
     return SolutionSequence(start, tuple(s.mantissa for s in cells),
                             tuple(s.log_scale for s in cells))
@@ -356,14 +356,14 @@ def poly_alt(family, point, n: int) -> complex:
                        family, point, n)
 
 
-def cf(family, point, form=None, policy=DEFAULT_POLICY) -> complex:
+def cf(family, point, form=None) -> complex:
     """1/CF at the point by the named closed form (None: the family's
     first declared form)."""
     forms = family._cf_forms
     form = next(iter(forms)) if form is None else form
     if form not in forms:
         raise ValueError(f"unknown form {form!r}; expected one of {tuple(forms)}")
-    return guarded("continued fraction", forms[form], family, family.point_at(point), policy)
+    return guarded("continued fraction", forms[form], family, family.point_at(point))
 
 
 def cut_bracket(family, point, f):
@@ -379,10 +379,10 @@ def cut_bracket(family, point, f):
     return low * f(point.lam_plus)
 
 
-def weight(family, x, policy):
+def weight(family, x):
     """Density of the absolutely continuous component at x in (-1, 1),
     of mass 1 when there are no mass points.  A one-dimensional array of
     x gives the density at every point, in one pass of each series kernel."""
     x = support_points(x)
     parts = member(family, "_weight_parts", "{} carries no absolutely continuous weight here")
-    return weight_density(x, *guarded("weight", parts, family, x, policy))
+    return weight_density(x, *guarded("weight", parts, family, x))

@@ -75,7 +75,6 @@ from .family import (
     weight,
 )
 from .qseries import (
-    DEFAULT_POLICY,
     double_sum,
     phi01,
     phi11,
@@ -118,10 +117,10 @@ class BigQLaguerre(Family):
             b_sq.append(-p / abc * (1 - A * t) * (1 - B * t) * (1 - C * t))
         return a, b_sq
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, A, B, C = self.q, self.A, self.B, self.C
         pref = qpoch_multi([A, B, C], q, n) / qpoch(q / (A * z), q, n)
-        series = phi21(B * q**n, C * q**n, q ** (n + 1) / (A * z), q / (B * C * z), q, policy)
+        series = phi21(B * q**n, C * q**n, q ** (n + 1) / (A * z), q / (B * C * z), q)
         return (
             Scaled(_sign(n))
             * _qpower(q, n * (n + 1) / 2.0)
@@ -129,7 +128,7 @@ class BigQLaguerre(Family):
             * (pref * series)
         )
 
-    def _lead_series(self, z, n, policy, lead, o1, o2):
+    def _lead_series(self, z, n, lead, o1, o2):
         q = self.q
         pref = qpoch(lead, q, n)
         series = phi22_balanced(
@@ -139,25 +138,22 @@ class BigQLaguerre(Family):
             lead * q / o2,
             lead * z * q ** (1 - n),
             q,
-            policy,
         )
         return (
             Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
         )
 
-    def _solution_5(self, z, n, policy):
+    def _solution_5(self, z, n):
         q, A, B, C = self.q, self.A, self.B, self.C
         pref = qpoch(1 / (C * z), q, n)
-        series = phi21(
-            q ** (1 - n) / A, q ** (1 - n) / B, C * z * q ** (1 - n), C * q**n, q, policy
-        )
+        series = phi21(q ** (1 - n) / A, q ** (1 - n) / B, C * z * q ** (1 - n), C * q**n, q)
         return _power(z, n) * (pref * series)
 
     _solutions = {
         1: _solution_1,
-        2: lambda f, z, n, p: f._lead_series(z, n, p, f.A, f.B, f.C),
-        3: lambda f, z, n, p: f._lead_series(z, n, p, f.B, f.C, f.A),
-        4: lambda f, z, n, p: f._lead_series(z, n, p, f.C, f.A, f.B),
+        2: lambda f, z, n: f._lead_series(z, n, f.A, f.B, f.C),
+        3: lambda f, z, n: f._lead_series(z, n, f.B, f.C, f.A),
+        4: lambda f, z, n: f._lead_series(z, n, f.C, f.A, f.B),
         5: _solution_5,
     }
 
@@ -168,10 +164,10 @@ class BigQLaguerre(Family):
         inner = [A / q, B / q, A * B * z], [A * B * C * z / q, q], -(C * q / (A * B)), -1
         return pref, outer, inner
 
-    def _cf(self, z, policy):
+    def _cf(self, z):
         q, A, B, C = self.q, self.A, self.B, self.C
-        num = phi21(B, C, q / (A * z), q / (B * C * z), q, policy)
-        den = phi21(B / q, C / q, 1 / (A * z), q / (B * C * z), q, policy)
+        num = phi21(B, C, q / (A * z), q / (B * C * z), q)
+        den = phi21(B / q, C / q, 1 / (A * z), q / (B * C * z), q)
         return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -201,31 +197,29 @@ class Wall(Family):
             b_sq.append(p / ab * (1 - A * t) * (1 - B * t))
         return a, b_sq
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, A, B = self.q, self.A, self.B
         pref = qpoch_multi([A, B], q, n) / qpoch(q / (A * z), q, n)
-        series = phi11(B * q**n, q ** (n + 1) / (A * z), q ** (n + 1) / (B * z), q, policy)
+        series = phi11(B * q**n, q ** (n + 1) / (A * z), q ** (n + 1) / (B * z), q)
         return _power(q / (A * B * z), n) * _qpower(q, n * (n - 1)) * (pref * series)
 
-    def _lead_series(self, z, n, policy, lead, other):
+    def _lead_series(self, z, n, lead, other):
         q = self.q
         pref = qpoch(lead, q, n)
-        series = phi11(lead * q**n, lead * q / other, lead * z * q ** (1 - n), q, policy)
+        series = phi11(lead * q**n, lead * q / other, lead * z * q ** (1 - n), q)
         return (
             Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(lead, -n) * (pref * series)
         )
 
-    def _solution_4(self, z, n, policy):
+    def _solution_4(self, z, n):
         q, A, B = self.q, self.A, self.B
-        series = phi_r0_terminating(
-            (q ** (1 - n) / A, q ** (1 - n) / B), q ** (2 * n - 1) / z, q, policy
-        )
+        series = phi_r0_terminating((q ** (1 - n) / A, q ** (1 - n) / B), q ** (2 * n - 1) / z, q)
         return _power(z, n) * series
 
     _solutions = {
         1: _solution_1,
-        2: lambda f, z, n, p: f._lead_series(z, n, p, f.A, f.B),
-        3: lambda f, z, n, p: f._lead_series(z, n, p, f.B, f.A),
+        2: lambda f, z, n: f._lead_series(z, n, f.A, f.B),
+        3: lambda f, z, n: f._lead_series(z, n, f.B, f.A),
         4: _solution_4,
     }
 
@@ -236,10 +230,10 @@ class Wall(Family):
         inner = [A / q, B / q, A * B * z], [q], (q / (A * B)) ** 2 / z, -2
         return pref, outer, inner
 
-    def _cf(self, z, policy):
+    def _cf(self, z):
         q, A, B = self.q, self.A, self.B
-        num = phi11(B, q / (A * z), q / (B * z), q, policy)
-        den = phi11(B / q, 1 / (A * z), 1 / (B * z), q, policy)
+        num = phi11(B, q / (A * z), q / (B * z), q)
+        den = phi11(B / q, 1 / (A * z), 1 / (B * z), q)
         return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -266,10 +260,10 @@ class LimitWall(Family):
             b_sq.append(-(q ** (3 * k - 2)) / A * (1 - A * q ** (k - 1)))
         return a, b_sq
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, A = self.q, self.A
         pref = qpoch(A, q, n) / qpoch(q / (A * z), q, n)
-        series = phi01(q ** (n + 1) / (A * z), q ** (2 * n + 1) / z, q, policy)
+        series = phi01(q ** (n + 1) / (A * z), q ** (2 * n + 1) / z, q)
         return (
             Scaled(_sign(n))
             * _power(q / (A * z), n)
@@ -277,17 +271,17 @@ class LimitWall(Family):
             * (pref * series)
         )
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, z, n):
         q, A = self.q, self.A
         pref = qpoch(A, q, n)
-        series = phi11(A * q**n, 0.0, A * z * q ** (1 - n), q, policy)
+        series = phi11(A * q**n, 0.0, A * z * q ** (1 - n), q)
         return (
             Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(A, -n) * (pref * series)
         )
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, z, n):
         q, A = self.q, self.A
-        series = phi_r0_terminating((q ** (1 - n) / A, 0.0), q ** (2 * n - 1) / z, q, policy)
+        series = phi_r0_terminating((q ** (1 - n) / A, 0.0), q ** (2 * n - 1) / z, q)
         return _power(z, n) * series
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
@@ -297,16 +291,16 @@ class LimitWall(Family):
         pref = q ** (n * n) / A**n * qpoch(A, q, n) / qpoch(q, q, n)
         return pref, ([q**-n], [A], -(A * z), -1), ([A / q], [q], -1 / (A * z), 1)
 
-    def _cf(self, z, policy):
+    def _cf(self, z):
         q, A = self.q, self.A
-        num = phi01(q / (A * z), q / z, q, policy)
-        den = phi01(1 / (A * z), 1 / (q * z), q, policy)
+        num = phi01(q / (A * z), q / z, q)
+        den = phi01(1 / (A * z), 1 / (q * z), q)
         return num / (z * (1 - 1 / (A * z)) * cf_denominator(den))
 
-    def _cf_confluent(self, z, policy):
+    def _cf_confluent(self, z):
         q, A = self.q, self.A
-        num = phi11(A, 0.0, q / (A * z), q, policy)
-        den = phi11(A / q, 0.0, 1 / (A * z), q, policy)
+        num = phi11(A, 0.0, q / (A * z), q)
+        den = phi11(A / q, 0.0, 1 / (A * z), q)
         return num / (z * cf_denominator(den))
 
     _cf_forms = {"default": _cf, "series-ratio": _cf, "confluent": _cf_confluent}
@@ -328,12 +322,12 @@ class FourthLimit(Family):
         return ([c * q ** (2 * k - 1) for k in range(lo, n)],
                 [q ** (4 * k - 3) for k in range(lo, n)])
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q = self.q
-        series = phi01(0.0, q ** (2 * n + 1) / z, q, policy)
+        series = phi01(0.0, q ** (2 * n + 1) / z, q)
         return _qpower(q, 2.0 * n * (n - 1)) * _power(q / z, n) * series
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, z, n):
         raise FormalOnly("purely formal series; it never terminates")
 
     _solutions = {1: _solution_1, 2: _solution_2}
@@ -343,13 +337,13 @@ class FourthLimit(Family):
         pref = _sign(n) * q ** (n * n) * q ** (n * (n - 1) // 2) / qpoch(q, q, n)
         return pref, ([q**-n], [], z, -2), ([], [q], 1 / (q * z), 2)
 
-    def _cf(self, z, policy):
+    def _cf(self, z):
         q = self.q
-        num = phi01(0.0, q / z, q, policy)
-        den = phi01(0.0, 1 / (q * z), q, policy)
+        num = phi01(0.0, q / z, q)
+        den = phi01(0.0, 1 / (q * z), q)
         return num / (z * cf_denominator(den))
 
-    def _cf_power_sums(self, z, policy):
+    def _cf_power_sums(self, z):
         num = fourth_limit_series(self, 0)(z)
         return num / (z * cf_denominator(fourth_limit_series(self, -1)(z)))
 
@@ -375,27 +369,25 @@ class AlSalamChihara(CutFamily):
     def _growth_product(self):
         return self.q / (self.A * self.B * self.delta)
 
-    def _growth_series(self, lam, n, policy):
+    def _growth_series(self, lam, n):
         q, A, B = self.q, self.A, self.B
         pref = qpoch_multi([A, B], q, n) / qpoch(A * B * lam, q, n)
-        series = phi21(B * lam, B * q**n, A * B * lam * q**n, A * self.delta * lam, q, policy)
+        series = phi21(B * lam, B * q**n, A * B * lam * q**n, A * self.delta * lam, q)
         return _power(lam, n) * (pref * series)
 
-    def _solution_2(self, pt, n, policy):
+    def _solution_2(self, pt, n):
         q, B = self.q, self.B
         pref = qpoch(B, q, n)
-        series = phi21(B * pt.lam_plus, B * pt.lam_minus, q / self.delta, q ** (1 - n) / B, q,
-                       policy)
+        series = phi21(B * pt.lam_plus, B * pt.lam_minus, q / self.delta, q ** (1 - n) / B, q)
         return _power(B, -n) * (pref * series)
 
-    def _solution_3(self, pt, n, policy):
+    def _solution_3(self, pt, n):
         q, B, d = self.q, self.B, self.delta
         pref = qpoch(B, q, n)
-        series = phi21(B * d * pt.lam_plus, B * d * pt.lam_minus, q * d, q ** (1 - n) / B, q,
-                       policy)
+        series = phi21(B * d * pt.lam_plus, B * d * pt.lam_minus, q * d, q ** (1 - n) / B, q)
         return _power(d * B, -n) * (pref * series)
 
-    def _solution_4_direct(self, pt, n, policy):
+    def _solution_4_direct(self, pt, n):
         q, A, B, d = self.q, self.A, self.B, self.delta
         small, large = pt.lam_minus, pt.lam_plus
         pref = qpoch_multi([A * B * d * large / q, A * B * d * small / q], q, n)
@@ -406,7 +398,6 @@ class AlSalamChihara(CutFamily):
             small * q ** (1 - n),
             q / d,
             q,
-            policy,
         )
         return (
             Scaled(_sign(n))
@@ -415,20 +406,20 @@ class AlSalamChihara(CutFamily):
             * (pref * series)
         )
 
-    def _solution_4(self, pt, n, policy):
+    def _solution_4(self, pt, n):
         # the defining confluent double-denominator series is an exact
         # n-independent multiple of solution 2; its direct sum collapses by
         # cancellation as n grows, so evaluate through that multiple with
         # the constant pinned at n = 0 where the direct sum is clean
         if n <= 2:
-            return self._solution_4_direct(pt, n, policy)
-        const = (self._solution_4_direct(pt, 0, policy).value
-                 / self._solution_2(pt, 0, policy).value)
-        return self._solution_2(pt, n, policy) * const
+            return self._solution_4_direct(pt, n)
+        const = (self._solution_4_direct(pt, 0).value
+                 / self._solution_2(pt, 0).value)
+        return self._solution_2(pt, n) * const
 
     _solutions = {
-        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
-        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
+        1: lambda f, pt, n: f._growth_series(pt.lam_minus, n),
+        -1: lambda f, pt, n: f._growth_series(pt.lam_plus, n),
         2: _solution_2,
         3: _solution_3,
         4: _solution_4,
@@ -442,16 +433,16 @@ class AlSalamChihara(CutFamily):
         inner = [A / q, B / q], [q, 2 * u / (gamma * d), 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
-    def _cf(self, pt, policy):
+    def _cf(self, pt):
         q, A, B, d = self.q, self.A, self.B, self.delta
         small = pt.lam_minus
-        num = phi21(B * small, B, A * B * small, A * d * small, q, policy)
-        den = phi21(B * small, B / q, A * B * small / q, A * d * small, q, policy)
+        num = phi21(B * small, B, A * B * small, A * d * small, q)
+        den = phi21(B * small, B / q, A * B * small / q, A * d * small, q)
         return A * B * d * small / (q * (1 - A * B * small / q)) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, policy):
+    def _weight_parts(self, x):
         q, A, B, d = self.q, self.A, self.B, self.delta
         pt = spectral_point(self, x=x, side=ABOVE)
         u, lam_p, lam_m = pt.u, pt.lam_plus, pt.lam_minus
@@ -460,7 +451,7 @@ class AlSalamChihara(CutFamily):
             [A * d * lam_p, A * d * lam_m, A * B * lam_p / q, A * B * lam_m / q], q
         )
         bracket = cut_bracket(
-            self, pt, lambda lam: phi21(B * lam, B / q, A * B * lam / q, A * d * lam, q, policy))
+            self, pt, lambda lam: phi21(B * lam, B / q, A * B * lam / q, A * d * lam, q))
         return numerator, denominator, bracket
 
 
@@ -483,10 +474,10 @@ class AlSalamCarlitz1(Family):
             b_sq.append(-p / ad * (1 - A * q ** (k - 1)))
         return a, b_sq
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, A, d = self.q, self.A, self.delta
         pref = qpoch(A, q, n) / qpoch(q / (d * z), q, n)
-        series = phi11(q / (A * z * d), q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
+        series = phi11(q / (A * z * d), q ** (n + 1) / (z * d), q ** (n + 1) / z, q)
         return (
             Scaled(_sign(n))
             * _power(q / (A * d * z), n)
@@ -494,20 +485,20 @@ class AlSalamCarlitz1(Family):
             * (pref * series)
         )
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, z, n):
         q, A, d = self.q, self.A, self.delta
-        series = phi11(q / (A * z * d), q / d, z * q ** (1 - n), q, policy)
+        series = phi11(q / (A * z * d), q / d, z * q ** (1 - n), q)
         return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, z, n):
         q, A, d = self.q, self.A, self.delta
-        series = phi11(q / (A * z), q * d, d * z * q ** (1 - n), q, policy)
+        series = phi11(q / (A * z), q * d, d * z * q ** (1 - n), q)
         return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
 
-    def _solution_4(self, z, n, policy):
+    def _solution_4(self, z, n):
         q, A, d = self.q, self.A, self.delta
         pref = qpoch(1 / z, q, n)
-        series = phi11(q ** (1 - n) / A, z * q ** (1 - n), q / d, q, policy)
+        series = phi11(q ** (1 - n) / A, z * q ** (1 - n), q / d, q)
         return _power(z, n) * (pref * series)
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3, 4: _solution_4}
@@ -519,13 +510,13 @@ class AlSalamCarlitz1(Family):
         inner = [A / q], [q, 1 / (z * d), 1 / z], q / (A * d * z * z), 2
         return pref, outer, inner
 
-    def _scan_series(self, z, policy):
+    def _scan_series(self, z):
         q, A, d = self.q, self.A, self.delta
-        return (phi11(q / (A * z * d), q / (z * d), q / z, q, policy),
-                phi11(q / (A * z * d), 1 / (z * d), 1 / z, q, policy))
+        return (phi11(q / (A * z * d), q / (z * d), q / z, q),
+                phi11(q / (A * z * d), 1 / (z * d), 1 / z, q))
 
-    def _cf(self, z, policy):
-        num, den = self._scan_series(z, policy)
+    def _cf(self, z):
+        num, den = self._scan_series(z)
         return num / (z * (1 - 1 / (self.delta * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -549,26 +540,26 @@ class LimitASC1(Family):
         return ([s * q**k for k in range(lo, n)],
                 [q ** (2 * k - 1) / d for k in range(lo, n)])
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, d = self.q, self.delta
         pref = 1.0 / qpoch(q / (d * z), q, n)
-        series = phi11(0.0, q ** (n + 1) / (z * d), q ** (n + 1) / z, q, policy)
+        series = phi11(0.0, q ** (n + 1) / (z * d), q ** (n + 1) / z, q)
         return _qpower(q, n * n) * _power(d * z, -n) * (pref * series)
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, z, n):
         q, d = self.q, self.delta
-        series = phi11(0.0, q / d, z * q ** (1 - n), q, policy)
+        series = phi11(0.0, q / d, z * q ** (1 - n), q)
         return Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * series
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, z, n):
         q, d = self.q, self.delta
-        series = phi11(0.0, q * d, d * z * q ** (1 - n), q, policy)
+        series = phi11(0.0, q * d, d * z * q ** (1 - n), q)
         return Scaled(_sign(n)) * _power(d, -n) * _qpower(q, n * (n - 1) / 2.0) * series
 
-    def _solution_4(self, z, n, policy):
+    def _solution_4(self, z, n):
         q, d = self.q, self.delta
         pref = qpoch(1 / z, q, n)
-        series = phi11(0.0, z * q ** (1 - n), q / d, q, policy)
+        series = phi11(0.0, z * q ** (1 - n), q / d, q)
         return _power(z, n) * (pref * series)
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3, 4: _solution_4}
@@ -587,13 +578,13 @@ class LimitASC1(Family):
         outer = [q**-n, 1 / (z * d), 1 / z], [], -d * z * z * q ** (n - 1), -3
         return double_sum(n, q, pref, outer, ([], [q, 1 / (z * d), 1 / z], -1 / (z * z * d), 3))
 
-    def _scan_series(self, z, policy):
+    def _scan_series(self, z):
         q, d = self.q, self.delta
-        return (phi11(0.0, q / (z * d), q / z, q, policy),
-                phi11(0.0, 1 / (z * d), 1 / z, q, policy))
+        return (phi11(0.0, q / (z * d), q / z, q),
+                phi11(0.0, 1 / (z * d), 1 / z, q))
 
-    def _cf(self, z, policy):
-        num, den = self._scan_series(z, policy)
+    def _cf(self, z):
+        num, den = self._scan_series(z)
         return num / (z * (1 - 1 / (self.delta * z)) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -620,23 +611,21 @@ class ContQHermite(CutFamily):
     def _growth_product(self):
         return self.q / (self.A * self.delta)
 
-    def _growth_series(self, mu, n, policy):
+    def _growth_series(self, mu, n):
         q, A, d = self.q, self.A, self.delta
         pref = qpoch(A, q, n)
-        series = phi11(A * q**n, 0.0, A * d * mu * mu, q, policy)
+        series = phi11(A * q**n, 0.0, A * d * mu * mu, q)
         return _power(mu, n) * (pref * series)
 
-    def _solution_2(self, pt, n, policy):
+    def _solution_2(self, pt, n):
         q, A, d = self.q, self.A, self.delta
         small = pt.lam_minus
-        series = phi_r0_terminating(
-            (q ** (1 - n) / A, 0.0), q**n / (d * small * small), q, policy
-        )
+        series = phi_r0_terminating((q ** (1 - n) / A, 0.0), q**n / (d * small * small), q)
         return _power(small, n) * series
 
     _solutions = {
-        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
-        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
+        1: lambda f, pt, n: f._growth_series(pt.lam_minus, n),
+        -1: lambda f, pt, n: f._growth_series(pt.lam_plus, n),
         2: _solution_2,
     }
 
@@ -645,23 +634,23 @@ class ContQHermite(CutFamily):
         pref = (self.gamma * u / 2) ** n * qpoch(A, q, n) / qpoch(q, q, n)
         return pref, ([q**-n], [A], -(q**n) * u**-2, -1), ([A / q], [q], -(u**2) * q, 1)
 
-    def _cf(self, pt, policy):
+    def _cf(self, pt):
         q, A, d = self.q, self.A, self.delta
         small = pt.lam_minus
-        num = phi11(A, 0.0, A * d * small * small, q, policy)
-        den = phi11(A / q, 0.0, A * d * small * small, q, policy)
+        num = phi11(A, 0.0, A * d * small * small, q)
+        den = phi11(A / q, 0.0, A * d * small * small, q)
         return (A * d * small / q) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, policy):
+    def _weight_parts(self, x):
         q, A = self.q, self.A
         u = spectral_point(self, x=x, side=ABOVE).u
         numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
         # the two confluent factors dividing the weight, both 1 at A = q;
         # q u^(+-2) is the boundary value of the denominator's argument
-        fm = phi11(A / q, 0.0, q / (u * u), q, policy)
-        fp = phi11(A / q, 0.0, q * u * u, q, policy)
+        fm = phi11(A / q, 0.0, q / (u * u), q)
+        fp = phi11(A / q, 0.0, q * u * u, q)
         return numerator, 1.0 + 0.0j, fm * fp
 
 
@@ -677,9 +666,9 @@ class LimitQHermite(Family):
         q, d = self.q, self.delta
         return [0.0 + 0.0j] * (n - lo), [-(q**k) / d for k in range(lo, n)]
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, d = self.q, self.delta
-        series = phi01(0.0, q ** (n + 2) / (d * z * z), q, policy)
+        series = phi01(0.0, q ** (n + 2) / (d * z * z), q)
         return (
             Scaled(_sign(n)) * _qpower(q, n * (n - 1) / 2.0) * _power(q / (d * z), n) * series
         )
@@ -691,12 +680,12 @@ class LimitQHermite(Family):
         pref = (-z) ** -n * q ** (n * (n - 1) // 2) * (q / d) ** n / qpoch(q, q, n)
         return pref, ([q**-n], [], z * z * q**n * (d / q), -2), ([], [q], q / (z * z * d), 2)
 
-    def _scan_series(self, z, policy):
+    def _scan_series(self, z):
         q, d = self.q, self.delta
-        return phi01(0.0, q * q / (d * z * z), q, policy), phi01(0.0, q / (d * z * z), q, policy)
+        return phi01(0.0, q * q / (d * z * z), q), phi01(0.0, q / (d * z * z), q)
 
-    def _cf(self, z, policy):
-        num, den = self._scan_series(z, policy)
+    def _cf(self, z):
+        num, den = self._scan_series(z)
         return num / (z * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -720,30 +709,30 @@ class ContBigQHermite(CutFamily):
     def _growth_product(self):
         return self.a * self.q / self.A
 
-    def _growth_series(self, lam, n, policy):
+    def _growth_series(self, lam, n):
         q, A, a = self.q, self.A, self.a
         pref = qpoch(A, q, n)
-        series = phi21(A * lam, A * q**n, 0.0, lam / a, q, policy)
+        series = phi21(A * lam, A * q**n, 0.0, lam / a, q)
         return _power(lam, n) * (pref * series)
 
-    def _solution_2(self, pt, n, policy):
+    def _solution_2(self, pt, n):
         q, A, a = self.q, self.A, self.a
         small, large = pt.lam_minus, pt.lam_plus
         pref = qpoch(A * small / (a * q), q, n)
-        series = phi21(q ** (1 - n) / A, 0.0, large * q ** (1 - n), A * small, q, policy)
+        series = phi21(q ** (1 - n) / A, 0.0, large * q ** (1 - n), A * small, q)
         return _power(large, n) * (pref * series)
 
-    def _solution_3(self, pt, n, policy):
+    def _solution_3(self, pt, n):
         q, A, a = self.q, self.A, self.a
         small, large = pt.lam_minus, pt.lam_plus
         series = phi_r0_terminating(
-            (q ** (1 - n) / A, large / a), A * A * small * small * q ** (n - 2) / a, q, policy
+            (q ** (1 - n) / A, large / a), A * A * small * small * q ** (n - 2) / a, q
         )
         return _power(large, n) * series
 
     _solutions = {
-        1: lambda f, pt, n, p: f._growth_series(pt.lam_minus, n, p),
-        -1: lambda f, pt, n, p: f._growth_series(pt.lam_plus, n, p),
+        1: lambda f, pt, n: f._growth_series(pt.lam_minus, n),
+        -1: lambda f, pt, n: f._growth_series(pt.lam_plus, n),
         2: _solution_2,
         3: _solution_3,
     }
@@ -756,22 +745,22 @@ class ContBigQHermite(CutFamily):
         inner = [A / q], [q, 2 * u / gamma], -(u**2) * q, 1
         return pref, outer, inner
 
-    def _cf(self, pt, policy):
+    def _cf(self, pt):
         q, A, a = self.q, self.A, self.a
         small = pt.lam_minus
-        num = phi21(A, A * small, 0.0, small / a, q, policy)
-        den = phi21(A / q, A * small, 0.0, small / a, q, policy)
+        num = phi21(A, A * small, 0.0, small / a, q)
+        den = phi21(A / q, A * small, 0.0, small / a, q)
         return (A * small / (a * q)) * num / cf_denominator(den)
 
     _cf_forms = {"default": _cf}
 
-    def _weight_parts(self, x, policy):
+    def _weight_parts(self, x):
         q, A, a = self.q, self.A, self.a
         pt = spectral_point(self, x=x, side=ABOVE)
         u, lam_p, lam_m = pt.u, pt.lam_plus, pt.lam_minus
         numerator = qpoch_multi([A, u * u, 1 / (u * u)], q)
         denominator = qpoch_multi([lam_p / a, lam_m / a], q)
-        bracket = cut_bracket(self, pt, lambda lam: phi21(A / q, A * lam, 0.0, lam / a, q, policy))
+        bracket = cut_bracket(self, pt, lambda lam: phi21(A / q, A * lam, 0.0, lam / a, q))
         return numerator, denominator, bracket
 
 
@@ -788,20 +777,20 @@ class QBesselOrder(Family):
         return ([q**k + 0.0j for k in range(lo, n)],
                 [m * q**k for k in range(lo, n)])
 
-    def _solution_1(self, z, n, policy):
+    def _solution_1(self, z, n):
         q, a = self.q, self.a
-        series = phi11(a * q / z, 0.0, q ** (n + 1) / z, q, policy)
+        series = phi11(a * q / z, 0.0, q ** (n + 1) / z, q)
         return _power(-a * q / z, n) * _qpower(q, n * (n - 1) / 2.0) * series
 
-    def _solution_2(self, z, n, policy):
+    def _solution_2(self, z, n):
         q, a = self.q, self.a
         pref = qpoch(1 / z, q, n)
-        series = phi21(0.0, 0.0, z * q ** (1 - n), a * q / z, q, policy)
+        series = phi21(0.0, 0.0, z * q ** (1 - n), a * q / z, q)
         return _power(z, n) * (pref * series)
 
-    def _solution_3(self, z, n, policy):
+    def _solution_3(self, z, n):
         q, a = self.q, self.a
-        series = phi_r0_terminating((0.0, z / a), a * q**n / (z * z), q, policy)
+        series = phi_r0_terminating((0.0, z / a), a * q**n / (z * z), q)
         return _power(z, n) * series
 
     _solutions = {1: _solution_1, 2: _solution_2, 3: _solution_3}
@@ -812,12 +801,12 @@ class QBesselOrder(Family):
         outer = [q**-n, 1 / z], [], q**n * z * z / (a * q), -2
         return pref, outer, ([], [q, 1 / z], q * a / (z * z), 2)
 
-    def _scan_series(self, z, policy):
+    def _scan_series(self, z):
         q, a = self.q, self.a
-        return phi01(q / z, a * q * q / (z * z), q, policy), phi01(1 / z, a * q / (z * z), q, policy)
+        return phi01(q / z, a * q * q / (z * z), q), phi01(1 / z, a * q / (z * z), q)
 
-    def _cf(self, z, policy):
-        num, den = self._scan_series(z, policy)
+    def _cf(self, z):
+        num, den = self._scan_series(z)
         return num / ((z - 1) * cf_denominator(den))
 
     _cf_forms = {"default": _cf}
@@ -867,9 +856,9 @@ def family_from_id(family_id: str, q, **params):
 # ---------------------------------------------------------------------------
 
 
-def limit_solution(family, z, which: int, n: int, policy=DEFAULT_POLICY) -> complex:
+def limit_solution(family, z, which: int, n: int) -> complex:
     """Closed-form solution value; FormalOnly where its series diverges."""
-    return solution_value(family, z, which, n, policy)
+    return solution_value(family, z, which, n)
 
 
 # ---------------------------------------------------------------------------
@@ -887,13 +876,13 @@ def limit_poly(family, z, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def limit_cf(family, z, form: str | None = None, policy=DEFAULT_POLICY) -> complex:
+def limit_cf(family, z, form: str | None = None) -> complex:
     """Closed-form value of 1/CF(z) for the family's J-fraction, by the
     named form (None: the family's first declared form)."""
-    return cf(family, z, form, policy)
+    return cf(family, z, form)
 
 
-def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
+def limit_cf_parts(family, z):
     """(numerator series value, denominator series value) of the
     closed-form 1/CF, for zero/interlacing scans of the positive
     definite regimes.  A one-dimensional array of z gives both at every
@@ -905,8 +894,8 @@ def limit_cf_parts(family, z, policy=DEFAULT_POLICY):
         at = qseries.first_point(z == 0, z)
         if at is not None:
             raise ZeroDivisor(f"{family.family_id} continued fraction divides by zero at {at}")
-        return series(family, z, policy)
-    return guarded("continued fraction", series, family, complex(z), policy)
+        return series(family, z)
+    return guarded("continued fraction", series, family, complex(z))
 
 
 def fourth_limit_series(family: FourthLimit, n: int):
@@ -984,10 +973,10 @@ def _fourth_limit_grid(q, n, x):
 # ---------------------------------------------------------------------------
 
 
-def limit_weight(family, x: float, policy=DEFAULT_POLICY) -> float:
+def limit_weight(family, x: float) -> float:
     """Density of the absolutely continuous component at x in (-1, 1),
     where the spectral variable is z = gamma x (see ``family.weight``)."""
-    return weight(family, x, policy)
+    return weight(family, x)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,20 @@ one loop text with the products unrolled, for floats and complexes alike.
 
 A nonterminating series whose term is inf or nan can never settle: it
 raises Overflow naming that term, scalar and grid alike.
+
+The public kernels (``phi``, ``phi01``, ``phi11``, ``phi21``,
+``phi22_balanced``, ``phi32``, ``phi_r0_terminating`` and
+``transform_check``) sum under the ``TruncationPolicy`` of the innermost
+``truncation`` block they run in, ``DEFAULT_POLICY`` outside any; they
+hand it to the internals that take it as a parameter.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import itemgetter
@@ -201,6 +209,20 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+# the policy the public kernels sum under: ``truncation`` sets it
+_POLICY = ContextVar("truncation", default=DEFAULT_POLICY)
+
+
+@contextmanager
+def truncation(policy: TruncationPolicy):
+    """Sum every series inside the block under ``policy``; the policy in
+    force before (at first ``DEFAULT_POLICY``) comes back when the block
+    ends, also where it raises."""
+    token = _POLICY.set(policy)
+    try:
+        yield
+    finally:
+        _POLICY.reset(token)
 
 
 class SeriesSpec(tuple):
@@ -752,7 +774,7 @@ def _series_error(weighted, tail) -> float:
     return tail + 4e-16 * weighted
 
 
-def phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi(spec: SeriesSpec) -> complex:
     """Sum the basic hypergeometric series described by ``spec``.
 
     Terminating series are summed exactly (m+1 terms); nonterminating
@@ -761,14 +783,14 @@ def phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     spec gives the sum at every point, or the first failing point's
     error.
     """
-    result = _phi_core(spec, policy)
+    result = _phi_core(spec, _POLICY.get())
     if spec.grid:
         _raise_first(result[3])
     return result[0]
 
 
-def _phi(numerator, denominator, q, argument, policy=DEFAULT_POLICY) -> complex:
-    return phi(SeriesSpec(tuple(numerator), tuple(denominator), q, argument), policy)
+def _phi(numerator, denominator, q, argument) -> complex:
+    return phi(SeriesSpec(tuple(numerator), tuple(denominator), q, argument))
 
 
 def _balanced_spec(a, b, c, d, e, q) -> SeriesSpec:
@@ -851,12 +873,12 @@ def _prefactor(pref, q):
     return numerator / denominator
 
 
-def _rep_value(pref, spec, policy):
+def _rep_value(pref, spec):
     """Prefactor times summed series of a scalar representation."""
-    return _prefactor(pref, spec.q) * phi(spec, policy)
+    return _prefactor(pref, spec.q) * phi(spec)
 
 
-def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi32(a, b, c, d, e, q) -> complex:
     """The balanced 3-phi-2 with numerator (a, b, c), denominator (d, e)
     and argument de/(abc), continued analytically when that argument
     leaves the unit disk.
@@ -870,11 +892,12 @@ def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
     not in double precision.  Array parameters give the series at every
     point.
     """
+    policy = _POLICY.get()
     spec = _balanced_spec(a, b, c, d, e, q)
     stop = series_termination(spec, policy.max_terms)
     if not spec.grid:
         if stop is not None:
-            return phi(spec, policy)
+            return phi(spec)
         # ranked by key first (stable): only the candidates tried are built
         args = _phi32_arguments(spec)
         ranked = sorted((key, n) for n, key in enumerate(map(abs, args)) if key < 1.0 - 1e-12)
@@ -884,7 +907,7 @@ def phi32(a, b, c, d, e, q, policy: TruncationPolicy = DEFAULT_POLICY) -> comple
         values = np.empty(stop.size, dtype=complex)
         ends, ranked = np.flatnonzero(stop >= 0), np.flatnonzero(stop < 0)
         if ends.size:
-            values[ends] = phi(spec.take(ends), policy)
+            values[ends] = phi(spec.take(ends))
         if not ranked.size:
             return values
         spec, size = spec.take(ranked), ranked.size
@@ -925,8 +948,9 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
 
     A candidate's relative error is its series' error estimate over
     |series| (a prefactor scales both alike); a value that leaves the
-    double range fails its candidate.  ``keys``, one per candidate, only
-    sets the order: by increasing key (stable).  Where no candidate
+    double range fails its candidate.  ``keys``, one per candidate, sets
+    each grid point's order: by increasing key (stable); a scalar call
+    tries its candidates in the order given.  Where no candidate
     serves, NoConvergentRepresentation says ``failure(i)`` for the point
     i (None for a scalar), or that no usable representation was found.
     """
@@ -936,9 +960,6 @@ def _best_of(candidates, q, policy, size=None, keys=None, failure=None):
         if missing.size:
             raise _no_representation(failure, missing[0], last_error[missing[0]])
         return found
-    if keys is not None:
-        order = sorted((i for i, c in enumerate(candidates) if c[0]), key=keys.__getitem__)
-        candidates = [candidates[i] for i in order]
     best = None
     last_error = None
     for usable, build in candidates:
@@ -1081,13 +1102,13 @@ def _grid_prefactor(pref, pts, q):
     return products[0] / products[1], errors
 
 
-def phi01(c, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi01(c, w, q) -> complex:
     """0-phi-1 with denominator c and argument w (entire in w).  Array
     arguments give it at every point."""
-    return phi(SeriesSpec((), (c,), q, w), policy)
+    return phi(SeriesSpec((), (c,), q, w))
 
 
-def phi11(a, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi11(a, c, z, q) -> complex:
     """1-phi-1, evaluated through whichever of the direct sum, the
     argument/denominator swap, or the 0-phi-1 reduction carries the
     smallest error estimate.  Array arguments give it at every point."""
@@ -1103,10 +1124,10 @@ def phi11(a, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
         # c = 0 reduction: (z)_inf * 0phi1(-; z; a z)
         (c == 0, lambda: (([z], []), SeriesSpec((), (z,), q, a * z))),
     ]
-    return _best_of(candidates, q, policy, size)
+    return _best_of(candidates, q, _POLICY.get(), size)
 
 
-def phi21(a, b, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi21(a, b, c, z, q) -> complex:
     """2-phi-1 with analytic continuation past |z| = 1.
 
     Continuation moves one numerator parameter into the argument slot;
@@ -1118,6 +1139,7 @@ def phi21(a, b, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
         size = None
     except TypeError:  # arrays of points
         size = np.broadcast(a, b, c, z).size
+    policy = _POLICY.get()
     spec = SeriesSpec((a, b), (c,), q, z)
     stop = series_termination(spec, policy.max_terms)
     terminates = stop >= 0 if spec.grid else stop is not None
@@ -1128,7 +1150,7 @@ def phi21(a, b, c, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     return _best_of(candidates, q, policy, size)
 
 
-def phi22_balanced(a1, a2, b1, b2, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi22_balanced(a1, a2, b1, b2, w, q) -> complex:
     """2-phi-2 satisfying the balance a1 a2 w = b1 b2.
 
     Alongside the direct sum (entire in w but prone to cancellation at
@@ -1152,16 +1174,16 @@ def phi22_balanced(a1, a2, b1, b2, w, q, policy: TruncationPolicy = DEFAULT_POLI
     candidates = [(True, lambda: (None, SeriesSpec((a1, a2), (b1, b2), q, w)))]
     for p in (a1, a2):
         candidates.append((p != 0 and abs(p) < 1 - 1e-12, pivoted(p)))
-    return _best_of(candidates, q, policy)
+    return _best_of(candidates, q, _POLICY.get())
 
 
-def phi_r0_terminating(numerator, w, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi_r0_terminating(numerator, w, q) -> complex:
     """r-phi-0 with the given numerator parameters, which only exists as
     a terminating sum."""
     spec = SeriesSpec(tuple(numerator), (), q, w)
-    if series_termination(spec, policy.max_terms) is None:
+    if series_termination(spec, _POLICY.get().max_terms) is None:
         raise DivergentSeries(f"{spec.r}-phi-0 diverges unless a parameter is q^-m")
-    return phi(spec, policy)
+    return phi(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1171,63 +1193,61 @@ def phi_r0_terminating(numerator, w, q, policy: TruncationPolicy = DEFAULT_POLIC
 # ---------------------------------------------------------------------------
 
 
-def _t_cont_a(q, policy, a, b, c, d, e):
+def _t_cont_a(q, a, b, c, d, e):
     spec = _balanced_spec(a, b, c, d, e, q)
-    rhs = _rep_value(*_phi32_rep("pivot-up", a, (b, c), d, e, spec.argument, e / a, q), policy)
-    return phi(spec, policy), rhs
+    rhs = _rep_value(*_phi32_rep("pivot-up", a, (b, c), d, e, spec.argument, e / a, q))
+    return phi(spec), rhs
 
 
-def _t_cont_b(q, policy, a, b, c, d, e):
+def _t_cont_b(q, a, b, c, d, e):
     spec = _balanced_spec(a, b, c, d, e, q)
-    rhs = _rep_value(*_phi32_rep("pivot-arg", b, (a, c), d, e, spec.argument, b, q), policy)
-    return phi(spec, policy), rhs
+    rhs = _rep_value(*_phi32_rep("pivot-arg", b, (a, c), d, e, spec.argument, b, q))
+    return phi(spec), rhs
 
 
-def _t_heine(q, policy, a, b, c, z):
-    lhs = _phi((a, b), (c,), q, z, policy)
-    return lhs, _rep_value(*_phi21_pivot(b, a, c, z, q), policy)
+def _t_heine(q, a, b, c, z):
+    lhs = _phi((a, b), (c,), q, z)
+    return lhs, _rep_value(*_phi21_pivot(b, a, c, z, q))
 
 
-def _t_p21_p22(q, policy, a, b, c, z):
-    lhs = _phi((a, b), (c,), q, z, policy)
-    rhs = qpoch(a * z, q) / qpoch(z, q) * _phi(
-        (a, c / b), (c, a * z), q, b * z, policy
-    )
+def _t_p21_p22(q, a, b, c, z):
+    lhs = _phi((a, b), (c,), q, z)
+    rhs = qpoch(a * z, q) / qpoch(z, q) * _phi((a, c / b), (c, a * z), q, b * z)
     return lhs, rhs
 
 
-def _t_p21_p12(q, policy, a, c, z):
-    lhs = qpoch(z, q) / qpoch(a * z, q) * _phi((a, 0.0), (c,), q, z, policy)
-    rhs = _phi((a,), (c, a * z), q, c * z, policy)
+def _t_p21_p12(q, a, c, z):
+    lhs = qpoch(z, q) / qpoch(a * z, q) * _phi((a, 0.0), (c,), q, z)
+    rhs = _phi((a,), (c, a * z), q, c * z)
     return lhs, rhs
 
 
-def _t_p21_p11(q, policy, a, c, z):
-    lhs = qpoch(z, q) / qpoch(a * z, q) * _phi((a, 0.0), (c,), q, z, policy)
-    rhs = _phi((z,), (a * z,), q, c, policy) / qpoch(c, q)
+def _t_p21_p11(q, a, c, z):
+    lhs = qpoch(z, q) / qpoch(a * z, q) * _phi((a, 0.0), (c,), q, z)
+    rhs = _phi((z,), (a * z,), q, c) / qpoch(c, q)
     return lhs, rhs
 
 
-def _t_p11_swap(q, policy, b, c, z):
-    lhs = _phi((c / b,), (c,), q, b * z, policy)
-    rhs = qpoch(b * z, q) / qpoch(c, q) * _phi((z,), (b * z,), q, c, policy)
+def _t_p11_swap(q, b, c, z):
+    lhs = _phi((c / b,), (c,), q, b * z)
+    rhs = qpoch(b * z, q) / qpoch(c, q) * _phi((z,), (b * z,), q, c)
     return lhs, rhs
 
 
-def _t_p11_zero_swap(q, policy, c, z):
-    lhs = _phi((0.0,), (c,), q, z, policy)
-    rhs = qpoch(z, q) / qpoch(c, q) * _phi((0.0,), (z,), q, c, policy)
+def _t_p11_zero_swap(q, c, z):
+    lhs = _phi((0.0,), (c,), q, z)
+    rhs = qpoch(z, q) / qpoch(c, q) * _phi((0.0,), (z,), q, c)
     return lhs, rhs
 
 
-def _t_p01_p11(q, policy, c, z):
-    lhs = _phi((), (c,), q, c * z, policy)
-    rhs = _phi((z,), (0.0,), q, c, policy) / qpoch(c, q)
+def _t_p01_p11(q, c, z):
+    lhs = _phi((), (c,), q, c * z)
+    rhs = _phi((z,), (0.0,), q, c) / qpoch(c, q)
     return lhs, rhs
 
 
-def _t_qbinomial(q, policy, a, z):
-    lhs = _phi((a,), (), q, z, policy)
+def _t_qbinomial(q, a, z):
+    lhs = _phi((a,), (), q, z)
     rhs = qpoch(a * z, q) / qpoch(z, q)
     return lhs, rhs
 
@@ -1260,13 +1280,13 @@ def transform_ids():
     return tuple(TRANSFORMS)
 
 
-def transform_check(transform_id: str, q, policy: TruncationPolicy = DEFAULT_POLICY, **params):
+def transform_check(transform_id: str, q, **params):
     """Evaluate both sides of the named identity; returns (lhs, rhs)."""
     try:
         evaluator = TRANSFORMS[transform_id][0]
     except KeyError:
         raise KeyError(f"unknown transform id {transform_id!r}") from None
-    return evaluator(_check_q(q), policy, **params)
+    return evaluator(_check_q(q), **params)
 
 
 def sample_transform_inputs(transform_id: str, rng, q):

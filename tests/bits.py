@@ -430,8 +430,8 @@ def emit_records():
                 yield f"{len(rows)} rows {comment!r} {fmt} -> {text!r}"
 
 
-def pointwise_weight(fam, x, policy, weight=family.weight):
-    return np.array([weight(fam, point, policy) for point in x.tolist()])
+def pointwise_weight(fam, x, weight=family.weight):
+    return np.array([weight(fam, point) for point in x.tolist()])
 
 
 def command_records():

@@ -15,7 +15,6 @@ from qdhahn.errors import PoleHit, QdhError
 from qdhahn.family import ABOVE, SpectralPoint, solution_scaled, spectral_point
 from qdhahn.limits import AlSalamCarlitz1, ContBigQHermite, QBesselOrder, limit_solution
 from qdhahn.qseries import (
-    DEFAULT_POLICY,
     phi01,
     phi11,
     phi21,
@@ -137,7 +136,7 @@ def asc1_partial_fractions(family: AlSalamCarlitz1, z) -> complex:
     return total
 
 
-def asc1_identity_checks(family: AlSalamCarlitz1, z, n: int, policy=DEFAULT_POLICY):
+def asc1_identity_checks(family: AlSalamCarlitz1, z, n: int):
     """Both sides of the two terminating-series identities available at
     A = q, plus the cross-equality of their left sides.
 
@@ -149,16 +148,14 @@ def asc1_identity_checks(family: AlSalamCarlitz1, z, n: int, policy=DEFAULT_POLI
     z = complex(z)
     qn = q**n
     lhs_a = (-d * z) ** -n * q ** (n * (n - 1) // 2) * phi_r0_terminating(
-        (q**-n, 1 / (z * d), 1 / z), d * z * z * qn, q, policy
+        (q**-n, 1 / (z * d), 1 / z), d * z * z * qn, q
     )
-    rhs_a = z**n * qpoch(1 / z, q, n) * phi11(q**-n, z * q ** (1 - n), q / d, q, policy)
-    lhs_b = (-1 / d) ** n * q ** (n * (n - 1) // 2) * phi21(
-        q**-n, 1 / z, 0.0, q * z * d, q, policy
-    )
+    rhs_a = z**n * qpoch(1 / z, q, n) * phi11(q**-n, z * q ** (1 - n), q / d, q)
+    lhs_b = (-1 / d) ** n * q ** (n * (n - 1) // 2) * phi21(q**-n, 1 / z, 0.0, q * z * d, q)
     rhs_b = (
         z**n
         * qpoch(1 / (z * d), q, n)
-        * phi11(q**-n, q ** (1 - n) * z * d, q * d, q, policy)
+        * phi11(q**-n, q ** (1 - n) * z * d, q * d, q)
     )
     return [
         ("terminating-pair-a", lhs_a, rhs_a),
@@ -167,7 +164,7 @@ def asc1_identity_checks(family: AlSalamCarlitz1, z, n: int, policy=DEFAULT_POLI
     ]
 
 
-def jackson_q_bessel(kind: int, nu, x, q, policy=DEFAULT_POLICY) -> complex:
+def jackson_q_bessel(kind: int, nu, x, q) -> complex:
     """Jackson's q-analogues of the Bessel function (kinds 1 and 2).
 
     Negative integer orders of the first kind are handled through the
@@ -178,12 +175,12 @@ def jackson_q_bessel(kind: int, nu, x, q, policy=DEFAULT_POLICY) -> complex:
     if kind == 1 and abs(nu.imag) < 1e-12:
         m = round(-nu.real)
         if m > 0 and abs(nu.real + m) < 1e-9:
-            return (-1) ** m * jackson_q_bessel(1, float(m), x, q, policy)
+            return (-1) ** m * jackson_q_bessel(1, float(m), x, q)
     pref = qpoch(q ** (nu + 1), q) / qpoch(q, q) * (x / 2) ** nu
     if kind == 1:
-        return pref * phi21(0.0, 0.0, q ** (nu + 1), -x * x / 4, q, policy)
+        return pref * phi21(0.0, 0.0, q ** (nu + 1), -x * x / 4, q)
     if kind == 2:
-        return pref * phi01(q ** (nu + 1), -x * x / 4 * q ** (nu + 1), q, policy)
+        return pref * phi01(q ** (nu + 1), -x * x / 4 * q ** (nu + 1), q)
     raise ValueError("kind must be 1 or 2")
 
 
@@ -196,8 +193,7 @@ def _canonical(value: complex) -> complex:
     return value
 
 
-def qbessel_connection(family: QBesselOrder, z, n_max: int, policy=DEFAULT_POLICY,
-                       kinds=(1, 2)):
+def qbessel_connection(family: QBesselOrder, z, n_max: int, kinds=(1, 2)):
     """Ratio sequences connecting the two recurrence solutions to the
     q-Bessel functions of matching order and argument.
 
@@ -216,8 +212,8 @@ def qbessel_connection(family: QBesselOrder, z, n_max: int, policy=DEFAULT_POLIC
     second = []
     for n in range(n_max + 1):
         if 1 in kinds:
-            j1 = jackson_q_bessel(1, -nu - n, arg, q, policy)
-            b2 = limit_solution(family, z, 2, n, policy)
+            j1 = jackson_q_bessel(1, -nu - n, arg, q)
+            b2 = limit_solution(family, z, 2, n)
             rhs1 = (
                 (-1j * cmath.sqrt(_canonical(z / (a * q)))) ** n
                 * q ** (-n * (n - 1) / 2.0)
@@ -225,8 +221,8 @@ def qbessel_connection(family: QBesselOrder, z, n_max: int, policy=DEFAULT_POLIC
             )
             first.append(j1 / rhs1)
         if 2 in kinds:
-            j2 = jackson_q_bessel(2, nu + n, arg, q, policy)
-            b1 = limit_solution(family, z, 1, n, policy)
+            j2 = jackson_q_bessel(2, nu + n, arg, q)
+            b1 = limit_solution(family, z, 1, n)
             rhs2 = (
                 (-1) ** n
                 * q ** (-n * (n - 1) / 2.0)
@@ -239,14 +235,12 @@ def qbessel_connection(family: QBesselOrder, z, n_max: int, policy=DEFAULT_POLIC
     return first, second
 
 
-def qbessel_series_forms(family: QBesselOrder, z, n: int, policy=DEFAULT_POLICY):
+def qbessel_series_forms(family: QBesselOrder, z, n: int):
     """The minimal solution in its confluent form and rewritten through
     the 0-phi-1 kernel; the two must agree."""
     q, a = family.q, family.a
     z = complex(z)
-    direct = solution_scaled(family, z, 1, n, policy)
-    series = qpoch(q ** (n + 1) / z, q) * phi01(
-        q ** (n + 1) / z, a * q ** (n + 2) / (z * z), q, policy
-    )
+    direct = solution_scaled(family, z, 1, n)
+    series = qpoch(q ** (n + 1) / z, q) * phi01(q ** (n + 1) / z, a * q ** (n + 2) / (z * z), q)
     alt = _power(-a * q / z, n) * _qpower(q, n * (n - 1) / 2.0) * series
     return direct.value, alt.value

@@ -178,7 +178,7 @@ class TestAcceptance:
         fam = limits.ContQHermite(0.5, 0.5, 0.7)
         den_worst = 0.0
         for x in (-0.8, -0.3, 0.2, 0.7):
-            _, denominator, bracket = fam._weight_parts(x, qseries.DEFAULT_POLICY)
+            _, denominator, bracket = fam._weight_parts(x)
             den_worst = max(den_worst, abs(denominator - 1), abs(bracket - 1))
         fam2 = limits.ContBigQHermite(0.5, 0.5, 1.6)
         big_worst = 0.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdhahn import cdqhahn, cli, limits, recurrence, verify
+from qdhahn import cdqhahn, cli, limits, qseries, recurrence, verify
 
 from bits import CDQH_ARGS, EVAL_CASES, LIMIT_ARGS, TABLE_CASES, ZERO_CASES
 
@@ -132,6 +132,37 @@ class TestEval:
         v_loose = float(loose[1].splitlines()[-1].split(",")[1])
         # the loose tolerance truncates the series visibly earlier
         assert abs(v_tight - v_loose) > 1e-12 * abs(v_tight)
+
+    # pincherle's series run inside a nested solution_scaled, the weight
+    # grid's in the grid kernels
+    @pytest.mark.parametrize("what", [
+        ("--what", "cf", "--cf-form", "pincherle", "--z", "20"),
+        ("--what", "weight", "--grid=-0.9:0.9:5"),
+    ], ids=["pincherle", "weight-grid"])
+    def test_tol_and_qdh_tol_reach_every_series(self, what, qdh, monkeypatch):
+        args = ("eval", "--family", "cdqh", *what, *CDQH_ARGS)
+        default = qdh(*args)
+        core, policies = qseries._phi_core, []
+        monkeypatch.setattr(qseries, "_phi_core",
+                            lambda spec, policy: policies.append(policy) or core(spec, policy))
+        by_option, by_env = qdh(*args, "--tol", "1e-3"), qdh(*args, QDH_TOL="1e-3")
+        assert by_option == by_env
+        assert default[0] == by_option[0] == 0
+        assert by_option[1] != default[1]
+        # every series of both runs summed under the loose tolerance
+        assert policies and {policy.rel_tol for policy in policies} == {1e-3}
+
+    @pytest.mark.parametrize("argv, code", [
+        (("eval", "--family", "cdqh", "--what", "cf", "--z", "20", *CDQH_ARGS), 0),
+        (("eval", "--family", "cont-q-hermite", "--what", "weight", "--x", "1.7", "--q", ".5",
+          *LIMIT_ARGS["cont-q-hermite"]), 2),
+        (("eval", "--family", "cdqh", "--what", "solution", "--which", "inverted", "--n", "4000",
+          "--x", "2", *CDQH_ARGS), 3),
+    ])
+    def test_a_tolerance_ends_with_its_command(self, argv, code, qdh):
+        # a policy left in force would change the contract rows run later in this process
+        assert qdh(*argv, "--tol", "1e-3")[0] == code
+        assert qseries._POLICY.get() is qseries.DEFAULT_POLICY
 
 
 class TestVerify:

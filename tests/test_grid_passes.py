@@ -531,14 +531,14 @@ def _former_weight(monkeypatch, fam, x):
     with monkeypatch.context() as m:
         m.setattr(family, "cut_bracket", former_cut_bracket)
         m.setattr(limits, "cut_bracket", former_cut_bracket)
-        return outcome(lambda: family.weight(fam, x, qseries.DEFAULT_POLICY))
+        return outcome(lambda: family.weight(fam, x))
 
 
 def _spied_weight(monkeypatch, fam, x):
     """The weight, with its one cut_bracket call's (point, f, calls of f)."""
     with monkeypatch.context() as m:
         seen = _spy_brackets(m)
-        value = outcome(lambda: family.weight(fam, x, qseries.DEFAULT_POLICY))
+        value = outcome(lambda: family.weight(fam, x))
     ((_, point, f, calls),) = seen
     return value, point, f, calls
 

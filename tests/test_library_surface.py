@@ -7,6 +7,9 @@ the sources as they are: starting from ``qdhahn.__all__``, the console
 scripts, the click commands, each module's top-level statements and
 every name ``qdhbench/*.py`` mentions, it follows the names each reached
 definition mentions, and no definition may be left unreached.
+
+The series truncation policy has one carrier, ``qseries.truncation``:
+only the kernels' internals in ``qseries`` take it as a parameter.
 """
 
 import ast
@@ -101,3 +104,29 @@ def test_a_definition_only_tests_call_is_found():
         "def _helper(x):\n    return x\n").body)
     assert unreached_definitions(trees, _parse_dir(BENCH), _roots()) == [
         "limits.py:_helper", "limits.py:paper_only"]
+
+
+PUBLIC_KERNELS = {"phi", "phi01", "phi11", "phi21", "phi22_balanced", "phi32",
+                  "phi_r0_terminating", "transform_check"}
+
+
+def policy_takers(src_trees):
+    """(module, name) of each function or lambda of ``src_trees`` with a
+    parameter named ``policy``."""
+    found = []
+    for module, tree in src_trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                if "policy" in [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]:
+                    found.append((module, getattr(node, "name", "<lambda>")))
+    return found
+
+
+def test_only_the_series_kernels_internals_take_a_policy():
+    takers = policy_takers(_parse_dir(SRC))
+    assert {module for module, _ in takers} == {"qseries.py"}
+    assert not PUBLIC_KERNELS & {name for _, name in takers}
+    trees = _parse_dir(SRC)
+    trees["limits.py"].body.extend(ast.parse("f = lambda z, policy: z").body)
+    assert ("limits.py", "<lambda>") in policy_takers(trees)

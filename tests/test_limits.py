@@ -48,7 +48,6 @@ from qdhahn.limits import (
     limit_solution,
     limit_weight,
 )
-from qdhahn.qseries import DEFAULT_POLICY
 
 from paper_identities import (
     ResonantDelta,
@@ -395,7 +394,7 @@ class TestWeights:
 
     def test_hermite_like_denominators_collapse_at_reduced_parameter(self):
         fam = ContQHermite(0.5, 0.5, 0.7)  # A = q
-        _, denominator, bracket = fam._weight_parts(0.4, DEFAULT_POLICY)
+        _, denominator, bracket = fam._weight_parts(0.4)
         assert denominator == pytest.approx(1.0)
         assert bracket == pytest.approx(1.0)
 

@@ -242,8 +242,8 @@ class TestPhi:
 
     def test_max_terms_budget(self):
         policy = TruncationPolicy(rel_tol=1e-12, max_terms=3)
-        with pytest.raises(MaxTermsExceeded):
-            phi(SeriesSpec((0.3, 0.4), (0.5,), 0.5, 0.9), policy)
+        with pytest.raises(MaxTermsExceeded), qseries.truncation(policy):
+            phi(SeriesSpec((0.3, 0.4), (0.5,), 0.5, 0.9))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -493,9 +493,43 @@ class TestTerminationOrder:
             qseries.termination_order(p, 0.5)
 
 
+class TestTruncation:
+    SPEC = SeriesSpec((0.3, 0.4), (0.5,), 0.5, 0.9)
+
+    def test_nested_blocks_restore_the_outer_policy(self):
+        outer, inner = TruncationPolicy(rel_tol=1e-6), TruncationPolicy(max_terms=3)
+        with qseries.truncation(outer):
+            with pytest.raises(MaxTermsExceeded), qseries.truncation(inner):
+                phi(self.SPEC)
+            assert qseries._POLICY.get() is outer
+            loose = phi(self.SPEC)
+        assert qseries._POLICY.get() is qseries.DEFAULT_POLICY
+        assert loose == qseries._phi_core(self.SPEC, outer)[0] != phi(self.SPEC)
+
+    # each public kernel at an input it sums, open or terminating past
+    # two terms, so that a budget of two terms fails it
+    @pytest.mark.parametrize("kernel, args", [
+        (phi, (SPEC,)),
+        (qseries.phi01, (0.5, 0.9, 0.37)),
+        (qseries.phi11, (0.3, 0.6, 0.5, 0.37)),
+        (qseries.phi21, (0.3, 0.4, 0.6, 0.2, 0.37)),
+        (qseries.phi22_balanced, (0.3, 0.4, 0.12, 0.5, 0.5, 0.37)),
+        (phi32, (0.3, 0.4, 0.5, 0.6, 0.7, 0.37)),
+        (phi32, (np.array([0.3, 0.37 ** -5]), 0.4, 0.5, 0.6, 0.7, 0.37)),
+        (qseries.phi_r0_terminating, ((0.37 ** -5, 0.3), 0.2, 0.37)),
+        (lambda: qseries.transform_check("heine", 0.37, a=0.3, b=0.2, c=0.6, z=0.4), ()),
+    ], ids=["phi", "phi01", "phi11", "phi21", "phi22_balanced", "phi32", "phi32-grid",
+            "phi_r0_terminating", "transform_check"])
+    def test_every_public_kernel_sums_under_the_block(self, kernel, args):
+        assert np.all(np.isfinite(kernel(*args)))
+        with pytest.raises(QdhError), qseries.truncation(TruncationPolicy(max_terms=2)):
+            kernel(*args)
+
+
 class TestOneRankingRule:
     """A candidate whose value leaves the double range fails on its own,
-    whether or not keys order the candidates, scalar and grid alike."""
+    scalar and grid alike, and on a grid whether or not keys order the
+    candidates."""
 
     @staticmethod
     def candidates(z, shape=lambda v: v):
@@ -507,15 +541,12 @@ class TestOneRankingRule:
             (True, lambda: (None, SeriesSpec((shape(2.0),), (), q, shape(0.25)))),
         ]
 
-    @pytest.mark.parametrize("keys", [None, [1.0, 2.0]])
-    def test_an_overflowing_candidate_yields_to_the_next(self, keys):
-        value = qseries._best_of(self.candidates(-1e200), 0.5, qseries.DEFAULT_POLICY,
-                                 keys=keys)
+    def test_an_overflowing_candidate_yields_to_the_next(self):
+        value = qseries._best_of(self.candidates(-1e200), 0.5, qseries.DEFAULT_POLICY)
         assert value == 0.5
         with pytest.raises(NoConvergentRepresentation,
                            match="last failure: representation left the double-precision"):
-            qseries._best_of(self.candidates(-1e200)[:1], 0.5, qseries.DEFAULT_POLICY,
-                             keys=keys and keys[:1])
+            qseries._best_of(self.candidates(-1e200)[:1], 0.5, qseries.DEFAULT_POLICY)
 
     @pytest.mark.parametrize("ordered", [False, True])
     def test_an_overflowing_grid_point_yields_to_the_next_candidate(self, ordered):
@@ -527,9 +558,8 @@ class TestOneRankingRule:
         assert values[0] == values[2] == 0.5
         assert values[1] == qpoch_multi([-1e10], 0.5) * 0.5
         for point in range(3):  # each point as the scalar call gives it
-            point_keys = keys and [k[point] for k in keys]
             assert values[point] == qseries._best_of(
-                self.candidates(complex(z[point])), 0.5, qseries.DEFAULT_POLICY, keys=point_keys)
+                self.candidates(complex(z[point])), 0.5, qseries.DEFAULT_POLICY)
 
     @pytest.mark.parametrize("c", [2.0, np.array([2.0]), np.array([0.7, 2.0])],
                              ids=["scalar", "one-point", "two-point"])
