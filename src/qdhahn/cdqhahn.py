@@ -57,16 +57,9 @@ from .recurrence import Scaled
 from .recurrence import scaled_power as _power, scaled_qpower as _qpower
 
 
-@dataclass(frozen=True)
 class CDQHParams(CutFamily):
     """The flagship family (see ``family`` for its declared members and
     its SpectralPoint)."""
-
-    q: float
-    A: complex
-    B: complex
-    C: complex
-    D: complex
 
     family_id = "cdqh"
     param_names = ("A", "B", "C", "D")

@@ -12,6 +12,7 @@ truncation tolerance.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import click
 import numpy as np
 
 from . import family as closed_forms
-from . import limits, recurrence, verify
+from . import limits, recurrence
 from .cdqhahn import CDQHParams
 from .errors import BranchAmbiguous, QdhError, UnknownFamily, UnsupportedFamily
 from .qseries import DEFAULT_POLICY, TruncationPolicy, truncation
@@ -234,15 +235,32 @@ def cmd_eval(family, what, which, n_index, z_text, x_text, grid, depth, q, cf_fo
     _emit_rows(rows, ("n_or_x", "re", "im"), fmt, _family_comment(fam))
 
 
+def _verify():
+    """The check suite, imported by the one command that runs it."""
+    from . import verify
+
+    return verify
+
+
+class _CheckChoice(click.Choice):
+    """``click.Choice`` over the check ids and "all", read when first needed."""
+
+    def __init__(self):  # Choice's own would read the choices now
+        self.case_sensitive = True
+
+    @functools.cached_property
+    def choices(self):
+        return _verify().CHECK_IDS + ("all",)
+
+
 @main.command("verify")
-@click.option("--check", "check_id", type=click.Choice(verify.CHECK_IDS + ("all",)),
-              default="all")
-@click.option("--seed", type=int, default=verify.DEFAULT_SEED)
+@click.option("--check", "check_id", type=_CheckChoice(), default="all")
+@click.option("--seed", type=int, default=lambda: _verify().DEFAULT_SEED)
 @click.option("--fast", is_flag=True, help="smaller sample counts")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def cmd_verify(check_id, seed, fast, fmt):
     """Run identity/property checks; exit 0 iff every check passes."""
-    reports = verify.run_checks(check_id, seed=seed, fast=fast)
+    reports = _verify().run_checks(check_id, seed=seed, fast=fast)
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:

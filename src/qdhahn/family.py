@@ -1,8 +1,10 @@
 """The closed-form layer shared by all twelve families.
 
 Every family, the flagship ``cdqhahn.CDQHParams`` and the eleven of
-``limits``, is a frozen dataclass on ``Family`` that declares its
-recurrence coefficients and its closed forms once, as class members:
+``limits``, is an immutable record on ``Family``, built by its one
+constructor from q and the parameters the family names in
+``param_names``.  It declares its recurrence coefficients and its
+closed forms once, as class members:
 
     _coeff_rows    (lo, n) -> the lists a_lo..a_{n-1} and
                    b_lo^2..b_{n-1}^2 of the recurrence (see
@@ -43,7 +45,7 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -59,8 +61,10 @@ BELOW = "below"
 
 
 class Family:
-    """Parameter checks, point conversion and coefficient access shared
-    by the families."""
+    """Construction, parameter checks, point conversion and coefficient
+    access shared by the families.  A family is built from q and the
+    parameters ``param_names`` lists, by position or keyword; it is
+    immutable and compares and hashes by its type and those values."""
 
     z_at = None  # z from a rescaled argument x; only a cut family has one
 
@@ -70,6 +74,48 @@ class Family:
         # tracer (qdhbench/tracer.py) wraps them class by class
         cls.a_coeff, cls.b_sq_coeff = Family.a_coeff, Family.b_sq_coeff
 
+    def __init__(self, q, *params, **by_name):
+        names = self.param_names
+        if by_name or len(params) != len(names):
+            try:  # those not given by position, by name: none missing or left over
+                params = [*params, *map(by_name.pop, names[len(params):])]
+            except KeyError:  # a missing one leaves too few
+                pass
+            if by_name or len(params) != len(names):
+                raise TypeError(f"{type(self).__qualname__}() takes "
+                                f"({', '.join(('q', *names))}), each given once")
+        q = _check_q(q)
+        values = list(map(complex, params))
+        # the coefficients divide by the product, which can underflow
+        if 0 in values or math.prod(values) == 0 or not all(map(cmath.isfinite, values)):
+            raise ValueError(f"parameters {', '.join(names)} must be nonzero and "
+                             "finite, and their product nonzero")
+        store = object.__setattr__
+        store(self, "q", q)
+        for name, value in zip(names, values):
+            store(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.q, *[getattr(self, name) for name in self.param_names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
+    def __repr__(self):
+        values = map("{}={!r}".format, ("q", *self.param_names), self._values())
+        return f"{type(self).__qualname__}({', '.join(values)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def a_coeff(self, n: int):
         """a_n, from the family's one declaration ``_coeff_rows``."""
         return self._coeff_rows(n, n + 1)[0][0]
@@ -77,16 +123,6 @@ class Family:
     def b_sq_coeff(self, n: int):
         """b_n^2, from the family's one declaration ``_coeff_rows``."""
         return self._coeff_rows(n, n + 1)[1][0]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_q(self.q))
-        values = [complex(getattr(self, name)) for name in self.param_names]
-        # the coefficients divide by the product, which can underflow
-        if 0 in values or math.prod(values) == 0 or not all(map(cmath.isfinite, values)):
-            raise ValueError(f"parameters {', '.join(self.param_names)} must be nonzero and "
-                             "finite, and their product nonzero")
-        for name, value in zip(self.param_names, values):
-            object.__setattr__(self, name, value)
 
     def point_at(self, z, side=None, single_valued=False) -> complex:
         """z itself: a family without a cut has no boundary side."""

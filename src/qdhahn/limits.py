@@ -1,8 +1,9 @@
 """The eleven limit families of the four-parameter recurrence.
 
-Each family is a frozen dataclass declaring its recurrence coefficients
-and its closed forms once, as the members ``family`` describes:
-``_coeff_rows`` (the coefficient lists over an index range),
+Each family is an immutable ``family.Family`` record, built from q and
+the parameters it names in ``param_names``.  It declares its recurrence
+coefficients and its closed forms once, as the members ``family``
+describes: ``_coeff_rows`` (the coefficient lists over an index range),
 ``_solutions`` (index -> evaluator; 1 is always the subdominant/minimal
 one), ``_poly_terms`` (the (nums, dens, step, power) factors of the
 double sum's term ratios, see ``qseries.term_ratio``) and
@@ -97,13 +98,7 @@ def _sign(n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BigQLaguerre(Family):
-    q: float
-    A: complex
-    B: complex
-    C: complex
-
     family_id = "big-q-laguerre"
     param_names = ("A", "B", "C")
 
@@ -177,12 +172,7 @@ class BigQLaguerre(Family):
         return [q / (B * C * z), q / (A * C * z), q / (A * B * z)]
 
 
-@dataclass(frozen=True)
 class Wall(Family):
-    q: float
-    A: complex
-    B: complex
-
     family_id = "wall"
     param_names = ("A", "B")
 
@@ -243,11 +233,7 @@ class Wall(Family):
         return [q / (A * B * z), q / (A * z), q / (B * z)]
 
 
-@dataclass(frozen=True)
 class LimitWall(Family):
-    q: float
-    A: complex
-
     family_id = "limit-wall"
     param_names = ("A",)
 
@@ -309,10 +295,7 @@ class LimitWall(Family):
         return [self.q / (self.A * z)]
 
 
-@dataclass(frozen=True)
 class FourthLimit(Family):
-    q: float
-
     family_id = "fourth-limit"
     param_names = ()
 
@@ -350,13 +333,7 @@ class FourthLimit(Family):
     _cf_forms = {"default": _cf, "series-ratio": _cf, "power-sums": _cf_power_sums}
 
 
-@dataclass(frozen=True)
 class AlSalamChihara(CutFamily):
-    q: float
-    A: complex
-    B: complex
-    delta: complex
-
     family_id = "al-salam-chihara"
     param_names = ("A", "B", "delta")
 
@@ -455,12 +432,7 @@ class AlSalamChihara(CutFamily):
         return numerator, denominator, bracket
 
 
-@dataclass(frozen=True)
 class AlSalamCarlitz1(Family):
-    q: float
-    A: complex
-    delta: complex
-
     family_id = "al-salam-carlitz1"
     param_names = ("A", "delta")
 
@@ -526,11 +498,7 @@ class AlSalamCarlitz1(Family):
         return [q / (A * d * z), q / (d * z), 1 / z]
 
 
-@dataclass(frozen=True)
 class LimitASC1(Family):
-    q: float
-    delta: complex
-
     family_id = "limit-asc1"
     param_names = ("delta",)
 
@@ -593,12 +561,7 @@ class LimitASC1(Family):
         return [self.q / (self.delta * z), 1 / z]
 
 
-@dataclass(frozen=True)
 class ContQHermite(CutFamily):
-    q: float
-    A: complex
-    delta: complex
-
     family_id = "cont-q-hermite"
     param_names = ("A", "delta")
 
@@ -654,11 +617,7 @@ class ContQHermite(CutFamily):
         return numerator, 1.0 + 0.0j, fm * fp
 
 
-@dataclass(frozen=True)
 class LimitQHermite(Family):
-    q: float
-    delta: complex
-
     family_id = "limit-q-hermite"
     param_names = ("delta",)
 
@@ -691,12 +650,7 @@ class LimitQHermite(Family):
     _cf_forms = {"default": _cf}
 
 
-@dataclass(frozen=True)
 class ContBigQHermite(CutFamily):
-    q: float
-    A: complex
-    a: complex
-
     family_id = "cont-big-q-hermite"
     param_names = ("A", "a")
 
@@ -764,11 +718,7 @@ class ContBigQHermite(CutFamily):
         return numerator, denominator, bracket
 
 
-@dataclass(frozen=True)
 class QBesselOrder(Family):
-    q: float
-    a: complex
-
     family_id = "q-bessel-order"
     param_names = ("a",)
 

@@ -202,8 +202,9 @@ class TruncationPolicy:
     max_terms: int = 5000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        # a tolerance of 1 or more (or inf) ends a series at its first small term
+        if not 0 < self.rel_tol < 1:
+            raise ValueError(f"rel_tol must lie strictly inside (0, 1), got {self.rel_tol!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -195,6 +196,15 @@ class TestVerify:
         assert all(r["pass"] is True for r in payload)
         assert all(isinstance(r["max_rel_error"], float) for r in payload)
 
+    def test_help_lists_every_check_and_all(self, qdh):
+        code, out, _ = qdh("verify", "--help")
+        assert code == 0
+        assert re.search(r"--check \[(.*)\]", out)[1].split("|") == [*verify.CHECK_IDS, "all"]
+
+    def test_the_default_seed_is_the_suites(self, qdh):
+        _, out, _ = qdh("verify", "--check", "limits")
+        assert f"seed={verify.DEFAULT_SEED}" in out
+
     def test_seed_recorded(self, qdh):
         _, out, _ = qdh("verify", "--check", "limits", "--seed", "123")
         assert "seed=123" in out
@@ -345,6 +355,10 @@ CONTRACT_CASES = [
     ((*WALL, "--what", "solution", "--which", "x", "--z", "2"), {}, 2),
     ((*WALL, "--what", "cf", "--z", "2", "--tol", "0"), {}, 2),
     ((*WALL, "--what", "cf", "--z", "2", "--tol", "-1"), {}, 2),
+    # a tolerance that is not finite and below 1 would end every open series at once
+    *[((*WALL, "--what", "cf", "--z", "2", "--tol", tol), {}, 2, "rel_tol")
+      for tol in ("inf", "1", "1e300")],
+    ((*WALL, "--what", "cf", "--z", "2"), {"QDH_TOL": "1"}, 2, "rel_tol"),
     ((*WALL, "--what", "cf", "--z", "2"), {"QDH_TOL": "abc"}, 2),
     (("eval", "--family", "cdqh", "--what", "cf", "--x", "2", "--cf-form", "bogus", *CDQH_ARGS),
      {}, 2),
@@ -484,6 +498,7 @@ CONTRACT_CASES = [
     # help exits 0; no command is a usage error
     (("--help",), {}, 0),
     (("eval", "--help"), {}, 0),
+    (("verify", "--help"), {}, 0),
     ((), {}, 2, "Usage:"),
 ]
 

@@ -10,11 +10,18 @@ definition mentions, and no definition may be left unreached.
 
 The series truncation policy has one carrier, ``qseries.truncation``:
 only the kernels' internals in ``qseries`` take it as a parameter.
+
+Two guards keep a fresh interpreter from building what it does not run:
+a family declares its parameters once, in ``param_names`` (no dataclass
+decorator or annotated fields generates code from a second list), and
+the CLI imports the check suite only inside the command that runs it.
 """
 
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import qdhahn
 
@@ -130,3 +137,64 @@ def test_only_the_series_kernels_internals_take_a_policy():
     trees = _parse_dir(SRC)
     trees["limits.py"].body.extend(ast.parse("f = lambda z, policy: z").body)
     assert ("limits.py", "<lambda>") in policy_takers(trees)
+
+
+def family_records(src_trees):
+    """(module, class node) of each class of ``src_trees`` deriving from
+    ``Family`` (by base name, through any depth), ``Family`` included."""
+    classes = [(module, node) for module, tree in src_trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)]
+    names, grown = {"Family"}, True
+    while grown:
+        bases = {node.name for _, node in classes if _mentions(ast.Tuple(node.bases)) & names}
+        grown = not bases <= names
+        names |= bases
+    return [(module, node) for module, node in classes if node.name in names]
+
+
+def doubly_declared_families(src_trees):
+    """Families whose parameters are declared outside ``param_names``: by
+    a dataclass decorator or by annotated class-level fields."""
+    return sorted(f"{module}:{node.name}" for module, node in family_records(src_trees)
+                  if any("dataclass" in _mentions(d) for d in node.decorator_list)
+                  or any(isinstance(stmt, ast.AnnAssign) for stmt in node.body))
+
+
+def test_a_family_declares_its_parameters_once():
+    trees = _parse_dir(SRC)
+    assert len(family_records(trees)) == 14  # Family, CutFamily and the twelve families
+    assert doubly_declared_families(trees) == []
+    trees["limits.py"].body.extend(ast.parse(
+        "@dataclass(frozen=True)\nclass Kept(CutFamily):\n    param_names = ('A',)\n\n"
+        "class Annotated(Kept):\n    A: complex\n").body)
+    assert doubly_declared_families(trees) == ["limits.py:Annotated", "limits.py:Kept"]
+
+
+def imports_on_import(tree):
+    """The module and names each import statement outside a function
+    body imports, as dotted parts: what importing the module loads."""
+    parts, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            parts.update(*(alias.name.split(".") for alias in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."), (alias.name for alias in node.names))
+        todo.extend(ast.iter_child_nodes(node))
+    return parts
+
+
+def test_the_cli_imports_the_check_suite_only_to_run_it():
+    tree = ast.parse(_read(os.path.join(SRC, "cli.py")))
+    assert "verify" not in imports_on_import(tree)
+    assert "verify" in imports_on_import(ast.parse("if True:\n    from . import verify\n"))
+    assert "verify" in imports_on_import(ast.parse("import qdhahn.verify as checks\n"))
+    assert "verify" not in imports_on_import(ast.parse("def f():\n    from . import verify\n"))
+    # in a fresh interpreter too, through whatever the CLI imports
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, qdhahn.cli; print('qdhahn.verify' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(SRC)}).stdout
+    assert loaded == "False\n"

@@ -1,6 +1,7 @@
 import cmath
-import dataclasses
+import copy
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -108,6 +109,109 @@ class TestRegistry:
             family_from_id("cdqh", 0.5, A=0.3, B=0.4, C=None)
 
 
+# Every family by id, and the text each one's repr printed while the
+# families were frozen dataclasses, at (q, *VALUES[:len(param_names)])
+EVERY_FAMILY = {"cdqh": CDQHParams, **FAMILIES}
+VALUES = (0.3, 0.4 + 0.1j, -0.7, 2.0)
+REPRS = {
+    "cdqh": "CDQHParams(q=0.5, A=(0.3+0j), B=(0.4+0.1j), C=(-0.7+0j), D=(2+0j))",
+    "big-q-laguerre": "BigQLaguerre(q=0.5, A=(0.3+0j), B=(0.4+0.1j), C=(-0.7+0j))",
+    "wall": "Wall(q=0.5, A=(0.3+0j), B=(0.4+0.1j))",
+    "limit-wall": "LimitWall(q=0.5, A=(0.3+0j))",
+    "fourth-limit": "FourthLimit(q=0.5)",
+    "al-salam-chihara": "AlSalamChihara(q=0.5, A=(0.3+0j), B=(0.4+0.1j), delta=(-0.7+0j))",
+    "al-salam-carlitz1": "AlSalamCarlitz1(q=0.5, A=(0.3+0j), delta=(0.4+0.1j))",
+    "limit-asc1": "LimitASC1(q=0.5, delta=(0.3+0j))",
+    "cont-q-hermite": "ContQHermite(q=0.5, A=(0.3+0j), delta=(0.4+0.1j))",
+    "limit-q-hermite": "LimitQHermite(q=0.5, delta=(0.3+0j))",
+    "cont-big-q-hermite": "ContBigQHermite(q=0.5, A=(0.3+0j), a=(0.4+0.1j))",
+    "q-bessel-order": "QBesselOrder(q=0.5, a=(0.3+0j))",
+}
+
+
+def _params(cls):
+    return dict(zip(cls.param_names, VALUES))
+
+
+class TestFamilyConstructor:
+    """The one constructor every family shares, driven by ``param_names``."""
+
+    @pytest.fixture(params=sorted(EVERY_FAMILY))
+    def cls(self, request):
+        return EVERY_FAMILY[request.param]
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        params = _params(cls)
+        by_position = cls(0.5, *params.values())
+        for built in (cls(0.5, **params), cls(q=0.5, **params)):
+            assert type(built) is cls
+            assert built == by_position and hash(built) == hash(by_position)
+        assert by_position.q == 0.5
+        assert all(type(getattr(by_position, name)) is complex for name in params)
+
+    def test_equality_is_by_type_and_values(self, cls):
+        params = _params(cls)
+        fam = cls(0.5, **params)
+        assert fam != cls(0.25, **params)
+        assert fam.__eq__(object()) is NotImplemented
+        # another family at the same values (cdqh and fourth-limit have no such twin)
+        for other in EVERY_FAMILY.values():
+            if other is not cls and len(other.param_names) == len(params):
+                assert fam != other(0.5, *params.values())
+
+    def test_missing_extra_or_repeated_arguments_are_type_errors(self, cls):
+        params = _params(cls)
+        names = list(params)
+        calls = [lambda: cls(0.5, *params.values(), 1.0),
+                 lambda: cls(0.5, **params, E=1.0),
+                 lambda: cls(0.5, q=0.5, **params),
+                 lambda: cls(**params)]
+        if names:
+            calls += [lambda: cls(0.5, *list(params.values())[:-1]),
+                      lambda: cls(0.5, **{n: params[n] for n in names[1:]}),
+                      lambda: cls(0.5, *params.values(), **{names[0]: VALUES[0]})]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_the_parameter_checks_keep_their_text(self, cls):
+        names = cls.param_names
+        message = (f"parameters {', '.join(names)} must be nonzero and finite, "
+                   "and their product nonzero")
+        bad = [[0.0, *VALUES[1:len(names)]], [math.inf, *VALUES[1:len(names)]],
+               [complex(math.nan, 1), *VALUES[1:len(names)]]]
+        if len(names) > 1:  # the product underflows
+            bad.append([1e-200] * len(names))
+        for values in bad if names else []:
+            with pytest.raises(ValueError) as raised:
+                cls(0.5, *values)
+            assert str(raised.value) == message
+        with pytest.raises(ValueError, match=r"base q must lie strictly inside \(0, 1\)"):
+            cls(1.5, *VALUES[:len(names)])
+
+    def test_a_family_is_immutable(self, cls):
+        fam = cls(0.5, **_params(cls))
+        for name in ("q", *cls.param_names, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(fam, name, 0.25)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(fam, name)
+        assert fam == cls(0.5, **_params(cls))
+
+    def test_repr_keeps_its_text(self, cls):
+        assert repr(cls(0.5, **_params(cls))) == REPRS[cls.family_id]
+
+    def test_copy_and_pickle_round_trip(self, cls):
+        fam = cls(0.5, **_params(cls))
+        for twin in (copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+            assert type(twin) is cls and twin == fam and repr(twin) == repr(fam)
+
+    def test_the_flagship_permutes_its_parameters(self):
+        fam = CDQHParams(0.5, 0.3, 0.4, 0.35, 0.45)
+        assert fam.permuted("DCBA") == CDQHParams(0.5, 0.45, 0.35, 0.4, 0.3)
+        assert fam.permuted("ABCD") == fam
+
+
 # How each scan family's closed-form 1/CF combines its series pair.
 SCAN_COMBINATIONS = {
     "al-salam-carlitz1": lambda f, z, num, den: num / (z * (1 - 1 / (f.delta * z)) * den),
@@ -177,7 +281,8 @@ class TestClosedFormRegistry:
     def test_vanished_term_denominator_at_a_equal_one_raises_zero_divisor(self, family_id):
         fam, z = GENERIC[family_id]
         with pytest.raises(ZeroDivisor):
-            limit_poly(dataclasses.replace(fam, A=1.0), z, 3)
+            params = {name: getattr(fam, name) for name in fam.param_names}
+            limit_poly(type(fam)(fam.q, **{**params, "A": 1.0}), z, 3)
 
     @pytest.mark.parametrize("poly, family_id", [(limit_poly, "limit-asc1"),
                                                  (limit_poly, "q-bessel-order"),

@@ -506,6 +506,11 @@ class TestTruncation:
         assert qseries._POLICY.get() is qseries.DEFAULT_POLICY
         assert loose == qseries._phi_core(self.SPEC, outer)[0] != phi(self.SPEC)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-3, 1.0, 1e300, math.inf, math.nan])
+    def test_a_tolerance_lies_inside_zero_one(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must lie strictly inside"):
+            TruncationPolicy(rel_tol=rel_tol)
+
     # each public kernel at an input it sums, open or terminating past
     # two terms, so that a budget of two terms fails it
     @pytest.mark.parametrize("kernel, args", [
